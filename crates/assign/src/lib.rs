@@ -8,38 +8,26 @@
 //! `linear_sum_assignment`, itself an implementation of the shortest
 //! augmenting path algorithm of Crouse 2016).  This crate provides:
 //!
-//! * [`shortest_augmenting_path`] — exact solver for rectangular matrices,
-//!   the default used by the pipeline (scipy-equivalent);
-//! * [`mod@hungarian`] — classic Kuhn–Munkres with dual potentials, kept as an
-//!   independent exact implementation used to cross-check the first in tests
-//!   and exposed for ablation benches;
-//! * [`mod@greedy`] — a cheap approximate baseline used by the ablation study;
+//! * [`shortest_augmenting_path`] — exact solver for dense rectangular
+//!   matrices (scipy-equivalent), checked against brute-force enumeration in
+//!   `tests/solver_properties.rs`;
+//! * [`sparse_shortest_augmenting_path`] — the same solver over enumerated
+//!   candidate cells only, bit-identical to the dense one
+//!   (`tests/sparse_equivalence.rs`);
+//! * [`mod@greedy`] — a cheap approximate solver: what the pipeline demotes
+//!   oversized blocks to, and the ablation study's baseline;
 //! * [`Assignment`] — the solver output, plus helpers for thresholded
 //!   matching (discard assigned pairs whose cost exceeds θ).
 
 pub mod greedy;
-pub mod hungarian;
 pub mod matrix;
 pub mod sap;
 pub mod sparse;
 
 pub use greedy::greedy;
-pub use hungarian::hungarian;
 pub use matrix::CostMatrix;
 pub use sap::shortest_augmenting_path;
 pub use sparse::{sparse_shortest_augmenting_path, SparseCostError, SparseCostMatrix};
-
-/// Which algorithm to use when solving an assignment problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AssignmentAlgorithm {
-    /// Exact, rectangular shortest augmenting path (scipy-equivalent).
-    #[default]
-    ShortestAugmentingPath,
-    /// Exact Kuhn–Munkres (Hungarian) algorithm.
-    Hungarian,
-    /// Greedy minimum-cost matching (approximate, ablation baseline).
-    Greedy,
-}
 
 /// The result of solving an assignment problem: a set of (row, column) pairs,
 /// each row and column used at most once.
@@ -103,40 +91,23 @@ impl Assignment {
     }
 }
 
-/// Solves the assignment problem on `matrix` with the chosen algorithm.
-///
-/// Every row is matched to a distinct column whenever `rows <= cols`
-/// (and vice versa); the exact algorithms minimise the total cost.
-pub fn solve(matrix: &CostMatrix, algorithm: AssignmentAlgorithm) -> Assignment {
-    match algorithm {
-        AssignmentAlgorithm::ShortestAugmentingPath => shortest_augmenting_path(matrix),
-        AssignmentAlgorithm::Hungarian => hungarian(matrix),
-        AssignmentAlgorithm::Greedy => greedy(matrix),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn solve_dispatches_to_all_algorithms() {
+    fn both_solvers_find_an_unambiguous_optimum() {
         let m = CostMatrix::from_rows(vec![vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        for alg in [
-            AssignmentAlgorithm::ShortestAugmentingPath,
-            AssignmentAlgorithm::Hungarian,
-            AssignmentAlgorithm::Greedy,
-        ] {
-            let a = solve(&m, alg);
+        for (name, a) in [("sap", shortest_augmenting_path(&m)), ("greedy", greedy(&m))] {
             assert_eq!(a.len(), 2);
-            assert!((a.total_cost - 2.0).abs() < 1e-9, "{alg:?} gave {}", a.total_cost);
+            assert!((a.total_cost - 2.0).abs() < 1e-9, "{name} gave {}", a.total_cost);
         }
     }
 
     #[test]
     fn threshold_drops_expensive_pairs() {
         let m = CostMatrix::from_rows(vec![vec![0.1, 0.9], vec![0.9, 0.8]]).unwrap();
-        let a = solve(&m, AssignmentAlgorithm::ShortestAugmentingPath);
+        let a = shortest_augmenting_path(&m);
         assert_eq!(a.len(), 2);
         let t = a.threshold(&m, 0.7);
         assert_eq!(t.len(), 1);
@@ -147,14 +118,9 @@ mod tests {
     #[test]
     fn column_for_lookup() {
         let m = CostMatrix::from_rows(vec![vec![5.0, 1.0], vec![1.0, 5.0]]).unwrap();
-        let a = solve(&m, AssignmentAlgorithm::Hungarian);
+        let a = shortest_augmenting_path(&m);
         assert_eq!(a.column_for(0), Some(1));
         assert_eq!(a.column_for(1), Some(0));
         assert_eq!(a.column_for(7), None);
-    }
-
-    #[test]
-    fn default_algorithm_is_sap() {
-        assert_eq!(AssignmentAlgorithm::default(), AssignmentAlgorithm::ShortestAugmentingPath);
     }
 }

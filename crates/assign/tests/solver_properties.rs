@@ -1,8 +1,8 @@
-//! Property-based tests for the assignment solvers: both exact solvers agree
-//! with each other and with a brute-force enumeration on small instances, and
-//! the greedy baseline is never better than the exact optimum.
+//! Property-based tests for the assignment solvers: the exact solver agrees
+//! with a brute-force enumeration on small instances, and the greedy baseline
+//! is never better than the exact optimum.
 
-use lake_assign::{greedy, hungarian, shortest_augmenting_path, CostMatrix};
+use lake_assign::{greedy, shortest_augmenting_path, CostMatrix};
 use proptest::prelude::*;
 
 /// Brute force: try every injective assignment of rows to columns (rows <= 6).
@@ -55,19 +55,16 @@ fn matrix_strategy() -> impl Strategy<Value = CostMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// The two exact solvers find the same optimal cost, equal to brute force
-    /// (brute force enumerates row→column injections, so restrict to
-    /// rows <= cols; the solvers themselves handle both orientations).
+    /// The exact solver finds the brute-force optimal cost (brute force
+    /// enumerates row→column injections, so restrict to rows <= cols; the
+    /// solver itself handles both orientations).
     #[test]
-    fn exact_solvers_match_brute_force(matrix in matrix_strategy()) {
+    fn exact_solver_matches_brute_force(matrix in matrix_strategy()) {
         prop_assume!(matrix.rows() <= matrix.cols());
         let sap = shortest_augmenting_path(&matrix);
-        let hung = hungarian(&matrix);
         let brute = brute_force_optimum(&matrix);
         prop_assert!((sap.total_cost - brute).abs() < 1e-6, "sap {} != brute {}", sap.total_cost, brute);
-        prop_assert!((hung.total_cost - brute).abs() < 1e-6, "hungarian {} != brute {}", hung.total_cost, brute);
         prop_assert_eq!(sap.len(), matrix.rows().min(matrix.cols()));
-        prop_assert_eq!(hung.len(), matrix.rows().min(matrix.cols()));
     }
 
     /// Greedy is a valid matching and never beats the exact optimum.

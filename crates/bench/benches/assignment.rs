@@ -1,7 +1,9 @@
 //! Criterion bench for the linear sum assignment solvers (design ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lake_assign::{solve, AssignmentAlgorithm, CostMatrix};
+use lake_assign::{greedy, shortest_augmenting_path, Assignment, CostMatrix};
+
+type Solver = fn(&CostMatrix) -> Assignment;
 
 fn synthetic_matrix(n: usize) -> CostMatrix {
     // Deterministic pseudo-random costs in [0, 1).
@@ -16,14 +18,10 @@ fn bench_assignment(c: &mut Criterion) {
     group.sample_size(20);
     for &n in &[50usize, 150, 300] {
         let matrix = synthetic_matrix(n);
-        for (label, algorithm) in [
-            ("sap", AssignmentAlgorithm::ShortestAugmentingPath),
-            ("hungarian", AssignmentAlgorithm::Hungarian),
-            ("greedy", AssignmentAlgorithm::Greedy),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &matrix, |b, m| {
-                b.iter(|| solve(m, algorithm))
-            });
+        let solvers: [(&str, Solver); 2] = [("sap", shortest_augmenting_path), ("greedy", greedy)];
+        for (label, solver) in solvers {
+            group
+                .bench_with_input(BenchmarkId::new(label, n), &matrix, |b, m| b.iter(|| solver(m)));
         }
     }
     group.finish();

@@ -2,13 +2,13 @@
 //! on one Auto-Join-style integration set, a blocked-vs-exhaustive
 //! comparison of the candidate-space policies, the escalation tier on a
 //! lake-scale fold, a plan-only `value_matching_planner` group over the same
-//! fold, and a `scheduling` group comparing the retired round-robin strategy
-//! against the shared work-stealing executor.
+//! fold, and a `scheduling` group timing the shared work-stealing executor on
+//! the skewed-components and escalation folds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy_fd_core::{
     match_column_values, match_column_values_with_stats, BlockingPolicy, EscalationPolicy,
-    FuzzyFdConfig, KeyedBlockingConfig, SemanticBlocking,
+    FuzzyFdConfig, KeyedBlockingConfig,
 };
 use lake_benchdata::{
     generate_autojoin_benchmark, generate_escalation_fold, generate_skewed_components,
@@ -41,25 +41,15 @@ fn bench_value_matching(c: &mut Criterion) {
     group.finish();
 }
 
-/// Blocked vs exhaustive candidate generation, all on the default (Mistral)
-/// model: the exhaustive dense matrix, the default exact sub-threshold
-/// channel, surface keys only, and SimHash banding.
+/// Blocked vs exhaustive candidate generation on the default (Mistral)
+/// model: the exhaustive dense matrix against the exact sub-threshold sweep.
 fn bench_blocking_policies(c: &mut Criterion) {
     let columns = autojoin_columns();
     let embedder = FuzzyFdConfig::default().model.build();
 
-    let keyed = |semantic| {
-        BlockingPolicy::Keyed(KeyedBlockingConfig {
-            semantic,
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        })
-    };
-    let policies: [(&str, BlockingPolicy); 4] = [
+    let policies: [(&str, BlockingPolicy); 2] = [
         ("exhaustive", BlockingPolicy::Exhaustive),
-        ("exact", keyed(SemanticBlocking::ExactBelow { slack: 0.1 })),
-        ("surface", keyed(SemanticBlocking::Off)),
-        ("simhash", keyed(SemanticBlocking::simhash_default())),
+        ("exact", BlockingPolicy::default().force_blocked()),
     ];
 
     let mut group = c.benchmark_group("value_matching_blocking");
@@ -231,25 +221,22 @@ fn bench_planner(c: &mut Criterion) {
     group.finish();
 }
 
-/// Round-robin vs work-stealing scheduling, on the two workloads the shared
-/// executor was built for:
+/// The work-stealing executor on the two workloads it was built for:
 ///
 /// * the **skewed-components FD fold** (`lake_benchdata::skew`): component
 ///   closure costs span ~1000×, and the mediums sit on round-robin stride
-///   positions, so static bucketing at 4 workers stacks them all behind the
-///   giant — the `components-*` pair measures exactly the strategy swap on
-///   identical work items;
+///   positions, the shape that stacks a static bucketing behind the giant
+///   (the ≥ 1.3× makespan win over it is asserted in cost units by
+///   `tests/runtime_scheduling.rs`);
 /// * the **4200-entity escalation fold**: the value matcher's block solves
-///   at `matching_threads = 4` on the work-stealing executor
-///   (`escalation-stealing-4t`); the round-robin figure for this workload is
-///   the pre-migration `value_matching_escalation/escalated` baseline, so
-///   the comparison is recorded pre/post in `BENCH_BASELINE.json`.
+///   at `matching_threads = 4` (`escalation-stealing-4t`), to be read
+///   against the sequential `value_matching_escalation/escalated` series.
 fn bench_scheduling(c: &mut Criterion) {
     use lake_fd::complement::component_closure;
     use lake_fd::components::join_components;
     use lake_fd::tuple::IntegratedTuple;
     use lake_fd::{outer_union, IntegrationSchema};
-    use lake_runtime::{run_round_robin, run_scope, ParallelPolicy};
+    use lake_runtime::{run_scope, ParallelPolicy};
 
     const WORKERS: usize = 4;
 
@@ -264,9 +251,6 @@ fn bench_scheduling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scheduling");
     group.sample_size(10);
-    group.bench_function("components-round-robin", |b| {
-        b.iter(|| run_round_robin(WORKERS, work.clone(), component_closure))
-    });
     group.bench_function("components-stealing", |b| {
         b.iter(|| {
             run_scope(

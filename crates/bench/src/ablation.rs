@@ -4,8 +4,7 @@
 
 use std::time::Instant;
 
-use fuzzy_fd_core::FuzzyFdConfig;
-use lake_assign::AssignmentAlgorithm;
+use fuzzy_fd_core::{AssignmentStrategy, FuzzyFdConfig};
 use lake_benchdata::{
     generate_autojoin_benchmark, generate_imdb_benchmark, AutoJoinConfig, ImdbConfig,
 };
@@ -56,18 +55,18 @@ pub struct AssignmentAblationRow {
     pub seconds: f64,
 }
 
-/// Compares the exact assignment solvers against the greedy baseline on the
-/// value-matching benchmark.
+/// Compares the exact assignment solver against the greedy baseline (every
+/// block demoted: `ExactUpTo { max_side: 0 }`) on the value-matching
+/// benchmark.
 pub fn assignment_ablation(config: AutoJoinConfig) -> Vec<AssignmentAblationRow> {
     let sets = generate_autojoin_benchmark(config);
     let solvers = [
-        ("ShortestAugmentingPath", AssignmentAlgorithm::ShortestAugmentingPath),
-        ("Hungarian", AssignmentAlgorithm::Hungarian),
-        ("Greedy", AssignmentAlgorithm::Greedy),
+        ("ShortestAugmentingPath", AssignmentStrategy::AlwaysExact),
+        ("Greedy", AssignmentStrategy::ExactUpTo { max_side: 0 }),
     ];
     solvers
         .iter()
-        .map(|(label, algorithm)| {
+        .map(|(label, strategy)| {
             let embedder = EmbeddingModel::Mistral.build();
             let start = Instant::now();
             let scores: Vec<PrecisionRecall> = sets
@@ -79,8 +78,7 @@ pub fn assignment_ablation(config: AutoJoinConfig) -> Vec<AssignmentAblationRow>
                         .map(|col| col.iter().map(|s| lake_table::Value::text(s.clone())).collect())
                         .collect();
                     let cfg = FuzzyFdConfig {
-                        assignment_algorithm: *algorithm,
-                        assignment_strategy: fuzzy_fd_core::AssignmentStrategy::AlwaysExact,
+                        assignment_strategy: *strategy,
                         ..FuzzyFdConfig::default()
                     };
                     let groups =
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn assignment_ablation_reports_all_solvers() {
         let rows = assignment_ablation(tiny());
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         let exact = rows.iter().find(|r| r.solver == "ShortestAugmentingPath").unwrap();
         let greedy = rows.iter().find(|r| r.solver == "Greedy").unwrap();
         // Greedy never beats the exact solver on match quality by more than

@@ -23,7 +23,7 @@
 //!   and the server integration tests.
 //! * [`skew`] — a skewed-components FD fold (one giant join neighbourhood,
 //!   a stride of mediums, a tail of smalls) driving the `scheduling`
-//!   benchmark group's round-robin vs work-stealing comparison.
+//!   benchmark group and the LPT-vs-round-robin makespan assertion.
 //! * [`lexicon`] — topic vocabularies (cities, songs, movies, people, …) and
 //!   alias groups shared by the generators.
 //! * [`noise`] — the deterministic fuzzy transformations (typos, case

@@ -10,22 +10,13 @@
 //! assignment problem, and the components can be solved concurrently because
 //! they share no group and no value.
 //!
-//! Candidate pairs come from two channels:
-//!
-//! * **surface keys** ([`lake_text::string_block_keys`]: tokens, q-grams,
-//!   acronyms) — two items are candidates when they share a key, optionally
-//!   augmented with SimHash embedding-bucket keys from
-//!   [`lake_embed::SimHasher`] ([`SemanticBlocking::SimHash`]).  Cheap and
-//!   sub-quadratic, but probabilistic on the semantic side;
-//! * **exact sub-threshold distances** ([`SemanticBlocking::ExactBelow`],
-//!   the default) — one dot-product sweep over the fold computes every
-//!   (group, value) cosine distance and admits exactly the pairs below
-//!   `θ + slack`.  Any pair the post-solve thresholding step could accept is
-//!   a candidate by construction, and each candidate's distance is recorded
-//!   on the block so the solver reuses it instead of recomputing.  The sweep
-//!   costs the same dot products the exhaustive cost matrix would — the win
-//!   is the (cubic) solver seeing much smaller independent sub-problems and
-//!   the masked share of the matrix never being touched again.
+//! There is one candidate channel: **exact sub-threshold distances**.  A
+//! (group, value) pair is a candidate when its cosine distance is below
+//! `θ + slack`.  Any pair the post-solve thresholding step could accept is a
+//! candidate by construction, and each candidate's distance is recorded on
+//! its block so the solver reuses it instead of recomputing.  The win is the
+//! (cubic) solver seeing much smaller independent sub-problems and the masked
+//! share of the matrix never being touched again.
 //!
 //! Within a block, non-candidate combinations are masked with an
 //! above-threshold cost, so blocked mode never matches a pair that was not a
@@ -36,27 +27,28 @@
 //!
 //! # Size-tiered planning
 //!
-//! Fold size picks the plan, so blocking stays faithful where it is cheap to
-//! be and sub-quadratic where it has to be:
+//! Fold size alone picks how the candidates are found, so blocking stays
+//! faithful where it is cheap to be and sub-quadratic where it has to be:
 //!
 //! 1. **cartesian** (below `min_blocked_pairs`) — one dense block, exactly
 //!    the exhaustive behaviour;
-//! 2. **exact sweep** (default) — every pair scored once, candidacy below
-//!    `θ + slack` guaranteed; recall at the matching threshold is *exact*
-//!    as long as no connected component trips the splitting cap below;
+//! 2. **exact sweep** (default) — one kernel sweep scores every pair once,
+//!    the same dot products the exhaustive cost matrix would pay; recall at
+//!    the matching threshold is *exact* as long as no connected component
+//!    trips the splitting cap below;
 //! 3. **escalated ANN** (at or above
 //!    [`EscalationPolicy::min_fold_pairs`](crate::config::EscalationPolicy))
 //!    — the fold's value embeddings are indexed in a
 //!    [`lake_embed::AnnIndex`] (SimHash multi-probe buckets), each group
 //!    embedding retrieves its colliding values, and only the union of
-//!    collisions and surface-key candidates is exactly re-scored.
-//!    Probabilistic recall: a sub-cutoff pair can be missed when its
-//!    signature disagreements all carry large margins *and* it shares no
-//!    usable surface key.
+//!    collisions and surface-key nominations
+//!    ([`lake_text::string_block_keys`]: tokens, q-grams, acronyms) is
+//!    exactly re-scored.  Probabilistic recall: a sub-cutoff pair can be
+//!    missed when its signature disagreements all carry large margins *and*
+//!    it shares no usable surface key.
 //!
-//! Independently of the tier, cost-carrying plans split oversized connected
-//! components before solving (see
-//! [`KeyedBlockingConfig::max_component_cells`]): candidate edges re-join
+//! Both planned tiers split oversized connected components before solving
+//! (see [`KeyedBlockingConfig::max_component_cells`]): candidate edges re-join
 //! components strongest-first, and an edge that would merge two clusters
 //! past the cell cap is severed and recorded as a [`CutEdge`] so post-solve
 //! thresholding (and the equivalence harness) can re-verify that nothing
@@ -67,14 +59,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lake_embed::kernel::{self, KernelStats};
-use lake_embed::{AnnIndex, AnnScratch, QuantizedSlab, SimHasher, Vector};
+use lake_embed::{AnnIndex, AnnScratch, QuantizedSlab, Vector};
 use lake_metrics::{PhaseTimings, Stopwatch};
 use lake_text::{string_block_keys, BlockKeyOptions};
 
-use crate::config::{BlockingPolicy, KeyedBlockingConfig, SemanticBlocking};
-
-/// Namespace salt separating embedding-bucket keys from hashed surface keys.
-const BAND_KEY_NAMESPACE: u64 = 0xB10C_7E57_BA5E_D000;
+use crate::config::{BlockingPolicy, FoldTier, KeyedBlockingConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -96,22 +85,8 @@ pub fn hash_key(key: &str) -> u64 {
     fnv1a_continue(FNV_OFFSET, key.as_bytes())
 }
 
-/// The hashed key of SimHash band `band` hashing to `bucket` — the numeric
-/// twin of the `sh<band>:<bucket>` strings of
-/// [`SimHasher::band_keys`](lake_embed::SimHasher::band_keys).
-pub fn band_bucket_key(band: usize, bucket: u64) -> u64 {
-    // Splitmix64 finalizer: spreads the small (band, bucket) space over u64
-    // so chance collisions with FNV-hashed surface keys stay negligible.
-    let mut z = BAND_KEY_NAMESPACE ^ ((band as u64) << 32) ^ bucket;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Hashed planner keys are already uniformly mixed (`FNV` / splitmix
-/// output), so the bucket maps use them verbatim instead of re-hashing with
-/// SipHash.
+/// Hashed planner keys are already uniformly mixed (`FNV` output), so the
+/// bucket maps use them verbatim instead of re-hashing with SipHash.
 #[derive(Default)]
 struct IdentityHasher(u64);
 
@@ -146,23 +121,21 @@ pub struct Block {
     pub rows: Vec<usize>,
     /// Column-side members (indices into the candidate value list).
     pub cols: Vec<usize>,
-    /// The candidate `(row, col)` pairs of this block (global indices,
-    /// sorted).  `None` means the block is dense — every combination is a
-    /// candidate (the cartesian fallback).
-    pub pairs: Option<Vec<(usize, usize)>>,
-    /// Cosine distances of the candidate pairs, aligned with `pairs`.  Filled
-    /// by the [`SemanticBlocking::ExactBelow`] planner (which computes them
-    /// anyway) so the solver builds cost matrices without re-embedding or
-    /// re-measuring; `None` when the planner was key-based.
-    pub costs: Option<Vec<f32>>,
+    /// The candidate `(row, col, distance)` triples of this block (global
+    /// indices, sorted by `(row, col)`), each carrying the exact cosine
+    /// distance the planner measured so the solver builds cost matrices
+    /// without re-embedding or re-measuring.  `None` means the block is dense
+    /// — every combination is a candidate and nothing has been measured yet
+    /// (the cartesian fallback).
+    pub candidates: Option<Vec<(usize, usize, f32)>>,
 }
 
 impl Block {
     /// Number of candidate pairs this block generates (combinations whose
     /// distance is actually computed).
     pub fn pair_count(&self) -> usize {
-        match &self.pairs {
-            Some(pairs) => pairs.len(),
+        match &self.candidates {
+            Some(candidates) => candidates.len(),
             None => self.rows.len() * self.cols.len(),
         }
     }
@@ -213,10 +186,10 @@ pub struct BlockingStats {
     /// ([`lake_runtime::run_scope`]), accumulated over every fold: tasks,
     /// steals, per-worker busy time.  Empty when every fold solved inline.
     pub runtime: lake_runtime::RuntimeStats,
-    /// What the quantized scoring kernel did under the cost-carrying tiers:
+    /// What the quantized scoring kernel did under the planned tiers:
     /// int8-scored / bound-skipped / f32-re-scored pairs and swept cache
     /// tiles, accumulated over every fold.  Empty for folds that never
-    /// touched the kernel (cartesian fallback, key-bucket channel).
+    /// touched the kernel (cartesian fallback).
     pub kernel: KernelStats,
     /// Where the planning wall clock went, phase by phase
     /// (hash/probe/pairs/dedup/score/fallback from the planners, assign from
@@ -284,15 +257,14 @@ pub struct BlockPlan {
 
 /// The inputs of one bipartite matching step, from the planner's point of
 /// view: hashed surface keys and embeddings for both sides, plus the matching
-/// threshold.  Channels a policy does not use may be left empty — the
-/// key-based planners ignore the embeddings unless SimHash buckets are on,
-/// and [`SemanticBlocking::ExactBelow`] ignores the key slices entirely (a
-/// pair at distance ≥ θ + slack can never survive thresholding, so surface
-/// keys cannot add a useful candidate there).
+/// threshold.  Only an escalating fold reads the key slices (they back the
+/// ANN index up); the cartesian and exact-sweep tiers ignore them — a pair
+/// at distance ≥ θ + slack can never survive thresholding, so surface keys
+/// cannot add a useful candidate there — and they may be left empty.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FoldInputs<'a> {
-    /// Hashed blocking keys of each row (surface keys via [`hash_key`];
-    /// duplicates within an item are tolerated).
+    /// Hashed blocking keys of each row (surface keys via
+    /// [`hashed_value_block_keys`]; duplicates within an item are tolerated).
     pub row_keys: &'a [Vec<u64>],
     /// Hashed blocking keys of each column.
     pub col_keys: &'a [Vec<u64>],
@@ -300,8 +272,8 @@ pub struct FoldInputs<'a> {
     pub row_embeddings: &'a [&'a Vector],
     /// Embedding of each column (value).
     pub col_embeddings: &'a [&'a Vector],
-    /// Matching threshold θ of this fold (the `ExactBelow` candidacy cutoff
-    /// is `theta + slack`).
+    /// Matching threshold θ of this fold (the candidacy cutoff is
+    /// `theta + slack`).
     pub theta: f32,
 }
 
@@ -323,52 +295,6 @@ impl FoldInputs<'_> {
 /// shares a key with any member.
 pub fn value_block_keys(value: &str) -> BTreeSet<String> {
     string_block_keys(value, &BlockKeyOptions::value_matching())
-}
-
-/// A [`SimHasher`] configured for a [`SemanticBlocking::SimHash`] channel
-/// over `dim`-dimensional embeddings, or `None` for the other channels (and
-/// for `dim == 0`, where there is nothing to project).  Exposed so tests can
-/// reproduce the exact embedding-bucket keys the planner uses.
-///
-/// # Panics
-/// Panics on an unusable SimHash configuration (`bands == 0`,
-/// `band_bits == 0`, or `bands * band_bits > 64`) — rejecting the mistake
-/// where it is visible instead of silently dropping the semantic channel or
-/// failing deep inside [`SimHasher::new`].
-pub fn embedding_hasher(semantic: &SemanticBlocking, dim: usize) -> Option<SimHasher> {
-    match *semantic {
-        SemanticBlocking::SimHash { bands, band_bits } => {
-            assert!(
-                bands > 0 && band_bits > 0,
-                "SimHash blocking needs at least one band and one bit per band \
-                 (got {bands} × {band_bits}); use SemanticBlocking::Off to disable \
-                 the semantic channel"
-            );
-            assert!(
-                bands * band_bits <= 64,
-                "SimHash signature must fit in a u64: {bands} bands × {band_bits} bits > 64"
-            );
-            (dim > 0).then(|| SimHasher::new(bands * band_bits, dim))
-        }
-        SemanticBlocking::Off | SemanticBlocking::ExactBelow { .. } => None,
-    }
-}
-
-/// The hashed embedding-bucket keys of one embedding under a SimHash channel
-/// (empty for the other channels).  Convenience for tests and diagnostics —
-/// hot paths build one [`SimHasher`] via [`embedding_hasher`] and map its
-/// band buckets through [`band_bucket_key`] themselves.
-pub fn embedding_bucket_keys(semantic: &SemanticBlocking, embedding: &Vector) -> Vec<u64> {
-    let (hasher, band_bits) = match (embedding_hasher(semantic, embedding.dim()), semantic) {
-        (Some(hasher), SemanticBlocking::SimHash { band_bits, .. }) => (hasher, *band_bits),
-        _ => return Vec::new(),
-    };
-    hasher
-        .band_buckets(embedding, band_bits)
-        .into_iter()
-        .enumerate()
-        .map(|(band, bucket)| band_bucket_key(band, bucket))
-        .collect()
 }
 
 /// Hashes a full surface-key set ([`value_block_keys`]) into planner form.
@@ -621,13 +547,11 @@ fn merge_canonical_with_costs(
 ///
 /// Under [`BlockingPolicy::Exhaustive`] — or a keyed policy whose
 /// `min_blocked_pairs` floor exceeds the candidate space — the plan is a
-/// single cartesian block and nothing is pruned.  A keyed policy dispatches
-/// on its [`SemanticBlocking`] channel: `Off`/`SimHash` run the key-bucket
-/// planner over `input`'s key slices (SimHash band keys are derived from the
-/// embeddings internally), `ExactBelow` runs the exact distance sweep over
-/// the embedding slices — or, for folds at or above the policy's
+/// single cartesian block and nothing is pruned.  Otherwise the fold's size
+/// picks between the exact distance sweep over the embedding slices and, for
+/// folds at or above the policy's
 /// [`EscalationPolicy`](crate::config::EscalationPolicy) threshold, the
-/// sub-quadratic ANN tier.
+/// sub-quadratic ANN tier (the only one that reads `input`'s key slices).
 ///
 /// ```
 /// use fuzzy_fd_core::{plan_blocks, BlockingPolicy, FoldInputs};
@@ -646,26 +570,17 @@ fn merge_canonical_with_costs(
 /// assert_eq!(plan.stats.pruned_pairs, 2); // the cross-cluster pairs
 /// ```
 pub fn plan_blocks(input: &FoldInputs<'_>, policy: &BlockingPolicy) -> BlockPlan {
-    let rows = input.rows();
-    let cols = input.cols();
-    let total_pairs = rows * cols;
-    let keyed = match policy {
-        BlockingPolicy::Exhaustive => return plan_cartesian(rows, cols),
-        BlockingPolicy::Keyed(keyed) if total_pairs < keyed.min_blocked_pairs => {
-            return plan_cartesian(rows, cols);
+    plan_tier(input, policy.tier(input.rows(), input.cols()))
+}
+
+/// Runs the planner of an already-chosen tier (see [`BlockingPolicy::tier`]).
+pub(crate) fn plan_tier(input: &FoldInputs<'_>, tier: FoldTier<'_>) -> BlockPlan {
+    match tier {
+        FoldTier::Cartesian => plan_cartesian(input.rows(), input.cols()),
+        FoldTier::Exact(keyed) => {
+            plan_exact(input, input.theta + keyed.slack, keyed.max_component_cells)
         }
-        BlockingPolicy::Keyed(keyed) => keyed,
-    };
-    match keyed.semantic {
-        SemanticBlocking::ExactBelow { slack } => {
-            let cutoff = input.theta + slack;
-            if keyed.escalation.applies_to(rows, cols) {
-                plan_escalated(input, cutoff, keyed)
-            } else {
-                plan_exact(input, cutoff, keyed.max_component_cells)
-            }
-        }
-        SemanticBlocking::Off | SemanticBlocking::SimHash { .. } => plan_by_keys(input, keyed),
+        FoldTier::Escalated(keyed) => plan_escalated(input, input.theta + keyed.slack, keyed),
     }
 }
 
@@ -692,9 +607,8 @@ fn plan_exact(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -
     let mut kernel_stats = KernelStats::default();
     let ((pairs, costs), score_time) =
         Stopwatch::time(|| kernel::sweep_below(&row_slab, &col_slab, cutoff, &mut kernel_stats));
-    let (mut plan, assemble_time) = Stopwatch::time(|| {
-        assemble_components_split(rows, cols, pairs, costs, max_component_cells)
-    });
+    let (mut plan, assemble_time) =
+        Stopwatch::time(|| assemble_components(rows, cols, pairs, costs, max_component_cells));
     plan.stats.scored_pairs = rows * cols;
     plan.stats.kernel = kernel_stats;
     plan.stats.phase.hash = hash_time;
@@ -875,9 +789,8 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
     });
     phase.dedup += sweep_dedup_time;
 
-    let (mut plan, assemble_time) = Stopwatch::time(|| {
-        assemble_components_split(rows, cols, kept, costs, keyed.max_component_cells)
-    });
+    let (mut plan, assemble_time) =
+        Stopwatch::time(|| assemble_components(rows, cols, kept, costs, keyed.max_component_cells));
     phase.pairs += assemble_time;
     plan.stats.scored_pairs = scored;
     plan.stats.escalated_folds = 1;
@@ -887,49 +800,13 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
     plan
 }
 
-/// The key-bucket planner: rows and columns sharing a usable key become
-/// candidate pairs.
-fn plan_by_keys(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> BlockPlan {
-    let watch = Stopwatch::start();
-    let rows = input.rows();
-    let cols = input.cols();
-    let (pairs, pairs_time) = Stopwatch::time(|| keyed_pair_set(input, keyed));
-    let (mut plan, assemble_time) =
-        Stopwatch::time(|| assemble_components(rows, cols, pairs, None));
-    // Key-channel candidates carry no cost, so the solver scores each one.
-    plan.stats.scored_pairs = plan.stats.candidate_pairs;
-    plan.stats.phase.pairs = pairs_time + assemble_time;
-    plan.stats.phase.total = watch.total();
-    plan
-}
-
-/// The sorted, duplicate-free candidate pairs of the surface-key channel
-/// (plus SimHash band keys when the semantic channel asks for them).
+/// The sorted, duplicate-free pairs the surface-key channel nominates: a row
+/// and a column sharing a usable key.  Nominations carry no distance — the
+/// escalated planner re-scores each one.
 fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(usize, usize)> {
     let rows = input.rows();
     let cols = input.cols();
     let total_pairs = rows * cols;
-
-    // SimHash band keys are derived here so callers only supply embeddings.
-    let dim =
-        input.row_embeddings.first().or(input.col_embeddings.first()).map(|e| e.dim()).unwrap_or(0);
-    let hasher = embedding_hasher(&keyed.semantic, dim);
-    let band_bits = match keyed.semantic {
-        SemanticBlocking::SimHash { band_bits, .. } => band_bits,
-        _ => 0,
-    };
-    let bucket_keys = |embedding: Option<&&Vector>, keys: &mut Vec<(u64, u32)>, node: u32| {
-        if let (Some(hasher), Some(embedding)) = (&hasher, embedding) {
-            // One signature, then a shift/mask per band: hash-identical to
-            // mapping `band_buckets` through `band_bucket_key`, with no
-            // per-vector Vec (or String) allocation.
-            let signature = hasher.signature(embedding);
-            let mask = if band_bits >= 64 { u64::MAX } else { (1u64 << band_bits) - 1 };
-            keys.extend((0..hasher.bits() / band_bits).map(|band| {
-                (band_bucket_key(band, (signature >> (band * band_bits)) & mask), node)
-            }));
-        }
-    };
 
     // Bucket rows and columns by key — sort-based grouping of (key, node)
     // entries instead of a hash map, which keeps the hot path allocation-free
@@ -946,14 +823,8 @@ fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(u
     for (i, keys) in input.row_keys.iter().enumerate() {
         entries.extend(keys.iter().map(|&k| (k, i as u32)));
     }
-    for i in 0..rows {
-        bucket_keys(input.row_embeddings.get(i), &mut entries, i as u32);
-    }
     for (j, keys) in input.col_keys.iter().enumerate() {
         entries.extend(keys.iter().map(|&k| (k, (rows + j) as u32)));
-    }
-    for j in 0..cols {
-        bucket_keys(input.col_embeddings.get(j), &mut entries, (rows + j) as u32);
     }
     entries.sort_unstable();
     entries.dedup();
@@ -1004,8 +875,10 @@ fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(u
     pairs
 }
 
-/// As [`assemble_components`], but splitting oversized connected components
-/// first (cost-carrying channels only — splitting needs edge distances).
+/// Builds the block plan from a canonical candidate-pair list and its
+/// aligned costs: connected components of the candidate graph are
+/// independent sub-problems (they share no row and no column), and oversized
+/// ones are split first.
 ///
 /// Components whose cost matrix would exceed `max_component_cells` cells are
 /// rebuilt Kruskal-style: edges re-join components in order of increasing
@@ -1016,7 +889,7 @@ fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(u
 /// overwhelmingly slack-band edges (distance ≥ θ) that post-solve
 /// thresholding would reject anyway; every cut is recorded as a [`CutEdge`]
 /// so that claim is verifiable after the fact.
-fn assemble_components_split(
+fn assemble_components(
     rows: usize,
     cols: usize,
     pairs: Vec<(usize, usize)>,
@@ -1045,7 +918,7 @@ fn assemble_components_split(
         })
         .count();
     if oversized == 0 {
-        return assemble_components(rows, cols, pairs, Some(costs));
+        return assemble_from_parent(rows, cols, pairs, costs, parent);
     }
 
     // Kruskal rebuild: strongest (smallest-distance) edges first, capped
@@ -1055,7 +928,7 @@ fn assemble_components_split(
     // bits high, index low), sorted without a comparator closure.
     debug_assert!(
         pairs.windows(2).all(|w| w[0] < w[1]),
-        "assemble_components_split needs a canonical pair list"
+        "assemble_components needs a canonical pair list"
     );
     let order: Vec<usize> = if pairs.len() <= u32::MAX as usize {
         let mut packed: Vec<u64> = costs
@@ -1120,39 +993,21 @@ fn assemble_components_split(
     }
     pairs.truncate(write);
     costs.truncate(write);
-    let mut plan = assemble_from_parent(rows, cols, pairs, Some(costs), parent);
+    let mut plan = assemble_from_parent(rows, cols, pairs, costs, parent);
     plan.stats.split_components = oversized;
     plan.stats.severed_pairs = cut_edges.len();
     plan.cut_edges = cut_edges;
     plan
 }
 
-/// Builds the block plan from a sorted candidate-pair list: connected
-/// components of the candidate graph are independent sub-problems (they
-/// share no row and no column).  `costs`, when given, must align with
-/// `pairs` and is scattered onto the blocks.
-fn assemble_components(
-    rows: usize,
-    cols: usize,
-    pairs: Vec<(usize, usize)>,
-    costs: Option<Vec<f32>>,
-) -> BlockPlan {
-    // Union-find over rows (nodes 0..rows) and columns (rows..rows+cols).
-    let mut parent: Vec<usize> = (0..rows + cols).collect();
-    for &(r, c) in &pairs {
-        union(&mut parent, r, rows + c);
-    }
-    assemble_from_parent(rows, cols, pairs, costs, parent)
-}
-
-/// [`assemble_components`] with the union-find already built — callers that
-/// ran a union pass over exactly these pairs (the Kruskal splitter) skip the
-/// rebuild.
+/// Gathers the components of `parent` — a union-find over rows (nodes
+/// `0..rows`) and columns (`rows..rows + cols`) that unioned exactly `pairs`
+/// — into blocks and scatters each pair, with its cost, onto its block.
 fn assemble_from_parent(
     rows: usize,
     cols: usize,
     pairs: Vec<(usize, usize)>,
-    costs: Option<Vec<f32>>,
+    costs: Vec<f32>,
     mut parent: Vec<usize>,
 ) -> BlockPlan {
     // Gather components in node order for determinism; nodes in no candidate
@@ -1160,7 +1015,6 @@ fn assemble_from_parent(
     // plain vector (sentinel = unseen) — the pair scatter below does one
     // lookup per pair, which a hash map would turn into the hottest line of
     // plan assembly.
-    let with_costs = costs.is_some();
     const UNSEEN: usize = usize::MAX;
     let mut component_of_root: Vec<usize> = vec![UNSEEN; rows + cols];
     let mut blocks: Vec<Block> = Vec::new();
@@ -1168,12 +1022,7 @@ fn assemble_from_parent(
         let root = find(&mut parent, node);
         if component_of_root[root] == UNSEEN {
             component_of_root[root] = blocks.len();
-            blocks.push(Block {
-                rows: Vec::new(),
-                cols: Vec::new(),
-                pairs: Some(Vec::new()),
-                costs: with_costs.then(Vec::new),
-            });
+            blocks.push(Block { rows: Vec::new(), cols: Vec::new(), candidates: None });
         }
         let idx = component_of_root[root];
         if node < rows {
@@ -1182,18 +1031,13 @@ fn assemble_from_parent(
             blocks[idx].cols.push(node - rows);
         }
     }
-    let costs = costs.unwrap_or_default();
-    for (idx, (r, c)) in pairs.into_iter().enumerate() {
+    for ((r, c), cost) in pairs.into_iter().zip(costs) {
         let root = find(&mut parent, r);
         let block = &mut blocks[component_of_root[root]];
-        if let Some(block_pairs) = &mut block.pairs {
-            block_pairs.push((r, c));
-        }
-        if let Some(block_costs) = &mut block.costs {
-            block_costs.push(costs[idx]);
-        }
+        block.candidates.get_or_insert_with(Vec::new).push((r, c, cost));
     }
-    // Blocks missing one side generate no pairs; drop them.
+    // Blocks missing one side generate no pairs; drop them.  Every block
+    // that stays was unioned by at least one pair, so it is enumerated.
     blocks.retain(|b| !b.rows.is_empty() && !b.cols.is_empty());
 
     let candidate_pairs: usize = blocks.iter().map(Block::pair_count).sum();
@@ -1232,8 +1076,7 @@ pub fn plan_cartesian(rows: usize, cols: usize) -> BlockPlan {
         blocks.push(Block {
             rows: (0..rows).collect(),
             cols: (0..cols).collect(),
-            pairs: None,
-            costs: None,
+            candidates: None,
         });
     }
     let stats = BlockingStats {
@@ -1294,25 +1137,19 @@ mod tests {
         strs.iter().map(|s| hashed_keys(&value_block_keys(s))).collect()
     }
 
-    fn keyed(max_key_bucket: usize) -> BlockingPolicy {
-        BlockingPolicy::Keyed(KeyedBlockingConfig {
-            max_key_bucket,
-            semantic: SemanticBlocking::Off,
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        })
+    fn keyed(max_key_bucket: usize) -> KeyedBlockingConfig {
+        KeyedBlockingConfig { max_key_bucket, ..KeyedBlockingConfig::default() }
     }
 
-    fn plan_keys(rows: &[Vec<u64>], cols: &[Vec<u64>], policy: &BlockingPolicy) -> BlockPlan {
-        let input = FoldInputs { row_keys: rows, col_keys: cols, ..FoldInputs::default() };
-        plan_blocks(&input, policy)
+    fn key_inputs<'a>(rows: &'a [Vec<u64>], cols: &'a [Vec<u64>]) -> FoldInputs<'a> {
+        FoldInputs { row_keys: rows, col_keys: cols, ..FoldInputs::default() }
     }
 
     #[test]
     fn exhaustive_policy_yields_one_cartesian_block() {
         let rows = keys(&["Berlin", "Toronto"]);
         let cols = keys(&["Boston", "Quito", "Lima"]);
-        let plan = plan_keys(&rows, &cols, &BlockingPolicy::Exhaustive);
+        let plan = plan_blocks(&key_inputs(&rows, &cols), &BlockingPolicy::Exhaustive);
         assert_eq!(plan.blocks.len(), 1);
         assert_eq!(plan.blocks[0].rows, vec![0, 1]);
         assert_eq!(plan.blocks[0].cols, vec![0, 1, 2]);
@@ -1328,34 +1165,25 @@ mod tests {
             min_blocked_pairs: 100,
             ..KeyedBlockingConfig::default()
         });
-        let plan = plan_keys(&rows, &cols, &policy);
+        let plan = plan_blocks(&key_inputs(&rows, &cols), &policy);
         assert_eq!(plan.blocks.len(), 1);
         assert_eq!(plan.stats.pruned_pairs, 0);
     }
 
     #[test]
-    fn disjoint_surfaces_split_into_independent_blocks() {
+    fn disjoint_surfaces_nominate_disjoint_pairs() {
         let rows = keys(&["Berlin", "Toronto"]);
         let cols = keys(&["Berlinn", "Torontoo"]);
-        let plan = plan_keys(&rows, &cols, &keyed(64));
-        assert_eq!(plan.blocks.len(), 2);
-        assert_eq!(plan.blocks[0].rows, vec![0]);
-        assert_eq!(plan.blocks[0].cols, vec![0]);
-        assert_eq!(plan.blocks[1].rows, vec![1]);
-        assert_eq!(plan.blocks[1].cols, vec![1]);
-        assert_eq!(plan.stats.candidate_pairs, 2);
-        assert_eq!(plan.stats.pruned_pairs, 2);
-        assert_eq!(plan.stats.max_block_size, 2);
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        assert_eq!(pairs, vec![(0, 0), (1, 1)]);
     }
 
     #[test]
-    fn unmatched_values_appear_in_no_block() {
+    fn unmatched_values_appear_in_no_pair() {
         let rows = keys(&["Berlin"]);
         let cols = keys(&["Berlinn", "Zanzibar"]);
-        let plan = plan_keys(&rows, &cols, &keyed(64));
-        assert_eq!(plan.blocks.len(), 1);
-        assert_eq!(plan.blocks[0].cols, vec![0]);
-        assert_eq!(plan.stats.pruned_pairs, 1);
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        assert_eq!(pairs, vec![(0, 0)]);
     }
 
     #[test]
@@ -1364,38 +1192,35 @@ mod tests {
         // small for that key to be usable, so nothing connects.
         let rows = keys(&["city alpha", "city beta"]);
         let cols = keys(&["city gamma", "city delta"]);
-        let plan = plan_keys(&rows, &cols, &keyed(3));
-        assert!(plan.blocks.is_empty(), "{plan:?}");
-        assert_eq!(plan.stats.pruned_pairs, 4);
-        // With a generous cap the shared token glues everything together.
-        let glued = plan_keys(&rows, &cols, &keyed(64));
-        assert_eq!(glued.blocks.len(), 1);
-        assert_eq!(glued.stats.max_block_size, 4);
+        let input = key_inputs(&rows, &cols);
+        assert!(keyed_pair_set(&input, &keyed(3)).is_empty());
+        // With a generous cap the shared token nominates every combination.
+        assert_eq!(keyed_pair_set(&input, &keyed(64)).len(), 4);
     }
 
     #[test]
     fn acronym_keys_bridge_initialisms() {
         let rows = keys(&["United Nations"]);
         let cols = keys(&["UN"]);
-        let plan = plan_keys(&rows, &cols, &keyed(64));
-        assert_eq!(plan.blocks.len(), 1);
-        assert_eq!(plan.stats.candidate_pairs, 1);
+        assert_eq!(keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64)), vec![(0, 0)]);
     }
 
     #[test]
     fn empty_inputs_plan_no_blocks() {
-        let plan = plan_keys(&[], &[], &keyed(64));
+        assert!(keyed_pair_set(&key_inputs(&[], &[]), &keyed(64)).is_empty());
+        let rows = keys(&["Berlin"]);
+        let plan = plan_blocks(&key_inputs(&rows, &[]), &BlockingPolicy::Exhaustive);
         assert!(plan.blocks.is_empty());
         assert_eq!(plan.stats.candidate_pairs, 0);
-        let plan = plan_keys(&keys(&["Berlin"]), &[], &BlockingPolicy::Exhaustive);
-        assert!(plan.blocks.is_empty());
     }
 
     #[test]
     fn blocks_partition_rows_and_cols() {
         let rows = keys(&["alpha one", "beta two", "gamma three", "alpha four"]);
         let cols = keys(&["alpha", "beta", "delta", "gamma"]);
-        let plan = plan_keys(&rows, &cols, &keyed(64));
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        let costs = vec![0.0; pairs.len()];
+        let plan = assemble_components(rows.len(), cols.len(), pairs, costs, usize::MAX);
         let mut seen_rows = BTreeSet::new();
         let mut seen_cols = BTreeSet::new();
         for block in &plan.blocks {
@@ -1439,31 +1264,6 @@ mod tests {
     fn hashed_keys_are_stable_and_distinct_per_namespace() {
         assert_eq!(hash_key("t:berlin"), hash_key("t:berlin"));
         assert_ne!(hash_key("t:berlin"), hash_key("g:berlin"));
-        assert_ne!(band_bucket_key(0, 3), band_bucket_key(1, 3));
-        assert_ne!(band_bucket_key(0, 3), band_bucket_key(0, 4));
-        assert_eq!(band_bucket_key(2, 7), band_bucket_key(2, 7));
-    }
-
-    #[test]
-    fn embedding_bucket_keys_match_the_hasher() {
-        let semantic = SemanticBlocking::simhash_default();
-        let SemanticBlocking::SimHash { bands, band_bits } = semantic else { unreachable!() };
-        let embedding = Vector::new((0..16).map(|i| (i as f32).sin()).collect());
-        let via_helper = embedding_bucket_keys(&semantic, &embedding);
-        let hasher = embedding_hasher(&semantic, embedding.dim()).unwrap();
-        let via_hasher: Vec<u64> = hasher
-            .band_buckets(&embedding, band_bits)
-            .into_iter()
-            .enumerate()
-            .map(|(band, bucket)| band_bucket_key(band, bucket))
-            .collect();
-        assert_eq!(via_helper, via_hasher);
-        assert_eq!(via_helper.len(), bands);
-        // The non-SimHash channels produce no band keys and no hasher.
-        for other in [SemanticBlocking::Off, SemanticBlocking::ExactBelow { slack: 0.0 }] {
-            assert!(embedding_bucket_keys(&other, &embedding).is_empty());
-            assert!(embedding_hasher(&other, embedding.dim()).is_none());
-        }
     }
 
     #[test]
@@ -1481,7 +1281,7 @@ mod tests {
             ..FoldInputs::default()
         };
         let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            semantic: SemanticBlocking::ExactBelow { slack: 0.0 },
+            slack: 0.0,
             min_blocked_pairs: 0,
             ..KeyedBlockingConfig::default()
         });
@@ -1491,32 +1291,19 @@ mod tests {
         assert_eq!(plan.stats.pruned_pairs, 2);
         // Each candidate pair carries its measured distance, below θ.
         for block in &plan.blocks {
-            let costs = block.costs.as_ref().expect("exact plans carry costs");
-            assert_eq!(costs.len(), block.pairs.as_ref().unwrap().len());
-            assert!(costs.iter().all(|&c| c < 0.5), "{costs:?}");
+            let candidates = block.candidates.as_ref().expect("exact plans enumerate pairs");
+            assert!(candidates.iter().all(|&(_, _, d)| d < 0.5), "{candidates:?}");
         }
         // A generous slack admits the cross-cluster pairs too and glues the
         // fold into one block.
         let loose = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            semantic: SemanticBlocking::ExactBelow { slack: 1.5 },
+            slack: 1.5,
             min_blocked_pairs: 0,
             ..KeyedBlockingConfig::default()
         });
         let glued = plan_blocks(&input, &loose);
         assert_eq!(glued.blocks.len(), 1);
         assert_eq!(glued.stats.pruned_pairs, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "SimHash signature must fit")]
-    fn oversized_simhash_config_is_rejected_early() {
-        embedding_hasher(&SemanticBlocking::SimHash { bands: 16, band_bits: 8 }, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one band")]
-    fn zero_band_simhash_config_is_rejected() {
-        embedding_hasher(&SemanticBlocking::SimHash { bands: 0, band_bits: 8 }, 8);
     }
 
     #[test]
@@ -1711,8 +1498,8 @@ mod tests {
         assert_eq!(plan.stats.candidate_pairs, 2);
         assert!(plan.stats.scored_pairs <= 4, "{:?}", plan.stats);
         for block in &plan.blocks {
-            let costs = block.costs.as_ref().expect("escalated plans carry costs");
-            assert!(costs.iter().all(|&c| c < 0.5), "{costs:?}");
+            let candidates = block.candidates.as_ref().expect("escalated plans enumerate pairs");
+            assert!(candidates.iter().all(|&(_, _, d)| d < 0.5), "{candidates:?}");
         }
     }
 }

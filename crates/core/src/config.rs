@@ -1,13 +1,13 @@
 //! Configuration of the Fuzzy Full Disjunction pipeline.
 //!
 //! The central type is [`FuzzyFdConfig`], which bundles the paper-level
-//! parameters (threshold θ, embedding model, assignment algorithm) with the
-//! candidate-space machinery of `fuzzy_fd_core::blocking`:
+//! parameters (threshold θ, embedding model) with the candidate-space
+//! machinery of `fuzzy_fd_core::blocking`:
 //!
-//! * [`BlockingPolicy`] — exhaustive dense matrices vs keyed/blocked
-//!   candidate generation;
-//! * [`SemanticBlocking`] — which embedding-based channel supplies candidate
-//!   pairs (exact sub-threshold sweep, SimHash bands, or none);
+//! * [`BlockingPolicy`] — exhaustive dense matrices vs blocked candidate
+//!   generation.  There is one semantic channel — exact sub-threshold
+//!   distances below `θ + slack` — and the fold's size alone picks how it is
+//!   computed (cartesian block, full sweep, or ANN-gated re-scoring);
 //! * [`EscalationPolicy`] — when a fold abandons the quadratic exact sweep
 //!   for the sub-quadratic ANN index of [`lake_embed::AnnIndex`];
 //! * [`KeyedBlockingConfig::max_component_cells`] — when an oversized
@@ -17,19 +17,19 @@
 //! reported behaviour; see `ARCHITECTURE.md` for the tier map and the
 //! equivalence guarantee each tier keeps.
 
-use lake_assign::AssignmentAlgorithm;
 use lake_embed::{AnnParams, EmbeddingModel};
 
 /// How the bipartite value-matching step is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignmentStrategy {
-    /// Always use the exact solver configured in
-    /// [`FuzzyFdConfig::assignment_algorithm`].
+    /// Always use the exact solver (shortest augmenting path — sparse over
+    /// enumerated candidates, dense over a cartesian block).
     AlwaysExact,
     /// Use the exact solver up to `max_side` values per side and fall back to
     /// the greedy solver beyond that.  Large residual matrices only occur on
     /// key-like columns with tens of thousands of distinct values, where the
-    /// O(n³) exact solvers become the bottleneck.
+    /// O(n³) exact solver becomes the bottleneck.  `max_side: 0` demotes
+    /// every block (the ablation study's greedy baseline).
     ExactUpTo {
         /// Largest per-side size still solved exactly.
         max_side: usize,
@@ -48,7 +48,7 @@ impl Default for AssignmentStrategy {
 /// ```
 /// use fuzzy_fd_core::{BlockingPolicy, EscalationPolicy, KeyedBlockingConfig};
 ///
-/// // The default is keyed blocking with the exact semantic channel and
+/// // The default is keyed blocking on exact sub-threshold distances with
 /// // size-gated ANN escalation; every knob can be overridden piecemeal.
 /// let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
 ///     escalation: EscalationPolicy { min_fold_pairs: 10_000, ..Default::default() },
@@ -62,11 +62,15 @@ pub enum BlockingPolicy {
     /// One dense cost matrix over every (group, value) pair — the paper's
     /// exact behaviour, quadratic in the column size.
     Exhaustive,
-    /// Key-based blocking: groups and values are partitioned into independent
-    /// sub-problems by shared surface keys (tokens, q-grams, acronyms) plus a
-    /// configurable semantic channel over the embeddings.  Pairs in no common
-    /// block are never candidates, which prunes most of the quadratic space;
-    /// each block is solved as its own (much smaller) assignment problem.
+    /// Blocked matching: (group, value) pairs at cosine distance below
+    /// `θ + slack` are the candidates, and the connected components of the
+    /// candidate graph are solved as independent (much smaller) assignment
+    /// problems.  Pairs in no common block are never matched, which prunes
+    /// most of the quadratic space.  The fold's size picks how candidates
+    /// are found: one cartesian block below `min_blocked_pairs`, an exact
+    /// distance sweep up to the [`EscalationPolicy`] threshold, and above it
+    /// an ANN index backed by shared surface keys (tokens, q-grams,
+    /// acronyms).
     Keyed(KeyedBlockingConfig),
 }
 
@@ -78,8 +82,9 @@ impl Default for BlockingPolicy {
 
 impl BlockingPolicy {
     /// This policy with the cartesian fallback forced off
-    /// (`min_blocked_pairs = 0`): every matching step goes through key-based
-    /// blocking regardless of size.  Exhaustive stays exhaustive.
+    /// (`min_blocked_pairs = 0`): every matching step goes through blocked
+    /// candidate generation regardless of size.  Exhaustive stays
+    /// exhaustive.
     pub fn force_blocked(self) -> Self {
         match self {
             BlockingPolicy::Exhaustive => BlockingPolicy::Exhaustive,
@@ -88,69 +93,41 @@ impl BlockingPolicy {
             }
         }
     }
-}
 
-/// The semantic (embedding-based) candidate channel of
-/// [`BlockingPolicy::Keyed`].  Surface keys catch typos and shared tokens;
-/// this channel is what lets aliases and codes ("Germany" / "DE") that share
-/// no surface key still become candidates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SemanticBlocking {
-    /// Surface keys only.  Maximum pruning, but matches that exist purely in
-    /// embedding space are lost.
-    Off,
-    /// SimHash banded LSH keys over the embeddings (see
-    /// [`lake_embed::SimHasher`]): two items are candidates when they agree
-    /// on every bit of at least one band.  Probabilistic recall — more bands
-    /// × fewer bits raises recall but glues blocks together; fewer bands ×
-    /// more bits prunes harder but can miss borderline matches.  The only
-    /// channel that avoids the quadratic distance sweep, hence the right
-    /// choice for very large folds.
-    SimHash {
-        /// Number of bands (each contributes one key per item).
-        bands: usize,
-        /// Bits per band; `bands * band_bits` must be ≤ 64.
-        band_bits: usize,
-    },
-    /// Exact sub-threshold candidates: one cheap dot-product sweep over the
-    /// fold computes every (group, value) cosine distance, and pairs below
-    /// `θ + slack` become candidates.  *Guaranteed* candidacy at the
-    /// matching threshold — any pair the thresholding step could accept is a
-    /// candidate — so this is the fidelity-preserving default for moderate
-    /// fold sizes.  (End-to-end recall additionally depends on
-    /// [`KeyedBlockingConfig::max_component_cells`]: an oversized component
-    /// may have recorded candidate edges severed before solving.)
-    /// The sweep costs the same dot products the exhaustive cost matrix
-    /// would, and the computed distances are reused as matrix entries, so
-    /// solve-time work only shrinks.
-    ExactBelow {
-        /// Safety margin added to θ when deciding candidacy.  `0.0` keeps
-        /// exactly the pairs thresholding could accept, which maximises
-        /// pruning but lets the global assignment drift on near-threshold
-        /// ties: the exhaustive solver's choice *among* sub-θ pairs is
-        /// steered by the true costs of slightly-above-θ pairs, and masking
-        /// those severs that influence.  A small positive slack keeps the
-        /// influence band as candidates; `0.1` reproduces the exhaustive
-        /// groups exactly on the Auto-Join benchmark sets while still
-        /// pruning ~90% of the candidate space.
-        slack: f32,
-    },
-}
-
-impl SemanticBlocking {
-    /// The suggested SimHash configuration: 8 bands × 8 bits (a full 64-bit
-    /// signature).  Selective enough that unrelated values rarely collide
-    /// (~3% per pair) while close pairs (cosine similarity ≳ 0.9) still
-    /// share a band with high probability.
-    pub fn simhash_default() -> Self {
-        SemanticBlocking::SimHash { bands: 8, band_bits: 8 }
+    /// The plan a `rows × cols` fold gets under this policy — the one place
+    /// the size thresholds are read, shared by the matcher (which needs the
+    /// answer before deciding whether to hash surface keys) and
+    /// [`plan_blocks`](crate::plan_blocks).
+    pub(crate) fn tier(&self, rows: usize, cols: usize) -> FoldTier<'_> {
+        match self {
+            BlockingPolicy::Exhaustive => FoldTier::Cartesian,
+            BlockingPolicy::Keyed(keyed) if rows.saturating_mul(cols) < keyed.min_blocked_pairs => {
+                FoldTier::Cartesian
+            }
+            BlockingPolicy::Keyed(keyed) if keyed.escalation.applies_to(rows, cols) => {
+                FoldTier::Escalated(keyed)
+            }
+            BlockingPolicy::Keyed(keyed) => FoldTier::Exact(keyed),
+        }
     }
+}
+
+/// How one fold's candidate pairs are found (see the size-tiered planning
+/// section of `fuzzy_fd_core::blocking`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FoldTier<'a> {
+    /// One dense block over every pair; nothing is planned or pruned.
+    Cartesian,
+    /// One kernel sweep scores every pair against `θ + slack`.
+    Exact(&'a KeyedBlockingConfig),
+    /// ANN probes plus surface keys nominate pairs; only those are scored.
+    Escalated(&'a KeyedBlockingConfig),
 }
 
 /// When a fold escalates from the exact sub-threshold sweep to the ANN
 /// candidate index ([`lake_embed::AnnIndex`]).
 ///
-/// The exact channel's one-dot-product-per-pair sweep is the right default
+/// The exact one-dot-product-per-pair sweep is the right default
 /// up to moderate fold sizes, but it is still quadratic.  Above
 /// `min_fold_pairs` the planner stops sweeping and instead indexes the
 /// fold's value embeddings once, probes the index with every group
@@ -198,29 +175,41 @@ impl EscalationPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyedBlockingConfig {
     /// Surface keys shared by more than this many participants (groups +
-    /// values) are dropped as uninformative — they would glue everything into
-    /// one block and reintroduce the quadratic blow-up.
+    /// values) are dropped as uninformative — they would nominate a
+    /// near-cartesian share of an escalated fold for re-scoring and
+    /// reintroduce the quadratic blow-up.
     pub max_key_bucket: usize,
-    /// The embedding-based candidate channel.
-    pub semantic: SemanticBlocking,
+    /// Safety margin added to θ when deciding candidacy: pairs at cosine
+    /// distance below `θ + slack` are candidates, so any pair the
+    /// thresholding step could accept is one by construction, and each
+    /// candidate's measured distance is reused as its cost-matrix entry.
+    /// `0.0` keeps exactly the pairs thresholding could accept, which
+    /// maximises pruning but lets the global assignment drift on
+    /// near-threshold ties: the exhaustive solver's choice *among* sub-θ
+    /// pairs is steered by the true costs of slightly-above-θ pairs, and
+    /// masking those severs that influence.  A small positive slack keeps
+    /// the influence band as candidates; `0.1` reproduces the exhaustive
+    /// groups exactly on the Auto-Join benchmark sets while still pruning
+    /// ~90% of the candidate space.  (End-to-end recall additionally depends
+    /// on [`max_component_cells`](Self::max_component_cells): an oversized
+    /// component may have recorded candidate edges severed before solving.)
+    pub slack: f32,
     /// Candidate spaces smaller than this many (group × value) pairs skip
     /// blocking and use one cartesian block: below it the dense solve is
-    /// cheaper than key extraction, and the result is exactly the
-    /// exhaustive one.  Set to `usize::MAX` to force the cartesian fallback
-    /// (useful to A/B the paths), or to `0` to always block.
+    /// cheaper than planning, and the result is exactly the exhaustive one.
+    /// Set to `usize::MAX` to force the cartesian fallback (useful to A/B
+    /// the paths), or to `0` to always block.
     pub min_blocked_pairs: usize,
-    /// When an [`SemanticBlocking::ExactBelow`] fold grows past the exact
-    /// sweep's comfort zone, this policy switches it to the ANN tier.
+    /// When a fold grows past the exact sweep's comfort zone, this policy
+    /// switches it to the ANN tier.
     pub escalation: EscalationPolicy,
     /// Connected components whose cost matrix would exceed this many cells
     /// (component rows × component cols) are split before solving: candidate
     /// edges are re-added strongest-first (smallest distance), and an edge
     /// that would merge two clusters past the cap is severed instead.  Cut
     /// edges are recorded on the plan so tests and post-solve thresholding
-    /// can re-verify that nothing below θ was lost.  Splitting needs edge
-    /// distances, so it applies to the cost-carrying channels
-    /// ([`SemanticBlocking::ExactBelow`] and the escalated ANN tier); set to
-    /// `usize::MAX` to disable.
+    /// can re-verify that nothing below θ was lost.  Set to `usize::MAX` to
+    /// disable.
     pub max_component_cells: usize,
 }
 
@@ -228,7 +217,7 @@ impl Default for KeyedBlockingConfig {
     fn default() -> Self {
         KeyedBlockingConfig {
             max_key_bucket: 64,
-            semantic: SemanticBlocking::ExactBelow { slack: 0.1 },
+            slack: 0.1,
             min_blocked_pairs: 4_096,
             escalation: EscalationPolicy::default(),
             // 256 × 256 per component: far above every benchmark fold (the
@@ -305,16 +294,9 @@ pub struct FuzzyFdConfig {
     /// Embedding model used to embed cell values (Table 1 compares the five
     /// tiers; Mistral is the paper's default).
     pub model: EmbeddingModel,
-    /// Exact assignment algorithm used for bipartite matching.
-    pub assignment_algorithm: AssignmentAlgorithm,
-    /// When to fall back from the exact solver.
+    /// When bipartite matching falls back from the exact solver (shortest
+    /// augmenting path) to the greedy one.
     pub assignment_strategy: AssignmentStrategy,
-    /// Match identical strings across columns before running the embedding /
-    /// assignment machinery.  Identical values are at distance 0, so this is
-    /// purely an optimisation (it is what keeps the fuzzy overhead negligible
-    /// on equi-join workloads like the IMDB benchmark); disable it to force
-    /// every value through the assignment path.
-    pub exact_match_first: bool,
     /// Minimum number of characters a value must have to participate in fuzzy
     /// (non-exact) matching.  Very short values ("1", "A") carry too little
     /// signal and are matched only exactly.
@@ -335,9 +317,7 @@ impl Default for FuzzyFdConfig {
         FuzzyFdConfig {
             theta: 0.7,
             model: EmbeddingModel::Mistral,
-            assignment_algorithm: AssignmentAlgorithm::ShortestAugmentingPath,
             assignment_strategy: AssignmentStrategy::default(),
-            exact_match_first: true,
             min_fuzzy_length: 2,
             blocking: BlockingPolicy::default(),
             matching_threads: 1,
@@ -346,7 +326,8 @@ impl Default for FuzzyFdConfig {
 }
 
 impl FuzzyFdConfig {
-    /// Checks the configuration's floating-point parameters.
+    /// Checks the configuration's floating-point parameters and the shape of
+    /// the escalated tier's ANN index.
     ///
     /// `PartialEq` is derived over the `f32` fields, so a `NaN` threshold or
     /// slack would silently disable every equality check on the config (and
@@ -357,9 +338,12 @@ impl FuzzyFdConfig {
     ///
     /// * `theta` must be finite and within `[0, 2]` (the cosine-distance
     ///   range; anything above 2 can never reject a pair);
-    /// * an [`SemanticBlocking::ExactBelow`] `slack` must be finite and
-    ///   non-negative (a negative slack would mask candidates the matching
-    ///   threshold could still accept, breaking the channel's guarantee).
+    /// * a keyed policy's `slack` must be finite and non-negative (a
+    ///   negative slack would mask candidates the matching threshold could
+    ///   still accept, breaking the candidacy guarantee);
+    /// * a keyed policy's `escalation.ann` must pass
+    ///   [`AnnParams::check`] — otherwise the first fold large enough to
+    ///   escalate would panic while building its index, mid-ingest.
     ///
     /// ```
     /// use fuzzy_fd_core::FuzzyFdConfig;
@@ -376,14 +360,14 @@ impl FuzzyFdConfig {
             ));
         }
         if let BlockingPolicy::Keyed(keyed) = &self.blocking {
-            if let SemanticBlocking::ExactBelow { slack } = keyed.semantic {
-                if !slack.is_finite() || slack < 0.0 {
-                    return Err(format!(
-                        "ExactBelow slack must be finite and non-negative \
-                         (candidacy cutoff is theta + slack), got {slack}"
-                    ));
-                }
+            if !keyed.slack.is_finite() || keyed.slack < 0.0 {
+                return Err(format!(
+                    "blocking slack must be finite and non-negative \
+                     (candidacy cutoff is theta + slack), got {}",
+                    keyed.slack
+                ));
             }
+            keyed.escalation.ann.check()?;
         }
         Ok(())
     }
@@ -405,8 +389,8 @@ impl FuzzyFdConfig {
 
     /// The configured candidate-space policy with the cartesian fallback
     /// forced off (`min_blocked_pairs = 0`) — every matching step goes
-    /// through key-based blocking regardless of size.  Exhaustive stays
-    /// exhaustive.
+    /// through blocked candidate generation regardless of size.  Exhaustive
+    /// stays exhaustive.
     pub fn force_blocking(self) -> Self {
         FuzzyFdConfig { blocking: self.blocking.force_blocked(), ..self }
     }
@@ -421,8 +405,6 @@ mod tests {
         let config = FuzzyFdConfig::default();
         assert!((config.theta - 0.7).abs() < 1e-6);
         assert_eq!(config.model, EmbeddingModel::Mistral);
-        assert!(config.exact_match_first);
-        assert_eq!(config.assignment_algorithm, AssignmentAlgorithm::ShortestAugmentingPath);
     }
 
     #[test]
@@ -445,28 +427,14 @@ mod tests {
         match config.blocking {
             BlockingPolicy::Keyed(keyed) => {
                 assert!(keyed.min_blocked_pairs > 0, "small problems must stay exhaustive");
-                // The default semantic channel must be recall-exact so blocked
-                // matching reproduces the exhaustive groups.
-                match keyed.semantic {
-                    SemanticBlocking::ExactBelow { slack } => assert!(slack >= 0.0),
-                    other => panic!("default semantic channel must be exact, got {other:?}"),
-                }
+                // A non-negative slack keeps candidacy recall-exact, so
+                // blocked matching reproduces the exhaustive groups.
+                assert!(keyed.slack >= 0.0);
                 assert!(keyed.max_key_bucket >= 2);
             }
             BlockingPolicy::Exhaustive => panic!("default must prune the candidate space"),
         }
         assert_eq!(config.matching_threads, 1);
-    }
-
-    #[test]
-    fn simhash_default_fits_one_signature() {
-        match SemanticBlocking::simhash_default() {
-            SemanticBlocking::SimHash { bands, band_bits } => {
-                assert!(bands > 0 && band_bits > 0);
-                assert!(bands * band_bits <= 64, "signature must fit in a u64");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -477,19 +445,36 @@ mod tests {
         }
         for slack in [f32::NAN, f32::INFINITY, -0.1] {
             let config = FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
-                semantic: SemanticBlocking::ExactBelow { slack },
+                slack,
                 ..KeyedBlockingConfig::default()
             }));
             let err = config.validate().unwrap_err();
             assert!(err.contains("slack"), "{err}");
         }
-        // The range boundaries themselves are legal, as are non-ExactBelow
-        // channels regardless of the slack story.
+        // An unusable ANN shape is reported here, not by a panic inside the
+        // first fold big enough to escalate.
+        let base = AnnParams::default();
+        for (ann, problem) in [
+            (AnnParams { bands: 9, band_bits: 8, ..base }, "fit in a u64"),
+            (AnnParams { bands: 0, ..base }, "at least one band"),
+            (AnnParams { probes: 0, ..base }, "probes"),
+            (AnnParams { min_band_hits: 0, ..base }, "min_band_hits"),
+            (AnnParams { min_band_hits: base.bands + 1, ..base }, "min_band_hits"),
+        ] {
+            let config = FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
+                escalation: EscalationPolicy { ann, ..EscalationPolicy::default() },
+                ..KeyedBlockingConfig::default()
+            }));
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(problem), "{err}");
+        }
+        // The range boundaries themselves are legal, and the exhaustive
+        // policy has no slack or index to check.
         assert!(FuzzyFdConfig::with_theta(0.0).validate().is_ok());
         assert!(FuzzyFdConfig::with_theta(2.0).validate().is_ok());
         assert!(FuzzyFdConfig::with_blocking(BlockingPolicy::Exhaustive).validate().is_ok());
         let zero_slack = FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
-            semantic: SemanticBlocking::ExactBelow { slack: 0.0 },
+            slack: 0.0,
             ..KeyedBlockingConfig::default()
         }));
         assert!(zero_slack.validate().is_ok());

@@ -49,13 +49,12 @@ pub mod session;
 pub mod value_match;
 
 pub use blocking::{
-    band_bucket_key, canonicalize_pairs, canonicalize_pairs_with_costs, embedding_bucket_keys,
-    embedding_hasher, hash_key, hashed_keys, hashed_value_block_keys, plan_blocks, plan_cartesian,
-    value_block_keys, Block, BlockPlan, BlockingStats, CutEdge, FoldInputs,
+    canonicalize_pairs, canonicalize_pairs_with_costs, hashed_value_block_keys, plan_blocks,
+    plan_cartesian, Block, BlockPlan, BlockingStats, CutEdge, FoldInputs,
 };
 pub use config::{
     AssignmentStrategy, BlockingPolicy, EscalationPolicy, FuzzyFdConfig, IncrementalPolicy,
-    KeyedBlockingConfig, SemanticBlocking,
+    KeyedBlockingConfig,
 };
 pub use lake_embed::{AnnIndex, AnnParams, KernelStats};
 pub use lake_metrics::PhaseTimings;

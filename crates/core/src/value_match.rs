@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use lake_assign::{
-    solve, sparse_shortest_augmenting_path, AssignmentAlgorithm, CostMatrix, SparseCostMatrix,
+    greedy, shortest_augmenting_path, sparse_shortest_augmenting_path, CostMatrix, SparseCostMatrix,
 };
 use lake_embed::{Embedder, Vector};
 use lake_metrics::Stopwatch;
@@ -24,9 +24,9 @@ use lake_runtime::{ParallelPolicy, RuntimeStats};
 use lake_table::Value;
 
 use crate::blocking::{
-    hashed_value_block_keys, plan_blocks, plan_cartesian, Block, BlockingStats, FoldInputs,
+    hashed_value_block_keys, plan_cartesian, plan_tier, Block, BlockPlan, BlockingStats, FoldInputs,
 };
-use crate::config::{AssignmentStrategy, BlockingPolicy, FuzzyFdConfig, SemanticBlocking};
+use crate::config::{AssignmentStrategy, FoldTier, FuzzyFdConfig};
 
 /// Cost assigned to masked (non-candidate) combinations inside a block.
 /// Far above any cosine distance (≤ 2) and any sane θ, so a masked pair can
@@ -96,11 +96,6 @@ struct WorkingGroup {
     members: Vec<(ColumnPosition, Value)>,
     representative: Value,
     embedding: Vector,
-    /// Hashed surface blocking keys of all members, maintained incrementally
-    /// so key-based planners never re-normalise/re-hash a member on later
-    /// folds.  Left empty when the policy's semantic channel does not use
-    /// surface keys (duplicates are fine — the planner dedups).
-    surface_keys: Vec<u64>,
 }
 
 /// Persistent matching state of one aligned column set: the working groups,
@@ -261,27 +256,21 @@ impl<'a> ValueMatcher<'a> {
         // Pass 1: exact matches (identical values are at distance 0, so the
         // assignment would match them anyway — doing it first is the
         // optimisation that keeps equi-join workloads cheap).
-        if self.config.exact_match_first {
-            let mut member_index: HashMap<Value, usize> = HashMap::new();
-            for (g_idx, group) in groups.iter().enumerate() {
-                for (_, member) in &group.members {
-                    member_index.entry(member.clone()).or_insert(g_idx);
-                }
+        let mut member_index: HashMap<Value, usize> = HashMap::new();
+        for (g_idx, group) in groups.iter().enumerate() {
+            for (_, member) in &group.members {
+                member_index.entry(member.clone()).or_insert(g_idx);
             }
-            for value in values {
-                match member_index.get(&value) {
-                    Some(&g_idx) if !group_taken[g_idx] => {
-                        let keys = self.value_surface_keys(&value);
-                        groups[g_idx].members.push((position, value));
-                        groups[g_idx].surface_keys.extend(keys);
-                        group_taken[g_idx] = true;
-                        self.refresh_representative(&mut groups[g_idx], counts);
-                    }
-                    _ => leftover.push(value),
+        }
+        for value in values {
+            match member_index.get(&value) {
+                Some(&g_idx) if !group_taken[g_idx] => {
+                    groups[g_idx].members.push((position, value));
+                    group_taken[g_idx] = true;
+                    self.refresh_representative(&mut groups[g_idx], counts);
                 }
+                _ => leftover.push(value),
             }
-        } else {
-            leftover = values;
         }
 
         // Pass 2: fuzzy matching of the leftovers against the untaken groups.
@@ -317,9 +306,7 @@ impl<'a> ValueMatcher<'a> {
             stats.phase.total += solve_time;
             for (row, col) in accepted {
                 let g_idx = candidate_groups[row];
-                let keys = self.value_surface_keys(&fuzzy_values[col]);
                 groups[g_idx].members.push((position, fuzzy_values[col].clone()));
-                groups[g_idx].surface_keys.extend(keys);
                 self.refresh_representative(&mut groups[g_idx], counts);
                 matched_values[fuzzy_slots[col]] = true;
             }
@@ -336,7 +323,6 @@ impl<'a> ValueMatcher<'a> {
             if !matched_values[idx] {
                 let group = match leftover_embeddings[idx].take() {
                     Some(embedding) => WorkingGroup {
-                        surface_keys: self.value_surface_keys(&value),
                         members: vec![(position, value.clone())],
                         representative: value,
                         embedding,
@@ -349,58 +335,28 @@ impl<'a> ValueMatcher<'a> {
         stats
     }
 
-    /// Plans the blocks of one fuzzy pass.  Key extraction is skipped
-    /// entirely when the policy resolves to a cartesian block anyway, and
-    /// also under [`SemanticBlocking::ExactBelow`] for folds below the
-    /// escalation threshold, whose candidacy test is purely distance-based;
-    /// an escalating fold rebuilds its group keys from the members on
-    /// demand so the surface-key channel can back the ANN index up.
+    /// Plans the blocks of one fuzzy pass.  The fold's size picks the tier
+    /// ([`BlockingPolicy::tier`](crate::config::BlockingPolicy)); a cartesian
+    /// fold skips input assembly entirely, and only an escalating fold pays
+    /// for surface keys.
     fn plan_fold(
         &self,
         candidate_groups: &[usize],
         groups: &[WorkingGroup],
         fuzzy_values: &[Value],
         value_embeddings: &[Vector],
-    ) -> crate::blocking::BlockPlan {
+    ) -> BlockPlan {
         let rows = candidate_groups.len();
         let cols = fuzzy_values.len();
-        let keyed = match self.config.blocking {
-            BlockingPolicy::Keyed(keyed) if rows * cols >= keyed.min_blocked_pairs => keyed,
-            _ => return plan_cartesian(rows, cols),
-        };
-        let escalates = matches!(keyed.semantic, SemanticBlocking::ExactBelow { .. })
-            && keyed.escalation.applies_to(rows, cols);
-
+        let tier = self.config.blocking.tier(rows, cols);
+        if tier == FoldTier::Cartesian {
+            return plan_cartesian(rows, cols);
+        }
         let row_embeddings: Vec<&Vector> =
             candidate_groups.iter().map(|&g_idx| &groups[g_idx].embedding).collect();
         let col_embeddings: Vec<&Vector> = value_embeddings.iter().collect();
-        // Group keys are maintained incrementally on the working groups, so
-        // key-based channels only hash this fold's new values here.  An
-        // escalating exact-channel fold has no maintained keys and rebuilds
-        // them from the members (duplicates are fine — the planner dedups).
-        let key_watch = Stopwatch::start();
-        let row_keys: Vec<Vec<u64>> = if self.uses_surface_keys() {
-            candidate_groups.iter().map(|&g_idx| groups[g_idx].surface_keys.clone()).collect()
-        } else if escalates {
-            candidate_groups
-                .iter()
-                .map(|&g_idx| {
-                    let mut keys = Vec::new();
-                    for (_, member) in &groups[g_idx].members {
-                        keys.extend(hashed_value_block_keys(&member.render()));
-                    }
-                    keys
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let col_keys: Vec<Vec<u64>> = if self.uses_surface_keys() || escalates {
-            fuzzy_values.iter().map(|value| hashed_value_block_keys(&value.render())).collect()
-        } else {
-            Vec::new()
-        };
-        let key_time = key_watch.total();
+        let ((row_keys, col_keys), key_time) =
+            Stopwatch::time(|| fold_surface_keys(tier, candidate_groups, groups, fuzzy_values));
         let input = FoldInputs {
             row_keys: &row_keys,
             col_keys: &col_keys,
@@ -408,7 +364,7 @@ impl<'a> ValueMatcher<'a> {
             col_embeddings: &col_embeddings,
             theta: self.config.theta,
         };
-        let mut plan = plan_blocks(&input, &BlockingPolicy::Keyed(keyed));
+        let mut plan = plan_tier(&input, tier);
         // Key extraction above is hashing work the planner did not see —
         // fold it into the hash phase so the attribution covers the whole
         // planning wall clock.
@@ -427,10 +383,11 @@ impl<'a> ValueMatcher<'a> {
     /// block cannot serialise a bucket the way static round-robin
     /// assignment used to.
     ///
-    /// Combinations that are not candidate pairs of their block (they share
-    /// no blocking key) are masked with [`PRUNED_COST`]: their distance is
-    /// never computed and, being far above any θ, a masked assignment is
-    /// always discarded — blocked mode can only ever match key-sharing pairs.
+    /// Combinations that are not candidate pairs of their block (the planner
+    /// measured them at or above the cutoff, or never nominated them) are
+    /// masked with [`PRUNED_COST`]: being far above any θ, a masked
+    /// assignment is always discarded — blocked mode can only ever match
+    /// candidate pairs.
     fn solve_blocks(
         &self,
         blocks: &[Block],
@@ -443,95 +400,61 @@ impl<'a> ValueMatcher<'a> {
             candidate_groups.iter().map(|&g| groups[g].embedding.norm()).collect();
         let value_norms: Vec<f32> = value_embeddings.iter().map(Vector::norm).collect();
 
-        /// What one cost-matrix cell needs: masking, a fresh distance, or a
-        /// distance the planner already measured.
-        #[derive(Clone, Copy)]
-        enum Cell {
-            Masked,
-            Compute,
-            Known(f32),
-        }
-
         let solve_one = |block: &Block| -> Vec<(usize, usize)> {
-            let n_cols = block.cols.len();
-            let algorithm = self.resolved_algorithm(block.rows.len(), n_cols);
-            // Sparse fast path: a plan that enumerated its candidate pairs
-            // needs no dense matrix under the SAP solver — the sparse solver
-            // replays the dense big-M arithmetic over candidate cells only,
-            // bit-identical by construction (see `lake_assign::sparse`).
-            // Hungarian and Greedy (incl. ExactUpTo demotions) keep the dense
-            // path, as do cartesian blocks, which have no pair list.
-            if algorithm == AssignmentAlgorithm::ShortestAugmentingPath {
-                if let Some(pairs) = &block.pairs {
-                    let mut entries: Vec<(usize, usize, f64)> = Vec::with_capacity(pairs.len());
-                    for (idx, &(r, c)) in pairs.iter().enumerate() {
-                        let lr = block.rows.binary_search(&r).expect("pair row outside block");
-                        let lc = block.cols.binary_search(&c).expect("pair col outside block");
-                        let cost = match &block.costs {
-                            Some(costs) => costs[idx] as f64,
-                            None => {
-                                groups[candidate_groups[r]].embedding.cosine_distance_given_norms(
-                                    group_norms[r],
-                                    &value_embeddings[c],
-                                    value_norms[c],
-                                ) as f64
-                            }
-                        };
-                        entries.push((lr, lc, cost));
-                    }
+            let (n_rows, n_cols) = (block.rows.len(), block.cols.len());
+            let exact = self.solves_exactly(n_rows, n_cols);
+            // Local indices of the block's candidates; rows/cols are sorted,
+            // so global→local is a binary search.  The planner already
+            // measured each candidate's distance — reusing it keeps the
+            // matrix entry bit-identical and computed exactly once.
+            let local = |&(r, c, cost): &(usize, usize, f32)| {
+                let lr = block.rows.binary_search(&r).expect("pair row outside block");
+                let lc = block.cols.binary_search(&c).expect("pair col outside block");
+                (lr, lc, cost as f64)
+            };
+            let accepted = match &block.candidates {
+                // Sparse fast path: enumerated candidates need no dense
+                // matrix under the exact solver — the sparse solver replays
+                // the dense big-M arithmetic over candidate cells only,
+                // bit-identical by construction (see `lake_assign::sparse`).
+                Some(candidates) if exact => {
+                    let mut entries: Vec<(usize, usize, f64)> =
+                        candidates.iter().map(local).collect();
                     // Canonical plans arrive row-major already; sorting a
                     // sorted run is O(n) and keeps the invariant local.
                     entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-                    let matrix = SparseCostMatrix::from_entries(
-                        block.rows.len(),
-                        n_cols,
-                        PRUNED_COST,
-                        &entries,
-                    )
-                    .expect("planner pairs are deduplicated and in range");
-                    let assignment = sparse_shortest_augmenting_path(&matrix);
-                    let accepted = assignment
-                        .threshold_with(|r, c| matrix.get(r, c), self.config.theta as f64);
-                    return accepted
-                        .pairs
-                        .iter()
-                        .map(|&(r, c)| (block.rows[r], block.cols[c]))
-                        .collect();
+                    let matrix =
+                        SparseCostMatrix::from_entries(n_rows, n_cols, PRUNED_COST, &entries)
+                            .expect("planner pairs are deduplicated and in range");
+                    sparse_shortest_augmenting_path(&matrix)
+                        .threshold_with(|r, c| matrix.get(r, c), self.config.theta as f64)
                 }
-            }
-            // Local-index grid of the block's candidate pairs; rows/cols are
-            // sorted, so global→local is a binary search.  An exact-channel
-            // plan already measured each candidate's distance — reuse it so
-            // the matrix entry is bit-identical and computed exactly once.
-            let grid: Option<Vec<Cell>> = block.pairs.as_ref().map(|pairs| {
-                let mut grid = vec![Cell::Masked; block.rows.len() * n_cols];
-                for (idx, &(r, c)) in pairs.iter().enumerate() {
-                    let lr = block.rows.binary_search(&r).expect("pair row outside block");
-                    let lc = block.cols.binary_search(&c).expect("pair col outside block");
-                    grid[lr * n_cols + lc] = match &block.costs {
-                        Some(costs) => Cell::Known(costs[idx]),
-                        None => Cell::Compute,
+                // Greedy demotions of an enumerated block and cartesian
+                // blocks (which have measured nothing yet) go through a
+                // dense matrix.
+                candidates => {
+                    let matrix = match candidates {
+                        Some(candidates) => {
+                            let mut grid = vec![PRUNED_COST; n_rows * n_cols];
+                            for (lr, lc, cost) in candidates.iter().map(local) {
+                                grid[lr * n_cols + lc] = cost;
+                            }
+                            CostMatrix::from_fn(n_rows, n_cols, |r, c| grid[r * n_cols + c])
+                        }
+                        None => CostMatrix::from_fn(n_rows, n_cols, |r, c| {
+                            let (row, col) = (block.rows[r], block.cols[c]);
+                            groups[candidate_groups[row]].embedding.cosine_distance_given_norms(
+                                group_norms[row],
+                                &value_embeddings[col],
+                                value_norms[col],
+                            ) as f64
+                        }),
                     };
+                    let assignment =
+                        if exact { shortest_augmenting_path(&matrix) } else { greedy(&matrix) };
+                    assignment.threshold(&matrix, self.config.theta as f64)
                 }
-                grid
-            });
-            let matrix = CostMatrix::from_fn(block.rows.len(), n_cols, |r, c| {
-                if let Some(grid) = &grid {
-                    match grid[r * n_cols + c] {
-                        Cell::Masked => return PRUNED_COST,
-                        Cell::Known(cost) => return cost as f64,
-                        Cell::Compute => {}
-                    }
-                }
-                let (row, col) = (block.rows[r], block.cols[c]);
-                groups[candidate_groups[row]].embedding.cosine_distance_given_norms(
-                    group_norms[row],
-                    &value_embeddings[col],
-                    value_norms[col],
-                ) as f64
-            });
-            let assignment = solve(&matrix, algorithm);
-            let accepted = assignment.threshold(&matrix, self.config.theta as f64);
+            };
             accepted.pairs.iter().map(|&(r, c)| (block.rows[r], block.cols[c])).collect()
         };
 
@@ -564,55 +487,18 @@ impl<'a> ValueMatcher<'a> {
         }
     }
 
-    /// The algorithm the configured strategy resolves to for a block of the
-    /// given shape (`ExactUpTo` demotes oversized blocks to Greedy).
-    fn resolved_algorithm(&self, rows: usize, cols: usize) -> AssignmentAlgorithm {
+    /// Whether the configured strategy solves a block of the given shape
+    /// exactly (`ExactUpTo` demotes oversized blocks to the greedy solver).
+    fn solves_exactly(&self, rows: usize, cols: usize) -> bool {
         match self.config.assignment_strategy {
-            AssignmentStrategy::AlwaysExact => self.config.assignment_algorithm,
-            AssignmentStrategy::ExactUpTo { max_side } => {
-                if rows.max(cols) <= max_side {
-                    self.config.assignment_algorithm
-                } else {
-                    AssignmentAlgorithm::Greedy
-                }
-            }
+            AssignmentStrategy::AlwaysExact => true,
+            AssignmentStrategy::ExactUpTo { max_side } => rows.max(cols) <= max_side,
         }
     }
 
     fn singleton(&self, position: ColumnPosition, value: Value) -> WorkingGroup {
         let embedding = self.embedder.embed(&value.render());
-        WorkingGroup {
-            surface_keys: self.value_surface_keys(&value),
-            members: vec![(position, value.clone())],
-            representative: value,
-            embedding,
-        }
-    }
-
-    /// Whether the configured policy plans with surface blocking keys on
-    /// *every* fold (and therefore maintains group keys incrementally).  The
-    /// exact semantic channel is purely distance-based and skips all key
-    /// work; when one of its folds escalates to the ANN tier, the keys for
-    /// that fold are rebuilt from the group members on demand instead
-    /// (escalated folds are rare and large, so the rebuild is noise there,
-    /// while every non-escalating fold stays key-free).
-    fn uses_surface_keys(&self) -> bool {
-        match self.config.blocking {
-            BlockingPolicy::Keyed(keyed) => {
-                !matches!(keyed.semantic, SemanticBlocking::ExactBelow { .. })
-            }
-            BlockingPolicy::Exhaustive => false,
-        }
-    }
-
-    /// The hashed surface keys of one value, or nothing when the policy does
-    /// not block on keys.
-    fn value_surface_keys(&self, value: &Value) -> Vec<u64> {
-        if self.uses_surface_keys() {
-            hashed_value_block_keys(&value.render())
-        } else {
-            Vec::new()
-        }
+        WorkingGroup { members: vec![(position, value.clone())], representative: value, embedding }
     }
 
     /// Recomputes the representative (most frequent member, ties to the
@@ -714,6 +600,36 @@ impl<'a> ValueMatcher<'a> {
             }
         })
     }
+}
+
+/// The hashed surface keys of one fold's groups and values — computed only
+/// for an escalating fold, where they back the ANN index up; the other tiers'
+/// candidacy test is purely distance-based, so they get none.  Group keys are
+/// rebuilt from the members (duplicates are fine — the planner dedups):
+/// escalated folds are rare and large, so the rebuild is noise there, while
+/// every other fold stays key-free.
+fn fold_surface_keys(
+    tier: FoldTier<'_>,
+    candidate_groups: &[usize],
+    groups: &[WorkingGroup],
+    fuzzy_values: &[Value],
+) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    if !matches!(tier, FoldTier::Escalated(_)) {
+        return (Vec::new(), Vec::new());
+    }
+    let row_keys = candidate_groups
+        .iter()
+        .map(|&g_idx| {
+            let mut keys = Vec::new();
+            for (_, member) in &groups[g_idx].members {
+                keys.extend(hashed_value_block_keys(&member.render()));
+            }
+            keys
+        })
+        .collect();
+    let col_keys =
+        fuzzy_values.iter().map(|value| hashed_value_block_keys(&value.render())).collect();
+    (row_keys, col_keys)
 }
 
 /// The member a group elects as representative under `counts`: most
@@ -1047,17 +963,7 @@ mod tests {
             values(&["Berlinn", "Torontoo", "Barcelonna", "Lagos"]),
         ];
         let embedder = EmbeddingModel::FastText.build();
-        // Surface keys only: on a handful of values a semantic channel can
-        // glue everything into one block by chance, which would hide the
-        // pruning this test is about.
-        let config = FuzzyFdConfig {
-            blocking: crate::config::BlockingPolicy::Keyed(crate::config::KeyedBlockingConfig {
-                semantic: SemanticBlocking::Off,
-                min_blocked_pairs: 0,
-                ..crate::config::KeyedBlockingConfig::default()
-            }),
-            ..FuzzyFdConfig::default()
-        };
+        let config = FuzzyFdConfig::default().force_blocking();
         let (groups, stats) = match_column_values_with_stats(&columns, embedder.as_ref(), config);
         assert!(stats.pruned_pairs > 0, "{stats:?}");
         assert!(stats.blocks >= 2, "{stats:?}");
@@ -1073,6 +979,33 @@ mod tests {
                 "{city} did not absorb {typo}: {groups:#?}"
             );
         }
+    }
+
+    #[test]
+    fn fold_size_alone_picks_the_tier_and_only_escalation_hashes_keys() {
+        let config = FuzzyFdConfig::default();
+        let crate::config::BlockingPolicy::Keyed(keyed) = &config.blocking else { unreachable!() };
+        let (floor, ceiling) = (keyed.min_blocked_pairs, keyed.escalation.min_fold_pairs);
+        assert_eq!(config.blocking.tier(1, floor - 1), FoldTier::Cartesian);
+        assert_eq!(config.blocking.tier(1, floor), FoldTier::Exact(keyed));
+        assert_eq!(config.blocking.tier(1, ceiling - 1), FoldTier::Exact(keyed));
+        assert_eq!(config.blocking.tier(1, ceiling), FoldTier::Escalated(keyed));
+        let exhaustive = crate::config::BlockingPolicy::Exhaustive;
+        assert_eq!(exhaustive.tier(ceiling, ceiling), FoldTier::Cartesian);
+
+        // What `plan_fold` hands the planner as surface keys, per tier.
+        let embedder = EmbeddingModel::FastText.build();
+        let matcher = ValueMatcher::new(embedder.as_ref(), config);
+        let groups = [matcher.singleton(0, Value::text("United Nations"))];
+        let fuzzy = values(&["UN", "Quito"]);
+        for tier in [FoldTier::Cartesian, FoldTier::Exact(keyed)] {
+            let (row_keys, col_keys) = fold_surface_keys(tier, &[0], &groups, &fuzzy);
+            assert!(row_keys.is_empty() && col_keys.is_empty(), "{tier:?} hashed keys");
+        }
+        let (row_keys, col_keys) =
+            fold_surface_keys(FoldTier::Escalated(keyed), &[0], &groups, &fuzzy);
+        assert_eq!((row_keys.len(), col_keys.len()), (1, 2));
+        assert!(row_keys[0].iter().any(|key| col_keys[0].contains(key)), "acronym key missing");
     }
 
     #[test]

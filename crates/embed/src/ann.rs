@@ -176,25 +176,46 @@ impl AnnParams {
         self.bands * self.band_bits
     }
 
+    /// Checks the configuration without panicking, describing the first
+    /// problem found: a zero `bands`, `band_bits`, `probes` or
+    /// `min_band_hits`, a signature wider than 64 bits, or `min_band_hits`
+    /// above `bands`.  Config validators return this error to their caller
+    /// instead of letting an index build panic mid-fold.
+    pub fn check(&self) -> Result<(), String> {
+        if self.bands == 0 || self.band_bits == 0 {
+            return Err(format!(
+                "ANN banding needs at least one band and one bit per band (got {} × {})",
+                self.bands, self.band_bits
+            ));
+        }
+        if self.signature_bits() > 64 {
+            return Err(format!(
+                "ANN signature must fit in a u64: {} bands × {} bits > 64",
+                self.bands, self.band_bits
+            ));
+        }
+        if self.probes == 0 {
+            return Err(
+                "ANN probes must be ≥ 1: each band must probe at least its own bucket".into()
+            );
+        }
+        if !(1..=self.bands).contains(&self.min_band_hits) {
+            return Err(format!(
+                "ANN min_band_hits must be in 1..=bands (got {} with {} bands)",
+                self.min_band_hits, self.bands
+            ));
+        }
+        Ok(())
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics when a field is zero or the signature exceeds 64 bits.
+    /// Panics when [`check`](Self::check) fails.
     pub fn validate(&self) {
-        assert!(
-            self.bands > 0 && self.band_bits > 0,
-            "ANN banding needs at least one band and one bit per band \
-             (got {} × {})",
-            self.bands,
-            self.band_bits
-        );
-        assert!(
-            self.signature_bits() <= 64,
-            "ANN signature must fit in a u64: {} bands × {} bits > 64",
-            self.bands,
-            self.band_bits
-        );
-        assert!(self.probes > 0, "each band must probe at least its own bucket");
+        if let Err(problem) = self.check() {
+            panic!("{problem}");
+        }
         // A band reaches at most 2^band_bits buckets (bands × 2^band_bits
         // neighbourhoods in total), so more probes than that per band cannot
         // retrieve anything new — queries clamp to the bound either way, but
@@ -206,12 +227,6 @@ impl AnnParams {
             self.probes,
             self.reachable_buckets_per_band(),
             self.band_bits
-        );
-        assert!(
-            (1..=self.bands).contains(&self.min_band_hits),
-            "min_band_hits must be in 1..=bands (got {} with {} bands)",
-            self.min_band_hits,
-            self.bands
         );
     }
 

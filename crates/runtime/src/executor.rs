@@ -226,46 +226,6 @@ fn next_task(
     None
 }
 
-/// The retired static strategy: items bucketed round-robin over a fixed
-/// scoped pool, exactly as `lake-fd::parallel` and the block solver used to
-/// do it.  Outputs come back in input order.  Kept as the baseline the
-/// `scheduling` benchmark group and the scheduler tests compare
-/// [`run_scope`] against — do not use for new work.
-pub fn run_round_robin<T, R, F>(threads: usize, items: Vec<T>, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.into_iter().map(work).collect();
-    }
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i % threads].push((i, item));
-    }
-    let n: usize = buckets.iter().map(Vec::len).sum();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket.into_iter().map(|(i, item)| (i, work(item))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, output) in handle.join().expect("round-robin worker panicked") {
-                slots[i] = Some(output);
-            }
-        }
-    });
-    slots.into_iter().map(|slot| slot.expect("round-robin dropped a task")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,15 +331,5 @@ mod tests {
                 heavy(x)
             },
         );
-    }
-
-    #[test]
-    fn round_robin_baseline_matches_in_order() {
-        let items: Vec<u64> = (0..50).collect();
-        for threads in [1, 2, 3, 8] {
-            let outputs = run_round_robin(threads, items.clone(), |x| x * x);
-            assert_eq!(outputs, squares(50), "threads = {threads}");
-        }
-        assert!(run_round_robin(4, Vec::<u64>::new(), |x| x).is_empty());
     }
 }

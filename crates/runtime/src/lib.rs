@@ -22,8 +22,6 @@
 //!   busy nanos, imbalance ratio) threaded through `FdStats`,
 //!   `BlockingStats` and `FuzzyFdReport` so benchmarks can see scheduling
 //!   quality.
-//! * [`run_round_robin`] — the retired static round-robin strategy, kept as
-//!   a baseline for the `scheduling` benchmark group and scheduler tests.
 //! * [`spawn_service`] / [`ServiceHandle`] — named long-lived threads for
 //!   server-style components (accept loops, shard writers) that outlive the
 //!   call that started them; the only sanctioned way to obtain such a
@@ -40,7 +38,7 @@ pub mod policy;
 pub mod service;
 pub mod stats;
 
-pub use executor::{run_round_robin, run_scope};
+pub use executor::run_scope;
 pub use policy::ParallelPolicy;
 pub use service::{pause, spawn_periodic, spawn_service, PeriodicHandle, ServiceHandle};
 pub use stats::RuntimeStats;

@@ -109,14 +109,13 @@ where
     let handle = spawn_service(name, move || {
         let (lock, signal) = &*shared;
         let mut stopped = lock.lock().expect("periodic stop flag poisoned");
-        loop {
+        // Checked before every wait: a `stop` that ran before this thread
+        // first took the lock has already sent its only notification.
+        while !*stopped {
             let (guard, wait) =
                 signal.wait_timeout(stopped, interval).expect("periodic stop flag poisoned");
             stopped = guard;
-            if *stopped {
-                return;
-            }
-            if wait.timed_out() {
+            if !*stopped && wait.timed_out() {
                 drop(stopped);
                 tick();
                 stopped = lock.lock().expect("periodic stop flag poisoned");

@@ -1,18 +1,16 @@
 //! Equivalence and property harness for blocked candidate generation.
 //!
 //! The blocked value matcher must be a faithful optimisation: its cartesian
-//! fallback has to reproduce the exhaustive path exactly, the keyed channels
-//! must never match pairs that were not candidates (SimHash mode: sharing no
-//! blocking key; exact mode: at or above the distance cutoff), and on the
-//! Auto-Join benchmark set the pruned search space may not change the
-//! produced groups.
+//! fallback has to reproduce the exhaustive path exactly, the blocked tiers
+//! must never match pairs that were not candidates (at or above the distance
+//! cutoff), and on the Auto-Join benchmark set the pruned search space may
+//! not change the produced groups.
 
 use std::collections::BTreeSet;
 
 use datalake_fuzzy_fd::core::{
-    embedding_bucket_keys, hash_key, match_column_values, match_column_values_with_stats,
-    plan_blocks, value_block_keys, BlockingPolicy, EscalationPolicy, FoldInputs, FuzzyFdConfig,
-    KeyedBlockingConfig, SemanticBlocking, ValueGroup,
+    match_column_values, match_column_values_with_stats, plan_blocks, BlockingPolicy,
+    EscalationPolicy, FoldInputs, FuzzyFdConfig, KeyedBlockingConfig, ValueGroup,
 };
 use datalake_fuzzy_fd::embed::{Embedder, EmbeddingModel};
 use datalake_fuzzy_fd::table::Value;
@@ -63,29 +61,6 @@ fn keyed_config(theta: f32, threads: usize) -> FuzzyFdConfig {
     FuzzyFdConfig { theta, matching_threads: threads, ..FuzzyFdConfig::default() }.force_blocking()
 }
 
-/// A keyed config on the SimHash semantic channel, floor removed.
-fn simhash_config(theta: f32) -> FuzzyFdConfig {
-    FuzzyFdConfig {
-        theta,
-        blocking: BlockingPolicy::Keyed(KeyedBlockingConfig {
-            semantic: SemanticBlocking::simhash_default(),
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        }),
-        ..FuzzyFdConfig::default()
-    }
-}
-
-/// The full (hashed) blocking keys of one value the way the SimHash planner
-/// derives them: surface keys plus the band-bucket keys of the value's own
-/// embedding.
-fn full_keys(value: &str, semantic: &SemanticBlocking, model: EmbeddingModel) -> BTreeSet<u64> {
-    let embedder = model.build();
-    let mut keys: BTreeSet<u64> = value_block_keys(value).iter().map(|k| hash_key(k)).collect();
-    keys.extend(embedding_bucket_keys(semantic, &embedder.embed(value)));
-    keys
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -126,10 +101,7 @@ proptest! {
     ) {
         let config = keyed_config(theta, 1);
         let BlockingPolicy::Keyed(keyed) = config.blocking else { unreachable!() };
-        let SemanticBlocking::ExactBelow { slack } = keyed.semantic else {
-            panic!("default channel must be exact, got {:?}", keyed.semantic)
-        };
-        let cutoff = theta + slack;
+        let cutoff = theta + keyed.slack;
         let embedder = config.model.build();
         let groups = run(&columns, config);
         for group in groups.iter().filter(|g| g.len() >= 2) {
@@ -147,41 +119,6 @@ proptest! {
                 prop_assert!(
                     close,
                     "{rendered:?} grouped at distance ≥ {cutoff}: {group:#?}"
-                );
-            }
-        }
-    }
-
-    /// SimHash mode never groups a value with others it shares no blocking
-    /// key with: every member of a multi-member group shares at least one key
-    /// (surface or embedding bucket) with the union of the other members'
-    /// keys, or is an exact duplicate of another member.
-    #[test]
-    fn simhash_mode_only_pairs_key_sharing_values(
-        columns in columns_strategy(),
-        theta in 0.0f32..0.95,
-    ) {
-        let config = simhash_config(theta);
-        let BlockingPolicy::Keyed(keyed) = config.blocking else { unreachable!() };
-        let groups = run(&columns, config);
-        for group in groups.iter().filter(|g| g.len() >= 2) {
-            for (i, (_, value)) in group.members.iter().enumerate() {
-                let rendered = value.render();
-                if group.members.iter().enumerate().any(|(j, (_, other))| {
-                    i != j && other.render() == rendered
-                }) {
-                    continue; // exact duplicate, joined by the exact pass
-                }
-                let own = full_keys(&rendered, &keyed.semantic, config.model);
-                let mut rest = BTreeSet::new();
-                for (j, (_, other)) in group.members.iter().enumerate() {
-                    if i != j {
-                        rest.extend(full_keys(&other.render(), &keyed.semantic, config.model));
-                    }
-                }
-                prop_assert!(
-                    !own.is_disjoint(&rest),
-                    "{rendered:?} grouped with values sharing none of its keys: {group:#?}"
                 );
             }
         }
@@ -465,8 +402,7 @@ fn split_components_preserve_group_equivalence() {
         ..KeyedBlockingConfig::default()
     }));
     let BlockingPolicy::Keyed(keyed) = split_config.blocking else { unreachable!() };
-    let SemanticBlocking::ExactBelow { slack } = keyed.semantic else { unreachable!() };
-    let cutoff = split_config.theta + slack;
+    let cutoff = split_config.theta + keyed.slack;
 
     let (groups, stats) = match_column_values_with_stats(&columns, embedder.as_ref(), split_config);
     assert!(stats.split_components > 0, "the tiny cap must trigger splitting: {stats:?}");
@@ -549,17 +485,13 @@ fn splitter_cuts_are_recorded_and_exact() {
     // preserved bit for bit.
     let mut recovered: Vec<(usize, usize, f32)> = Vec::new();
     for block in &split.blocks {
-        let pairs = block.pairs.as_ref().expect("cost-carrying plans enumerate pairs");
-        let costs = block.costs.as_ref().expect("cost-carrying plans carry costs");
-        recovered.extend(pairs.iter().zip(costs).map(|(&(r, c), &d)| (r, c, d)));
+        recovered.extend(block.candidates.as_ref().expect("planned blocks enumerate pairs"));
     }
     recovered.extend(split.cut_edges.iter().map(|e| (e.row, e.col, e.distance)));
     recovered.sort_by_key(|e| (e.0, e.1));
     let mut expected: Vec<(usize, usize, f32)> = Vec::new();
     for block in &unsplit.blocks {
-        let pairs = block.pairs.as_ref().unwrap();
-        let costs = block.costs.as_ref().unwrap();
-        expected.extend(pairs.iter().zip(costs).map(|(&(r, c), &d)| (r, c, d)));
+        expected.extend(block.candidates.as_ref().unwrap());
     }
     expected.sort_by_key(|e| (e.0, e.1));
     assert_eq!(recovered, expected, "the splitter lost or altered candidate edges");

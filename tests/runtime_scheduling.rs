@@ -18,7 +18,7 @@ use datalake_fuzzy_fd::benchdata::{generate_skewed_components, SkewedComponentsC
 use datalake_fuzzy_fd::core::{match_column_values, FuzzyFdConfig};
 use datalake_fuzzy_fd::embed::EmbeddingModel;
 use datalake_fuzzy_fd::fd::{full_disjunction, parallel_full_disjunction_with, IntegrationSchema};
-use datalake_fuzzy_fd::runtime::{run_round_robin, run_scope, ParallelPolicy};
+use datalake_fuzzy_fd::runtime::{run_scope, ParallelPolicy};
 use datalake_fuzzy_fd::table::Value;
 use proptest::prelude::*;
 
@@ -57,10 +57,6 @@ proptest! {
             prop_assert_eq!(&outputs, &expected, "threads = {}", threads);
             prop_assert_eq!(stats.tasks, sizes.len() as u64);
         }
-        // The retired round-robin baseline agrees too (it is what the
-        // scheduling benchmark group compares against).
-        let round_robin = run_round_robin(4, sizes.clone(), |size| churn(size, size * 64));
-        prop_assert_eq!(&round_robin, &expected);
     }
 
     /// Parallel FD over components with power-law sizes: identical to the
