@@ -5,8 +5,8 @@
 //! cache guarantees each distinct string is embedded exactly once per run,
 //! which is also how the paper's implementation amortises LLM inference cost.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 use lake_runtime::{run_scope, ParallelPolicy, RuntimeStats};
 
@@ -16,20 +16,26 @@ use crate::vector::{QuantizedSlab, Vector};
 /// A thread-safe memoising wrapper around any [`Embedder`].
 pub struct EmbeddingCache<E: Embedder> {
     inner: E,
-    cache: Mutex<HashMap<String, Vector>>,
-    hits: Mutex<u64>,
-    misses: Mutex<u64>,
+    state: Mutex<CacheState>,
+}
+
+/// The memo and its counters, behind one lock so that they can only be read
+/// or reset together.
+#[derive(Default)]
+struct CacheState {
+    vectors: HashMap<String, Vector>,
+    hits: u64,
+    misses: u64,
 }
 
 impl<E: Embedder> EmbeddingCache<E> {
     /// Wraps an embedder with an empty cache.
     pub fn new(inner: E) -> Self {
-        EmbeddingCache {
-            inner,
-            cache: Mutex::new(HashMap::new()),
-            hits: Mutex::new(0),
-            misses: Mutex::new(0),
-        }
+        EmbeddingCache { inner, state: Mutex::default() }
+    }
+
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("cache poisoned")
     }
 
     /// The wrapped embedder.
@@ -39,7 +45,7 @@ impl<E: Embedder> EmbeddingCache<E> {
 
     /// Number of distinct values embedded so far.
     pub fn len(&self) -> usize {
-        self.cache.lock().expect("cache poisoned").len()
+        self.state().vectors.len()
     }
 
     /// `true` when nothing has been embedded yet.
@@ -49,14 +55,13 @@ impl<E: Embedder> EmbeddingCache<E> {
 
     /// `(hits, misses)` counters, for diagnostics.
     pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.lock().expect("cache poisoned"), *self.misses.lock().expect("cache poisoned"))
+        let state = self.state();
+        (state.hits, state.misses)
     }
 
     /// Clears the cache (counters included).
     pub fn clear(&self) {
-        self.cache.lock().expect("cache poisoned").clear();
-        *self.hits.lock().expect("cache poisoned") = 0;
-        *self.misses.lock().expect("cache poisoned") = 0;
+        *self.state() = CacheState::default();
     }
 
     /// Embeds a batch of values, computing the distinct uncached ones on the
@@ -77,49 +82,55 @@ impl<E: Embedder> EmbeddingCache<E> {
         values: &[&str],
         policy: &ParallelPolicy,
     ) -> (Vec<Vector>, RuntimeStats) {
-        // One pass under the lock: capture already-cached vectors and the
-        // distinct uncached values (first-occurrence order).  Outputs are
-        // assembled from this local state, so a concurrent `clear()` after
-        // the locks drop can empty the cache but never break the batch.
-        let mut known: HashMap<&str, Vector> = HashMap::new();
-        let mut pending: Vec<&str> = Vec::new();
-        let mut seen = HashSet::new();
-        {
-            let cache = self.cache.lock().expect("cache poisoned");
-            for &value in values {
-                if !seen.insert(value) {
-                    continue;
-                }
-                match cache.get(value) {
-                    Some(vector) => {
-                        known.insert(value, vector.clone());
-                    }
-                    None => pending.push(value),
-                }
-            }
-        }
+        // One pass under the lock: number the distinct values in
+        // first-occurrence order and capture the vectors already cached.
+        // Outputs are assembled from this local state, so a concurrent
+        // `clear()` after the lock drops can empty the cache but never break
+        // the batch.
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        let mut distinct: Vec<Option<Vector>> = Vec::new();
+        let mut pending: Vec<(usize, &str)> = Vec::new();
+        let slots: Vec<usize> = {
+            let state = self.state();
+            values
+                .iter()
+                .map(|&value| {
+                    *slot_of.entry(value).or_insert_with(|| {
+                        let cached = state.vectors.get(value).cloned();
+                        if cached.is_none() {
+                            pending.push((distinct.len(), value));
+                        }
+                        distinct.push(cached);
+                        distinct.len() - 1
+                    })
+                })
+                .collect()
+        };
 
         let inner = &self.inner;
         let (embedded, stats) = run_scope(
             policy,
-            pending.clone(),
+            pending.iter().map(|&(_, value)| value).collect(),
             |value| value.len() as u64,
             |value| inner.embed(value),
         );
 
         {
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            for (&value, vector) in pending.iter().zip(&embedded) {
-                cache.insert(value.to_string(), vector.clone());
+            let mut state = self.state();
+            for (&(_, value), vector) in pending.iter().zip(&embedded) {
+                state.vectors.insert(value.to_string(), vector.clone());
             }
+            state.misses += pending.len() as u64;
+            state.hits += (values.len() - pending.len()) as u64;
         }
-        *self.misses.lock().expect("cache poisoned") += pending.len() as u64;
-        *self.hits.lock().expect("cache poisoned") += (values.len() - pending.len()) as u64;
 
-        for (value, vector) in pending.into_iter().zip(embedded) {
-            known.insert(value, vector);
+        for (&(slot, _), vector) in pending.iter().zip(embedded) {
+            distinct[slot] = Some(vector);
         }
-        let outputs = values.iter().map(|value| known[value].clone()).collect();
+        let outputs = slots
+            .into_iter()
+            .map(|slot| distinct[slot].clone().expect("every distinct value is cached or embedded"))
+            .collect();
         (outputs, stats)
     }
 
@@ -147,15 +158,19 @@ impl<E: Embedder> Embedder for EmbeddingCache<E> {
 
     fn embed(&self, value: &str) -> Vector {
         {
-            let cache = self.cache.lock().expect("cache poisoned");
-            if let Some(v) = cache.get(value) {
-                *self.hits.lock().expect("cache poisoned") += 1;
-                return v.clone();
+            let mut state = self.state();
+            if let Some(v) = state.vectors.get(value) {
+                let v = v.clone();
+                state.hits += 1;
+                return v;
             }
         }
+        // The lock is not held across the inner embedder: concurrent first
+        // lookups of one value may each compute it (and each count a miss).
         let v = self.inner.embed(value);
-        *self.misses.lock().expect("cache poisoned") += 1;
-        self.cache.lock().expect("cache poisoned").insert(value.to_string(), v.clone());
+        let mut state = self.state();
+        state.misses += 1;
+        state.vectors.insert(value.to_string(), v.clone());
         v
     }
 }

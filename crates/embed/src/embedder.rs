@@ -48,14 +48,40 @@ pub fn cosine_distance_between(a: &Vector, b: &Vector) -> f32 {
 /// A stable 64-bit FNV-1a hash, used by all embedders so that vectors are
 /// identical across runs, platforms and processes.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+    Fnv1a::new().bytes(bytes).finish()
+}
+
+/// [`fnv1a`] fed in pieces: hashing the parts of a key one after the other
+/// gives the hash of their concatenation, so a seed such as
+/// `fnv1a(format!("concept:{id}"))` needs no formatted `String`, and a
+/// `&[char]` window hashes as the UTF-8 text it spells.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    pub(crate) fn bytes(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feeds the UTF-8 encoding of `chars`.
+    pub(crate) fn chars(mut self, chars: &[char]) -> Self {
+        let mut utf8 = [0u8; 4];
+        for c in chars {
+            self = self.bytes(c.encode_utf8(&mut utf8).as_bytes());
+        }
+        self
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// Splitmix64: turns a hash into a well-mixed pseudo-random stream seed.
@@ -67,24 +93,10 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic pseudo-random unit-ish vector derived from a seed.  Every
-/// distinct seed produces an (almost surely) distinct direction; used to give
-/// tokens, n-grams and semantic concepts their base directions.
-pub(crate) fn seeded_direction(seed: u64, dim: usize) -> Vector {
-    let mut components = Vec::with_capacity(dim);
-    let mut state = seed;
-    for i in 0..dim {
-        state = splitmix64(state ^ (i as u64).wrapping_mul(0x9e37_79b9));
-        // Map to [-1, 1).
-        let unit = (state >> 11) as f32 / (1u64 << 53) as f32;
-        components.push(unit * 2.0 - 1.0);
-    }
-    Vector::new(components).normalized()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directions::seeded_direction;
     use crate::vector::DISTANCE_EPSILON;
 
     #[test]
@@ -92,6 +104,17 @@ mod tests {
         assert_eq!(fnv1a(b"berlin"), fnv1a(b"berlin"));
         assert_ne!(fnv1a(b"berlin"), fnv1a(b"boston"));
         assert_ne!(fnv1a(b""), fnv1a(b"a"));
+    }
+
+    #[test]
+    fn streamed_fnv_equals_the_hash_of_the_concatenation() {
+        let whole = fnv1a("concept:città".as_bytes());
+        let chars: Vec<char> = "città".chars().collect();
+        assert_eq!(Fnv1a::new().bytes(b"concept:").chars(&chars).finish(), whole);
+        assert_eq!(
+            Fnv1a::new().bytes(b"con").bytes(b"cept:").bytes("città".as_bytes()).finish(),
+            whole
+        );
     }
 
     #[test]

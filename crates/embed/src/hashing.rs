@@ -18,9 +18,8 @@
 //!   [`AnnIndex`](crate::AnnIndex) behind the fuzzy value matcher's
 //!   escalated blocking tier.
 
-use lake_text::{padded_char_ngrams, words};
-
-use crate::embedder::{fnv1a, seeded_direction, Embedder};
+use crate::directions::{normalize_in_place, seeded_direction, with_scratch, EmbedScratch};
+use crate::embedder::{Embedder, Fnv1a};
 use crate::vector::{QuantizedSlab, Vector};
 
 /// Packs one SimHash band collision key into a `u64`: band id in the high
@@ -83,36 +82,36 @@ impl HashingNgramEmbedder {
         self
     }
 
-    /// Embeds the *surface form* of a string: the n-gram/word hash sum before
-    /// normalisation.  Exposed so [`SimulatedLmEmbedder`](crate::SimulatedLmEmbedder)
-    /// can combine it with a semantic component.
-    pub fn surface_vector(&self, value: &str) -> Vector {
-        let mut acc = Vector::zeros(self.dim);
-        let mut any = false;
+    /// Loads `value` into the scratch's scanner and adds its *surface form*
+    /// into `acc`: one direction per padded character n-gram, then one
+    /// weighted direction per word token, before normalisation.  Exposed so
+    /// [`SimulatedLmEmbedder`](crate::SimulatedLmEmbedder) can combine it
+    /// with a semantic component over the same scan.
+    pub(crate) fn accumulate_surface(
+        &self,
+        value: &str,
+        scratch: &mut EmbedScratch,
+        acc: &mut [f32],
+    ) {
+        let EmbedScratch { text, terms, table, .. } = scratch;
+        text.load(value);
+        terms.clear();
         for n in self.min_ngram..=self.max_ngram {
-            for gram in padded_char_ngrams(value, n) {
-                let seed = fnv1a(gram.as_bytes()) ^ (n as u64).wrapping_mul(0x51_7c_c1_b7);
-                acc.add_scaled(&seeded_direction(seed, self.dim), 1.0);
-                any = true;
-            }
+            let salt = (n as u64).wrapping_mul(0x51_7c_c1_b7);
+            terms.extend(
+                text.padded_ngrams(n).map(|gram| (Fnv1a::new().chars(gram).finish() ^ salt, 1.0)),
+            );
         }
-        for word in words(value) {
-            let seed = fnv1a(word.as_bytes()) ^ xw_seed();
-            acc.add_scaled(&seeded_direction(seed, self.dim), self.word_weight);
-            any = true;
-        }
-        if !any {
-            return Vector::zeros(self.dim);
-        }
-        acc
+        terms.extend(
+            text.words()
+                .map(|word| (Fnv1a::new().chars(word).finish() ^ WORD_SALT, self.word_weight)),
+        );
+        table.accumulate(terms, self.dim, acc);
     }
 }
 
 // Salt separating the word-token hash space from the n-gram hash space.
-#[inline]
-fn xw_seed() -> u64 {
-    0xDEAD_BEEF_1234_5678
-}
+const WORD_SALT: u64 = 0xDEAD_BEEF_1234_5678;
 
 // Salt separating SimHash hyperplane seeds from every other direction seed.
 const SIMHASH_SALT: u64 = 0x51A4_7E05_6B1C_93D7;
@@ -501,7 +500,10 @@ impl Embedder for HashingNgramEmbedder {
     }
 
     fn embed(&self, value: &str) -> Vector {
-        self.surface_vector(value).normalized()
+        let mut out = vec![0.0; self.dim];
+        with_scratch(|scratch| self.accumulate_surface(value, scratch, &mut out));
+        normalize_in_place(&mut out);
+        Vector::new(out)
     }
 }
 

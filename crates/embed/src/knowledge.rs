@@ -15,8 +15,11 @@
 //! perfect score — mirroring the ceiling observed in the paper's Table 1.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use lake_text::normalize;
+
+use crate::embedder::{fnv1a, splitmix64, Fnv1a};
 
 /// A concept id and the set of surface forms (aliases) that denote it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +30,30 @@ pub struct ConceptGroup {
     pub aliases: Vec<String>,
 }
 
+/// What the simulated LM embedders need of a concept, worked out once when
+/// the concept is added instead of once per embedded value.
+#[derive(Debug, Clone)]
+pub(crate) struct Concept {
+    id: String,
+    /// Seed of the direction shared by the concept's aliases:
+    /// `fnv1a("concept:<id>")`.
+    pub(crate) seed: u64,
+    /// [`difficulty`] of the id: a model knows the concept iff its coverage
+    /// exceeds it.
+    pub(crate) difficulty: f64,
+}
+
+/// How hard a concept (or acronym) is to know, in `[0, 1)`, from the hash of
+/// its key.  Difficulty is a property of the concept alone, so a tier with
+/// higher coverage knows a superset of what a weaker tier knows.
+pub(crate) fn difficulty(key_hash: u64) -> f64 {
+    (splitmix64(key_hash) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// An alias → concept lookup table.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
-    alias_to_concept: HashMap<String, String>,
+    alias_to_concept: HashMap<String, Concept>,
     groups: BTreeMap<String, Vec<String>>,
 }
 
@@ -49,16 +72,29 @@ impl KnowledgeBase {
         kb
     }
 
+    /// The built-in lexicon, built on first use and shared from then on:
+    /// every simulated-LM embedder reads the same immutable copy instead of
+    /// rebuilding ~600 aliases per embedder (one per integration call).
+    pub(crate) fn shared_builtin() -> Arc<KnowledgeBase> {
+        static BUILTIN: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
+        Arc::clone(BUILTIN.get_or_init(|| Arc::new(KnowledgeBase::builtin())))
+    }
+
     /// Adds a concept with its aliases.  Aliases are normalised before being
     /// indexed; later insertions never overwrite an existing alias binding.
     pub fn add_group<'a>(&mut self, concept: &str, aliases: impl IntoIterator<Item = &'a str>) {
         let entry = self.groups.entry(concept.to_string()).or_default();
+        let indexed = Concept {
+            id: concept.to_string(),
+            seed: Fnv1a::new().bytes(b"concept:").bytes(concept.as_bytes()).finish(),
+            difficulty: difficulty(fnv1a(concept.as_bytes())),
+        };
         for alias in aliases {
             let key = normalize(alias);
             if key.is_empty() {
                 continue;
             }
-            self.alias_to_concept.entry(key).or_insert_with(|| concept.to_string());
+            self.alias_to_concept.entry(key).or_insert_with(|| indexed.clone());
             if !entry.iter().any(|a| a == alias) {
                 entry.push(alias.to_string());
             }
@@ -67,7 +103,13 @@ impl KnowledgeBase {
 
     /// The concept an alias denotes, if known.
     pub fn concept_of(&self, value: &str) -> Option<&str> {
-        self.alias_to_concept.get(&normalize(value)).map(|s| s.as_str())
+        self.concept_of_normalized(&normalize(value)).map(|concept| concept.id.as_str())
+    }
+
+    /// [`concept_of`](Self::concept_of) for a key that is already
+    /// [`normalize`]d, with the concept's precomputed embedding inputs.
+    pub(crate) fn concept_of_normalized(&self, key: &str) -> Option<&Concept> {
+        self.alias_to_concept.get(key)
     }
 
     /// Whether two values are known aliases of the same concept.

@@ -17,6 +17,10 @@
 //!   *coverage* and *noise* parameters calibrated so the relative quality
 //!   ordering of the paper's Table 1 (FastText < BERT < RoBERTa < Llama3 <
 //!   Mistral) is preserved;
+//! * [`directions`] — the allocation-free kernel under both embedders: one
+//!   scan of the value, streamed n-gram hashing, and a bounded per-thread
+//!   table of the pseudo-random directions the hashes select, producing the
+//!   straight-line algorithm's vectors bit for bit;
 //! * [`EmbeddingCache`] — memoises embeddings per distinct cell value, the
 //!   same optimisation the paper's implementation relies on (columns have
 //!   ~150 distinct values, each embedded once);
@@ -27,6 +31,7 @@
 
 pub mod ann;
 pub mod cache;
+pub mod directions;
 pub mod embedder;
 pub mod hashing;
 pub mod kernel;

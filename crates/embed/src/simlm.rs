@@ -17,11 +17,14 @@
 //! what produces the Table 1 ordering FastText < BERT < RoBERTa < Llama3 <
 //! Mistral.
 
-use lake_text::{acronym, words};
+use std::sync::Arc;
 
-use crate::embedder::{fnv1a, seeded_direction, splitmix64, Embedder};
+use lake_text::{normalize_chars, TextScanner};
+
+use crate::directions::{add_scaled, normalize_in_place, with_scratch, EmbedScratch};
+use crate::embedder::{Embedder, Fnv1a};
 use crate::hashing::HashingNgramEmbedder;
-use crate::knowledge::KnowledgeBase;
+use crate::knowledge::{difficulty, KnowledgeBase};
 use crate::vector::Vector;
 
 /// Tunable parameters of a simulated LM tier.
@@ -54,17 +57,22 @@ impl Default for SimLmParams {
 pub struct SimulatedLmEmbedder {
     name: String,
     surface: HashingNgramEmbedder,
-    knowledge: KnowledgeBase,
+    knowledge: Arc<KnowledgeBase>,
     params: SimLmParams,
+    /// FNV state after `noise:<name>:`, the model-specific head of every
+    /// per-value noise key.
+    noise_prefix: Fnv1a,
 }
 
 impl SimulatedLmEmbedder {
     /// Creates a simulated LM with the built-in knowledge base.
     pub fn new(name: impl Into<String>, params: SimLmParams) -> Self {
+        let name = name.into();
         SimulatedLmEmbedder {
-            name: name.into(),
+            noise_prefix: Fnv1a::new().bytes(b"noise:").bytes(name.as_bytes()).bytes(b":"),
+            name,
             surface: HashingNgramEmbedder::new(),
-            knowledge: KnowledgeBase::builtin(),
+            knowledge: KnowledgeBase::shared_builtin(),
             params,
         }
     }
@@ -72,7 +80,7 @@ impl SimulatedLmEmbedder {
     /// Replaces the knowledge base (e.g. with [`KnowledgeBase::empty`] to
     /// ablate semantic knowledge).
     pub fn with_knowledge(mut self, knowledge: KnowledgeBase) -> Self {
-        self.knowledge = knowledge;
+        self.knowledge = Arc::new(knowledge);
         self
     }
 
@@ -81,42 +89,42 @@ impl SimulatedLmEmbedder {
         self.params
     }
 
-    /// Whether this model "knows" a given concept: a deterministic coin flip
-    /// keyed by (model name, concept) and biased by `semantic_coverage`, so a
-    /// weaker model knows a strict-ish subset of what a stronger one knows
-    /// only statistically, exactly like real pre-training coverage.
-    fn knows(&self, concept: &str) -> bool {
-        if self.params.semantic_coverage >= 1.0 {
-            return true;
-        }
-        if self.params.semantic_coverage <= 0.0 {
-            return false;
-        }
-        // Hash only the concept so that tiers with higher coverage know a
-        // superset in expectation: a concept's "difficulty" is fixed and a
-        // model knows it iff its coverage exceeds that difficulty.
-        let difficulty = (splitmix64(fnv1a(concept.as_bytes())) >> 11) as f64 / (1u64 << 53) as f64;
-        difficulty < self.params.semantic_coverage
+    /// Whether this model "knows" a concept (or acronym) of the given
+    /// [`difficulty`]: it does iff its `semantic_coverage` exceeds it.  A
+    /// concept's difficulty is fixed, so a weaker model knows a subset of
+    /// what a stronger one knows, like real pre-training coverage.
+    fn knows(&self, difficulty: f64) -> bool {
+        let coverage = self.params.semantic_coverage;
+        coverage >= 1.0 || (coverage > 0.0 && difficulty < coverage)
     }
 
-    /// The acronym key of a value: multi-word values map to their acronym,
-    /// short single-token values (2–5 letters) map to themselves.  Values
-    /// sharing an acronym key receive a shared embedding component.
-    fn acronym_key(value: &str) -> Option<String> {
-        let tokens = words(value);
-
-        if tokens.len() >= 2 && tokens.len() <= 6 {
-            let acr = acronym(value);
-            if acr.len() >= 2 {
-                return Some(acr.to_lowercase());
+    /// Writes the acronym key of the value loaded in `text` into `key`:
+    /// multi-word values (2–6 tokens) map to their acronym, short
+    /// single-token values (2–5 letters) map to themselves.  Values sharing
+    /// an acronym key receive a shared embedding component.  Returns `false`
+    /// when the value has no key.
+    fn acronym_key(text: &TextScanner, key: &mut String) -> bool {
+        key.clear();
+        let mut tokens = text.words();
+        match tokens.len() {
+            1 => {
+                let token = tokens.next().expect("length checked");
+                key.extend(token);
+                if !(2..=5).contains(&key.len()) || !token.iter().all(|c| c.is_alphabetic()) {
+                    return false;
+                }
             }
-        } else if tokens.len() == 1 {
-            let tok = &tokens[0];
-            if (2..=5).contains(&tok.len()) && tok.chars().all(|c| c.is_alphabetic()) {
-                return Some(tok.to_lowercase());
-            }
+            2..=6 => tokens.for_each(|token| key.extend(token[0].to_uppercase())),
+            _ => return false,
         }
-        None
+        // `str::to_lowercase` (which is context-sensitive for `Σ`), minus
+        // its allocation on the ASCII keys nearly every value has.
+        if key.is_ascii() {
+            key.make_ascii_lowercase();
+        } else {
+            *key = key.to_lowercase();
+        }
+        true
     }
 }
 
@@ -131,60 +139,72 @@ impl Embedder for SimulatedLmEmbedder {
 
     fn embed(&self, value: &str) -> Vector {
         let dim = self.dim();
-        let surface = self.surface.surface_vector(value).normalized();
-        if surface.is_zero() {
-            // Empty / null-like values embed to zero so they never match.
-            return Vector::zeros(dim);
-        }
-        let mut out = surface;
-
-        // Semantic channel: shared direction per known concept.
-        if let Some(concept) = self.knowledge.concept_of(value) {
-            if self.knows(concept) {
-                let seed = fnv1a(format!("concept:{concept}").as_bytes());
-                out.add_scaled(&seeded_direction(seed, dim), self.params.semantic_weight);
+        let mut out = vec![0.0; dim];
+        with_scratch(|scratch| {
+            self.surface.accumulate_surface(value, scratch, &mut out);
+            let EmbedScratch { text, key, table, .. } = scratch;
+            normalize_in_place(&mut out);
+            if out.iter().all(|c| *c == 0.0) {
+                // Empty / null-like values embed to zero so they never match.
+                return;
             }
-        }
+            let knowledge = &self.knowledge;
+            let known_concept = |key: &str| {
+                knowledge.concept_of_normalized(key).filter(|c| self.knows(c.difficulty))
+            };
 
-        // Token-level semantic channel: individual words of a multi-word
-        // value that denote a known concept contribute a (weaker) shared
-        // direction — this is what lets "Bob Smith" land near "Robert Smith"
-        // or "NYC Marathon" near "New York City Marathon".
-        let tokens = words(value);
-        if tokens.len() >= 2 {
-            let token_weight = self.params.semantic_weight * 0.7 / (tokens.len() as f32).sqrt();
-            for token in &tokens {
-                if let Some(concept) = self.knowledge.concept_of(token) {
-                    if self.knows(concept) {
-                        let seed = fnv1a(format!("concept:{concept}").as_bytes());
-                        out.add_scaled(&seeded_direction(seed, dim), token_weight);
+            // Semantic channel: shared direction per known concept.
+            key.clear();
+            key.extend(text.normalized());
+            if let Some(concept) = known_concept(key) {
+                add_scaled(
+                    &mut out,
+                    table.direction(concept.seed, dim),
+                    self.params.semantic_weight,
+                );
+            }
+
+            // Token-level semantic channel: individual words of a multi-word
+            // value that denote a known concept contribute a (weaker) shared
+            // direction — this is what lets "Bob Smith" land near "Robert Smith"
+            // or "NYC Marathon" near "New York City Marathon".
+            let tokens = text.words();
+            if tokens.len() >= 2 {
+                let token_weight = self.params.semantic_weight * 0.7 / (tokens.len() as f32).sqrt();
+                for token in tokens {
+                    key.clear();
+                    normalize_chars(token.iter().copied(), |c| key.push(c));
+                    if let Some(concept) = known_concept(key) {
+                        add_scaled(&mut out, table.direction(concept.seed, dim), token_weight);
                     }
                 }
             }
-        }
 
-        // Acronym channel: ties expansions to their short forms.  Gated by the
-        // same coverage mechanism (keyed by the acronym string).
-        if let Some(acr) = Self::acronym_key(value) {
-            if self.knows(&format!("acronym:{acr}")) {
-                let seed = fnv1a(format!("acronym:{acr}").as_bytes());
-                out.add_scaled(&seeded_direction(seed, dim), self.params.acronym_weight);
+            // Acronym channel: ties expansions to their short forms.  Gated by the
+            // same coverage mechanism (keyed by the acronym string).
+            if Self::acronym_key(text, key) {
+                let hash = Fnv1a::new().bytes(b"acronym:").bytes(key.as_bytes()).finish();
+                if self.knows(difficulty(hash)) {
+                    add_scaled(&mut out, table.direction(hash, dim), self.params.acronym_weight);
+                }
             }
-        }
 
-        // Deterministic per-value noise, keyed by model and value.
-        if self.params.noise > 0.0 {
-            let seed = fnv1a(format!("noise:{}:{}", self.name, value).as_bytes());
-            out.add_scaled(&seeded_direction(seed, dim), self.params.noise);
-        }
+            // Deterministic per-value noise, keyed by model and value.
+            if self.params.noise > 0.0 {
+                let seed = self.noise_prefix.bytes(value.as_bytes()).finish();
+                add_scaled(&mut out, table.one_shot(seed, dim), self.params.noise);
+            }
 
-        out.normalized()
+            normalize_in_place(&mut out);
+        });
+        Vector::new(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedder::fnv1a;
     use crate::vector::DISTANCE_EPSILON;
 
     fn mistral_like() -> SimulatedLmEmbedder {
@@ -250,13 +270,14 @@ mod tests {
             "Strong",
             SimLmParams { semantic_coverage: 0.95, ..SimLmParams::default() },
         );
-        let concepts: Vec<String> = (0..200).map(|i| format!("country:c{i}")).collect();
-        let weak_known = concepts.iter().filter(|c| weak.knows(c)).count();
-        let strong_known = concepts.iter().filter(|c| strong.knows(c)).count();
+        let concepts: Vec<f64> =
+            (0..200).map(|i| difficulty(fnv1a(format!("country:c{i}").as_bytes()))).collect();
+        let weak_known = concepts.iter().filter(|c| weak.knows(**c)).count();
+        let strong_known = concepts.iter().filter(|c| strong.knows(**c)).count();
         assert!(strong_known > weak_known, "strong {strong_known} <= weak {weak_known}");
         // Monotone subset property: everything the weak model knows, the
         // strong model knows too (difficulty is a property of the concept).
-        for c in &concepts {
+        for &c in &concepts {
             if weak.knows(c) {
                 assert!(strong.knows(c));
             }

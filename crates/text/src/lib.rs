@@ -15,6 +15,7 @@ pub mod abbrev;
 pub mod blockkeys;
 pub mod distance;
 pub mod normalize;
+pub mod scan;
 pub mod tokenize;
 
 pub use abbrev::{acronym, expands_acronym, is_prefix_abbreviation};
@@ -23,5 +24,6 @@ pub use distance::{
     cosine_token_similarity, dice_coefficient, jaccard, jaro, jaro_winkler, levenshtein,
     levenshtein_similarity, monge_elkan,
 };
-pub use normalize::{fold_ascii, normalize, normalize_aggressive};
+pub use normalize::{fold_ascii, normalize, normalize_aggressive, normalize_chars};
+pub use scan::TextScanner;
 pub use tokenize::{char_ngrams, padded_char_ngrams, word_shingles, words};

@@ -9,24 +9,30 @@
 /// Punctuation is preserved (it can carry signal, e.g. `"U.S."`).
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut last_was_space = true; // leading whitespace is dropped
-    for c in s.chars() {
+    normalize_chars(s.chars(), |c| out.push(c));
+    out
+}
+
+/// The streaming form of [`normalize`]: feeds the normalised text to `push`
+/// one `char` at a time, so callers can fill a reusable buffer instead of
+/// allocating a `String` per value ([`TextScanner`](crate::TextScanner) does).
+pub fn normalize_chars(chars: impl IntoIterator<Item = char>, mut push: impl FnMut(char)) {
+    let mut started = false;
+    // A whitespace run becomes one space, emitted only once a later
+    // non-space character proves the run is internal rather than trailing.
+    let mut pending_space = false;
+    for c in chars {
         if c.is_whitespace() {
-            if !last_was_space {
-                out.push(' ');
-                last_was_space = true;
-            }
+            pending_space = started;
         } else {
-            for lc in c.to_lowercase() {
-                out.push(lc);
+            if pending_space {
+                push(' ');
+                pending_space = false;
             }
-            last_was_space = false;
+            c.to_lowercase().for_each(&mut push);
+            started = true;
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 /// Aggressive normalisation: [`normalize`] plus punctuation removal and ASCII

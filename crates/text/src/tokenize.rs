@@ -1,22 +1,20 @@
 //! Tokenisation: words, word shingles and character n-grams.
 
-use crate::normalize::normalize;
+use crate::scan::TextScanner;
+
+fn scan(s: &str) -> TextScanner {
+    let mut scanner = TextScanner::new();
+    scanner.load(s);
+    scanner
+}
+
+fn strings<'a>(slices: impl Iterator<Item = &'a [char]>) -> Vec<String> {
+    slices.map(|slice| slice.iter().collect()).collect()
+}
 
 /// Splits a string into lower-cased word tokens (alphanumeric runs).
 pub fn words(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut current = String::new();
-    for c in normalize(s).chars() {
-        if c.is_alphanumeric() {
-            current.push(c);
-        } else if !current.is_empty() {
-            out.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        out.push(current);
-    }
-    out
+    strings(scan(s).words())
 }
 
 /// Contiguous word shingles of size `n` (returns single words when the text
@@ -35,35 +33,14 @@ pub fn word_shingles(s: &str, n: usize) -> Vec<String> {
 /// Character n-grams of the normalised string (no padding).  Strings shorter
 /// than `n` produce a single n-gram equal to the whole string.
 pub fn char_ngrams(s: &str, n: usize) -> Vec<String> {
-    let chars: Vec<char> = normalize(s).chars().collect();
-    if n == 0 || chars.is_empty() {
-        return Vec::new();
-    }
-    if chars.len() < n {
-        return vec![chars.iter().collect()];
-    }
-    chars.windows(n).map(|w| w.iter().collect()).collect()
+    strings(scan(s).ngrams(n))
 }
 
 /// Character n-grams with boundary padding (`^`/`$`), the representation used
 /// by the FastText-style hashing embedder.  Padding makes prefixes and
 /// suffixes distinctive, which helps abbreviation matching.
 pub fn padded_char_ngrams(s: &str, n: usize) -> Vec<String> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let norm = normalize(s);
-    if norm.is_empty() {
-        return Vec::new();
-    }
-    let mut padded: Vec<char> = Vec::with_capacity(norm.chars().count() + 2);
-    padded.push('^');
-    padded.extend(norm.chars());
-    padded.push('$');
-    if padded.len() < n {
-        return vec![padded.iter().collect()];
-    }
-    padded.windows(n).map(|w| w.iter().collect()).collect()
+    strings(scan(s).padded_ngrams(n))
 }
 
 #[cfg(test)]
