@@ -3,9 +3,9 @@
 //! DESIGN.md §4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lake_bench::ablation::unpartitioned_full_disjunction;
 use lake_benchdata::{generate_imdb_benchmark, ImdbConfig};
-use lake_fd::alite::full_disjunction_with;
-use lake_fd::{parallel_full_disjunction, FdOptions, IntegrationSchema};
+use lake_fd::{full_disjunction, parallel_full_disjunction, IntegrationSchema};
 
 fn bench_fd_algorithms(c: &mut Criterion) {
     let tables = generate_imdb_benchmark(ImdbConfig { total_tuples: 3_000, seed: 0xAB1A });
@@ -15,22 +15,10 @@ fn bench_fd_algorithms(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_with_input(BenchmarkId::from_parameter("partitioned"), &tables, |b, tables| {
-        b.iter(|| {
-            full_disjunction_with(
-                &schema,
-                tables,
-                FdOptions { partition: true, sort_output: false },
-            )
-        })
+        b.iter(|| full_disjunction(&schema, tables))
     });
     group.bench_with_input(BenchmarkId::from_parameter("unpartitioned"), &tables, |b, tables| {
-        b.iter(|| {
-            full_disjunction_with(
-                &schema,
-                tables,
-                FdOptions { partition: false, sort_output: false },
-            )
-        })
+        b.iter(|| unpartitioned_full_disjunction(&schema, tables))
     });
     group.bench_with_input(BenchmarkId::from_parameter("parallel_4"), &tables, |b, tables| {
         b.iter(|| parallel_full_disjunction(&schema, tables, 4))

@@ -9,9 +9,12 @@ use lake_benchdata::{
     generate_autojoin_benchmark, generate_imdb_benchmark, AutoJoinConfig, ImdbConfig,
 };
 use lake_embed::EmbeddingModel;
-use lake_fd::alite::full_disjunction_with;
-use lake_fd::{parallel_full_disjunction, FdOptions, IntegrationSchema};
+use lake_fd::complement::component_closure;
+use lake_fd::{
+    full_disjunction, outer_union, parallel_full_disjunction, IntegratedTable, IntegrationSchema,
+};
 use lake_metrics::PrecisionRecall;
+use lake_table::Table;
 use serde::Serialize;
 
 use crate::table1::evaluate_set;
@@ -104,6 +107,16 @@ pub struct FdAblationRow {
     pub output_tuples: usize,
 }
 
+/// The "no partitioning" side of the design ablation: the closure run over
+/// the whole outer union as if it were one join-connected component.
+pub fn unpartitioned_full_disjunction(
+    schema: &IntegrationSchema,
+    tables: &[Table],
+) -> IntegratedTable {
+    let closure = component_closure(outer_union(schema, tables));
+    IntegratedTable::new(schema.column_names().to_vec(), closure).sorted()
+}
+
 /// Compares FD with and without component partitioning, and the parallel
 /// variant, on an IMDB-style workload.
 pub fn fd_ablation(total_tuples: usize, seed: u64, threads: usize) -> Vec<FdAblationRow> {
@@ -113,8 +126,7 @@ pub fn fd_ablation(total_tuples: usize, seed: u64, threads: usize) -> Vec<FdAbla
     let mut rows = Vec::new();
 
     let start = Instant::now();
-    let (with_partition, _) =
-        full_disjunction_with(&schema, &tables, FdOptions { partition: true, sort_output: true });
+    let with_partition = full_disjunction(&schema, &tables);
     rows.push(FdAblationRow {
         configuration: "partitioned (default)".to_string(),
         seconds: start.elapsed().as_secs_f64(),
@@ -122,8 +134,7 @@ pub fn fd_ablation(total_tuples: usize, seed: u64, threads: usize) -> Vec<FdAbla
     });
 
     let start = Instant::now();
-    let (without_partition, _) =
-        full_disjunction_with(&schema, &tables, FdOptions { partition: false, sort_output: true });
+    let without_partition = unpartitioned_full_disjunction(&schema, &tables);
     rows.push(FdAblationRow {
         configuration: "no partitioning".to_string(),
         seconds: start.elapsed().as_secs_f64(),

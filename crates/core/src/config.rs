@@ -231,10 +231,11 @@ impl Default for KeyedBlockingConfig {
 /// Reuse knobs of an [`IntegrationSession`](crate::IntegrationSession) —
 /// which artifacts of the prior integration an `add_table` call may keep.
 ///
-/// Every knob defaults to maximal reuse; turning one off is an A/B switch
-/// that forces the corresponding stage back to the batch behaviour (the
-/// equivalence harness runs both sides of each switch against batch
-/// re-integration).  The session's warmed
+/// Both knobs default to maximal reuse; turning one off makes the session
+/// drop that part of its retained state before every step, so the step
+/// recomputes it the way the batch operator's one step does (the
+/// equivalence harness runs both settings against batch re-integration).
+/// The session's warmed
 /// [`EmbeddingCache`](lake_embed::EmbeddingCache) is always kept — embedding
 /// a value is pure, so a cache hit can never change a result, only skip
 /// recomputing it.
@@ -245,17 +246,14 @@ pub struct IncrementalPolicy {
     /// re-matching them from their columns.  Touched sets always re-plan
     /// only the appended columns' folds on top of the retained state.
     pub reuse_untouched_sets: bool,
-    /// Reuse cached Full Disjunction component closures
-    /// ([`lake_fd::ComponentCache`]) for join-connected components whose
-    /// member tuples are unchanged by the append.  The closure of a
-    /// component is a pure function of its member tuples, so a verified hit
-    /// is exact, never approximate.
-    pub reuse_fd_components: bool,
-    /// Upper bound on cached component closures kept across `add_table`
-    /// calls.  When an append would grow the cache past this bound, the
-    /// oldest generation is dropped first; `0` disables FD caching outright
-    /// (equivalent to `reuse_fd_components: false` for reuse, but still
-    /// records stats).
+    /// Upper bound on the Full Disjunction component closures
+    /// ([`lake_fd::ComponentCache`]) kept across `add_table` calls for
+    /// join-connected components whose member tuples an append leaves
+    /// unchanged.  The closure of a component is a pure function of its
+    /// member tuples, so a verified hit is exact, never approximate.  When
+    /// an append would grow the cache past this bound, the oldest
+    /// generation is dropped first; `0` stores nothing, so every component
+    /// is re-closed on every step (lookups are still counted).
     pub max_cached_components: usize,
 }
 
@@ -263,7 +261,6 @@ impl Default for IncrementalPolicy {
     fn default() -> Self {
         IncrementalPolicy {
             reuse_untouched_sets: true,
-            reuse_fd_components: true,
             // The shared bound documented on `ComponentCache`: far above any
             // benchmark lake while bounding worst-case memory.
             max_cached_components: lake_fd::ComponentCache::DEFAULT_CAPACITY,
@@ -276,11 +273,7 @@ impl IncrementalPolicy {
     /// re-matches every aligned set and re-closes every FD component.  The
     /// baseline side of the incremental A/B.
     pub fn full_recompute() -> Self {
-        IncrementalPolicy {
-            reuse_untouched_sets: false,
-            reuse_fd_components: false,
-            max_cached_components: 0,
-        }
+        IncrementalPolicy { reuse_untouched_sets: false, max_cached_components: 0 }
     }
 }
 
@@ -484,11 +477,9 @@ mod tests {
     fn incremental_policy_defaults_to_maximal_reuse() {
         let policy = IncrementalPolicy::default();
         assert!(policy.reuse_untouched_sets);
-        assert!(policy.reuse_fd_components);
         assert!(policy.max_cached_components > 0);
         let baseline = IncrementalPolicy::full_recompute();
         assert!(!baseline.reuse_untouched_sets);
-        assert!(!baseline.reuse_fd_components);
         assert_eq!(baseline.max_cached_components, 0);
     }
 

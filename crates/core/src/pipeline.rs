@@ -1,17 +1,21 @@
-//! The end-to-end Fuzzy Full Disjunction pipeline.
+//! The end-to-end Fuzzy Full Disjunction operator: its configuration, its
+//! report, and the batch entry points.  The integration itself is the
+//! step an [`IntegrationSession`](crate::IntegrationSession) runs per
+//! arrival (`session::integration_step`) — a batch call is the first step
+//! of a session nobody keeps.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lake_embed::EmbeddingCache;
 use lake_fd::{full_disjunction, IntegratedTable, IntegrationSchema};
-use lake_runtime::{ParallelPolicy, RuntimeStats};
+use lake_runtime::RuntimeStats;
 use lake_schema_match::{align_by_headers, align_columns, Alignment, AlignmentOptions};
-use lake_table::{ColumnRef, Table, TableResult, Value};
+use lake_table::{ColumnRef, Table, TableResult};
 
 use crate::blocking::BlockingStats;
 use crate::config::FuzzyFdConfig;
-use crate::rewrite::{apply_substitutions, build_substitutions};
-use crate::value_match::{ValueGroup, ValueMatcher};
+use crate::session::{integration_step, Retained};
+use crate::value_match::ValueGroup;
 
 /// Statistics of one Fuzzy FD execution, reported next to the result.
 #[derive(Debug, Clone, Default)]
@@ -127,118 +131,29 @@ impl FuzzyFullDisjunction {
         self.integrate(tables, &alignment)
     }
 
-    /// Integrates tables under an explicit column alignment.
+    /// Integrates tables under an explicit column alignment: one
+    /// integration step over all of `tables` with nothing retained from an
+    /// earlier step, whose own retained state is dropped.
     pub fn integrate(
         &self,
         tables: &[Table],
         alignment: &Alignment,
     ) -> TableResult<IntegrationOutcome> {
         let embedder = EmbeddingCache::new(self.config.model.build());
-        let matcher = ValueMatcher::new(&embedder, self.config);
-
-        let matching_start = Instant::now();
-        let mut all_groups: Vec<(Vec<ColumnRef>, Vec<ValueGroup>)> = Vec::new();
-        let mut substitutions = std::collections::HashMap::new();
-        let mut aligned_sets = 0usize;
-        let mut blocking = BlockingStats::default();
-        let mut embed_runtime = RuntimeStats::default();
-
-        for group in alignment.multi_table_groups() {
-            aligned_sets += 1;
-            let mut columns: Vec<ColumnRef> = group.clone();
-            columns.sort();
-            let column_values: Vec<Vec<Value>> = columns
-                .iter()
-                .map(|cref| {
-                    tables[cref.table]
-                        .column_values(cref.column)
-                        .map(|vs| vs.into_iter().cloned().collect())
-                })
-                .collect::<TableResult<_>>()?;
-            embed_runtime.merge(&warm_embedding_cache(&self.config, &embedder, &column_values));
-            let (groups, set_stats) = matcher.match_values_with_stats(&column_values);
-            blocking.merge(&set_stats);
-            for (column, mapping) in build_substitutions(&columns, &groups) {
-                let entry: &mut std::collections::HashMap<Value, Value> =
-                    substitutions.entry(column).or_default();
-                entry.extend(mapping);
-            }
-            all_groups.push((columns, groups));
-        }
-
-        let (rewritten_tables, rewritten_cells) = apply_substitutions(tables, &substitutions)?;
-        let matching_time = matching_start.elapsed();
-
-        let fd_start = Instant::now();
-        let schema = IntegrationSchema::from_aligned_sets(&rewritten_tables, alignment.groups());
-        // The FD stage shares the operator's thread semantics: component
-        // closures run on the same work-stealing executor as the block
-        // solves, and the result is identical across worker counts.
-        let (table, fd_stats) = lake_fd::parallel_full_disjunction_with(
-            &schema,
-            &rewritten_tables,
-            self.config.matching_threads,
-        );
-        let fd_time = fd_start.elapsed();
-
-        let report = FuzzyFdReport {
-            aligned_sets,
-            value_groups: all_groups.iter().map(|(_, g)| g.len()).sum(),
-            matched_groups: all_groups
-                .iter()
-                .flat_map(|(_, g)| g.iter())
-                .filter(|g| !g.is_singleton())
-                .count(),
-            rewritten_cells,
-            blocking,
-            embed_runtime,
-            matching_time,
-            fd_time,
-            fd_stats,
-        };
-
-        Ok(IntegrationOutcome { table, value_groups: all_groups, report })
+        let step = integration_step(
+            &self.config,
+            &embedder,
+            tables,
+            0,
+            alignment,
+            &mut Retained::default(),
+        )?;
+        Ok(IntegrationOutcome {
+            table: step.table,
+            value_groups: step.value_groups,
+            report: step.report,
+        })
     }
-}
-
-/// Warms the embedding cache for one aligned set's columns on the shared
-/// executor, so the fold loop's embed calls all hit.
-///
-/// Every distinct present value string is eventually embedded by the
-/// matcher (as a singleton, fuzzy candidate or representative), so
-/// warming embeds nothing extra — it only moves the work ahead of the
-/// sequential fold loop, where it can spread across workers.  Under
-/// `matching_threads == 1` there is nothing to spread and the warm-up is
-/// skipped entirely; in auto mode it gates on the total rendered length.
-/// Shared by the batch operator and [`crate::IntegrationSession`] (where
-/// already-cached values make the warm-up a cheap no-op).
-pub(crate) fn warm_embedding_cache(
-    config: &FuzzyFdConfig,
-    embedder: &EmbeddingCache<Box<dyn lake_embed::Embedder>>,
-    column_values: &[Vec<Value>],
-) -> RuntimeStats {
-    /// Auto-gate floor for the warm-up batch, in rendered characters
-    /// (the cost hint of one embedding task).
-    const MIN_AUTO_EMBED_CHARS: u64 = 16_384;
-    if config.matching_threads == 1 {
-        return RuntimeStats::default();
-    }
-    let policy =
-        ParallelPolicy { threads: config.matching_threads, min_auto_cost: MIN_AUTO_EMBED_CHARS };
-    let mut seen = std::collections::HashSet::new();
-    let mut rendered: Vec<String> = Vec::new();
-    for column in column_values {
-        for value in column {
-            if value.is_present() {
-                let text = value.render().into_owned();
-                if seen.insert(text.clone()) {
-                    rendered.push(text);
-                }
-            }
-        }
-    }
-    let values: Vec<&str> = rendered.iter().map(String::as_str).collect();
-    embedder.embed_batch_with_stats(&values, &policy).1
 }
 
 /// The equi-join baseline: ALITE-style Full Disjunction without any value
@@ -249,16 +164,10 @@ pub fn regular_full_disjunction(tables: &[Table], alignment: &Alignment) -> Inte
     full_disjunction(&schema, tables)
 }
 
-/// Regular FD with header-based alignment (convenience for benchmarks).
-pub fn regular_full_disjunction_by_headers(tables: &[Table]) -> IntegratedTable {
-    let alignment = align_by_headers(tables);
-    regular_full_disjunction(tables, &alignment)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use lake_table::TableBuilder;
+    use lake_table::{TableBuilder, Value};
 
     /// The three COVID tables of the paper's Figure 1.
     pub(crate) fn figure1_tables() -> Vec<Table> {

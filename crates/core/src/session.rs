@@ -1,10 +1,13 @@
 //! Incremental integration sessions for lake-append workloads.
 //!
-//! [`FuzzyFullDisjunction::integrate`] is a batch operator: every call
-//! re-embeds every value, re-plans every fold and re-closes every FD
-//! component from scratch.  Data lakes do not arrive like that — new tables
-//! land against an already-integrated lake.  An [`IntegrationSession`] is
-//! the stateful counterpart: created from an initial integration, it keeps
+//! There is one integration path, `integration_step`: match the values of
+//! every aligned set → rewrite → Full Disjunction, consulting whatever the
+//! previous step retained.  [`FuzzyFullDisjunction::integrate`] runs it once
+//! over all its tables with nothing retained and drops what it leaves
+//! behind, so every call re-embeds every value, re-plans every fold and
+//! re-closes every FD component.  Data lakes do not arrive like that — new
+//! tables land against an already-integrated lake.  An
+//! [`IntegrationSession`] runs the same step per arrival and keeps
 //!
 //! * the **warmed embedding cache** — values seen in any earlier call are
 //!   never re-embedded (embedding is the simulated-LLM cost the paper
@@ -62,6 +65,8 @@
 //! assert_eq!(outcome.table.len(), 2); // berlin merges into the Berlin tuple
 //! assert_eq!(outcome.incremental.appended_tables, 1);
 //! ```
+//!
+//! [`FuzzyFullDisjunction::integrate`]: crate::FuzzyFullDisjunction::integrate
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,13 +74,13 @@ use std::time::Instant;
 
 use lake_embed::EmbeddingCache;
 use lake_fd::{ComponentCache, IntegrationSchema};
-use lake_runtime::RuntimeStats;
-use lake_schema_match::align_by_headers;
+use lake_runtime::{ParallelPolicy, RuntimeStats};
+use lake_schema_match::{align_by_headers, Alignment};
 use lake_table::{ColumnRef, Table, TableResult, Value};
 
 use crate::blocking::BlockingStats;
 use crate::config::{FuzzyFdConfig, IncrementalPolicy};
-use crate::pipeline::{warm_embedding_cache, FuzzyFdReport, FuzzyFullDisjunction};
+use crate::pipeline::FuzzyFdReport;
 use crate::rewrite::{apply_substitutions, build_substitutions};
 use crate::value_match::{MatcherState, ValueGroup, ValueMatcher};
 
@@ -128,10 +133,26 @@ pub struct IncrementalOutcome {
 /// Retained per-aligned-set state: the columns folded so far (sorted, the
 /// fold order) and the live matcher state (group snapshots are derived from
 /// it on demand — see [`MatcherState::groups`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SetState {
     columns: Vec<ColumnRef>,
     state: MatcherState,
+}
+
+/// What one [`integration_step`] leaves for the next.  The default — no
+/// matcher state, no closure memo, no schema — is what the batch operator
+/// starts from (and it drops what the step leaves behind).
+#[derive(Debug, Default)]
+pub(crate) struct Retained {
+    /// Live matcher state keyed by `(header key, ordinal)` — the ordinal
+    /// disambiguates the rare case of several aligned sets sharing one
+    /// header (duplicate headers within a table).
+    sets: HashMap<(String, usize), SetState>,
+    /// The FD closure memo; `None` closes every component every time.
+    fd_cache: Option<ComponentCache>,
+    /// The integration schema of the previous step, kept so the FD cache can
+    /// be remapped when an append widens the schema.
+    last_schema: Option<IntegrationSchema>,
 }
 
 /// A stateful integration handle over a growing set of tables.
@@ -146,14 +167,7 @@ pub struct IntegrationSession {
     policy: IncrementalPolicy,
     tables: Vec<Table>,
     embedder: EmbeddingCache<Box<dyn lake_embed::Embedder>>,
-    /// Live matcher state keyed by `(header key, ordinal)` — the ordinal
-    /// disambiguates the rare case of several aligned sets sharing one
-    /// header (duplicate headers within a table).
-    sets: HashMap<(String, usize), SetState>,
-    fd_cache: ComponentCache,
-    /// The integration schema of the previous call, kept so the FD cache can
-    /// be remapped when an append widens the schema.
-    last_schema: Option<IntegrationSchema>,
+    retained: Retained,
     latest: Arc<IncrementalOutcome>,
     /// Number of tables appended by each `add_tables` call, in call order
     /// (the first entry is the `begin` batch).  The session is a pure,
@@ -167,9 +181,9 @@ impl std::fmt::Debug for IntegrationSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IntegrationSession")
             .field("tables", &self.tables.len())
-            .field("sets", &self.sets.len())
+            .field("sets", &self.retained.sets.len())
             .field("cached_embeddings", &self.embedder.len())
-            .field("cached_components", &self.fd_cache.len())
+            .field("cached_components", &self.retained.fd_cache.as_ref().map_or(0, |c| c.len()))
             .finish()
     }
 }
@@ -199,9 +213,10 @@ impl IntegrationSession {
             policy,
             tables: Vec::new(),
             embedder: EmbeddingCache::new(config.model.build()),
-            sets: HashMap::new(),
-            fd_cache: ComponentCache::with_capacity(policy.max_cached_components),
-            last_schema: None,
+            retained: Retained {
+                fd_cache: Some(ComponentCache::with_capacity(policy.max_cached_components)),
+                ..Retained::default()
+            },
             batch_sizes: Vec::new(),
             latest: Arc::new(IncrementalOutcome {
                 table: lake_fd::IntegratedTable::new(Vec::new(), Vec::new()),
@@ -255,7 +270,7 @@ impl IntegrationSession {
     /// first (possibly empty) integration finishes — i.e. never on a
     /// constructed session, since `begin` integrates its initial tables.
     pub fn schema(&self) -> Option<&IntegrationSchema> {
-        self.last_schema.as_ref()
+        self.retained.last_schema.as_ref()
     }
 
     /// `(hits, misses)` of the session's embedding cache, accumulated over
@@ -267,7 +282,7 @@ impl IntegrationSession {
     /// `(hits, misses)` of the session's FD component cache, accumulated
     /// over every call.
     pub fn fd_cache_stats(&self) -> (u64, u64) {
-        self.fd_cache.stats()
+        self.retained.fd_cache.as_ref().map_or((0, 0), ComponentCache::stats)
     }
 
     /// Number of tables appended by each `add_tables` call so far, in call
@@ -295,181 +310,221 @@ impl IntegrationSession {
         let first_new = self.tables.len();
         self.tables.extend(new_tables.iter().cloned());
         self.batch_sizes.push(new_tables.len());
-        let (embed_hits_before, embed_misses_before) = self.embedder.stats();
-
-        let alignment = align_by_headers(&self.tables);
-        let matcher = ValueMatcher::new(&self.embedder, self.config);
-
-        // lint:allow(wallclock-in-replay): observability only — the elapsed time feeds IncrementalStats phase attribution and never flows into integrated state, so replay stays deterministic
-        let matching_start = Instant::now();
-        let mut incremental =
-            IncrementalStats { appended_tables: new_tables.len(), ..IncrementalStats::default() };
-        let mut blocking = BlockingStats::default();
-        let mut embed_runtime = RuntimeStats::default();
-        let mut next_sets: HashMap<(String, usize), SetState> = HashMap::new();
-        let mut all_groups: Vec<(Vec<ColumnRef>, Vec<ValueGroup>)> = Vec::new();
-        let mut substitutions: HashMap<ColumnRef, HashMap<Value, Value>> = HashMap::new();
-        let mut ordinals: HashMap<String, usize> = HashMap::new();
-        let mut aligned_sets = 0usize;
-
-        for group in alignment.multi_table_groups() {
-            aligned_sets += 1;
-            let mut columns: Vec<ColumnRef> = group.clone();
-            columns.sort();
-            let key = {
-                let first = columns[0];
-                let name = &self.tables[first.table].schema().columns()[first.column].name;
-                let ordinal = ordinals.entry(name.trim().to_lowercase()).or_insert(0);
-                let key = (name.trim().to_lowercase(), *ordinal);
-                *ordinal += 1;
-                key
-            };
-            let split = columns.partition_point(|cref| cref.table < first_new);
-            let (old_columns, new_columns) = columns.split_at(split);
-
-            let prior = self
-                .policy
-                .reuse_untouched_sets
-                .then(|| self.sets.remove(&key))
-                .flatten()
-                // The retained state is only valid if it was folded over
-                // exactly the columns that precede the appended ones.
-                .filter(|entry| entry.columns == old_columns);
-
-            // Drift guard: retained folds ran under the occurrence counts of
-            // their time.  If the appended columns' counts would change any
-            // representative election a retained fold consumed, that fold
-            // would have matched differently under the final counts — so
-            // the set re-matches from scratch instead of extending (the
-            // equivalence the session promises beats the saved folds).
-            let (prior, new_values) = match prior {
-                Some(entry) if !new_columns.is_empty() => {
-                    let new_values = column_values(&self.tables, new_columns)?;
-                    if matcher.representatives_stable(&entry.state, &new_values) {
-                        (Some(entry), Some(new_values))
-                    } else {
-                        (None, None)
-                    }
-                }
-                prior => (prior, None),
-            };
-
-            let entry = match prior {
-                Some(mut entry) => {
-                    if new_columns.is_empty() {
-                        incremental.reused_sets += 1;
-                        entry
-                    } else {
-                        let new_values = new_values.expect("extend path extracted the columns");
-                        embed_runtime.merge(&warm_embedding_cache(
-                            &self.config,
-                            &self.embedder,
-                            &new_values,
-                        ));
-                        blocking.merge(&matcher.extend(&mut entry.state, &new_values));
-                        incremental.refolded_sets += 1;
-                        entry.columns = columns.clone();
-                        entry
-                    }
-                }
-                None => {
-                    let values = column_values(&self.tables, &columns)?;
-                    embed_runtime.merge(&warm_embedding_cache(
-                        &self.config,
-                        &self.embedder,
-                        &values,
-                    ));
-                    let (state, stats) = matcher.begin(&values);
-                    blocking.merge(&stats);
-                    incremental.rebuilt_sets += 1;
-                    SetState { columns: columns.clone(), state }
-                }
-            };
-
-            let groups = entry.state.groups();
-            for (column, mapping) in build_substitutions(&columns, &groups) {
-                substitutions.entry(column).or_default().extend(mapping);
-            }
-            all_groups.push((columns, groups));
-            next_sets.insert(key, entry);
+        if !self.policy.reuse_untouched_sets {
+            self.retained.sets.clear();
         }
-        self.sets = next_sets;
-
-        let (rewritten_tables, rewritten_cells) =
-            apply_substitutions(&self.tables, &substitutions)?;
-        let matching_time = matching_start.elapsed();
-
-        // lint:allow(wallclock-in-replay): observability only — phase timing for stats, not replayed state
-        let fd_start = Instant::now();
-        let schema = IntegrationSchema::from_aligned_sets(&rewritten_tables, alignment.groups());
-        let (table, fd_stats) = if self.policy.reuse_fd_components {
-            // An append usually widens the integration schema (new attribute
-            // columns, newly aligned sets), which re-pads every outer-union
-            // tuple.  Re-padding moves columns without changing cells, so
-            // the memoised closures migrate instead of going stale: old
-            // integrated column `i` lands wherever any of its source columns
-            // maps in the new schema (header alignment never merges or drops
-            // existing integrated columns on append, so the mapping is total
-            // and injective — and the cache double-checks).
-            if let Some(old_schema) = self.last_schema.take() {
-                if old_schema != schema {
-                    let mapping: Vec<usize> = old_schema
-                        .aligned_sets()
-                        .iter()
-                        .map(|sources| {
-                            schema.integrated_column(sources[0].table, sources[0].column)
-                        })
-                        .collect();
-                    self.fd_cache.remap_columns(&mapping, schema.num_columns());
-                }
-            }
-            lake_fd::incremental_full_disjunction_with(
-                &schema,
-                &rewritten_tables,
-                self.config.matching_threads,
-                &mut self.fd_cache,
-            )
-        } else {
-            lake_fd::parallel_full_disjunction_with(
-                &schema,
-                &rewritten_tables,
-                self.config.matching_threads,
-            )
-        };
-        self.last_schema = Some(schema);
-        let fd_time = fd_start.elapsed();
-
-        let (embed_hits, embed_misses) = self.embedder.stats();
-        incremental.embed_hits = embed_hits - embed_hits_before;
-        incremental.embed_misses = embed_misses - embed_misses_before;
-
-        let report = FuzzyFdReport {
-            aligned_sets,
-            value_groups: all_groups.iter().map(|(_, g)| g.len()).sum(),
-            matched_groups: all_groups
-                .iter()
-                .flat_map(|(_, g)| g.iter())
-                .filter(|g| !g.is_singleton())
-                .count(),
-            rewritten_cells,
-            blocking,
-            embed_runtime,
-            matching_time,
-            fd_time,
-            fd_stats,
-        };
-        let outcome = IncrementalOutcome { table, value_groups: all_groups, report, incremental };
+        let alignment = align_by_headers(&self.tables);
+        let outcome = integration_step(
+            &self.config,
+            &self.embedder,
+            &self.tables,
+            first_new,
+            &alignment,
+            &mut self.retained,
+        )?;
         self.latest = Arc::new(outcome.clone());
         Ok(outcome)
     }
 }
 
-impl FuzzyFullDisjunction {
-    /// Opens an [`IntegrationSession`] from this operator's configuration,
-    /// integrating `tables` as the initial lake.
-    pub fn begin_session(&self, tables: &[Table]) -> TableResult<IntegrationSession> {
-        IntegrationSession::begin(*self.config(), tables)
+/// The one integration path: matches the values of every aligned set of
+/// `tables` (of which `tables[first_new..]` are new since the step that left
+/// `retained`), rewrites them to their representatives and runs the Full
+/// Disjunction, then leaves its own state in `retained`.
+///
+/// What the step reuses depends only on what it finds there: a set whose
+/// retained matcher state covers exactly its old columns folds just the new
+/// ones in (or is reused outright when it has none), any other set is
+/// matched from its columns; with a component cache the FD serves unchanged
+/// closures from it, without one it closes every component.
+pub(crate) fn integration_step(
+    config: &FuzzyFdConfig,
+    embedder: &EmbeddingCache<Box<dyn lake_embed::Embedder>>,
+    tables: &[Table],
+    first_new: usize,
+    alignment: &Alignment,
+    retained: &mut Retained,
+) -> TableResult<IncrementalOutcome> {
+    let (embed_hits_before, embed_misses_before) = embedder.stats();
+    let matcher = ValueMatcher::new(embedder, *config);
+
+    // lint:allow(wallclock-in-replay): observability only — the elapsed time feeds IncrementalStats phase attribution and never flows into integrated state, so replay stays deterministic
+    let matching_start = Instant::now();
+    let mut incremental = IncrementalStats {
+        appended_tables: tables.len() - first_new,
+        ..IncrementalStats::default()
+    };
+    let mut blocking = BlockingStats::default();
+    let mut embed_runtime = RuntimeStats::default();
+    let mut next_sets: HashMap<(String, usize), SetState> = HashMap::new();
+    let mut all_groups: Vec<(Vec<ColumnRef>, Vec<ValueGroup>)> = Vec::new();
+    let mut substitutions: HashMap<ColumnRef, HashMap<Value, Value>> = HashMap::new();
+    let mut ordinals: HashMap<String, usize> = HashMap::new();
+    let mut aligned_sets = 0usize;
+
+    for group in alignment.multi_table_groups() {
+        aligned_sets += 1;
+        let mut columns: Vec<ColumnRef> = group.clone();
+        columns.sort();
+        let key = {
+            let first = columns[0];
+            let name =
+                tables[first.table].schema().column(first.column)?.name.trim().to_lowercase();
+            let ordinal = ordinals.entry(name.clone()).or_insert(0);
+            let key = (name, *ordinal);
+            *ordinal += 1;
+            key
+        };
+        let split = columns.partition_point(|cref| cref.table < first_new);
+        let (old_columns, new_columns) = columns.split_at(split);
+
+        let prior = retained
+            .sets
+            .remove(&key)
+            // The retained state is only valid if it was folded over
+            // exactly the columns that precede the appended ones.
+            .filter(|entry| entry.columns == old_columns);
+
+        // Drift guard: retained folds ran under the occurrence counts of
+        // their time.  If the appended columns' counts would change any
+        // representative election a retained fold consumed, that fold
+        // would have matched differently under the final counts — so
+        // the set re-matches from scratch instead of extending (the
+        // equivalence the session promises beats the saved folds).
+        let (prior, to_fold) = match prior {
+            Some(entry) if !new_columns.is_empty() => {
+                let new_values = column_values(tables, new_columns)?;
+                if matcher.representatives_stable(&entry.state, &new_values) {
+                    (Some(entry), new_values)
+                } else {
+                    (None, column_values(tables, &columns)?)
+                }
+            }
+            Some(entry) => (Some(entry), Vec::new()),
+            None => (None, column_values(tables, &columns)?),
+        };
+
+        // Fold the columns still to be matched — all of them onto a fresh
+        // state, the appended ones onto a retained one, none for a set the
+        // new tables do not touch.
+        let counted = match &prior {
+            None => &mut incremental.rebuilt_sets,
+            Some(_) if to_fold.is_empty() => &mut incremental.reused_sets,
+            Some(_) => &mut incremental.refolded_sets,
+        };
+        *counted += 1;
+        let mut entry = prior.unwrap_or_default();
+        if !to_fold.is_empty() {
+            embed_runtime.merge(&warm_embedding_cache(config, embedder, &to_fold));
+            blocking.merge(&matcher.extend(&mut entry.state, &to_fold));
+            entry.columns = columns.clone();
+        }
+
+        let groups = entry.state.groups();
+        for (column, mapping) in build_substitutions(&columns, &groups) {
+            substitutions.entry(column).or_default().extend(mapping);
+        }
+        all_groups.push((columns, groups));
+        next_sets.insert(key, entry);
     }
+    retained.sets = next_sets;
+
+    let (rewritten_tables, rewritten_cells) = apply_substitutions(tables, &substitutions)?;
+    let matching_time = matching_start.elapsed();
+
+    // lint:allow(wallclock-in-replay): observability only — phase timing for stats, not replayed state
+    let fd_start = Instant::now();
+    let schema = IntegrationSchema::from_aligned_sets(&rewritten_tables, alignment.groups());
+    // An append usually widens the integration schema (new attribute
+    // columns, newly aligned sets), which re-pads every outer-union
+    // tuple.  Re-padding moves columns without changing cells, so
+    // the memoised closures migrate instead of going stale: old
+    // integrated column `i` lands wherever any of its source columns
+    // maps in the new schema (header alignment never merges or drops
+    // existing integrated columns on append, so the mapping is total
+    // and injective — and the cache double-checks).
+    if let (Some(cache), Some(old_schema)) = (&mut retained.fd_cache, &retained.last_schema) {
+        if *old_schema != schema {
+            let mapping: Vec<usize> = old_schema
+                .aligned_sets()
+                .iter()
+                .map(|sources| schema.integrated_column(sources[0].table, sources[0].column))
+                .collect();
+            cache.remap_columns(&mapping, schema.num_columns());
+        }
+    }
+    // The FD stage shares the matcher's thread semantics: component closures
+    // run on the same work-stealing executor as the block solves, and the
+    // result is identical across worker counts.
+    let threads = config.matching_threads;
+    let (table, fd_stats) = match &mut retained.fd_cache {
+        Some(cache) => {
+            lake_fd::incremental_full_disjunction_with(&schema, &rewritten_tables, threads, cache)
+        }
+        None => lake_fd::parallel_full_disjunction_with(&schema, &rewritten_tables, threads),
+    };
+    retained.last_schema = Some(schema);
+    let fd_time = fd_start.elapsed();
+
+    let (embed_hits, embed_misses) = embedder.stats();
+    incremental.embed_hits = embed_hits - embed_hits_before;
+    incremental.embed_misses = embed_misses - embed_misses_before;
+
+    let report = FuzzyFdReport {
+        aligned_sets,
+        value_groups: all_groups.iter().map(|(_, g)| g.len()).sum(),
+        matched_groups: all_groups
+            .iter()
+            .flat_map(|(_, g)| g.iter())
+            .filter(|g| !g.is_singleton())
+            .count(),
+        rewritten_cells,
+        blocking,
+        embed_runtime,
+        matching_time,
+        fd_time,
+        fd_stats,
+    };
+    Ok(IncrementalOutcome { table, value_groups: all_groups, report, incremental })
+}
+
+/// Warms the embedding cache for one aligned set's columns on the shared
+/// executor, so the fold loop's embed calls all hit.
+///
+/// Every distinct present value string is eventually embedded by the
+/// matcher (as a singleton, fuzzy candidate or representative), so
+/// warming embeds nothing extra — it only moves the work ahead of the
+/// sequential fold loop, where it can spread across workers.  Under
+/// `matching_threads == 1` there is nothing to spread and the warm-up is
+/// skipped entirely; in auto mode it gates on the total rendered length.
+/// Already-cached values make the warm-up a cheap no-op.
+fn warm_embedding_cache(
+    config: &FuzzyFdConfig,
+    embedder: &EmbeddingCache<Box<dyn lake_embed::Embedder>>,
+    column_values: &[Vec<Value>],
+) -> RuntimeStats {
+    /// Auto-gate floor for the warm-up batch, in rendered characters
+    /// (the cost hint of one embedding task).
+    const MIN_AUTO_EMBED_CHARS: u64 = 16_384;
+    if config.matching_threads == 1 {
+        return RuntimeStats::default();
+    }
+    let policy =
+        ParallelPolicy { threads: config.matching_threads, min_auto_cost: MIN_AUTO_EMBED_CHARS };
+    let mut seen = std::collections::HashSet::new();
+    let mut rendered: Vec<String> = Vec::new();
+    for column in column_values {
+        for value in column {
+            if value.is_present() {
+                let text = value.render().into_owned();
+                if seen.insert(text.clone()) {
+                    rendered.push(text);
+                }
+            }
+        }
+    }
+    let values: Vec<&str> = rendered.iter().map(String::as_str).collect();
+    embedder.embed_batch_with_stats(&values, &policy).1
 }
 
 /// Extracts the (cloned) value columns of an aligned set, in fold order.
@@ -488,6 +543,7 @@ fn column_values(tables: &[Table], columns: &[ColumnRef]) -> TableResult<Vec<Vec
 mod tests {
     use super::*;
     use crate::pipeline::tests::figure1_tables;
+    use crate::pipeline::FuzzyFullDisjunction;
     use lake_table::TableBuilder;
 
     #[test]
@@ -515,6 +571,44 @@ mod tests {
         assert_eq!(outcome.incremental.reused_sets, 1);
         assert_eq!(outcome.report.blocking.folds, 1);
         assert!(outcome.report.blocking.folds < batch.report.blocking.folds);
+    }
+
+    #[test]
+    fn batch_is_the_first_step_of_a_session() {
+        // One path: apart from wall-clock fields, a batch call and opening a
+        // session over the same tables report the same work.
+        let autojoin =
+            lake_benchdata::generate_autojoin_benchmark(lake_benchdata::AutoJoinConfig {
+                num_sets: 1,
+                values_per_column: 40,
+                ..Default::default()
+            });
+        for tables in [figure1_tables(), autojoin[0].tables()] {
+            let config = FuzzyFdConfig::default();
+            let batch = FuzzyFullDisjunction::new(config).integrate_by_headers(&tables).unwrap();
+            let session = IntegrationSession::begin(config, &tables).unwrap();
+            let first = session.current();
+            assert_eq!(first.table, batch.table);
+            assert_eq!(first.value_groups, batch.value_groups);
+
+            let (a, b) = (&first.report, &batch.report);
+            assert_eq!(a.aligned_sets, b.aligned_sets);
+            assert_eq!(a.value_groups, b.value_groups);
+            assert_eq!(a.matched_groups, b.matched_groups);
+            assert_eq!(a.rewritten_cells, b.rewritten_cells);
+            let untimed = |stats: &BlockingStats| BlockingStats {
+                runtime: Default::default(),
+                phase: Default::default(),
+                ..stats.clone()
+            };
+            assert_eq!(untimed(&a.blocking), untimed(&b.blocking));
+            let unscheduled = |stats: &lake_fd::FdStats| lake_fd::FdStats {
+                runtime: Default::default(),
+                ..stats.clone()
+            };
+            assert_eq!(unscheduled(&a.fd_stats), unscheduled(&b.fd_stats));
+            assert_eq!(a.fd_stats.runtime.tasks, b.fd_stats.runtime.tasks);
+        }
     }
 
     #[test]
@@ -645,7 +739,7 @@ mod tests {
     fn operator_convenience_opens_a_session() {
         let tables = figure1_tables();
         let operator = FuzzyFullDisjunction::default();
-        let session = operator.begin_session(&tables).unwrap();
+        let session = IntegrationSession::begin(*operator.config(), &tables).unwrap();
         let batch = operator.integrate_by_headers(&tables).unwrap();
         assert_eq!(session.current().table, batch.table);
     }

@@ -387,25 +387,18 @@ impl AnnIndex {
 
     /// The ids of indexed vectors colliding with `query` in at least one
     /// probed band bucket — sorted, duplicate-free.  Convenience wrapper over
-    /// [`candidates_into`](Self::candidates_into).
+    /// [`candidates_with`](Self::candidates_with) that pays a fresh scratch
+    /// and output vector per call.
     pub fn candidates(&self, query: &Vector) -> Vec<u32> {
         let mut out = Vec::new();
-        self.candidates_into(query, &mut out);
+        self.candidates_with(query, &mut AnnScratch::default(), &mut out);
         out
     }
 
-    /// As [`candidates`](Self::candidates), reusing `out` (cleared first) so
-    /// per-query allocation amortises away in fold loops.  Convenience
-    /// wrapper over [`candidates_with`](Self::candidates_with) that pays a
-    /// fresh scratch per call.
-    pub fn candidates_into(&self, query: &Vector, out: &mut Vec<u32>) {
-        self.candidates_with(query, &mut AnnScratch::default(), out);
-    }
-
-    /// The fully amortised query path: as
-    /// [`candidates_into`](Self::candidates_into) but drawing every probe
-    /// buffer from `scratch`, so a fold loop performs zero allocations per
-    /// query after warm-up.
+    /// The fully amortised query path: as [`candidates`](Self::candidates)
+    /// but reusing `out` (cleared first) and drawing every probe buffer from
+    /// `scratch`, so a fold loop performs zero allocations per query after
+    /// warm-up.
     pub fn candidates_with(&self, query: &Vector, scratch: &mut AnnScratch, out: &mut Vec<u32>) {
         out.clear();
         let Some(hasher) = &self.hasher else { return };

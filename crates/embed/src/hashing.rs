@@ -11,8 +11,8 @@
 //!   strength and the weakness the paper reports for FastText in Table 1.
 //! * [`SimHasher`] — random-hyperplane LSH over any embedding vector:
 //!   compact bit signatures ([`signature`](SimHasher::signature)), banded
-//!   collision keys ([`band_keys`](SimHasher::band_keys) /
-//!   [`band_buckets`](SimHasher::band_buckets)), and query-directed
+//!   collision buckets ([`band_buckets`](SimHasher::band_buckets), keyed by
+//!   [`packed_band_key`]), and query-directed
 //!   multi-probe bucket sequences
 //!   ([`probe_band_buckets`](SimHasher::probe_band_buckets)) that power the
 //!   [`AnnIndex`](crate::AnnIndex) behind the fuzzy value matcher's
@@ -23,10 +23,10 @@ use crate::embedder::{Embedder, Fnv1a};
 use crate::vector::{QuantizedSlab, Vector};
 
 /// Packs one SimHash band collision key into a `u64`: band id in the high
-/// bits, band signature (bucket) in the low `band_bits` bits.  This is the
-/// allocation-free twin of the `sh<band>:<bucket>` strings of
-/// [`SimHasher::band_keys`] — identity-hashed bucket maps key on it directly,
-/// so the hot paths never materialise a `String` per band per vector.
+/// bits, band signature (bucket) in the low `band_bits` bits — the bucket of
+/// [`SimHasher::band_buckets`] made unique across bands.  Identity-hashed
+/// bucket maps key on it directly, so nothing materialises a `String` per
+/// band per vector.
 ///
 /// Distinct `(band, bucket)` inputs map to distinct keys by construction
 /// (the bucket occupies exactly `band_bits` bits, the band the bits above).
@@ -121,8 +121,8 @@ const SIMHASH_SALT: u64 = 0x51A4_7E05_6B1C_93D7;
 ///
 /// Each signature bit is the sign of the vector's projection onto one fixed
 /// pseudo-random hyperplane; vectors at small cosine distance agree on most
-/// bits.  [`band_keys`](Self::band_keys) splits the signature into bands so
-/// that close vectors collide on at least one band key with high probability
+/// bits.  [`band_buckets`](Self::band_buckets) splits the signature into bands so
+/// that close vectors collide on at least one band bucket with high probability
 /// — the embedding-bucket blocking used by the fuzzy value matcher for
 /// semantic matches (aliases, codes) that share no surface key.
 ///
@@ -283,38 +283,22 @@ impl SimHasher {
         self.directions.iter().map(|direction| vector.dot(direction)).collect()
     }
 
-    /// Banded LSH keys of a vector: the signature split into
-    /// `bits() / band_bits` contiguous bands, each rendered as
-    /// `sh<band>:<value>`.  Two vectors share a key iff they agree on every
-    /// bit of at least one band.
+    /// Banded LSH buckets of a vector: the signature split into
+    /// `bits() / band_bits` contiguous bands, entry `i` holding band `i`'s
+    /// bits.  Two vectors collide iff they agree on every bit of at least
+    /// one band; [`packed_band_key`] turns `(band, bucket)` into one map key.
     ///
     /// ```
     /// use lake_embed::{Embedder, HashingNgramEmbedder, SimHasher};
     ///
     /// let embedder = HashingNgramEmbedder::new();
     /// let hasher = SimHasher::new(32, embedder.dim());
-    /// let keys = hasher.band_keys(&embedder.embed("Barcelona"), 4);
-    /// assert_eq!(keys.len(), 8); // 32 bits / 4 bits per band
-    /// assert!(keys[0].starts_with("sh0:"));
+    /// let buckets = hasher.band_buckets(&embedder.embed("Barcelona"), 4);
+    /// assert_eq!(buckets.len(), 8); // 32 bits / 4 bits per band
     /// // A near-duplicate agrees on at least one full band.
-    /// let close = hasher.band_keys(&embedder.embed("Barcelonna"), 4);
-    /// assert!(keys.iter().any(|k| close.contains(k)));
+    /// let close = hasher.band_buckets(&embedder.embed("Barcelonna"), 4);
+    /// assert!(buckets.iter().zip(&close).any(|(a, b)| a == b));
     /// ```
-    ///
-    /// # Panics
-    /// Panics if `band_bits == 0` or does not divide [`bits`](Self::bits).
-    pub fn band_keys(&self, vector: &Vector, band_bits: usize) -> Vec<String> {
-        self.band_buckets(vector, band_bits)
-            .into_iter()
-            .enumerate()
-            .map(|(band, bucket)| format!("sh{band}:{bucket:x}"))
-            .collect()
-    }
-
-    /// As [`band_keys`](Self::band_keys) but returning the raw per-band
-    /// bucket values — the allocation-free form hot paths bucket on.  Band
-    /// `i` of [`band_keys`](Self::band_keys) is exactly
-    /// `format!("sh{i}:{bucket:x}")` of entry `i` here.
     ///
     /// # Panics
     /// Panics if `band_bits == 0` or does not divide [`bits`](Self::bits).
@@ -594,32 +578,44 @@ mod tests {
         assert!(typo < unrelated, "typo flips {typo} bits, unrelated {unrelated}");
     }
 
+    /// The packed collision keys of a value's bands, in band order.
+    fn packed_band_keys(hasher: &SimHasher, vector: &Vector, band_bits: usize) -> Vec<u64> {
+        hasher
+            .band_buckets(vector, band_bits)
+            .into_iter()
+            .enumerate()
+            .map(|(band, bucket)| packed_band_key(band, band_bits, bucket))
+            .collect()
+    }
+
     #[test]
     fn band_keys_collide_for_near_duplicates() {
         let e = HashingNgramEmbedder::new();
         let hasher = SimHasher::new(32, e.dim());
-        let a = hasher.band_keys(&e.embed("Barcelona"), 4);
-        let b = hasher.band_keys(&e.embed("Barcelonna"), 4);
+        let a = packed_band_keys(&hasher, &e.embed("Barcelona"), 4);
+        let b = packed_band_keys(&hasher, &e.embed("Barcelonna"), 4);
         assert_eq!(a.len(), 8);
         assert!(a.iter().any(|k| b.contains(k)), "no shared band: {a:?} vs {b:?}");
         // Identical vectors share every band key.
-        assert_eq!(a, hasher.band_keys(&e.embed("Barcelona"), 4));
+        assert_eq!(a, packed_band_keys(&hasher, &e.embed("Barcelona"), 4));
     }
 
     #[test]
     fn band_keys_are_namespaced_per_band() {
+        // The band id sits above the bucket bits, so equal buckets of
+        // different bands never share a key.
         let e = HashingNgramEmbedder::new();
         let hasher = SimHasher::new(8, e.dim());
-        let keys = hasher.band_keys(&e.embed("x"), 4);
-        assert!(keys[0].starts_with("sh0:"));
-        assert!(keys[1].starts_with("sh1:"));
+        let keys = packed_band_keys(&hasher, &e.embed("x"), 4);
+        assert_eq!(keys[0] >> 4, 0);
+        assert_eq!(keys[1] >> 4, 1);
     }
 
     #[test]
     #[should_panic(expected = "band width must divide")]
     fn band_width_must_divide_signature_width() {
         let hasher = SimHasher::new(32, 8);
-        hasher.band_keys(&Vector::zeros(8), 5);
+        hasher.band_buckets(&Vector::zeros(8), 5);
     }
 
     #[test]

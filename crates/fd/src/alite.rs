@@ -4,82 +4,167 @@
 //! complementation closure → subsumption removal (done inside the closure).
 //! This mirrors the structure of the ALITE implementation the paper uses as
 //! its equi-join FD engine, adapted to an in-memory Rust representation.
+//!
+//! There is one driver; every public entry point is a call into it.
+//! Join-connected components are independent, so the components that need
+//! closing are scheduled on the workspace's shared work-stealing executor
+//! ([`lake_runtime::run_scope`], Paganelli et al. 2019 parallelise FD along
+//! the same lines): seeded largest-first by a quadratic cost hint, with
+//! stealing correcting any skew the hint missed, and run inline on the
+//! calling thread when one worker is asked for.  Closures come back in
+//! component order and are concatenated and sorted, so the result is
+//! byte-identical across worker counts.
+//!
+//! An optional [`ComponentCache`] memoises closures for lake-append
+//! workloads: an [`IntegrationSession`](../fuzzy_fd_core) appends tables
+//! against an already-integrated lake, so successive runs see mostly the
+//! *same* components — appended tuples touch only the components they join
+//! into, and every other component's closure, a pure function of its
+//! members, is unchanged.  Hits are verified (see [`crate::incremental`]),
+//! so the output does not depend on the cache's state.
 
+use lake_runtime::ParallelPolicy;
 use lake_table::Table;
 
 use crate::complement::component_closure;
 use crate::components::join_components;
+use crate::incremental::ComponentCache;
 use crate::outer_union::outer_union;
 use crate::schema::IntegrationSchema;
 use crate::stats::FdStats;
 use crate::tuple::{IntegratedTable, IntegratedTuple};
 
-/// Options controlling the FD computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FdOptions {
-    /// Partition tuples into join-connected components before running the
-    /// closure (on by default; turning it off is an ablation that runs the
-    /// closure over all tuples at once).
-    pub partition: bool,
-    /// Sort the output deterministically (small cost; on by default so runs
-    /// are comparable).
-    pub sort_output: bool,
+/// Auto-gate floor for `threads == 0`, in cost-hint units (squared component
+/// tuple counts): below the equivalent of one 64-tuple component the scoped
+/// workers cost more than the closures they would run.
+const MIN_AUTO_CLOSURE_COST: u64 = 4_096;
+
+/// Cost hint for one component: closure work (join attempts + subsumption)
+/// grows quadratically with the component's tuple count, and a quadratic
+/// hint also ranks the giants first for LPT seeding.
+fn component_cost(component: &[IntegratedTuple]) -> u64 {
+    let len = component.len() as u64;
+    len.saturating_mul(len)
 }
 
-impl Default for FdOptions {
-    fn default() -> Self {
-        FdOptions { partition: true, sort_output: true }
-    }
-}
-
-/// Computes the Full Disjunction of `tables` under `schema`.
+/// Computes the Full Disjunction of `tables` under `schema` on the calling
+/// thread.
 pub fn full_disjunction(schema: &IntegrationSchema, tables: &[Table]) -> IntegratedTable {
-    full_disjunction_with(schema, tables, FdOptions::default()).0
+    run(schema, tables, 1, None).0
 }
 
-/// Computes the Full Disjunction and returns execution statistics alongside
-/// the result.
-pub fn full_disjunction_with(
+/// Computes the Full Disjunction using `threads` worker threads: `1` closes
+/// every component inline, an explicit count ≥ 2 is a command, and `0`
+/// auto-gates on the components' total closure cost (the semantics of
+/// [`ParallelPolicy`]).
+pub fn parallel_full_disjunction(
     schema: &IntegrationSchema,
     tables: &[Table],
-    options: FdOptions,
+    threads: usize,
+) -> IntegratedTable {
+    run(schema, tables, threads, None).0
+}
+
+/// As [`parallel_full_disjunction`], also returning execution statistics
+/// (including [`lake_runtime::RuntimeStats`] describing how the closures
+/// were scheduled).
+pub fn parallel_full_disjunction_with(
+    schema: &IntegrationSchema,
+    tables: &[Table],
+    threads: usize,
 ) -> (IntegratedTable, FdStats) {
+    run(schema, tables, threads, None)
+}
+
+/// As [`parallel_full_disjunction_with`], but serving unchanged component
+/// closures from `cache` and computing (and memoising) only the changed or
+/// new components.
+///
+/// The result is byte-identical for any cache state;
+/// [`FdStats::reused_components`] reports how many components were served
+/// from the cache, and `stats.runtime` covers only the components that
+/// actually ran.
+pub fn incremental_full_disjunction_with(
+    schema: &IntegrationSchema,
+    tables: &[Table],
+    threads: usize,
+    cache: &mut ComponentCache,
+) -> (IntegratedTable, FdStats) {
+    run(schema, tables, threads, Some(cache))
+}
+
+/// The one FD driver: outer union, partition into join-connected
+/// components, serve what `cache` (if any) already holds, close the rest on
+/// the executor, memoise them, concatenate in component order and sort.
+fn run(
+    schema: &IntegrationSchema,
+    tables: &[Table],
+    threads: usize,
+    mut cache: Option<&mut ComponentCache>,
+) -> (IntegratedTable, FdStats) {
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.advance_generation();
+    }
     let base = outer_union(schema, tables);
     let input_tuples = base.len();
+    let components = join_components(&base);
+    let num_components = components.len();
+    let largest_component = components.iter().map(|c| c.len()).max().unwrap_or(0);
 
-    let (tuples, num_components, largest_component) = if options.partition {
-        let components = join_components(&base);
-        let num_components = components.len();
-        let largest = components.iter().map(|c| c.len()).max().unwrap_or(0);
-        let mut out: Vec<IntegratedTuple> = Vec::with_capacity(base.len());
-        // Move tuples into per-component buckets without cloning.
-        let mut slots: Vec<Option<IntegratedTuple>> = base.into_iter().map(Some).collect();
-        for component in components {
-            let members: Vec<IntegratedTuple> =
-                component.iter().map(|&i| slots[i].take().expect("tuple moved twice")).collect();
-            out.extend(component_closure(members));
+    // Move tuples into per-component member lists (outer-union order within
+    // each component) without cloning; a component the cache already holds
+    // takes its closure from there, the rest queue for the executor under
+    // their slot index.
+    let mut slots: Vec<Option<IntegratedTuple>> = base.into_iter().map(Some).collect();
+    let mut closures: Vec<Option<Vec<IntegratedTuple>>> = Vec::with_capacity(num_components);
+    let mut pending: Vec<(usize, Vec<IntegratedTuple>)> = Vec::new();
+    for (idx, component) in components.into_iter().enumerate() {
+        let members: Vec<IntegratedTuple> =
+            component.into_iter().map(|i| slots[i].take().expect("tuple moved twice")).collect();
+        let hit = cache.as_deref_mut().and_then(|cache| cache.lookup(&members));
+        if hit.is_none() {
+            pending.push((idx, members));
         }
-        (out, num_components, largest)
-    } else {
-        let n = base.len();
-        (component_closure(base), 1, n)
-    };
+        closures.push(hit);
+    }
+    let reused_components = num_components - pending.len();
 
+    // The closure consumes its members; a copy is kept only when there is a
+    // cache to key the result by.
+    let keyed = cache.is_some();
+    let policy = ParallelPolicy { threads, min_auto_cost: MIN_AUTO_CLOSURE_COST };
+    let (solved, runtime) = lake_runtime::run_scope(
+        &policy,
+        pending,
+        |(_, members)| component_cost(members),
+        |(idx, members)| (idx, keyed.then(|| members.clone()), component_closure(members)),
+    );
+    for (idx, key, closure) in solved {
+        if let (Some(cache), Some(key)) = (cache.as_deref_mut(), key) {
+            cache.insert(key, closure.clone());
+        }
+        closures[idx] = Some(closure);
+    }
+
+    let mut tuples: Vec<IntegratedTuple> =
+        Vec::with_capacity(closures.iter().flatten().map(Vec::len).sum());
+    for closure in closures {
+        tuples.extend(closure.expect("component neither reused nor closed"));
+    }
     let stats = FdStats {
         input_tuples,
         output_tuples: tuples.len(),
         components: num_components,
         largest_component,
-        ..FdStats::default()
+        reused_components,
+        runtime,
     };
-
-    let result = IntegratedTable::new(schema.column_names().to_vec(), tuples);
-    let result = if options.sort_output { result.sorted() } else { result };
+    let result = IntegratedTable::new(schema.column_names().to_vec(), tuples).sorted();
     (result, stats)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::specification_full_disjunction;
     use lake_table::{TableBuilder, Value};
@@ -151,23 +236,20 @@ mod tests {
 
     #[test]
     fn partitioning_does_not_change_the_result() {
+        // Closing the whole outer union as one component is the unpartitioned
+        // operator; partitioning only skips join attempts that cannot succeed.
         let tables = figure1_tables();
         let schema = IntegrationSchema::from_matching_headers(&tables);
-        let (with, stats_with) = full_disjunction_with(
-            &schema,
-            &tables,
-            FdOptions { partition: true, sort_output: true },
-        );
-        let (without, stats_without) = full_disjunction_with(
-            &schema,
-            &tables,
-            FdOptions { partition: false, sort_output: true },
-        );
+        let (with, stats) = parallel_full_disjunction_with(&schema, &tables, 1);
+        let without = IntegratedTable::new(
+            schema.column_names().to_vec(),
+            component_closure(outer_union(&schema, &tables)),
+        )
+        .sorted();
         assert_eq!(with, without);
-        assert!(stats_with.components > 1);
-        assert_eq!(stats_without.components, 1);
-        assert_eq!(stats_with.input_tuples, 11);
-        assert_eq!(stats_with.output_tuples, 9);
+        assert!(stats.components > 1);
+        assert_eq!(stats.input_tuples, 11);
+        assert_eq!(stats.output_tuples, 9);
     }
 
     #[test]
@@ -192,5 +274,73 @@ mod tests {
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let fd = full_disjunction(&schema, &tables);
         assert_eq!(fd.len(), 2);
+    }
+
+    /// `rows` key components, every second one joining two tables.
+    pub(crate) fn keyed_lake(rows: usize) -> Vec<Table> {
+        let mut a = TableBuilder::new("A", ["id", "x"]);
+        let mut b = TableBuilder::new("B", ["id", "y"]);
+        for i in 0..rows {
+            a = a.row([format!("k{i}"), format!("x{i}")]);
+            if i % 2 == 0 {
+                b = b.row([format!("k{i}"), format!("y{i}")]);
+            }
+        }
+        vec![a.build().unwrap(), b.build().unwrap()]
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let tables = keyed_lake(40);
+        let schema = IntegrationSchema::from_matching_headers(&tables);
+        let sequential = full_disjunction(&schema, &tables);
+        for threads in [0, 2, 3, 4] {
+            let parallel = parallel_full_disjunction(&schema, &tables, threads);
+            assert_eq!(parallel, sequential, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn one_and_two_threads_agree_and_schedule_every_component() {
+        let tables = keyed_lake(40);
+        let schema = IntegrationSchema::from_matching_headers(&tables);
+        let (one, stats_one) = parallel_full_disjunction_with(&schema, &tables, 1);
+        let (two, stats_two) = parallel_full_disjunction_with(&schema, &tables, 2);
+        assert_eq!(one, two);
+        assert_eq!(one, full_disjunction(&schema, &tables));
+        // Only how the closures were scheduled may differ.
+        let without_runtime =
+            |stats: &FdStats| FdStats { runtime: Default::default(), ..stats.clone() };
+        assert_eq!(without_runtime(&stats_one), without_runtime(&stats_two));
+        assert_eq!(stats_one.input_tuples, 60);
+        assert_eq!(stats_one.runtime.tasks, stats_one.components as u64);
+        assert_eq!(stats_two.runtime.tasks, stats_two.components as u64);
+        assert_eq!(stats_one.runtime.workers(), 1);
+    }
+
+    #[test]
+    fn stats_are_reported() {
+        let tables = keyed_lake(40);
+        let schema = IntegrationSchema::from_matching_headers(&tables);
+        let (_, stats) = parallel_full_disjunction_with(&schema, &tables, 2);
+        assert_eq!(stats.input_tuples, 60);
+        assert_eq!(stats.components, 40);
+        assert_eq!(stats.output_tuples, 40);
+        assert_eq!(stats.largest_component, 2);
+        // Every component closure went through the executor on two workers.
+        assert_eq!(stats.runtime.tasks, 40);
+        assert_eq!(stats.runtime.workers(), 2);
+    }
+
+    #[test]
+    fn auto_mode_gates_tiny_inputs_to_one_worker() {
+        let tables = keyed_lake(40);
+        let schema = IntegrationSchema::from_matching_headers(&tables);
+        // 40 components of ≤ 2 tuples: total closure cost ≈ 140 units, far
+        // below the floor, so auto mode stays inline (but still schedules).
+        let (result, stats) = parallel_full_disjunction_with(&schema, &tables, 0);
+        assert_eq!(result, full_disjunction(&schema, &tables));
+        assert_eq!(stats.runtime.tasks, 40);
+        assert_eq!(stats.runtime.workers(), 1, "tiny batches must not spawn workers");
     }
 }

@@ -1,38 +1,18 @@
-//! Delta-aware Full Disjunction for lake-append workloads.
+//! The closure memo behind delta-aware Full Disjunction.
 //!
-//! An [`IntegrationSession`](../fuzzy_fd_core) appends tables against an
-//! already-integrated lake, so successive FD runs see mostly the *same*
-//! join-connected components: appended tuples touch only the components they
-//! join into, and every other component's member list — and therefore its
-//! closure, which is a pure function of the members — is unchanged.
-//! [`incremental_full_disjunction_with`] exploits that by memoising
-//! component closures in a [`ComponentCache`]: unchanged components are
-//! served from the cache, and only changed or new components run the
-//! (worst-case exponential) complementation closure, scheduled on the shared
-//! work-stealing executor like the batch operator.
+//! The closure of a join-connected component is a pure function of its
+//! member tuples, so [`incremental_full_disjunction_with`] may serve it from
+//! a [`ComponentCache`] instead of recomputing it.  Correctness does not
+//! depend on any diffing heuristic: a hit requires the entry's member tuples
+//! (values *and* provenance, in outer-union order) to equal the component's
+//! members exactly.
 //!
-//! Correctness does not depend on any diffing heuristic: a cache hit
-//! requires the candidate entry's member tuples (values *and* provenance, in
-//! outer-union order) to equal the component's members exactly, so a reused
-//! closure is the closure the batch operator would have computed.  The final
-//! table is assembled and sorted exactly like
-//! [`parallel_full_disjunction_with`](crate::parallel_full_disjunction_with),
-//! making the incremental operator byte-identical to the batch one by
-//! construction.
+//! [`incremental_full_disjunction_with`]: crate::incremental_full_disjunction_with
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use lake_runtime::ParallelPolicy;
-use lake_table::Table;
-
-use crate::complement::component_closure;
-use crate::components::join_components;
-use crate::outer_union::outer_union;
-use crate::parallel::{component_cost, MIN_AUTO_CLOSURE_COST};
-use crate::schema::IntegrationSchema;
-use crate::stats::FdStats;
-use crate::tuple::{IntegratedTable, IntegratedTuple};
+use crate::tuple::IntegratedTuple;
 
 /// One memoised closure: the exact member tuples it was computed from (the
 /// verification key) and the closure output.
@@ -52,6 +32,8 @@ struct CacheEntry {
 /// capacity, entries not used by the current generation (one generation per
 /// [`incremental_full_disjunction_with`] call) are evicted first, and the
 /// cache is cleared outright if the live set alone exceeds the bound.
+///
+/// [`incremental_full_disjunction_with`]: crate::incremental_full_disjunction_with
 ///
 /// ```
 /// use lake_fd::{incremental_full_disjunction_with, ComponentCache, IntegrationSchema};
@@ -130,7 +112,7 @@ impl ComponentCache {
     /// Starts a new reuse generation (called once per incremental FD run so
     /// eviction can distinguish entries the current lake still produces from
     /// leftovers of rewritten history).
-    fn advance_generation(&mut self) {
+    pub(crate) fn advance_generation(&mut self) {
         self.generation += 1;
     }
 
@@ -146,7 +128,7 @@ impl ComponentCache {
 
     /// The memoised closure of a component with exactly these members, if
     /// one is cached.
-    fn lookup(&mut self, members: &[IntegratedTuple]) -> Option<Vec<IntegratedTuple>> {
+    pub(crate) fn lookup(&mut self, members: &[IntegratedTuple]) -> Option<Vec<IntegratedTuple>> {
         if self.capacity == 0 {
             self.misses += 1;
             return None;
@@ -174,7 +156,7 @@ impl ComponentCache {
 
     /// Memoises one freshly computed closure, evicting stale generations if
     /// the bound would be exceeded.
-    fn insert(&mut self, members: Vec<IntegratedTuple>, closure: Vec<IntegratedTuple>) {
+    pub(crate) fn insert(&mut self, members: Vec<IntegratedTuple>, closure: Vec<IntegratedTuple>) {
         if self.capacity == 0 {
             return;
         }
@@ -241,104 +223,15 @@ impl ComponentCache {
     }
 }
 
-/// Computes the Full Disjunction like
-/// [`parallel_full_disjunction_with`](crate::parallel_full_disjunction_with),
-/// but serving unchanged component closures from `cache` and computing (and
-/// memoising) only the changed or new components.
-///
-/// The result is byte-identical to the batch operators for any cache state;
-/// [`FdStats::reused_components`] reports how many components were served
-/// from the cache, and `stats.runtime` covers only the components that
-/// actually ran.
-pub fn incremental_full_disjunction_with(
-    schema: &IntegrationSchema,
-    tables: &[Table],
-    threads: usize,
-    cache: &mut ComponentCache,
-) -> (IntegratedTable, FdStats) {
-    cache.advance_generation();
-    let base = outer_union(schema, tables);
-    let input_tuples = base.len();
-    let components = join_components(&base);
-    let num_components = components.len();
-    let largest_component = components.iter().map(|c| c.len()).max().unwrap_or(0);
-
-    // Move tuples into per-component member lists (outer-union order within
-    // each component, the same order the batch operators close over).
-    let mut slots: Vec<Option<IntegratedTuple>> = base.into_iter().map(Some).collect();
-    let work: Vec<Vec<IntegratedTuple>> = components
-        .into_iter()
-        .map(|component| {
-            component.into_iter().map(|i| slots[i].take().expect("tuple moved twice")).collect()
-        })
-        .collect();
-
-    // Serve unchanged components from the cache; queue the rest.
-    let mut closures: Vec<Option<Vec<IntegratedTuple>>> = Vec::with_capacity(work.len());
-    let mut missed: Vec<(usize, Vec<IntegratedTuple>)> = Vec::new();
-    for (idx, members) in work.into_iter().enumerate() {
-        match cache.lookup(&members) {
-            Some(closure) => closures.push(Some(closure)),
-            None => {
-                closures.push(None);
-                missed.push((idx, members));
-            }
-        }
-    }
-    let reused_components = num_components - missed.len();
-
-    // Close the missed components on the shared executor (the cache key
-    // needs the members back, so each task carries its slot index and
-    // returns the members alongside the closure).
-    let policy = ParallelPolicy { threads, min_auto_cost: MIN_AUTO_CLOSURE_COST };
-    let (solved, runtime) = lake_runtime::run_scope(
-        &policy,
-        missed,
-        |(_, members)| component_cost(members),
-        |(idx, members)| {
-            let closure = component_closure(members.clone());
-            (idx, members, closure)
-        },
-    );
-    for (idx, members, closure) in solved {
-        cache.insert(members, closure.clone());
-        closures[idx] = Some(closure);
-    }
-
-    let tuples: Vec<IntegratedTuple> = closures
-        .into_iter()
-        .flat_map(|closure| closure.expect("component neither reused nor computed"))
-        .collect();
-    let stats = FdStats {
-        input_tuples,
-        output_tuples: tuples.len(),
-        components: num_components,
-        largest_component,
-        reused_components,
-        runtime,
-    };
-    let result = IntegratedTable::new(schema.column_names().to_vec(), tuples).sorted();
-    (result, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alite::full_disjunction;
-    use crate::parallel::parallel_full_disjunction_with;
+    use crate::alite::tests::keyed_lake as lake;
+    use crate::alite::{
+        full_disjunction, incremental_full_disjunction_with, parallel_full_disjunction_with,
+    };
+    use crate::schema::IntegrationSchema;
     use lake_table::{TableBuilder, Value};
-
-    fn lake(rows: usize) -> Vec<Table> {
-        let mut a = TableBuilder::new("A", ["id", "x"]);
-        let mut b = TableBuilder::new("B", ["id", "y"]);
-        for i in 0..rows {
-            a = a.row([format!("k{i}"), format!("x{i}")]);
-            if i % 2 == 0 {
-                b = b.row([format!("k{i}"), format!("y{i}")]);
-            }
-        }
-        vec![a.build().unwrap(), b.build().unwrap()]
-    }
 
     #[test]
     fn cold_cache_matches_batch_and_warm_rerun_reuses_everything() {

@@ -19,12 +19,13 @@
 //!   that makes FD scale to the IMDB-style benchmark;
 //! * [`complement`] — the complementation closure + subsumption removal that
 //!   computes the exact FD inside one component;
-//! * [`alite`] — the end-to-end scalable FD operator ([`alite::full_disjunction`]);
-//! * [`parallel`] — the same operator with component closures scheduled on
-//!   the shared work-stealing executor (`lake-runtime`);
-//! * [`incremental`] — the delta-aware operator for lake-append workloads:
-//!   component closures are memoised in a [`ComponentCache`] so an appended
-//!   table recomputes only the components it actually touches;
+//! * [`alite`] — the one end-to-end FD operator ([`full_disjunction`] and
+//!   its threaded and memoising spellings): component closures run on the
+//!   shared work-stealing executor (`lake-runtime`), inline when one worker
+//!   is asked for;
+//! * [`incremental`] — the operator's optional closure memo, the
+//!   [`ComponentCache`]: handed to [`incremental_full_disjunction_with`], it
+//!   lets an appended table recompute only the components it touches;
 //! * [`spec`] — a brute-force specification oracle used by property tests;
 //! * [`outer_join`] — binary/sequential full outer joins, the non-associative
 //!   baseline the paper contrasts FD with;
@@ -36,18 +37,19 @@ pub mod components;
 pub mod incremental;
 pub mod outer_join;
 pub mod outer_union;
-pub mod parallel;
 pub mod schema;
 pub mod spec;
 pub mod stats;
 pub mod subsume;
 pub mod tuple;
 
-pub use alite::{full_disjunction, FdOptions};
-pub use incremental::{incremental_full_disjunction_with, ComponentCache};
+pub use alite::{
+    full_disjunction, incremental_full_disjunction_with, parallel_full_disjunction,
+    parallel_full_disjunction_with,
+};
+pub use incremental::ComponentCache;
 pub use lake_runtime::RuntimeStats;
 pub use outer_union::outer_union;
-pub use parallel::{parallel_full_disjunction, parallel_full_disjunction_with};
 pub use schema::IntegrationSchema;
 pub use spec::specification_full_disjunction;
 pub use stats::FdStats;

@@ -150,11 +150,6 @@ impl IntegrationSchema {
         self.mapping[table][column]
     }
 
-    /// The full mapping row for a table.
-    pub fn table_mapping(&self, table: usize) -> &[usize] {
-        &self.mapping[table]
-    }
-
     /// The aligned source columns for every integrated column.
     pub fn aligned_sets(&self) -> Vec<Vec<ColumnRef>> {
         let mut sets = vec![Vec::new(); self.num_columns()];

@@ -9,17 +9,17 @@ pub struct FdStats {
     pub input_tuples: usize,
     /// Number of tuples in the FD result.
     pub output_tuples: usize,
-    /// Number of join-connected components (1 when partitioning is disabled).
+    /// Number of join-connected components.
     pub components: usize,
     /// Size of the largest component (in base tuples).
     pub largest_component: usize,
     /// Components whose closure was reused from a
     /// [`ComponentCache`](crate::ComponentCache) instead of recomputed
-    /// (always `0` for the batch operators, which never consult a cache).
+    /// (always `0` when the operator was given no cache).
     pub reused_components: usize,
-    /// How the component closures were scheduled (empty for the sequential
-    /// operator, which never enters the executor; cache-reused components
-    /// never reach the executor either).
+    /// How the component closures were scheduled: one task per component
+    /// closed, at any thread count (cache-reused components never reach the
+    /// executor).
     pub runtime: RuntimeStats,
 }
 

@@ -105,9 +105,8 @@ impl LintRule for RawThreads {
 
 /// `string-band-keys`: the planner hot path must never build `String` band
 /// keys.  The packed-u64 representation (`packed_band_key`) exists so the
-/// per-vector `Vec<String>` churn cannot come back; `SimHasher::band_keys`
-/// stays available for diagnostics elsewhere, but the planning files may
-/// not call it, nor format the `sh{band}:{bucket}` key shape themselves.
+/// per-vector `Vec<String>` churn cannot come back: the planning files may
+/// not format the `sh{band}:{bucket}` key shape themselves.
 pub struct StringBandKeys;
 
 /// The files on the planning hot path: candidate planning, block solving
@@ -121,7 +120,7 @@ impl LintRule for StringBandKeys {
     }
 
     fn description(&self) -> &'static str {
-        "no String band keys (.band_keys / sh{band}: formatting) on the planner hot path"
+        "no String band keys (sh{band}: formatting) on the planner hot path"
     }
 
     fn check(&self, file: &FileContext) -> Vec<Diagnostic> {
@@ -129,23 +128,6 @@ impl LintRule for StringBandKeys {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for i in 0..file.sig_len() {
-            if sig_text(file, i) == Some(".")
-                && sig_is_ident(file, i + 1, "band_keys")
-                && sig_text(file, i + 2) == Some("(")
-            {
-                let token = file.sig_token(i + 1).expect("checked above");
-                out.push(diag(
-                    self.id(),
-                    self.severity(),
-                    file,
-                    token.start,
-                    "`.band_keys(..)` call on the planner hot path — use packed_band_key / \
-                     signature shifts instead"
-                        .to_string(),
-                ));
-            }
-        }
         // The one rule that inspects literal content: the banned pattern is
         // itself a format string.  Comments stay immune.
         for token in &file.tokens {
@@ -426,8 +408,4 @@ impl FloatEq {
 
 fn sig_text(file: &FileContext, i: usize) -> Option<&str> {
     file.sig_token(i).map(|t| file.text_of(t))
-}
-
-fn sig_is_ident(file: &FileContext, i: usize, want: &str) -> bool {
-    file.sig_token(i).is_some_and(|t| t.kind == TokenKind::Ident && file.text_of(t) == want)
 }

@@ -102,12 +102,6 @@ impl ServeClient {
         ServeClient { addr, timeout: Duration::from_secs(10) }
     }
 
-    /// Overrides the per-request I/O timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// `GET /health`.
     pub fn health(&self) -> Result<Reply, ClientError> {
         self.request("GET", "/health", None)

@@ -106,11 +106,6 @@ impl Table {
         self.rows.get(row).and_then(|r| r.get(column))
     }
 
-    /// Mutable access to the cell at `(row, column)`.
-    pub fn cell_mut(&mut self, row: usize, column: usize) -> Option<&mut Value> {
-        self.rows.get_mut(row).and_then(|r| r.get_mut(column))
-    }
-
     /// Provenance id of the tuple at `row`.
     pub fn tuple_id(&self, row: usize) -> TupleId {
         TupleId::new(self.name.clone(), row)

@@ -66,16 +66,6 @@ impl Value {
         }
     }
 
-    /// Returns the float content if the value is a float (or an integer,
-    /// widened losslessly where possible).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// Returns the boolean content if the value is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -1,9 +1,11 @@
 //! Property-based correctness tests for the Full Disjunction substrate:
-//! the scalable ALITE-style algorithm, the parallel variant and the
-//! brute-force specification oracle must agree on arbitrary small inputs.
+//! the scalable ALITE-style algorithm — at any thread count, with or without
+//! a closure memo in any state — and the brute-force specification oracle
+//! must agree on arbitrary small inputs.
 
 use datalake_fuzzy_fd::fd::{
-    full_disjunction, parallel_full_disjunction, specification_full_disjunction, IntegrationSchema,
+    full_disjunction, incremental_full_disjunction_with, parallel_full_disjunction,
+    specification_full_disjunction, ComponentCache, IntegrationSchema,
 };
 use datalake_fuzzy_fd::table::{Table, TableBuilder, Value};
 use proptest::prelude::*;
@@ -70,15 +72,38 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// The scalable algorithm computes exactly the Full Disjunction defined
-    /// by the brute-force specification.
+    /// by the brute-force specification — and a closure memo never changes
+    /// that: cold, warm and storing nothing (capacity 0), inline and on
+    /// three workers.
     #[test]
     fn alite_fd_matches_specification(tables in tables_strategy()) {
         let total: usize = tables.iter().map(|t| t.num_rows()).sum();
         prop_assume!(total <= 10);
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let fast = full_disjunction(&schema, &tables);
-        let spec = specification_full_disjunction(&schema, &tables);
-        prop_assert_eq!(value_multiset(&fast), value_multiset(&spec));
+        let spec = value_multiset(&specification_full_disjunction(&schema, &tables));
+        prop_assert_eq!(&value_multiset(&fast), &spec);
+
+        for threads in [1, 3] {
+            let mut cache = ComponentCache::default();
+            let mut storing_nothing = ComponentCache::with_capacity(0);
+            for run in ["cold", "warm"] {
+                let (memoised, stats) =
+                    incremental_full_disjunction_with(&schema, &tables, threads, &mut cache);
+                prop_assert_eq!(&value_multiset(&memoised), &spec, "{} cache", run);
+                let reusable = if run == "warm" { stats.components } else { 0 };
+                prop_assert_eq!(stats.reused_components, reusable, "{} cache", run);
+
+                let (unmemoised, stats) = incremental_full_disjunction_with(
+                    &schema,
+                    &tables,
+                    threads,
+                    &mut storing_nothing,
+                );
+                prop_assert_eq!(&value_multiset(&unmemoised), &spec);
+                prop_assert_eq!(stats.reused_components, 0);
+            }
+        }
     }
 
     /// The parallel variant agrees with the sequential one.

@@ -105,9 +105,8 @@ fn escalated_fold_phase_timings_are_attributed_and_bounded() {
 
 /// Lint ban: the planner hot path must never build String band keys.  The
 /// packed-u64 representation (`packed_band_key`) exists precisely so the
-/// per-vector `Vec<String>` churn cannot come back; `SimHasher::band_keys`
-/// stays available for diagnostics and doctests, but the planning files may
-/// not call it, nor format the `sh{band}:{bucket}` key shape themselves.
+/// per-vector `Vec<String>` churn cannot come back: the planning files may
+/// not format the `sh{band}:{bucket}` key shape themselves.
 ///
 /// Formerly a grep loop in this file; now a thin wrapper over `lake-lint`'s
 /// `string-band-keys` rule (token-level, so comments cannot false-positive

@@ -20,7 +20,7 @@ fn facade_reexports_resolve() {
         &[datalake_fuzzy_fd::table::Table],
     ) -> datalake_fuzzy_fd::schema_match::Alignment =
         datalake_fuzzy_fd::schema_match::align_by_headers;
-    let _fd = datalake_fuzzy_fd::fd::FdOptions::default();
+    let _fd = datalake_fuzzy_fd::fd::ComponentCache::default();
     let _em = datalake_fuzzy_fd::em::EmOptions::default();
     let _benchdata = datalake_fuzzy_fd::benchdata::AutoJoinConfig::default();
     let _metrics = datalake_fuzzy_fd::metrics::PairSet::<u32>::default();
