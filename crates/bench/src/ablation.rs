@@ -1,6 +1,6 @@
 //! Ablation studies: the θ threshold sweep mentioned in §3.1 and the design
-//! choices called out in DESIGN.md (assignment solver, component
-//! partitioning, parallelism).
+//! choices behind the pipeline (assignment solver, component partitioning,
+//! parallelism).
 
 use std::time::Instant;
 
@@ -109,10 +109,7 @@ pub struct FdAblationRow {
 
 /// The "no partitioning" side of the design ablation: the closure run over
 /// the whole outer union as if it were one join-connected component.
-pub fn unpartitioned_full_disjunction(
-    schema: &IntegrationSchema,
-    tables: &[Table],
-) -> IntegratedTable {
+fn unpartitioned_full_disjunction(schema: &IntegrationSchema, tables: &[Table]) -> IntegratedTable {
     let closure = component_closure(outer_union(schema, tables));
     IntegratedTable::new(schema.column_names().to_vec(), closure).sorted()
 }

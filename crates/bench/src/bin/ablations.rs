@@ -1,5 +1,5 @@
-//! Design-choice ablations (DESIGN.md §4, last row): assignment solver
-//! choice, FD component partitioning and parallel FD.
+//! Design-choice ablations (last row of the `lake-bench` index):
+//! assignment solver choice, FD component partitioning and parallel FD.
 //!
 //! Run with `cargo run -p lake-bench --release --bin ablations`.
 

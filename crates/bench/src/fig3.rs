@@ -86,8 +86,8 @@ mod tests {
             assert!(p.input_tuples > 0);
             assert!(p.alite_output > 0);
             // Fuzzy FD may merge residual identifier-like values that equi
-            // FD keeps apart, which can either shrink or branch the output
-            // (see EXPERIMENTS.md); it must still produce a result.
+            // FD keeps apart, which can either shrink or branch the output;
+            // it must still produce a result.
             assert!(p.fuzzy_output > 0);
         }
         // Bigger inputs do not get cheaper.

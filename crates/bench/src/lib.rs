@@ -1,8 +1,8 @@
 //! # lake-bench
 //!
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for paper-vs-measured numbers):
+//! evaluation (the table below is the experiment index; `docs/PERF.md` says
+//! where paper-vs-measured numbers live):
 //!
 //! | Target            | Module / binary                         |
 //! |-------------------|------------------------------------------|
@@ -14,19 +14,30 @@
 //!
 //! The harness binaries print a plain-text table in the style of the paper
 //! and write a JSON file with the raw numbers next to it (under `results/`).
+//! Timing that gates a change is `lakebench`'s (`BENCHMARK.json`), not
+//! these binaries'.
 
 pub mod ablation;
 pub mod downstream;
 pub mod fig3;
 pub mod table1;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Writes a serialisable result to `results/<name>.json` under the current
 /// directory (creating `results/` if needed) and returns the path.
 pub fn write_results_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
+    write_results_json_in(Path::new("results"), name, value)
+}
+
+/// Writes a serialisable result to `<dir>/<name>.json` (creating `dir` if
+/// needed) and returns the path.
+fn write_results_json_in<T: serde::Serialize>(
+    dir: &Path,
+    name: &str,
+    value: &T,
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
     std::fs::write(&path, json)?;
@@ -40,12 +51,9 @@ mod tests {
     #[test]
     fn results_are_written_as_json() {
         let dir = std::env::temp_dir().join("lake_bench_results_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let path = write_results_json("unit_test", &vec![1, 2, 3]).unwrap();
+        let path = write_results_json_in(&dir, "unit_test", &vec![1, 2, 3]).unwrap();
+        assert_eq!(path, dir.join("unit_test.json"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains('1'));
-        std::env::set_current_dir(old).unwrap();
     }
 }

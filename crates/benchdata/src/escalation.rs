@@ -1,5 +1,5 @@
-//! Lake-scale escalation fold: the workload behind the blocking escalation
-//! benchmark.
+//! Lake-scale escalation fold: the workload behind `lakebench`'s
+//! `escalation_fold` and the escalated-tier equivalence tests.
 //!
 //! The escalated ANN tier of `fuzzy-fd-core::blocking` exists for folds far
 //! past the Auto-Join scale — key-like columns with a thousand or more
@@ -149,14 +149,14 @@ pub fn generate_escalation_fold(config: EscalationFoldConfig) -> EscalationFold 
     EscalationFold { columns: vec![canonical, noisy], gold }
 }
 
-/// A square `side × side` fold for the scoring-kernel benchmark: `side`
-/// canonical entities against `side` noisy values (surface variants padded
-/// with unrelated pseudo-words), so the pair count is exactly `side²`.
+/// A square `side × side` fold for the scoring kernel: `side` canonical
+/// entities against `side` noisy values (surface variants padded with
+/// unrelated pseudo-words), so the pair count is exactly `side²`.
 ///
 /// Shaped like [`generate_escalation_fold`]'s output but with both sides
-/// pinned to one length, which is what pair-throughput measurements need:
-/// the kernel bench sweeps sides 32 / 316 / 1449 for ~1k / ~100k / ~2.1M
-/// pairs.  Deterministic given the seed.
+/// pinned to one length; `tests/kernel_equivalence.rs` sweeps side 316
+/// (~100k pairs) through the quantized and the dense kernel.  Deterministic
+/// given the seed.
 pub fn generate_kernel_fold_columns(side: usize, seed: u64) -> (Vec<String>, Vec<String>) {
     let mut fold = generate_escalation_fold(EscalationFoldConfig {
         entities: side,

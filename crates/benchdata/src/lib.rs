@@ -1,7 +1,7 @@
 //! # lake-benchdata
 //!
 //! Synthetic benchmark generators standing in for the paper's datasets
-//! (DESIGN.md §3 documents each substitution):
+//! (each module's docs state what it substitutes for):
 //!
 //! * [`autojoin`] — an Auto-Join-style fuzzy value-matching benchmark:
 //!   31 integration sets over 17 topics, each a set of aligned columns whose
@@ -14,16 +14,17 @@
 //!   tables sampled to a requested total tuple count (5K–30K).  Drives the
 //!   Figure 3 runtime experiment.
 //! * [`append`] — a lake-append workload (initial lake + later-arriving
-//!   tables over a shared entity pool) driving the `incremental` benchmark
-//!   group and the `IntegrationSession` equivalence harness.
+//!   tables over a shared entity pool) driving `lakebench`'s `lake_growth`
+//!   workload and the `IntegrationSession` equivalence harness.
 //! * [`escalation`] — a lake-scale fold (1k+ distinctive values plus surface
-//!   variants) driving the blocking escalation benchmark.
+//!   variants) driving `lakebench`'s `escalation_fold` workload and the
+//!   escalated-tier equivalence tests.
 //! * [`serving`] — a multi-tenant arrival trace (interleaved per-tenant
-//!   append workloads) driving the `lake-serve` load-generator benchmark
-//!   and the server integration tests.
+//!   append workloads) driving `lakebench`'s `serve_mixed` workload and the
+//!   server integration tests.
 //! * [`skew`] — a skewed-components FD fold (one giant join neighbourhood,
-//!   a stride of mediums, a tail of smalls) driving the `scheduling`
-//!   benchmark group and the LPT-vs-round-robin makespan assertion.
+//!   a stride of mediums, a tail of smalls) driving the scheduler
+//!   invariance tests (`tests/runtime_scheduling.rs`).
 //! * [`lexicon`] — topic vocabularies (cities, songs, movies, people, …) and
 //!   alias groups shared by the generators.
 //! * [`noise`] — the deterministic fuzzy transformations (typos, case

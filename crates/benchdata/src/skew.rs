@@ -1,5 +1,5 @@
-//! Skewed-components FD fold: the workload behind the `scheduling`
-//! benchmark group.
+//! Skewed-components FD fold: the workload behind the scheduler invariance
+//! tests (`tests/runtime_scheduling.rs`).
 //!
 //! Full Disjunction parallelises across join-connected components, and real
 //! lake workloads are skewed: one giant join neighbourhood next to a long

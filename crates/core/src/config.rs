@@ -148,8 +148,8 @@ pub struct EscalationPolicy {
 impl Default for EscalationPolicy {
     fn default() -> Self {
         // 1M pairs ≈ a 1000 × 1000 fold — the measured wall-clock
-        // break-even of the ANN tier on 64-dimensional embeddings (see the
-        // `value_matching_escalation` bench and `diag_escalation` example).
+        // break-even of the ANN tier on 64-dimensional embeddings (see
+        // docs/PERF.md and the `diag_escalation` example).
         // Below this the exact sweep is both faster and recall-exact, so
         // escalating earlier would pay twice for nothing; above it the
         // sweep's quadratic cost dominates and the tier wins on wall clock

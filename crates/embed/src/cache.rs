@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard};
 use lake_runtime::{run_scope, ParallelPolicy, RuntimeStats};
 
 use crate::embedder::Embedder;
-use crate::vector::{QuantizedSlab, Vector};
+use crate::vector::Vector;
 
 /// A thread-safe memoising wrapper around any [`Embedder`].
 pub struct EmbeddingCache<E: Embedder> {
@@ -132,18 +132,6 @@ impl<E: Embedder> EmbeddingCache<E> {
             .map(|slot| distinct[slot].clone().expect("every distinct value is cached or embedded"))
             .collect();
         (outputs, stats)
-    }
-
-    /// Embeds a batch of values (through the cache, uncached remainder on the
-    /// shared executor) and packs the vectors straight into a
-    /// [`QuantizedSlab`] for the scoring kernel, in input order.
-    ///
-    /// The slab's f32 lanes are the embeddings bit for bit — scoring through
-    /// it is exactly as precise as scoring the vectors themselves.
-    pub fn embed_slab(&self, values: &[&str], policy: &ParallelPolicy) -> QuantizedSlab {
-        let vectors = self.embed_batch(values, policy);
-        let refs: Vec<&Vector> = vectors.iter().collect();
-        QuantizedSlab::from_vectors(&refs)
     }
 }
 
@@ -366,23 +354,6 @@ mod tests {
         assert_eq!(stats.tasks, 0, "all-cached batches schedule nothing");
         assert_eq!(cache.inner().calls.lock().unwrap().len(), 1, "no re-embedding");
         assert_eq!(cache.stats(), (3, 1));
-    }
-
-    #[test]
-    fn embed_slab_preserves_embeddings_bitwise() {
-        let reference = HashingNgramEmbedder::new();
-        let cache = EmbeddingCache::new(HashingNgramEmbedder::new());
-        let values = ["Toronto", "Berlin", "Toronto", "Lagos"];
-        let slab = cache.embed_slab(&values, &ParallelPolicy::explicit(2));
-        assert_eq!(slab.len(), values.len());
-        assert_eq!(slab.dim(), reference.dim());
-        for (i, value) in values.iter().enumerate() {
-            let expected = reference.embed(value);
-            assert_eq!(slab.row(i), expected.components(), "{value}");
-            assert_eq!(slab.norm(i).to_bits(), expected.norm().to_bits(), "{value}");
-        }
-        // Distinct values were embedded once; duplicates hit the cache.
-        assert_eq!(cache.len(), 3);
     }
 
     #[test]

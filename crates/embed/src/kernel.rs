@@ -1231,7 +1231,7 @@ pub fn row_distances_below(
 /// [`Vector::cosine_distance_given_norms`] per pair, row-major, keeping
 /// strict sub-cutoff pairs with their distances.  This is the seed
 /// implementation of the exact blocking tier, retained as the equivalence
-/// oracle for tests and the baseline side of the `kernel` bench group.
+/// oracle for tests.
 pub fn dense_sweep_below(
     row_embeddings: &[&Vector],
     col_embeddings: &[&Vector],

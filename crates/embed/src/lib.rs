@@ -6,7 +6,7 @@
 //! (FastText, BERT, RoBERTa, Llama3 or Mistral-7B-Instruct) and computes
 //! cosine distances between the embeddings.  Running those models requires a
 //! GPU and their weights, neither of which this reproduction assumes.
-//! Instead the crate provides (see DESIGN.md §3 "Substitutions"):
+//! Instead the crate provides these substitutions:
 //!
 //! * [`HashingNgramEmbedder`] — a from-scratch hashing character-n-gram
 //!   embedder in the spirit of FastText: good at surface similarity (typos,

@@ -8,7 +8,7 @@ use crate::Embedder;
 ///
 /// `FastText` is the real hashing n-gram algorithm; the other four are
 /// simulated LM tiers whose coverage/noise parameters reproduce the paper's
-/// quality ordering (see DESIGN.md §3 for the substitution argument).
+/// quality ordering (see the crate docs for the substitution argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EmbeddingModel {
     /// Word/character n-gram embedding (Joulin et al. 2016).
@@ -45,8 +45,8 @@ impl EmbeddingModel {
     }
 
     /// The simulation parameters of this tier (`None` for FastText, which is
-    /// not simulated).  Coverage/noise are the calibrated values discussed in
-    /// DESIGN.md; higher tier → more concepts known, less noise.
+    /// not simulated).  Coverage/noise are calibrated against the paper's
+    /// Table 1 ordering; higher tier → more concepts known, less noise.
     pub fn params(&self) -> Option<SimLmParams> {
         match self {
             EmbeddingModel::FastText => None,

@@ -1,8 +1,9 @@
 //! Simulated pre-trained language model embedders.
 //!
-//! See DESIGN.md §3: the paper embeds cell values with BERT/RoBERTa/Llama3/
-//! Mistral.  This reproduction replaces them with a deterministic simulation
-//! whose embedding of a value combines three channels:
+//! The paper embeds cell values with BERT/RoBERTa/Llama3/Mistral (the
+//! crate docs give the substitution argument).  This reproduction replaces
+//! them with a deterministic simulation whose embedding of a value combines
+//! three channels:
 //!
 //! 1. **surface** — the hashing n-gram vector (typos, case, shared tokens);
 //! 2. **semantic** — a direction shared by all aliases of a concept the model

@@ -3,7 +3,7 @@
 //! Evaluation and reporting substrate: precision/recall/F1 over match pairs,
 //! pairwise clustering metrics, wall-clock timing and plain-text report
 //! tables.  Every experiment harness in `lake-bench` builds its output from
-//! these primitives so that EXPERIMENTS.md numbers have a single, tested
+//! these primitives so that the reported numbers have a single, tested
 //! source.
 
 pub mod confusion;

@@ -14,8 +14,9 @@
 //! (`autojoin_150_set_blocked_equals_exhaustive` et al.); this file pins the
 //! kernel itself.
 
+use datalake_fuzzy_fd::benchdata::generate_kernel_fold_columns;
 use datalake_fuzzy_fd::embed::kernel::{self, dense_sweep_below, sweep_below};
-use datalake_fuzzy_fd::embed::{KernelStats, QuantizedSlab, Vector};
+use datalake_fuzzy_fd::embed::{EmbeddingModel, KernelStats, QuantizedSlab, Vector};
 use proptest::prelude::*;
 
 /// Runs the quantized sweep and the dense f32 reference over the same rows ×
@@ -162,6 +163,22 @@ fn degenerate_shapes_stay_bit_identical() {
         assert_bit_identical(&empty, &empty, cutoff);
         assert_bit_identical(&dimless, &dimless, cutoff);
     }
+}
+
+/// Real embeddings rather than proptest noise: the seeded 316 × 316 kernel
+/// fold (~100k pairs of distinctive pseudo-word entities against their
+/// surface variants) under the default model and the default matching
+/// cutoff (θ 0.7 plus the exact channel's 0.1 slack).  Distances here
+/// cluster the way a lake fold's do — a few near pairs, a mass far above the
+/// cutoff — so the skip bound and the re-score band both carry real load.
+#[test]
+fn seeded_kernel_fold_stays_bit_identical() {
+    let (canonical, noisy) = generate_kernel_fold_columns(316, 42);
+    let embedder = EmbeddingModel::Mistral.build();
+    let embed = |column: &[String]| -> Vec<Vec<f32>> {
+        column.iter().map(|value| embedder.embed(value).components().to_vec()).collect()
+    };
+    assert_bit_identical(&embed(&canonical), &embed(&noisy), 0.8);
 }
 
 /// The per-pair entry point agrees with the sweep over a whole fold — the
