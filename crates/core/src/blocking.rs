@@ -12,18 +12,19 @@
 //!
 //! There is one candidate channel: **exact sub-threshold distances**.  A
 //! (group, value) pair is a candidate when its cosine distance is below
-//! `θ + slack`.  Any pair the post-solve thresholding step could accept is a
-//! candidate by construction, and each candidate's distance is recorded on
-//! its block so the solver reuses it instead of recomputing.  The win is the
-//! (cubic) solver seeing much smaller independent sub-problems and the masked
-//! share of the matrix never being touched again.
+//! `θ + slack` ([`CANDIDACY_SLACK`]).  Any pair the post-solve thresholding
+//! step could accept is a candidate by construction, and each candidate's
+//! distance is recorded on its block so the solver reuses it instead of
+//! recomputing.  The win is the (cubic) solver seeing much smaller
+//! independent sub-problems and the masked share of the matrix never being
+//! touched again.
 //!
 //! Within a block, non-candidate combinations are masked with an
 //! above-threshold cost, so blocked mode never matches a pair that was not a
-//! candidate.  The cartesian fallback ([`BlockingPolicy::Exhaustive`], or a
-//! keyed policy below its `min_blocked_pairs` floor) produces a single
-//! unmasked block covering every pair, which preserves the exact exhaustive
-//! behaviour.
+//! candidate.  The cartesian fallback (a fold below the policy's
+//! `min_blocked_pairs` floor — every fold, under
+//! [`BlockingPolicy::exhaustive`]) produces a single unmasked block covering
+//! every pair, which preserves the exact exhaustive behaviour.
 //!
 //! # Size-tiered planning
 //!
@@ -36,9 +37,8 @@
 //!    the same dot products the exhaustive cost matrix would pay; recall at
 //!    the matching threshold is *exact* as long as no connected component
 //!    trips the splitting cap below;
-//! 3. **escalated ANN** (at or above
-//!    [`EscalationPolicy::min_fold_pairs`](crate::config::EscalationPolicy))
-//!    — the fold's value embeddings are indexed in a
+//! 3. **escalated ANN** (at or above [`BlockingPolicy::min_fold_pairs`]) —
+//!    the fold's value embeddings are indexed in a
 //!    [`lake_embed::AnnIndex`] (SimHash multi-probe buckets), each group
 //!    embedding retrieves its colliding values, and only the union of
 //!    collisions and surface-key nominations
@@ -48,7 +48,7 @@
 //!    it shares no usable surface key.
 //!
 //! Both planned tiers split oversized connected components before solving
-//! (see [`KeyedBlockingConfig::max_component_cells`]): candidate edges re-join
+//! (see [`BlockingPolicy::max_component_cells`]): candidate edges re-join
 //! components strongest-first, and an edge that would merge two clusters
 //! past the cell cap is severed and recorded as a [`CutEdge`] so post-solve
 //! thresholding (and the equivalence harness) can re-verify that nothing
@@ -59,11 +59,39 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lake_embed::kernel::{self, KernelStats};
-use lake_embed::{AnnIndex, AnnScratch, QuantizedSlab, Vector};
+use lake_embed::{AnnIndex, AnnParams, AnnScratch, QuantizedSlab, Vector};
 use lake_metrics::{PhaseTimings, Stopwatch};
 use lake_text::{string_block_keys, BlockKeyOptions};
 
-use crate::config::{BlockingPolicy, FoldTier, KeyedBlockingConfig};
+use crate::config::{BlockingPolicy, FoldTier};
+
+/// Safety margin added to θ when deciding candidacy: pairs at cosine
+/// distance below `θ + CANDIDACY_SLACK` are candidates, so any pair the
+/// thresholding step could accept is one by construction, and each
+/// candidate's measured distance is reused as its cost-matrix entry.
+///
+/// Zero would keep exactly the pairs thresholding could accept, which
+/// maximises pruning but lets the global assignment drift on near-threshold
+/// ties: the exhaustive solver's choice *among* sub-θ pairs is steered by the
+/// true costs of slightly-above-θ pairs, and masking those severs that
+/// influence.  A small positive slack keeps the influence band as
+/// candidates; `0.1` reproduces the exhaustive groups exactly on the
+/// Auto-Join benchmark sets while still pruning ~90% of the candidate space.
+/// (End-to-end recall additionally depends on
+/// [`BlockingPolicy::max_component_cells`]: an oversized component may have
+/// recorded candidate edges severed before solving.)
+///
+/// A constant, not a setting: it was calibrated jointly with the surface-key
+/// bucket cap (64) and the ANN shape ([`AnnParams::default`]) until the
+/// escalated tier reproduced the exact tier's groups on Auto-Join-150
+/// (`tests/blocking_equivalence.rs`), and moving one alone voids that.
+pub const CANDIDACY_SLACK: f32 = 0.1;
+
+/// Surface keys shared by more than this many participants (groups +
+/// values) of an escalated fold are dropped as uninformative — they would
+/// nominate a near-cartesian share of the fold for re-scoring and
+/// reintroduce the quadratic blow-up.  Calibrated with [`CANDIDACY_SLACK`].
+const MAX_KEY_BUCKET: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -273,7 +301,7 @@ pub struct FoldInputs<'a> {
     /// Embedding of each column (value).
     pub col_embeddings: &'a [&'a Vector],
     /// Matching threshold θ of this fold (the candidacy cutoff is
-    /// `theta + slack`).
+    /// `theta + CANDIDACY_SLACK`).
     pub theta: f32,
 }
 
@@ -545,13 +573,12 @@ fn merge_canonical_with_costs(
 
 /// Plans the blocks of one bipartite matching step.
 ///
-/// Under [`BlockingPolicy::Exhaustive`] — or a keyed policy whose
-/// `min_blocked_pairs` floor exceeds the candidate space — the plan is a
-/// single cartesian block and nothing is pruned.  Otherwise the fold's size
-/// picks between the exact distance sweep over the embedding slices and, for
-/// folds at or above the policy's
-/// [`EscalationPolicy`](crate::config::EscalationPolicy) threshold, the
-/// sub-quadratic ANN tier (the only one that reads `input`'s key slices).
+/// When the policy's `min_blocked_pairs` floor exceeds the candidate space
+/// (always, under [`BlockingPolicy::exhaustive`]) the plan is a single
+/// cartesian block and nothing is pruned.  Otherwise the fold's size picks
+/// between the exact distance sweep over the embedding slices and, for folds
+/// at or above [`BlockingPolicy::min_fold_pairs`], the sub-quadratic ANN
+/// tier (the only one that reads `input`'s key slices).
 ///
 /// ```
 /// use fuzzy_fd_core::{plan_blocks, BlockingPolicy, FoldInputs};
@@ -570,17 +597,20 @@ fn merge_canonical_with_costs(
 /// assert_eq!(plan.stats.pruned_pairs, 2); // the cross-cluster pairs
 /// ```
 pub fn plan_blocks(input: &FoldInputs<'_>, policy: &BlockingPolicy) -> BlockPlan {
-    plan_tier(input, policy.tier(input.rows(), input.cols()))
+    plan_tier(input, policy.tier(input.rows(), input.cols()), policy.max_component_cells)
 }
 
 /// Runs the planner of an already-chosen tier (see [`BlockingPolicy::tier`]).
-pub(crate) fn plan_tier(input: &FoldInputs<'_>, tier: FoldTier<'_>) -> BlockPlan {
+pub(crate) fn plan_tier(
+    input: &FoldInputs<'_>,
+    tier: FoldTier,
+    max_component_cells: usize,
+) -> BlockPlan {
+    let cutoff = input.theta + CANDIDACY_SLACK;
     match tier {
         FoldTier::Cartesian => plan_cartesian(input.rows(), input.cols()),
-        FoldTier::Exact(keyed) => {
-            plan_exact(input, input.theta + keyed.slack, keyed.max_component_cells)
-        }
-        FoldTier::Escalated(keyed) => plan_escalated(input, input.theta + keyed.slack, keyed),
+        FoldTier::Exact => plan_exact(input, cutoff, max_component_cells),
+        FoldTier::Escalated => plan_escalated(input, cutoff, max_component_cells),
     }
 }
 
@@ -636,7 +666,7 @@ fn plan_exact(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -
 ///   side before being given up on.  A participant can therefore only
 ///   deviate from the exact sweep's result if the index supplied at least
 ///   one genuine alternative for it.
-fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConfig) -> BlockPlan {
+fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -> BlockPlan {
     let watch = Stopwatch::start();
     let rows = input.row_embeddings.len();
     let cols = input.col_embeddings.len();
@@ -649,7 +679,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
     let ((row_slab, col_slab, index), hash_time) = Stopwatch::time(|| {
         let row_slab = QuantizedSlab::from_vectors(input.row_embeddings);
         let col_slab = QuantizedSlab::from_vectors(input.col_embeddings);
-        let index = AnnIndex::build_from_slab(keyed.escalation.ann, &col_slab);
+        let index = AnnIndex::build_from_slab(AnnParams::default(), &col_slab);
         (row_slab, col_slab, index)
     });
     phase.hash = hash_time;
@@ -657,7 +687,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
     // The surface-key channel is sub-quadratic by construction and catches
     // the shared-token/typo pairs the probabilistic index is most likely to
     // drop, so its candidates ride along for free.
-    let (keyed_pairs, keyed_time) = Stopwatch::time(|| keyed_pair_set(input, keyed));
+    let (keyed_pairs, keyed_time) = Stopwatch::time(|| keyed_pair_set(input, MAX_KEY_BUCKET));
     phase.pairs = keyed_time;
 
     // All re-scoring below goes through the quantized kernel: the int8 tier
@@ -790,7 +820,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
     phase.dedup += sweep_dedup_time;
 
     let (mut plan, assemble_time) =
-        Stopwatch::time(|| assemble_components(rows, cols, kept, costs, keyed.max_component_cells));
+        Stopwatch::time(|| assemble_components(rows, cols, kept, costs, max_component_cells));
     phase.pairs += assemble_time;
     plan.stats.scored_pairs = scored;
     plan.stats.escalated_folds = 1;
@@ -803,7 +833,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, keyed: &KeyedBlockingConf
 /// The sorted, duplicate-free pairs the surface-key channel nominates: a row
 /// and a column sharing a usable key.  Nominations carry no distance — the
 /// escalated planner re-scores each one.
-fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(usize, usize)> {
+fn keyed_pair_set(input: &FoldInputs<'_>, max_key_bucket: usize) -> Vec<(usize, usize)> {
     let rows = input.rows();
     let cols = input.cols();
     let total_pairs = rows * cols;
@@ -849,7 +879,7 @@ fn keyed_pair_set(input: &FoldInputs<'_>, keyed: &KeyedBlockingConfig) -> Vec<(u
         if bucket_rows.is_empty() || bucket_cols.is_empty() {
             continue;
         }
-        if bucket.len() > keyed.max_key_bucket {
+        if bucket.len() > max_key_bucket {
             continue;
         }
         for &(_, r) in bucket_rows {
@@ -1053,10 +1083,10 @@ fn assemble_from_parent(
 }
 
 /// The plan of a cartesian (unblocked) step: one dense block covering every
-/// (row, col) combination, nothing pruned.  This is what
-/// [`BlockingPolicy::Exhaustive`] and the `min_blocked_pairs` floor resolve
-/// to; exposed so callers that already know a fold is cartesian can skip
-/// [`plan_blocks`]' input assembly entirely.
+/// (row, col) combination, nothing pruned.  This is what the
+/// `min_blocked_pairs` floor (and with it [`BlockingPolicy::exhaustive`])
+/// resolves to; exposed so callers that already know a fold is cartesian can
+/// skip [`plan_blocks`]' input assembly entirely.
 ///
 /// Degenerate shapes are legal: a `0 × n` (or `n × 0`, or `0 × 0`) step has
 /// an empty candidate space, so the plan holds no block at all and every
@@ -1137,8 +1167,9 @@ mod tests {
         strs.iter().map(|s| hashed_keys(&value_block_keys(s))).collect()
     }
 
-    fn keyed(max_key_bucket: usize) -> KeyedBlockingConfig {
-        KeyedBlockingConfig { max_key_bucket, ..KeyedBlockingConfig::default() }
+    /// Every fold, however small, takes the escalated (ANN) planner.
+    fn always_escalate() -> BlockingPolicy {
+        BlockingPolicy { min_blocked_pairs: 0, min_fold_pairs: 0, ..BlockingPolicy::default() }
     }
 
     fn key_inputs<'a>(rows: &'a [Vec<u64>], cols: &'a [Vec<u64>]) -> FoldInputs<'a> {
@@ -1149,7 +1180,7 @@ mod tests {
     fn exhaustive_policy_yields_one_cartesian_block() {
         let rows = keys(&["Berlin", "Toronto"]);
         let cols = keys(&["Boston", "Quito", "Lima"]);
-        let plan = plan_blocks(&key_inputs(&rows, &cols), &BlockingPolicy::Exhaustive);
+        let plan = plan_blocks(&key_inputs(&rows, &cols), &BlockingPolicy::exhaustive());
         assert_eq!(plan.blocks.len(), 1);
         assert_eq!(plan.blocks[0].rows, vec![0, 1]);
         assert_eq!(plan.blocks[0].cols, vec![0, 1, 2]);
@@ -1161,10 +1192,7 @@ mod tests {
     fn min_blocked_pairs_floor_falls_back_to_cartesian() {
         let rows = keys(&["Berlin"]);
         let cols = keys(&["Toronto"]);
-        let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            min_blocked_pairs: 100,
-            ..KeyedBlockingConfig::default()
-        });
+        let policy = BlockingPolicy { min_blocked_pairs: 100, ..BlockingPolicy::default() };
         let plan = plan_blocks(&key_inputs(&rows, &cols), &policy);
         assert_eq!(plan.blocks.len(), 1);
         assert_eq!(plan.stats.pruned_pairs, 0);
@@ -1174,7 +1202,7 @@ mod tests {
     fn disjoint_surfaces_nominate_disjoint_pairs() {
         let rows = keys(&["Berlin", "Toronto"]);
         let cols = keys(&["Berlinn", "Torontoo"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
         assert_eq!(pairs, vec![(0, 0), (1, 1)]);
     }
 
@@ -1182,7 +1210,7 @@ mod tests {
     fn unmatched_values_appear_in_no_pair() {
         let rows = keys(&["Berlin"]);
         let cols = keys(&["Berlinn", "Zanzibar"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
         assert_eq!(pairs, vec![(0, 0)]);
     }
 
@@ -1193,23 +1221,23 @@ mod tests {
         let rows = keys(&["city alpha", "city beta"]);
         let cols = keys(&["city gamma", "city delta"]);
         let input = key_inputs(&rows, &cols);
-        assert!(keyed_pair_set(&input, &keyed(3)).is_empty());
+        assert!(keyed_pair_set(&input, 3).is_empty());
         // With a generous cap the shared token nominates every combination.
-        assert_eq!(keyed_pair_set(&input, &keyed(64)).len(), 4);
+        assert_eq!(keyed_pair_set(&input, MAX_KEY_BUCKET).len(), 4);
     }
 
     #[test]
     fn acronym_keys_bridge_initialisms() {
         let rows = keys(&["United Nations"]);
         let cols = keys(&["UN"]);
-        assert_eq!(keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64)), vec![(0, 0)]);
+        assert_eq!(keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET), vec![(0, 0)]);
     }
 
     #[test]
     fn empty_inputs_plan_no_blocks() {
-        assert!(keyed_pair_set(&key_inputs(&[], &[]), &keyed(64)).is_empty());
+        assert!(keyed_pair_set(&key_inputs(&[], &[]), MAX_KEY_BUCKET).is_empty());
         let rows = keys(&["Berlin"]);
-        let plan = plan_blocks(&key_inputs(&rows, &[]), &BlockingPolicy::Exhaustive);
+        let plan = plan_blocks(&key_inputs(&rows, &[]), &BlockingPolicy::exhaustive());
         assert!(plan.blocks.is_empty());
         assert_eq!(plan.stats.candidate_pairs, 0);
     }
@@ -1218,7 +1246,7 @@ mod tests {
     fn blocks_partition_rows_and_cols() {
         let rows = keys(&["alpha one", "beta two", "gamma three", "alpha four"]);
         let cols = keys(&["alpha", "beta", "delta", "gamma"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), &keyed(64));
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
         let costs = vec![0.0; pairs.len()];
         let plan = assemble_components(rows.len(), cols.len(), pairs, costs, usize::MAX);
         let mut seen_rows = BTreeSet::new();
@@ -1280,12 +1308,8 @@ mod tests {
             theta: 0.5,
             ..FoldInputs::default()
         };
-        let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            slack: 0.0,
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        });
-        let plan = plan_blocks(&input, &policy);
+        // A cutoff of exactly θ (no slack) keeps only the matchable pairs.
+        let plan = plan_exact(&input, input.theta, usize::MAX);
         assert_eq!(plan.blocks.len(), 2, "{plan:?}");
         assert_eq!(plan.stats.candidate_pairs, 2);
         assert_eq!(plan.stats.pruned_pairs, 2);
@@ -1296,12 +1320,7 @@ mod tests {
         }
         // A generous slack admits the cross-cluster pairs too and glues the
         // fold into one block.
-        let loose = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            slack: 1.5,
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        });
-        let glued = plan_blocks(&input, &loose);
+        let glued = plan_exact(&input, input.theta + 1.5, usize::MAX);
         assert_eq!(glued.blocks.len(), 1);
         assert_eq!(glued.stats.pruned_pairs, 0);
     }
@@ -1443,22 +1462,10 @@ mod tests {
             theta: 0.5,
             ..FoldInputs::default()
         };
-        let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            min_blocked_pairs: 0,
-            ..KeyedBlockingConfig::default()
-        });
-        let exact = plan_blocks(&input, &policy);
+        let exact = plan_blocks(&input, &BlockingPolicy::default().force_blocked());
         assert!(exact.stats.phase.total > std::time::Duration::ZERO);
         assert!(exact.stats.phase.phase_sum() <= exact.stats.phase.total);
-        let escalating = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            min_blocked_pairs: 0,
-            escalation: crate::config::EscalationPolicy {
-                min_fold_pairs: 0,
-                ..crate::config::EscalationPolicy::default()
-            },
-            ..KeyedBlockingConfig::default()
-        });
-        let escalated = plan_blocks(&input, &escalating);
+        let escalated = plan_blocks(&input, &always_escalate());
         assert_eq!(escalated.stats.escalated_folds, 1);
         assert!(escalated.stats.phase.total > std::time::Duration::ZERO);
         assert!(escalated.stats.phase.phase_sum() <= escalated.stats.phase.total);
@@ -1484,15 +1491,7 @@ mod tests {
             theta: 0.5,
             ..FoldInputs::default()
         };
-        let policy = BlockingPolicy::Keyed(KeyedBlockingConfig {
-            min_blocked_pairs: 0,
-            escalation: crate::config::EscalationPolicy {
-                min_fold_pairs: 0,
-                ..crate::config::EscalationPolicy::default()
-            },
-            ..KeyedBlockingConfig::default()
-        });
-        let plan = plan_blocks(&input, &policy);
+        let plan = plan_blocks(&input, &always_escalate());
         assert_eq!(plan.stats.escalated_folds, 1);
         assert_eq!(plan.blocks.len(), 2, "{plan:?}");
         assert_eq!(plan.stats.candidate_pairs, 2);

@@ -52,11 +52,8 @@ pub use blocking::{
     canonicalize_pairs, canonicalize_pairs_with_costs, hashed_value_block_keys, plan_blocks,
     plan_cartesian, Block, BlockPlan, BlockingStats, CutEdge, FoldInputs,
 };
-pub use config::{
-    AssignmentStrategy, BlockingPolicy, EscalationPolicy, FuzzyFdConfig, IncrementalPolicy,
-    KeyedBlockingConfig,
-};
-pub use lake_embed::{AnnIndex, AnnParams, KernelStats};
+pub use config::{AssignmentStrategy, BlockingPolicy, FuzzyFdConfig, IncrementalPolicy};
+pub use lake_embed::KernelStats;
 pub use lake_metrics::PhaseTimings;
 pub use lake_runtime::{ParallelPolicy, RuntimeStats};
 pub use pipeline::{

@@ -91,10 +91,10 @@ impl FuzzyFullDisjunction {
     /// Creates the operator with the given configuration.
     ///
     /// # Panics
-    /// Panics when the configuration's floating-point parameters are invalid
-    /// (see [`FuzzyFdConfig::validate`]) — a `NaN` threshold or slack would
-    /// otherwise poison distance ordering silently.  Use
-    /// [`try_new`](Self::try_new) to handle the error instead.
+    /// Panics when the matching threshold is invalid (see
+    /// [`FuzzyFdConfig::validate`]) — a `NaN` θ would otherwise poison
+    /// distance ordering silently.  Use [`try_new`](Self::try_new) to handle
+    /// the error instead.
     pub fn new(config: FuzzyFdConfig) -> Self {
         match FuzzyFullDisjunction::try_new(config) {
             Ok(operator) => operator,

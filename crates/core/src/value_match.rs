@@ -11,7 +11,7 @@
 //! Each bipartite step first partitions its candidate space into independent
 //! blocks (see [`crate::blocking`]); the dense cartesian matrix of the paper
 //! is the fallback for small steps and for
-//! [`BlockingPolicy::Exhaustive`](crate::config::BlockingPolicy).
+//! [`BlockingPolicy::exhaustive`](crate::config::BlockingPolicy::exhaustive).
 
 use std::collections::HashMap;
 
@@ -33,6 +33,11 @@ use crate::config::{AssignmentStrategy, FoldTier, FuzzyFdConfig};
 /// be assigned (the solver must produce a maximum matching) but never
 /// survives thresholding.
 const PRUNED_COST: f64 = 1.0e6;
+
+/// Minimum number of characters a value must have to participate in fuzzy
+/// (non-exact) matching.  Shorter values ("1", "A") carry too little signal
+/// for an embedding distance to mean anything and are matched only exactly.
+const MIN_FUZZY_LENGTH: usize = 2;
 
 /// Index of a column within one aligned column set (0 = first/earliest table).
 pub type ColumnPosition = usize;
@@ -282,7 +287,7 @@ impl<'a> ValueMatcher<'a> {
         let mut fuzzy_values: Vec<Value> = Vec::new();
         let mut fuzzy_slots: Vec<usize> = Vec::new();
         for (slot, value) in leftover.iter().enumerate() {
-            if value.render().chars().count() >= self.config.min_fuzzy_length {
+            if value.render().chars().count() >= MIN_FUZZY_LENGTH {
                 fuzzy_values.push(value.clone());
                 fuzzy_slots.push(slot);
             }
@@ -364,7 +369,7 @@ impl<'a> ValueMatcher<'a> {
             col_embeddings: &col_embeddings,
             theta: self.config.theta,
         };
-        let mut plan = plan_tier(&input, tier);
+        let mut plan = plan_tier(&input, tier, self.config.blocking.max_component_cells);
         // Key extraction above is hashing work the planner did not see —
         // fold it into the hash phase so the attribution covers the whole
         // planning wall clock.
@@ -609,12 +614,12 @@ impl<'a> ValueMatcher<'a> {
 /// escalated folds are rare and large, so the rebuild is noise there, while
 /// every other fold stays key-free.
 fn fold_surface_keys(
-    tier: FoldTier<'_>,
+    tier: FoldTier,
     candidate_groups: &[usize],
     groups: &[WorkingGroup],
     fuzzy_values: &[Value],
 ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    if !matches!(tier, FoldTier::Escalated(_)) {
+    if tier != FoldTier::Escalated {
         return (Vec::new(), Vec::new());
     }
     let row_keys = candidate_groups
@@ -984,13 +989,12 @@ mod tests {
     #[test]
     fn fold_size_alone_picks_the_tier_and_only_escalation_hashes_keys() {
         let config = FuzzyFdConfig::default();
-        let crate::config::BlockingPolicy::Keyed(keyed) = &config.blocking else { unreachable!() };
-        let (floor, ceiling) = (keyed.min_blocked_pairs, keyed.escalation.min_fold_pairs);
+        let (floor, ceiling) = (config.blocking.min_blocked_pairs, config.blocking.min_fold_pairs);
         assert_eq!(config.blocking.tier(1, floor - 1), FoldTier::Cartesian);
-        assert_eq!(config.blocking.tier(1, floor), FoldTier::Exact(keyed));
-        assert_eq!(config.blocking.tier(1, ceiling - 1), FoldTier::Exact(keyed));
-        assert_eq!(config.blocking.tier(1, ceiling), FoldTier::Escalated(keyed));
-        let exhaustive = crate::config::BlockingPolicy::Exhaustive;
+        assert_eq!(config.blocking.tier(1, floor), FoldTier::Exact);
+        assert_eq!(config.blocking.tier(1, ceiling - 1), FoldTier::Exact);
+        assert_eq!(config.blocking.tier(1, ceiling), FoldTier::Escalated);
+        let exhaustive = crate::config::BlockingPolicy::exhaustive();
         assert_eq!(exhaustive.tier(ceiling, ceiling), FoldTier::Cartesian);
 
         // What `plan_fold` hands the planner as surface keys, per tier.
@@ -998,12 +1002,11 @@ mod tests {
         let matcher = ValueMatcher::new(embedder.as_ref(), config);
         let groups = [matcher.singleton(0, Value::text("United Nations"))];
         let fuzzy = values(&["UN", "Quito"]);
-        for tier in [FoldTier::Cartesian, FoldTier::Exact(keyed)] {
+        for tier in [FoldTier::Cartesian, FoldTier::Exact] {
             let (row_keys, col_keys) = fold_surface_keys(tier, &[0], &groups, &fuzzy);
             assert!(row_keys.is_empty() && col_keys.is_empty(), "{tier:?} hashed keys");
         }
-        let (row_keys, col_keys) =
-            fold_surface_keys(FoldTier::Escalated(keyed), &[0], &groups, &fuzzy);
+        let (row_keys, col_keys) = fold_surface_keys(FoldTier::Escalated, &[0], &groups, &fuzzy);
         assert_eq!((row_keys.len(), col_keys.len()), (1, 2));
         assert!(row_keys[0].iter().any(|key| col_keys[0].contains(key)), "acronym key missing");
     }

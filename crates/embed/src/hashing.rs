@@ -10,23 +10,22 @@
 //!   disjoint surfaces (e.g. `"Germany"` vs `"DE"`) do not — exactly the
 //!   strength and the weakness the paper reports for FastText in Table 1.
 //! * [`SimHasher`] — random-hyperplane LSH over any embedding vector:
-//!   compact bit signatures ([`signature`](SimHasher::signature)), banded
-//!   collision buckets ([`band_buckets`](SimHasher::band_buckets), keyed by
-//!   [`packed_band_key`]), and query-directed
-//!   multi-probe bucket sequences
-//!   ([`probe_band_buckets`](SimHasher::probe_band_buckets)) that power the
-//!   [`AnnIndex`](crate::AnnIndex) behind the fuzzy value matcher's
-//!   escalated blocking tier.
+//!   compact bit signatures ([`signature_of`](SimHasher::signature_of),
+//!   batched as [`slab_signatures_into`](SimHasher::slab_signatures_into))
+//!   and query-directed multi-probe sequences of banded collision keys
+//!   ([`probe_packed_keys_into`](SimHasher::probe_packed_keys_into), keyed by
+//!   [`packed_band_key`]) that power the [`AnnIndex`](crate::AnnIndex) behind
+//!   the fuzzy value matcher's escalated blocking tier.
 
 use crate::directions::{normalize_in_place, seeded_direction, with_scratch, EmbedScratch};
 use crate::embedder::{Embedder, Fnv1a};
 use crate::vector::{QuantizedSlab, Vector};
 
 /// Packs one SimHash band collision key into a `u64`: band id in the high
-/// bits, band signature (bucket) in the low `band_bits` bits — the bucket of
-/// [`SimHasher::band_buckets`] made unique across bands.  Identity-hashed
-/// bucket maps key on it directly, so nothing materialises a `String` per
-/// band per vector.
+/// bits, band signature (bucket) in the low `band_bits` bits — a band's
+/// bucket made unique across bands.  For narrow bands the keys form a small
+/// dense range, so bucket tables index on them directly and nothing
+/// materialises a `String` per band per vector.
 ///
 /// Distinct `(band, bucket)` inputs map to distinct keys by construction
 /// (the bucket occupies exactly `band_bits` bits, the band the bits above).
@@ -121,10 +120,11 @@ const SIMHASH_SALT: u64 = 0x51A4_7E05_6B1C_93D7;
 ///
 /// Each signature bit is the sign of the vector's projection onto one fixed
 /// pseudo-random hyperplane; vectors at small cosine distance agree on most
-/// bits.  [`band_buckets`](Self::band_buckets) splits the signature into bands so
-/// that close vectors collide on at least one band bucket with high probability
-/// — the embedding-bucket blocking used by the fuzzy value matcher for
-/// semantic matches (aliases, codes) that share no surface key.
+/// bits.  [`probe_packed_keys_into`](Self::probe_packed_keys_into) splits the
+/// signature into bands so that close vectors collide on at least one band
+/// bucket with high probability — the embedding-bucket blocking used by the
+/// fuzzy value matcher for semantic matches (aliases, codes) that share no
+/// surface key.
 ///
 /// Hyperplane directions depend only on `(bit index, dimension)`, so
 /// signatures are comparable across embedders of the same dimension and
@@ -157,25 +157,10 @@ impl SimHasher {
         self.directions.len()
     }
 
-    /// The SimHash signature of a vector (bit *i* is the sign of the
-    /// projection onto hyperplane *i*).
-    ///
-    /// # Panics
-    /// Panics when the vector dimension differs from the hasher's.
-    pub fn signature(&self, vector: &Vector) -> u64 {
-        let mut signature = 0u64;
-        for (bit, direction) in self.directions.iter().enumerate() {
-            if vector.dot(direction) >= 0.0 {
-                signature |= 1 << bit;
-            }
-        }
-        signature
-    }
-
-    /// The SimHash signature of a raw component slice.  The accumulation
-    /// order is identical to [`signature`](Self::signature) over a
-    /// [`Vector`] with the same components, so a [`QuantizedSlab`] row
-    /// hashes bit-identically to its source vector.
+    /// The SimHash signature of a raw component slice (bit *i* is the sign
+    /// of the projection onto hyperplane *i*).  The accumulation order is
+    /// that of [`Vector::dot`], so a [`QuantizedSlab`] row hashes
+    /// bit-identically to its source vector.
     ///
     /// # Panics
     /// Panics when the slice length differs from the hasher's dimension.
@@ -189,11 +174,11 @@ impl SimHasher {
         signature
     }
 
-    /// Batch form of [`signature`](Self::signature): one signature per slab
-    /// row, appended to `out` (which is cleared first).  The slab keeps all
-    /// rows contiguous in a single resident allocation, so the batch is one
-    /// matrix sweep with zero per-vector allocations; every signature is
-    /// bit-identical to `signature(&v)` of the row's source vector.
+    /// Batch form of [`signature_of`](Self::signature_of): one signature per
+    /// slab row, appended to `out` (which is cleared first).  The slab keeps
+    /// all rows contiguous in a single resident allocation, so the batch is
+    /// one matrix sweep with zero per-vector allocations; every signature is
+    /// bit-identical to `signature_of` over the row's source vector.
     ///
     /// # Panics
     /// Panics when the slab is non-empty and its dimension differs from the
@@ -206,9 +191,14 @@ impl SimHasher {
         }
     }
 
-    /// As [`projections`](Self::projections) but over a raw component slice
-    /// and into a caller-provided buffer (cleared first) — the
-    /// allocation-free form probing loops reuse.
+    /// The raw hyperplane projections behind
+    /// [`signature_of`](Self::signature_of), into a caller-provided buffer
+    /// (cleared first) that probing loops reuse: bit *i* of the signature is
+    /// set iff `out[i] >= 0`.  The magnitude `|out[i]|` is the *margin* of
+    /// bit *i* — how far the vector sits from hyperplane *i*.  Low-margin
+    /// bits are the ones a near-duplicate is most likely to flip, which is
+    /// what query-directed multi-probing
+    /// ([`probe_packed_keys_into`](Self::probe_packed_keys_into)) exploits.
     ///
     /// # Panics
     /// Panics when the slice length differs from the hasher's dimension.
@@ -220,14 +210,38 @@ impl SimHasher {
         }
     }
 
-    /// Query-directed multi-probe **packed** keys: the flattening of
-    /// [`probe_band_buckets`](Self::probe_band_buckets) through
-    /// [`packed_band_key`], emitted into `out` (cleared first) with every
-    /// intermediate buffer drawn from `scratch`.  Key `band * probes' + p`
-    /// (with `probes'` the per-band probe count) is exactly
-    /// `packed_band_key(band, band_bits, probe_band_buckets(..)[band][p])`,
-    /// so callers can bucket on identity-hashed `u64`s with zero per-vector
-    /// allocations.
+    /// Query-directed multi-probe banded LSH keys (Lv et al., *Multi-Probe
+    /// LSH*, VLDB 2007).  The signature is split into `bits() / band_bits`
+    /// contiguous bands; two vectors collide iff they agree on every bit of
+    /// at least one band.  For every band this emits, as [`packed_band_key`]s
+    /// into `out` (cleared first), the `probes` most promising buckets — the
+    /// vector's own bucket first, then perturbed buckets obtained by flipping
+    /// subsets of the band's bits in order of increasing total flipped
+    /// margin (the sum of `|projection|` over the flipped bits).  A
+    /// near-duplicate indexed under its exact bucket is found as soon as the
+    /// bits it disagrees on are a low-margin subset of the query's band, so
+    /// probing multiplies recall without widening the index.
+    ///
+    /// Each band contributes `min(probes, 2^band_bits)` distinct keys, in
+    /// band order; `probes == 1` is exact banding (one key per band).  Every
+    /// intermediate buffer is drawn from `scratch`, so a probing loop
+    /// performs zero allocations per vector after warm-up.
+    ///
+    /// ```
+    /// use lake_embed::{Embedder, HashingNgramEmbedder, ProbeScratch, SimHasher};
+    ///
+    /// let embedder = HashingNgramEmbedder::new();
+    /// let hasher = SimHasher::new(32, embedder.dim());
+    /// let mut scratch = ProbeScratch::default();
+    /// let (mut keys, mut close) = (Vec::new(), Vec::new());
+    /// let barcelona = embedder.embed("Barcelona");
+    /// hasher.probe_packed_keys_into(barcelona.components(), 4, 1, &mut scratch, &mut keys);
+    /// assert_eq!(keys.len(), 8); // 32 bits / 4 bits per band
+    /// // A near-duplicate agrees on at least one full band.
+    /// let typo = embedder.embed("Barcelonna");
+    /// hasher.probe_packed_keys_into(typo.components(), 4, 1, &mut scratch, &mut close);
+    /// assert!(keys.iter().any(|key| close.contains(key)));
+    /// ```
     ///
     /// # Panics
     /// Panics if `probes == 0`, if `band_bits` is `0` or does not divide
@@ -271,95 +285,6 @@ impl SimHasher {
             }
         }
     }
-
-    /// The raw hyperplane projections behind [`signature`](Self::signature):
-    /// bit *i* of the signature is set iff `projections(v)[i] >= 0`.  The
-    /// magnitude `|projections(v)[i]|` is the *margin* of bit *i* — how far
-    /// the vector sits from hyperplane *i*.  Low-margin bits are the ones a
-    /// near-duplicate is most likely to flip, which is what query-directed
-    /// multi-probing ([`probe_band_buckets`](Self::probe_band_buckets))
-    /// exploits.
-    pub fn projections(&self, vector: &Vector) -> Vec<f32> {
-        self.directions.iter().map(|direction| vector.dot(direction)).collect()
-    }
-
-    /// Banded LSH buckets of a vector: the signature split into
-    /// `bits() / band_bits` contiguous bands, entry `i` holding band `i`'s
-    /// bits.  Two vectors collide iff they agree on every bit of at least
-    /// one band; [`packed_band_key`] turns `(band, bucket)` into one map key.
-    ///
-    /// ```
-    /// use lake_embed::{Embedder, HashingNgramEmbedder, SimHasher};
-    ///
-    /// let embedder = HashingNgramEmbedder::new();
-    /// let hasher = SimHasher::new(32, embedder.dim());
-    /// let buckets = hasher.band_buckets(&embedder.embed("Barcelona"), 4);
-    /// assert_eq!(buckets.len(), 8); // 32 bits / 4 bits per band
-    /// // A near-duplicate agrees on at least one full band.
-    /// let close = hasher.band_buckets(&embedder.embed("Barcelonna"), 4);
-    /// assert!(buckets.iter().zip(&close).any(|(a, b)| a == b));
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `band_bits == 0` or does not divide [`bits`](Self::bits).
-    pub fn band_buckets(&self, vector: &Vector, band_bits: usize) -> Vec<u64> {
-        assert!(
-            band_bits > 0 && self.bits().is_multiple_of(band_bits),
-            "band width must divide the signature width"
-        );
-        let signature = self.signature(vector);
-        let mask = if band_bits == 64 { u64::MAX } else { (1u64 << band_bits) - 1 };
-        (0..self.bits() / band_bits).map(|band| (signature >> (band * band_bits)) & mask).collect()
-    }
-
-    /// Query-directed multi-probe buckets (Lv et al., *Multi-Probe LSH*,
-    /// VLDB 2007): for every band, the `probes` most promising buckets — the
-    /// vector's own bucket first, then perturbed buckets obtained by flipping
-    /// subsets of the band's bits in order of increasing total flipped
-    /// margin (the sum of `|projection|` over the flipped bits).  A
-    /// near-duplicate indexed under its exact bucket is found as soon as the
-    /// bits it disagrees on are a low-margin subset of the query's band, so
-    /// probing multiplies recall without widening the index.
-    ///
-    /// Entry `[band][0]` always equals [`band_buckets`](Self::band_buckets)
-    /// entry `band`; each inner vector holds `min(probes, 2^band_bits)`
-    /// distinct buckets.  `probes == 1` degenerates to exact banding.
-    ///
-    /// # Panics
-    /// Panics if `probes == 0`, or if `band_bits` is `0` or does not divide
-    /// [`bits`](Self::bits).
-    pub fn probe_band_buckets(
-        &self,
-        vector: &Vector,
-        band_bits: usize,
-        probes: usize,
-    ) -> Vec<Vec<u64>> {
-        assert!(probes > 0, "at least one probe per band is required");
-        assert!(
-            band_bits > 0 && self.bits().is_multiple_of(band_bits),
-            "band width must divide the signature width"
-        );
-        let projections = self.projections(vector);
-        let mask = if band_bits == 64 { u64::MAX } else { (1u64 << band_bits) - 1 };
-        let mut signature = 0u64;
-        for (bit, &projection) in projections.iter().enumerate() {
-            if projection >= 0.0 {
-                signature |= 1 << bit;
-            }
-        }
-        (0..self.bits() / band_bits)
-            .map(|band| {
-                let base = (signature >> (band * band_bits)) & mask;
-                let margins = &projections[band * band_bits..(band + 1) * band_bits];
-                let mut buckets = Vec::with_capacity(probes.min(1 << band_bits.min(20)));
-                buckets.push(base);
-                for flips in perturbation_sequence(margins, probes - 1) {
-                    buckets.push(base ^ flips);
-                }
-                buckets
-            })
-            .collect()
-    }
 }
 
 // Sequential dot product over raw slices, in exactly the accumulation order
@@ -372,9 +297,8 @@ fn dot_slice(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Reusable buffers for
-/// [`probe_packed_keys_into`](SimHasher::probe_packed_keys_into).  One
-/// instance per probing loop amortises every allocation the per-call API
-/// ([`probe_band_buckets`](SimHasher::probe_band_buckets)) pays per vector.
+/// [`probe_packed_keys_into`](SimHasher::probe_packed_keys_into): one
+/// instance per probing loop amortises every per-vector allocation.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     projections: Vec<f32>,
@@ -394,23 +318,15 @@ struct Perturbation {
     xor: u64,
 }
 
-/// The first `count` non-empty bit-flip subsets of a band, ordered by
-/// increasing total flipped margin (ties broken by flip mask for
-/// determinism).  This is the classic best-first probe-sequence generator:
-/// starting from the single lowest-margin flip, each popped subset spawns an
-/// *expand* step (add the next-ranked bit) and a *shift* step (replace its
-/// frontier bit with the next-ranked one), which enumerates subsets in
-/// exactly nondecreasing score order.
-fn perturbation_sequence(margins: &[f32], count: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    perturbation_sequence_into(margins, count, &mut Vec::new(), &mut Vec::new(), &mut out);
-    out
-}
-
-/// Scratch-buffer core of [`perturbation_sequence`]: identical enumeration,
-/// but `order`/`heap` come from the caller and the flip masks land in `out`
-/// (cleared first), so a probing loop performs zero allocations per band
-/// after warm-up.
+/// The first `count` non-empty bit-flip subsets of a band (at most all
+/// `2^bits − 1` of them), ordered by increasing total flipped margin (ties
+/// broken by flip mask for determinism).  This is the classic best-first
+/// probe-sequence generator: starting from the single lowest-margin flip,
+/// each popped subset spawns an *expand* step (add the next-ranked bit) and a
+/// *shift* step (replace its frontier bit with the next-ranked one), which
+/// enumerates subsets in exactly nondecreasing score order.  `order`/`heap`
+/// come from the caller and the flip masks land in `out` (cleared first), so
+/// a probing loop performs zero allocations per band after warm-up.
 fn perturbation_sequence_into(
     margins: &[f32],
     count: usize,
@@ -560,32 +476,31 @@ mod tests {
     fn simhash_is_deterministic_and_locality_sensitive() {
         let e = HashingNgramEmbedder::new();
         let hasher = SimHasher::new(64, e.dim());
-        let berlin = hasher.signature(&e.embed("Berlin"));
-        assert_eq!(berlin, hasher.signature(&e.embed("Berlin")));
+        let signature = |value: &str| hasher.signature_of(e.embed(value).components());
+        assert_eq!(signature("Berlin"), signature("Berlin"));
         // Close pairs agree on more bits than far pairs.  Individual pairs
         // can be unlucky with the fixed hyperplane draw, so compare totals
         // over several pairs.
         let flips = |pairs: &[(&str, &str)]| -> u32 {
-            pairs
-                .iter()
-                .map(|(a, b)| {
-                    (hasher.signature(&e.embed(a)) ^ hasher.signature(&e.embed(b))).count_ones()
-                })
-                .sum()
+            pairs.iter().map(|(a, b)| (signature(a) ^ signature(b)).count_ones()).sum()
         };
         let typo = flips(&[("Berlin", "Berlinn"), ("Toronto", "Torontoo"), ("Lima", "Limaa")]);
         let unrelated = flips(&[("Berlin", "Toronto"), ("Toronto", "Lima"), ("Lima", "Berlin")]);
         assert!(typo < unrelated, "typo flips {typo} bits, unrelated {unrelated}");
     }
 
-    /// The packed collision keys of a value's bands, in band order.
+    /// The packed collision keys of a value's bands, in band order: one
+    /// probe per band is exact banding.
     fn packed_band_keys(hasher: &SimHasher, vector: &Vector, band_bits: usize) -> Vec<u64> {
-        hasher
-            .band_buckets(vector, band_bits)
-            .into_iter()
-            .enumerate()
-            .map(|(band, bucket)| packed_band_key(band, band_bits, bucket))
-            .collect()
+        let mut keys = Vec::new();
+        hasher.probe_packed_keys_into(
+            vector.components(),
+            band_bits,
+            1,
+            &mut ProbeScratch::default(),
+            &mut keys,
+        );
+        keys
     }
 
     #[test]
@@ -615,7 +530,7 @@ mod tests {
     #[should_panic(expected = "band width must divide")]
     fn band_width_must_divide_signature_width() {
         let hasher = SimHasher::new(32, 8);
-        hasher.band_buckets(&Vector::zeros(8), 5);
+        packed_band_keys(&hasher, &Vector::zeros(8), 5);
     }
 
     #[test]
@@ -648,40 +563,25 @@ mod tests {
         hasher.slab_signatures_into(&slab, &mut batch);
         assert_eq!(batch.len(), vectors.len());
         for (vector, &signature) in vectors.iter().zip(&batch) {
-            assert_eq!(signature, hasher.signature(vector));
             assert_eq!(signature, hasher.signature_of(vector.components()));
         }
     }
 
     #[test]
-    fn projections_into_matches_allocating_projections() {
-        let e = HashingNgramEmbedder::new();
-        let hasher = SimHasher::new(32, e.dim());
-        let v = e.embed("New Delhi");
-        let mut buffer = vec![1.0f32; 3]; // stale content must be cleared
-        hasher.projections_into(v.components(), &mut buffer);
-        assert_eq!(buffer, hasher.projections(&v));
-    }
-
-    #[test]
-    fn probe_packed_keys_flatten_probe_band_buckets() {
-        let e = HashingNgramEmbedder::new();
-        let hasher = SimHasher::new(32, e.dim());
-        let mut scratch = ProbeScratch::default();
-        let mut packed = Vec::new();
-        for value in ["Berlin", "Barcelona", "Toronto"] {
-            let v = e.embed(value);
-            hasher.probe_packed_keys_into(v.components(), 8, 5, &mut scratch, &mut packed);
-            let reference: Vec<u64> = hasher
-                .probe_band_buckets(&v, 8, 5)
-                .into_iter()
-                .enumerate()
-                .flat_map(|(band, buckets)| {
-                    buckets.into_iter().map(move |bucket| packed_band_key(band, 8, bucket))
-                })
-                .collect();
-            assert_eq!(packed, reference, "scratch probing diverged for {value:?}");
-        }
+    fn probes_past_a_bands_bucket_count_enumerate_each_bucket_once() {
+        let hasher = SimHasher::new(8, 8);
+        let v = Vector::new(vec![0.3, -0.2, 0.9, 0.1, -0.7, 0.4, 0.05, -0.6]);
+        let mut keys = Vec::new();
+        hasher.probe_packed_keys_into(
+            v.components(),
+            2,
+            1_000,
+            &mut ProbeScratch::default(),
+            &mut keys,
+        );
+        // 4 bands × the 4 buckets a 2-bit band has, each exactly once.
+        assert_eq!(keys.len(), 16);
+        assert_eq!(keys.iter().collect::<std::collections::HashSet<_>>().len(), 16);
     }
 
     #[test]

@@ -108,22 +108,9 @@ mod tests {
 
     #[test]
     fn invalid_integration_config_propagates() {
-        use fuzzy_fd_core::{AnnParams, BlockingPolicy, EscalationPolicy, KeyedBlockingConfig};
-
-        // An ANN shape the first escalating fold would panic on, mid-ingest
-        // on a shard thread, must be refused at start-up instead.
-        let unusable_ann = |ann| {
-            FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
-                escalation: EscalationPolicy { ann, ..EscalationPolicy::default() },
-                ..KeyedBlockingConfig::default()
-            }))
-        };
-        for integration in [
-            FuzzyFdConfig::with_theta(f32::NAN),
-            unusable_ann(AnnParams { bands: 9, band_bits: 8, ..AnnParams::default() }),
-            unusable_ann(AnnParams { probes: 0, ..AnnParams::default() }),
-            unusable_ann(AnnParams { min_band_hits: 0, ..AnnParams::default() }),
-        ] {
+        // A threshold that would poison distance ordering mid-ingest on a
+        // shard thread must be refused at start-up instead.
+        for integration in [FuzzyFdConfig::with_theta(f32::NAN), FuzzyFdConfig::with_theta(2.5)] {
             let policy = ServePolicy { integration, ..ServePolicy::default() };
             assert!(policy.validate().is_err(), "{integration:?} passed validation");
         }

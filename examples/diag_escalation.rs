@@ -8,8 +8,7 @@ use datalake_fuzzy_fd::benchdata::{
     generate_autojoin_benchmark, generate_escalation_fold, AutoJoinConfig, EscalationFoldConfig,
 };
 use datalake_fuzzy_fd::core::{
-    match_column_values_with_stats, BlockingPolicy, EscalationPolicy, FuzzyFdConfig,
-    KeyedBlockingConfig, ValueGroup,
+    match_column_values_with_stats, BlockingPolicy, FuzzyFdConfig, ValueGroup,
 };
 use datalake_fuzzy_fd::embed::EmbeddingCache;
 use datalake_fuzzy_fd::table::Value;
@@ -19,11 +18,10 @@ fn to_value_columns(columns: &[Vec<String>]) -> Vec<Vec<Value>> {
     columns.iter().map(|col| col.iter().map(|s| Value::text(s.clone())).collect()).collect()
 }
 
-fn config_with(escalation: EscalationPolicy) -> FuzzyFdConfig {
-    FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
-        escalation,
-        ..KeyedBlockingConfig::default()
-    }))
+/// The default policy escalating from `min_fold_pairs` pairs (`usize::MAX`
+/// = never, `0` = every blocked fold).
+fn config_with(min_fold_pairs: usize) -> FuzzyFdConfig {
+    FuzzyFdConfig::with_blocking(BlockingPolicy { min_fold_pairs, ..BlockingPolicy::default() })
 }
 
 fn main() {
@@ -35,10 +33,8 @@ fn main() {
     let columns = to_value_columns(&set.columns);
     let embedder = EmbeddingCache::new(FuzzyFdConfig::default().model.build());
     let (exact, exact_stats) =
-        match_column_values_with_stats(&columns, &embedder, config_with(EscalationPolicy::never()));
-    let forced = EscalationPolicy { min_fold_pairs: 0, ..EscalationPolicy::default() };
-    let (escalated, stats) =
-        match_column_values_with_stats(&columns, &embedder, config_with(forced));
+        match_column_values_with_stats(&columns, &embedder, config_with(usize::MAX));
+    let (escalated, stats) = match_column_values_with_stats(&columns, &embedder, config_with(0));
     println!(
         "autojoin-150: groups {} (exact {} — {}), scored {} vs {}",
         escalated.len(),
@@ -67,10 +63,10 @@ fn main() {
                 })
                 .count()
         };
-        for (name, escalation) in
-            [("exact", EscalationPolicy::never()), ("ann", EscalationPolicy::default())]
+        for (name, min_fold_pairs) in
+            [("exact", usize::MAX), ("ann", BlockingPolicy::default().min_fold_pairs)]
         {
-            let config = config_with(escalation);
+            let config = config_with(min_fold_pairs);
             let _ = match_column_values_with_stats(&columns, &embedder, config); // warm cache
             let t = Instant::now();
             let (groups, stats) = match_column_values_with_stats(&columns, &embedder, config);

@@ -8,9 +8,10 @@
 
 use std::collections::BTreeSet;
 
+use datalake_fuzzy_fd::core::blocking::CANDIDACY_SLACK;
 use datalake_fuzzy_fd::core::{
-    match_column_values, match_column_values_with_stats, plan_blocks, BlockingPolicy,
-    EscalationPolicy, FoldInputs, FuzzyFdConfig, KeyedBlockingConfig, ValueGroup,
+    match_column_values, match_column_values_with_stats, plan_blocks, BlockingPolicy, FoldInputs,
+    FuzzyFdConfig, ValueGroup,
 };
 use datalake_fuzzy_fd::embed::{Embedder, EmbeddingModel};
 use datalake_fuzzy_fd::table::Value;
@@ -73,16 +74,16 @@ proptest! {
     ) {
         let exhaustive = run(
             &columns,
-            FuzzyFdConfig { theta, ..FuzzyFdConfig::with_blocking(BlockingPolicy::Exhaustive) },
+            FuzzyFdConfig { theta, ..FuzzyFdConfig::with_blocking(BlockingPolicy::exhaustive()) },
         );
         let fallback = run(
             &columns,
             FuzzyFdConfig {
                 theta,
-                blocking: BlockingPolicy::Keyed(KeyedBlockingConfig {
+                blocking: BlockingPolicy {
                     min_blocked_pairs: usize::MAX,
-                    ..KeyedBlockingConfig::default()
-                }),
+                    ..BlockingPolicy::default()
+                },
                 ..FuzzyFdConfig::default()
             },
         );
@@ -100,8 +101,7 @@ proptest! {
         theta in 0.0f32..0.95,
     ) {
         let config = keyed_config(theta, 1);
-        let BlockingPolicy::Keyed(keyed) = config.blocking else { unreachable!() };
-        let cutoff = theta + keyed.slack;
+        let cutoff = theta + CANDIDACY_SLACK;
         let embedder = config.model.build();
         let groups = run(&columns, config);
         for group in groups.iter().filter(|g| g.len() >= 2) {
@@ -154,7 +154,7 @@ fn autojoin_150_set_blocked_equals_exhaustive() {
     let (exhaustive, exhaustive_stats) = match_column_values_with_stats(
         &columns,
         embedder.as_ref(),
-        FuzzyFdConfig::with_blocking(BlockingPolicy::Exhaustive),
+        FuzzyFdConfig::with_blocking(BlockingPolicy::exhaustive()),
     );
     assert_eq!(exhaustive_stats.pruned_pairs, 0);
 
@@ -241,7 +241,7 @@ fn separable_clusters_split_into_parallel_blocks() {
     let exhaustive = match_column_values(
         &value_columns,
         embedder.as_ref(),
-        FuzzyFdConfig::with_blocking(BlockingPolicy::Exhaustive),
+        FuzzyFdConfig::with_blocking(BlockingPolicy::exhaustive()),
     );
     let (blocked, stats) = match_column_values_with_stats(
         &value_columns,
@@ -272,20 +272,20 @@ fn separable_clusters_split_into_parallel_blocks() {
 /// A keyed config whose exact channel escalates to the ANN tier for every
 /// fold of at least `min_fold_pairs` pairs (blocking floor removed).
 fn escalated_config(min_fold_pairs: usize) -> FuzzyFdConfig {
-    FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
+    FuzzyFdConfig::with_blocking(BlockingPolicy {
         min_blocked_pairs: 0,
-        escalation: EscalationPolicy { min_fold_pairs, ..EscalationPolicy::default() },
-        ..KeyedBlockingConfig::default()
-    }))
+        min_fold_pairs,
+        ..BlockingPolicy::default()
+    })
 }
 
 /// The exact channel with escalation disabled entirely.
 fn exact_config() -> FuzzyFdConfig {
-    FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
+    FuzzyFdConfig::with_blocking(BlockingPolicy {
         min_blocked_pairs: 0,
-        escalation: EscalationPolicy::never(),
-        ..KeyedBlockingConfig::default()
-    }))
+        min_fold_pairs: usize::MAX,
+        ..BlockingPolicy::default()
+    })
 }
 
 /// Acceptance: on the Auto-Join 150-value set the escalated (ANN) channel
@@ -395,14 +395,12 @@ fn split_components_preserve_group_equivalence() {
     let columns = to_value_columns(&set.columns);
     let embedder = EmbeddingModel::Mistral.build();
 
-    let split_config = FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
+    let split_config = FuzzyFdConfig::with_blocking(BlockingPolicy {
         min_blocked_pairs: 0,
-        escalation: EscalationPolicy::never(),
+        min_fold_pairs: usize::MAX,
         max_component_cells: 256, // 16 × 16 — far below the fold's one big component
-        ..KeyedBlockingConfig::default()
-    }));
-    let BlockingPolicy::Keyed(keyed) = split_config.blocking else { unreachable!() };
-    let cutoff = split_config.theta + keyed.slack;
+    });
+    let cutoff = split_config.theta + CANDIDACY_SLACK;
 
     let (groups, stats) = match_column_values_with_stats(&columns, embedder.as_ref(), split_config);
     assert!(stats.split_components > 0, "the tiny cap must trigger splitting: {stats:?}");
@@ -463,13 +461,10 @@ fn splitter_cuts_are_recorded_and_exact() {
         theta: 0.7,
         ..FoldInputs::default()
     };
-    let keyed = |max_component_cells| {
-        BlockingPolicy::Keyed(KeyedBlockingConfig {
-            min_blocked_pairs: 0,
-            escalation: EscalationPolicy::never(),
-            max_component_cells,
-            ..KeyedBlockingConfig::default()
-        })
+    let keyed = |max_component_cells| BlockingPolicy {
+        min_blocked_pairs: 0,
+        min_fold_pairs: usize::MAX,
+        max_component_cells,
     };
 
     let unsplit = plan_blocks(&input, &keyed(usize::MAX));

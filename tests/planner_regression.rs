@@ -17,7 +17,7 @@ use std::time::Duration;
 use datalake_fuzzy_fd::benchdata::{generate_escalation_fold, EscalationFoldConfig};
 use datalake_fuzzy_fd::core::{
     canonicalize_pairs, canonicalize_pairs_with_costs, match_column_values_with_stats,
-    BlockingPolicy, EscalationPolicy, FuzzyFdConfig, KeyedBlockingConfig,
+    BlockingPolicy, FuzzyFdConfig,
 };
 use datalake_fuzzy_fd::table::Value;
 
@@ -84,11 +84,11 @@ fn escalated_fold_phase_timings_are_attributed_and_bounded() {
         .collect();
     // Blocking floor removed and escalation threshold zeroed: every fold
     // takes the escalated (ANN) planner, the path this PR made fast.
-    let config = FuzzyFdConfig::with_blocking(BlockingPolicy::Keyed(KeyedBlockingConfig {
+    let config = FuzzyFdConfig::with_blocking(BlockingPolicy {
         min_blocked_pairs: 0,
-        escalation: EscalationPolicy { min_fold_pairs: 0, ..EscalationPolicy::default() },
-        ..KeyedBlockingConfig::default()
-    }));
+        min_fold_pairs: 0,
+        ..BlockingPolicy::default()
+    });
     let embedder = config.model.build();
     let (_, stats) = match_column_values_with_stats(&columns, embedder.as_ref(), config);
     assert!(stats.escalated_folds > 0, "the fold never escalated: {stats:?}");
