@@ -96,13 +96,17 @@ impl Default for BlockingPolicy {
     fn default() -> Self {
         BlockingPolicy {
             min_blocked_pairs: 4_096,
-            // 1M pairs ≈ a 1000 × 1000 fold — the measured wall-clock
-            // break-even of the ANN tier on 64-dimensional embeddings (see
-            // docs/PERF.md and the `diag_escalation` example).
-            // Below this the exact sweep is both faster and recall-exact, so
-            // escalating earlier would pay twice for nothing; above it the
-            // sweep's quadratic cost dominates and the tier wins on wall clock
-            // as well as on scored pairs.
+            // 1M pairs ≈ a 1000 × 1000 fold.  It was the wall-clock
+            // break-even of the ANN tier against the f32 sweep; since the
+            // sweep went int8 (PRs 8–9) it no longer is.  Re-measured
+            // 2026-10-02 with the `diag_escalation` example (table in
+            // docs/PERF.md, "Escalation threshold"): the exact sweep is
+            // faster *and* recall-exact at 1M, 4M and 17M pairs (22.7 vs
+            // 47.1 ms, 74.3 vs 83.9 ms, 268.9 vs 315.0 ms), so above this
+            // value the tier currently buys fewer scored pairs, not wall
+            // clock.  Moving it or retiring the tier changes
+            // `escalation_fold`'s output, so that is ROADMAP item 6's
+            // decision, not a constant to nudge here.
             min_fold_pairs: 1_000_000,
             // 256 × 256 per component: far above every benchmark fold (the
             // Auto-Join components stay untouched) while keeping the cubic

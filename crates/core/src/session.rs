@@ -246,10 +246,6 @@ impl IntegrationSession {
 
     /// The most recent integration outcome (initially the outcome of the
     /// tables the session was opened with).
-    ///
-    /// Serving this accessor costs one retained copy of each outcome at
-    /// `add_tables` time — linear in the output table, the same order as
-    /// the append's own FD assembly work.
     pub fn current(&self) -> &IncrementalOutcome {
         &self.latest
     }
@@ -297,7 +293,7 @@ impl IntegrationSession {
     }
 
     /// Appends one table and re-integrates incrementally.
-    pub fn add_table(&mut self, table: &Table) -> TableResult<IncrementalOutcome> {
+    pub fn add_table(&mut self, table: &Table) -> TableResult<Arc<IncrementalOutcome>> {
         self.add_tables(std::slice::from_ref(table))
     }
 
@@ -306,7 +302,11 @@ impl IntegrationSession {
     /// planned fold per appended column), untouched sets are reused
     /// outright, and the Full Disjunction recomputes only the join
     /// components the rewrites actually changed.
-    pub fn add_tables(&mut self, new_tables: &[Table]) -> TableResult<IncrementalOutcome> {
+    ///
+    /// The outcome is the one the session retains (what
+    /// [`snapshot`](Self::snapshot) hands out until the next call), shared,
+    /// not copied.
+    pub fn add_tables(&mut self, new_tables: &[Table]) -> TableResult<Arc<IncrementalOutcome>> {
         let first_new = self.tables.len();
         self.tables.extend(new_tables.iter().cloned());
         self.batch_sizes.push(new_tables.len());
@@ -322,8 +322,8 @@ impl IntegrationSession {
             &alignment,
             &mut self.retained,
         )?;
-        self.latest = Arc::new(outcome.clone());
-        Ok(outcome)
+        self.latest = Arc::new(outcome);
+        Ok(Arc::clone(&self.latest))
     }
 }
 

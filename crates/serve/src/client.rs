@@ -6,13 +6,14 @@
 //! the CI smoke job; `docs/PROTOCOL.md` shows the equivalent raw `curl`
 //! calls.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use lake_runtime::pause;
 use lake_table::Table;
 
+use crate::http::write_message;
 use crate::wire;
 
 /// Client-side failure talking to a server.
@@ -176,14 +177,15 @@ impl ServeClient {
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
+        // Head and body leave in one write, and nothing is held back to
+        // be coalesced with a later one.
+        stream.set_nodelay(true)?;
         let body = body.unwrap_or("");
         let head = format!(
             "{method} {target} HTTP/1.1\r\nHost: lake-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             body.len(),
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
+        write_message(&mut stream, head.as_bytes(), body.as_bytes())?;
 
         let mut raw = Vec::new();
         stream.read_to_end(&mut raw)?;

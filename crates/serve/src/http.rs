@@ -11,7 +11,8 @@
 //! headers are capped at 16 KiB and bodies at 16 MiB, so a hostile client
 //! cannot balloon a reader's memory.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Maximum accepted size of the request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -134,11 +135,15 @@ pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
             }
         }
     }
+    // RFC 9110 §8.6: `Content-Length = 1*DIGIT`.  `str::parse` alone would
+    // also take a leading `+`, a framing another hop may read differently.
     let content_length = match declared_length {
         None => 0,
         Some(v) => v
             .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest("unparseable content-length".into()))?,
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| HttpError::BadRequest("unparseable content-length".into()))?,
     };
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge("request body"));
@@ -198,8 +203,11 @@ fn percent_decode(s: &str, plus_as_space: bool) -> Result<String, HttpError> {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Exactly two hex digits: `from_str_radix` alone would also
+                // take a sign (`%+f`).
                 let hex = bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .and_then(|h| u8::from_str_radix(h, 16).ok())
                     .ok_or_else(|| HttpError::BadRequest("malformed percent escape".into()))?;
@@ -224,15 +232,17 @@ fn percent_decode(s: &str, plus_as_space: bool) -> Result<String, HttpError> {
 pub struct Response {
     /// Status code.
     pub status: u16,
-    /// JSON body.
-    pub body: String,
+    /// JSON body, behind a reference count: a shard's memoised `/query`
+    /// body is shared with every other response of that version, never
+    /// copied into this one.
+    pub body: Arc<str>,
     /// Optional `Retry-After` header (seconds), used by `429` responses.
     pub retry_after: Option<u32>,
 }
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
         Response { status, body: body.into(), retry_after: None }
     }
 
@@ -242,7 +252,8 @@ impl Response {
         self
     }
 
-    /// Serializes the response (status line, headers, body) onto `w`.
+    /// Serializes the response (status line, headers, body) onto `w`; a
+    /// shared body is sent from where it lives.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let reason = reason_phrase(self.status);
         let mut head = format!(
@@ -255,10 +266,28 @@ impl Response {
             head.push_str(&format!("Retry-After: {seconds}\r\n"));
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(self.body.as_bytes())?;
-        w.flush()
+        write_message(w, head.as_bytes(), self.body.as_bytes())
     }
+}
+
+/// Writes a message's head and body in one vectored write — a small message
+/// is one segment, and neither part is copied next to the other first —
+/// with plain writes for whatever that first call did not take, then
+/// flushes.  Both directions use it: two small writes followed by a read are
+/// what Nagle's algorithm and a delayed ACK turn into a stall.
+pub(crate) fn write_message(w: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let sent = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+        Ok(sent) => sent,
+        Err(err) if err.kind() == io::ErrorKind::Interrupted => 0,
+        Err(err) => return Err(err),
+    };
+    if sent < head.len() {
+        w.write_all(&head[sent..])?;
+        w.write_all(body)?;
+    } else {
+        w.write_all(&body[sent - head.len()..])?;
+    }
+    w.flush()
 }
 
 /// Reason phrase for the status codes the protocol uses.
@@ -325,6 +354,12 @@ mod tests {
     fn decodes_plus_and_percent() {
         assert_eq!(percent_decode("a+b%2Fc", true).unwrap(), "a b/c");
         assert_eq!(percent_decode("a+b%2Fc", false).unwrap(), "a+b/c");
+        assert_eq!(percent_decode("%2B%2b%41", true).unwrap(), "++A");
+        // An escape is exactly two hex digits; `u8::from_str_radix("+f", 16)`
+        // alone would be `Ok(15)`.
+        for bad in ["%+f", "%-1", "%+F", "%f", "%", "%g1", "%1g"] {
+            assert!(percent_decode(bad, true).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -349,6 +384,21 @@ mod tests {
         let raw = "POST /ingest HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
         let request = read_request(&mut Trickle::new(raw, 4096)).unwrap();
         assert_eq!(request.body, b"hi");
+    }
+
+    #[test]
+    fn content_length_must_be_digits() {
+        // `"+5".parse::<usize>()` is `Ok(5)`; RFC 9110 says `1*DIGIT`.
+        for bad in ["+5", "-5", "5 5", "0x5", "5.0", ""] {
+            let raw = format!("POST /ingest HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
+            let err = read_request(&mut Trickle::new(raw, 4096)).unwrap_err();
+            assert!(
+                matches!(err, HttpError::BadRequest(ref m) if m.contains("content-length")),
+                "{bad:?}: {err}"
+            );
+        }
+        let raw = "POST /ingest HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(read_request(&mut Trickle::new(raw, 4096)).unwrap().body, b"hello");
     }
 
     #[test]
@@ -399,5 +449,38 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A [`Write`] that takes at most `step` bytes per call and no second
+    /// slice, like a socket with a nearly full send buffer.
+    struct Dribble {
+        taken: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len());
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_lose_no_response_bytes() {
+        let response = Response::json(200, "{\"k\":\"v\"}".repeat(40));
+        let mut whole = Vec::new();
+        response.write_to(&mut whole).unwrap();
+        let head = whole.len() - response.body.len();
+        // Cuts inside the head, at its end, and inside the body.
+        for step in [1, 7, head, whole.len() - 3, whole.len()] {
+            let mut out = Dribble { taken: Vec::new(), step };
+            response.write_to(&mut out).unwrap();
+            assert_eq!(out.taken, whole, "step {step}");
+        }
     }
 }

@@ -18,14 +18,21 @@
 //! Reads never touch a session.  After every applied append the writer
 //! publishes an immutable [`ShardSnapshot`] behind an
 //! `RwLock<Arc<_>>`; readers clone the `Arc` under a momentary lock and
-//! render entirely from their own handle.  A query issued during a
+//! work entirely from their own handle.  A query issued during a
 //! multi-second integration therefore returns immediately — with the
-//! *previous* snapshot — and appends are never blocked by readers.
+//! *previous* snapshot — and appends are never blocked by readers.  A
+//! `/query` body is rendered at most once per published version and view:
+//! the first reader to ask streams it ([`wire::query_body`]), later readers
+//! share those bytes ([`Shard::query_body`]), and the next publish drops
+//! them with the version they belong to.
 //!
 //! The server speaks hand-rolled HTTP/1.1 over `std::net` (the build
 //! environment has no registry access, so no tokio/hyper): one request per
 //! connection, `Content-Length` framing, `Connection: close`.  All service
-//! threads come from [`lake_runtime::spawn_service`].
+//! threads come from [`lake_runtime::spawn_service`]; none of them polls —
+//! the acceptor blocks in `accept()` and [`ServerHandle::shutdown`] wakes it
+//! with a connection to the server's own port (thread layout and shutdown
+//! order in [`server`]).
 //!
 //! ## Durability
 //!

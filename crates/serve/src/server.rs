@@ -4,29 +4,34 @@
 //! (all threads come from [`lake_runtime::spawn_service`] — the workspace
 //! bans raw thread primitives outside the runtime crate):
 //!
-//! * 1 × `serve-accept` — non-blocking accept loop; hands connections to
-//!   the reader pool over a channel and polls the stop flag.
+//! * 1 × `serve-accept` — blocks in `accept()` and hands each connection
+//!   to the reader pool over a channel; it wakes only for a connection.
 //! * `R` × `serve-reader-i` — pop a connection, read one request, route
 //!   it, write the response, close.  Readers touch shards only through
-//!   [`Shard::try_ingest`] (queue admission) and
-//!   [`Shard::read_snapshot`] (an `Arc` clone), so no request ever waits
-//!   on an in-flight integration.
+//!   [`Shard::try_ingest`] (queue admission), [`Shard::query_body`] and
+//!   [`Shard::status`] (an `Arc` clone of what the writer published), so
+//!   no request ever waits on an in-flight integration.  A `/query` body
+//!   is rendered by the first reader to ask for that view of a published
+//!   version and shared by every later one; writers never render.
 //! * `S` × `serve-writer-i` — own the shard's
 //!   [`IntegrationSession`] (sessions
 //!   never cross threads), drain the admission queue, publish a fresh
 //!   [`ShardSnapshot`] after every applied append.
 //!
-//! Shutdown drains: [`ServerHandle::shutdown`] stops accepting, joins the
-//! readers, then asks each writer to finish its remaining queue before
-//! joining it — every acknowledged ingest is applied before `shutdown`
-//! returns.
+//! Shutdown drains: [`ServerHandle::shutdown`] flips the stop flag and
+//! connects to the server's own port so the acceptor returns from
+//! `accept()`, sees the flag and exits; the readers serve what is already
+//! queued to them (giving up on a client that has sent nothing) and are
+//! joined; then each writer finishes its remaining queue before it is
+//! joined — every acknowledged ingest is applied before `shutdown` returns.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fuzzy_fd_core::IntegrationSession;
 use lake_runtime::{pause, spawn_periodic, spawn_service, PeriodicHandle, ServiceHandle};
@@ -40,8 +45,17 @@ use crate::ServePolicy;
 /// How long a reader waits on a slow client before giving up on the
 /// connection.
 const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Accept-loop poll interval while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How often a reader blocked on a silent client looks at the stop flag,
+/// which bounds what such a client can add to a shutdown.
+const STOP_CHECK: Duration = Duration::from_millis(100);
+/// Pause after a failed `accept()`.  Descriptor exhaustion (`EMFILE`) fails
+/// every call until a connection closes; retrying at once would spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+/// First and longest pause between two attempts to wake the acceptor.
+const WAKE_BACKOFF_MIN: Duration = Duration::from_micros(100);
+const WAKE_BACKOFF_MAX: Duration = Duration::from_millis(20);
+/// How long one wake-up connection attempt may take.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Errors starting a [`LakeServer`].
 #[derive(Debug)]
@@ -162,7 +176,6 @@ impl LakeServer {
     ) -> Result<ServerHandle, ServeError> {
         policy.validate().map_err(ServeError::InvalidPolicy)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let shards: Arc<Vec<Arc<Shard>>> = Arc::new(
@@ -199,8 +212,9 @@ impl LakeServer {
             .map(|i| {
                 let conn_rx = Arc::clone(&conn_rx);
                 let shards = Arc::clone(&shards);
+                let stop = Arc::clone(&stop);
                 spawn_service(format!("serve-reader-{i}"), move || {
-                    reader_loop(conn_rx, shards, policy)
+                    reader_loop(conn_rx, shards, policy, &stop)
                 })
             })
             .collect();
@@ -284,12 +298,14 @@ impl ServerHandle {
         self.shards[id].poison_queue_for_test();
     }
 
-    /// Stops the server: no new connections, readers joined, every shard
-    /// queue drained and applied, writers joined.  Propagates a panic from
-    /// any service thread.
+    /// Stops the server: no new connections, readers joined once they
+    /// have served what was already queued to them, every shard queue
+    /// drained and applied, writers joined.  Propagates a panic from any
+    /// service thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.addr, &acceptor);
             acceptor.join();
         }
         for reader in self.readers.drain(..) {
@@ -308,9 +324,10 @@ impl ServerHandle {
         }
     }
 
-    /// Blocks the calling thread until the accept loop exits (i.e. until
-    /// another thread flips the stop flag, or forever in a long-running
-    /// process such as `examples/serve.rs`).
+    /// Blocks the calling thread until the accept loop exits — forever in
+    /// a long-running process such as `examples/serve.rs`, since only
+    /// [`shutdown`](Self::shutdown) stops the loop and this call consumes
+    /// the handle.
     pub fn wait(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join();
@@ -318,20 +335,80 @@ impl ServerHandle {
     }
 }
 
-/// Non-blocking accept loop; exits (dropping `conn_tx`, which unblocks the
-/// readers) when the stop flag flips.
+/// Blocking accept loop; exits (dropping `conn_tx`, which lets the readers
+/// finish once the channel is empty) at the first return from `accept()`
+/// after the stop flag flipped.  That connection is the wake-up call of
+/// [`wake_acceptor`], or a client that raced it: either way it was never
+/// promised service and is dropped.
 fn accept_loop(listener: TcpListener, conn_tx: mpsc::Sender<TcpStream>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if conn_tx.send(stream).is_err() {
                     return;
                 }
             }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => pause(ACCEPT_POLL),
-            // Transient per-connection accept failures (e.g. reset before
-            // accept) are not fatal to the server.
-            Err(_) => pause(ACCEPT_POLL),
+            // A connection reset before it was accepted is not fatal to the
+            // server, and neither is running out of descriptors.
+            Err(_) => pause(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// Makes an acceptor parked in `accept()` notice the stop flag, which the
+/// caller has already set: connects to the listener (on loopback when it
+/// is bound to an unspecified address) until the acceptor has exited.
+///
+/// One accepted connection is enough.  The retry is for a connect that is
+/// refused or times out (a full backlog) — the pause between attempts is
+/// bounded, and an acceptor that exits on its own, out of its error
+/// back-off, ends the loop too.
+fn wake_acceptor(addr: SocketAddr, acceptor: &ServiceHandle) {
+    let target = match addr {
+        SocketAddr::V4(v4) if v4.ip().is_unspecified() => {
+            SocketAddr::from((Ipv4Addr::LOCALHOST, addr.port()))
+        }
+        SocketAddr::V6(v6) if v6.ip().is_unspecified() => {
+            SocketAddr::from((Ipv6Addr::LOCALHOST, addr.port()))
+        }
+        bound => bound,
+    };
+    let mut backoff = WAKE_BACKOFF_MIN;
+    while !acceptor.is_finished() {
+        // Success or failure, the answer that counts is the acceptor's exit.
+        let _ = TcpStream::connect_timeout(&target, WAKE_CONNECT_TIMEOUT);
+        pause(backoff);
+        backoff = (backoff * 2).min(WAKE_BACKOFF_MAX);
+    }
+}
+
+/// A client connection as a reader reads it: a read blocks for as long as
+/// the client stays silent, up to [`CLIENT_IO_TIMEOUT`] — or, once the
+/// server is stopping, up to the next [`STOP_CHECK`] tick.  Bytes that have
+/// already arrived are always delivered, so a request queued before a
+/// shutdown is still served.
+struct ClientStream<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for ClientStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let deadline = Instant::now() + CLIENT_IO_TIMEOUT;
+        loop {
+            let outcome = self.stream.read(buf);
+            // The socket's read timeout is `STOP_CHECK`; which of the two
+            // kinds reports it depends on the platform.
+            let timed_out = outcome.as_ref().is_err_and(|err| {
+                matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+            });
+            if !timed_out || self.stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
+                return outcome;
+            }
         }
     }
 }
@@ -341,6 +418,7 @@ fn reader_loop(
     conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
     shards: Arc<Vec<Arc<Shard>>>,
     policy: ServePolicy,
+    stop: &AtomicBool,
 ) {
     loop {
         // Recover from a poisoned receiver lock: the receiver is plain
@@ -349,9 +427,9 @@ fn reader_loop(
         // and the server would stop accepting work while still listening).
         let conn = { conn_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv() };
         let Ok(mut stream) = conn else { return };
-        let _ = stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
+        let _ = stream.set_read_timeout(Some(STOP_CHECK));
         let _ = stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-        let response = match read_request(&mut stream) {
+        let response = match read_request(&mut ClientStream { stream: &stream, stop }) {
             Ok(request) => handle_request(&request, &shards, &policy),
             Err(HttpError::BadRequest(msg)) => Response::json(400, wire::error_body(&msg)),
             Err(HttpError::TooLarge(what)) => {
@@ -413,8 +491,9 @@ fn handle_ingest(request: &Request, shards: &[Arc<Shard>], policy: &ServePolicy)
     }
 }
 
-/// `GET /query`: resolve the shard (by `shard` index or `group` hash),
-/// clone its snapshot, render the requested view.
+/// `GET /query`: resolve the shard (by `shard` index or `group` hash) and
+/// answer with its published version's body for the requested view —
+/// rendered now if this is the first request for it, shared otherwise.
 fn handle_query(request: &Request, shards: &[Arc<Shard>]) -> Response {
     let view = match QueryView::parse(request.query_param("view")) {
         Ok(view) => view,
@@ -434,8 +513,7 @@ fn handle_query(request: &Request, shards: &[Arc<Shard>]) -> Response {
             return Response::json(400, wire::error_body("pass either `shard` or `group`"))
         }
     };
-    let snapshot = shards[shard_id].read_snapshot();
-    Response::json(200, wire::query_body(view, shard_id, &snapshot))
+    Response::json(200, shards[shard_id].query_body(view))
 }
 
 /// Shard writer loop: owns the session, drains the queue, publishes
@@ -514,4 +592,63 @@ fn writer_loop(shard: Arc<Shard>, policy: ServePolicy) {
             let _ = store.checkpoint(store.next_seq() - 1);
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use lake_table::TableBuilder;
+
+    use super::*;
+    use crate::ServeClient;
+
+    /// Shuts `server` down, holding the call to a second and the port free
+    /// for the next bind.
+    fn shutdown_promptly(server: ServerHandle) {
+        let addr = server.addr();
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        TcpListener::bind(addr).expect("the port is free again after shutdown");
+    }
+
+    #[test]
+    fn an_idle_server_shuts_down_promptly_fifty_times_over() {
+        for _ in 0..50 {
+            shutdown_promptly(LakeServer::start(ServePolicy::default()).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_wildcard_listener_is_woken_over_loopback() {
+        let any = SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0));
+        shutdown_promptly(LakeServer::start_on(ServePolicy::default(), any).unwrap());
+    }
+
+    #[test]
+    fn a_connected_but_silent_client_does_not_hold_up_shutdown() {
+        let server = LakeServer::start(ServePolicy::default()).unwrap();
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        // Connections are accepted in order, so once this answer is back a
+        // reader has the silent one (or is about to pop it).
+        assert_eq!(ServeClient::new(server.addr()).health().unwrap().status, 200);
+        shutdown_promptly(server);
+        drop(silent);
+    }
+
+    #[test]
+    fn an_ingest_acknowledged_just_before_shutdown_is_applied() {
+        let policy = ServePolicy { shards: 1, ..ServePolicy::default() };
+        let server = LakeServer::start(policy).unwrap();
+        let shards = Arc::clone(&server.shards);
+        let client = ServeClient::new(server.addr());
+        for name in ["a", "b", "c"] {
+            let table = TableBuilder::new(name, ["City"]).row(["Berlin"]).build().unwrap();
+            assert_eq!(client.ingest("g", &table).unwrap().status, 202);
+        }
+        server.shutdown();
+        let status = shards[0].status();
+        assert_eq!((status.accepted, status.applied, status.queued), (3, 3, 0));
+        assert_eq!(status.snapshot.version, 3);
+    }
 }

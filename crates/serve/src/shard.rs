@@ -7,19 +7,26 @@
 //! * the **admission queue** (`Mutex` + `Condvar`): bounded, rejecting at
 //!   capacity so backpressure is explicit (the server turns a rejection
 //!   into `429 Too Many Requests`), drained by the writer;
-//! * the **published snapshot** (`RwLock<Arc<ShardSnapshot>>`): readers
-//!   clone the `Arc` under a momentary read lock and then work entirely on
-//!   their own handle, so a multi-second integration in the writer never
-//!   blocks a query — the writer swaps in the next snapshot in O(1) after
-//!   integrating *outside* any lock.
+//! * the **published version** (`RwLock<Arc<Published>>`): a snapshot plus
+//!   one lazily rendered `/query` body per view.  Readers clone the `Arc`
+//!   under a momentary read lock and then work entirely on their own
+//!   handle, so a multi-second integration in the writer never blocks a
+//!   query — the writer swaps in the next version in O(1) after
+//!   integrating *outside* any lock.  The first reader to ask for a view of
+//!   a version renders it; everyone after gets the same bytes by `Arc`
+//!   bump.  `publish` replaces the whole value, so a body cannot outlive
+//!   its version: a shard holds at most three rendered bodies, all of the
+//!   published version, beside whatever in-flight responses still hold.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use fuzzy_fd_core::{IncrementalOutcome, IntegrationSession};
 use lake_fd::IntegrationSchema;
 use lake_store::{LakeStore, StoreStatus};
 use lake_table::Table;
+
+use crate::wire::{self, QueryView};
 
 /// Routes a table group to a shard by FNV-1a hash of the group name.
 ///
@@ -109,6 +116,24 @@ impl ShardSnapshot {
     }
 }
 
+/// What a shard publishes per version: the snapshot and, once somebody has
+/// asked for them, its rendered `/query` bodies (indexed by [`QueryView`]).
+///
+/// Rendering is left to the first reader rather than done at publish: a
+/// burst publishes dozens of versions nobody reads, and their render time
+/// would land on the writer.
+#[derive(Debug)]
+struct Published {
+    snapshot: Arc<ShardSnapshot>,
+    bodies: [OnceLock<Arc<str>>; 3],
+}
+
+impl Published {
+    fn new(snapshot: ShardSnapshot) -> Arc<Self> {
+        Arc::new(Published { snapshot: Arc::new(snapshot), bodies: Default::default() })
+    }
+}
+
 /// Mutable queue state behind the shard's mutex.
 #[derive(Debug, Default)]
 struct QueueState {
@@ -147,7 +172,7 @@ pub struct ShardStatus {
     pub snapshot: ShardSnapshot,
 }
 
-/// One lake shard: admission queue + published snapshot.
+/// One lake shard: admission queue + published version.
 ///
 /// The owning [`IntegrationSession`] is *not* stored here — it is confined
 /// to the shard's writer thread (see [`writer_loop`](crate::LakeServer)).
@@ -157,7 +182,7 @@ pub struct Shard {
     depth: usize,
     state: Mutex<QueueState>,
     work: Condvar,
-    snapshot: RwLock<Arc<ShardSnapshot>>,
+    published: RwLock<Arc<Published>>,
     /// The shard's durable store, when serving durably.  Lock order is
     /// `store` → `state`: admission holds the store lock across the log
     /// append *and* the queue push so log order equals apply order.
@@ -173,7 +198,7 @@ impl Shard {
             depth,
             state: Mutex::new(QueueState::default()),
             work: Condvar::new(),
-            snapshot: RwLock::new(Arc::new(initial)),
+            published: RwLock::new(Published::new(initial)),
             store: None,
         }
     }
@@ -330,18 +355,35 @@ impl Shard {
     }
 
     /// Publishes a new snapshot (an O(1) pointer swap under the write
-    /// lock).  Recovers from poisoning: the slot holds a plain `Arc`, and
-    /// a pointer swap cannot be observed torn.
+    /// lock), dropping the previous version's rendered bodies with it.
+    /// Recovers from poisoning: the slot holds a plain `Arc`, and a pointer
+    /// swap cannot be observed torn.
     pub fn publish(&self, snapshot: ShardSnapshot) {
-        *self.snapshot.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot);
+        *self.published.write().unwrap_or_else(PoisonError::into_inner) = Published::new(snapshot);
     }
 
-    /// The current published snapshot (an `Arc` clone under a momentary
+    /// The current published version (an `Arc` clone under a momentary
     /// read lock; never blocks on an in-flight integration).  Recovers
     /// from poisoning — queries must keep serving the last good snapshot
     /// even after a panic elsewhere on the shard.
+    fn published(&self) -> Arc<Published> {
+        Arc::clone(&self.published.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The current published snapshot.
     pub fn read_snapshot(&self) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.published().snapshot)
+    }
+
+    /// The `/query` body of the current published snapshot for `view` —
+    /// [`wire::query_body`]'s bytes, rendered at most once per version:
+    /// the first caller renders, callers racing it wait for that one
+    /// rendering instead of starting their own, later callers share it.
+    pub fn query_body(&self, view: QueryView) -> Arc<str> {
+        let published = self.published();
+        let body = published.bodies[view as usize]
+            .get_or_init(|| wire::query_body(view, self.id, &published.snapshot).into());
+        Arc::clone(body)
     }
 
     /// Requests writer shutdown (drain-then-exit) and wakes it.
@@ -481,6 +523,56 @@ mod tests {
         assert!(shard.next_job().is_some());
         shard.finish_job(true);
         assert!(shard.next_job().is_none());
+    }
+
+    #[test]
+    fn a_version_renders_each_view_once_and_a_publish_drops_its_bodies() {
+        let shard = Shard::new(3, 4, empty_snapshot());
+        let table = shard.query_body(QueryView::Table);
+        assert!(Arc::ptr_eq(&table, &shard.query_body(QueryView::Table)));
+        assert_eq!(*table, *wire::query_body(QueryView::Table, 3, &shard.read_snapshot()));
+        let report = shard.query_body(QueryView::Report);
+        assert_eq!(*report, *wire::query_body(QueryView::Report, 3, &shard.read_snapshot()));
+        let old_bodies = [Arc::downgrade(&table), Arc::downgrade(&report)];
+
+        let mut next = empty_snapshot();
+        next.version = 7;
+        shard.publish(next);
+        // A response still being written keeps its bytes; the shard does not.
+        assert_eq!(Arc::strong_count(&table), 1);
+        drop((table, report));
+        assert!(old_bodies.iter().all(|body| body.upgrade().is_none()));
+        assert!(shard.query_body(QueryView::Table).contains("\"version\":7,"));
+    }
+
+    #[test]
+    fn readers_racing_the_first_read_of_a_version_share_one_rendering() {
+        const READERS: usize = 8;
+        let mut wide = lake_table::TableBuilder::new("wide", ["k", "v"]);
+        for i in 0..2_000 {
+            wide = wide.row([format!("key-{i}"), format!("value-{i}")]);
+        }
+        let mut session = IntegrationSession::begin(FuzzyFdConfig::default(), &[]).unwrap();
+        session.add_table(&wide.build().unwrap()).unwrap();
+        let shard = Arc::new(Shard::new(0, 4, ShardSnapshot::from_session(1, &session)));
+
+        let gate = Arc::new(std::sync::Barrier::new(READERS));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let readers: Vec<_> = (0..READERS)
+            .map(|i| {
+                let (shard, gate, tx) = (Arc::clone(&shard), Arc::clone(&gate), tx.clone());
+                lake_runtime::spawn_service(format!("racing-reader-{i}"), move || {
+                    gate.wait();
+                    tx.send(shard.query_body(QueryView::Table)).unwrap();
+                })
+            })
+            .collect();
+        readers.into_iter().for_each(lake_runtime::ServiceHandle::join);
+        let bodies: Vec<Arc<str>> = rx.try_iter().collect();
+        assert_eq!(bodies.len(), READERS);
+        assert!(bodies.iter().all(|body| Arc::ptr_eq(body, &bodies[0])));
+        // The shard's slot and the eight handles: nobody rendered a copy.
+        assert_eq!(Arc::strong_count(&bodies[0]), READERS + 1);
     }
 
     #[test]

@@ -11,12 +11,22 @@
 //! appears in `/query` bodies.  Timing-dependent counters are confined to
 //! `/stats`, which is observability, not data.
 //!
+//! The bodies that grow with the lake — `/query` and the client's
+//! `/ingest` — are streamed straight into one `String` by `JsonWriter`;
+//! the small fixed-shape ones (`/stats`, acks, errors, health) still build
+//! a [`Content`] tree.  Both paths emit strings and floats through the
+//! vendored encoder's own leaf writers, and the tests hold the streamed
+//! bytes equal to the tree encoder's.
+//!
 //! The full schema of every body is documented in `docs/PROTOCOL.md`.
+
+use std::collections::HashMap;
+use std::fmt::{Display, Write as _};
 
 use serde::Content;
 use serde_json::Value as Json;
 
-use lake_fd::{IntegratedTable, IntegratedTuple};
+use lake_fd::IntegratedTuple;
 use lake_table::{Schema, Table, Value};
 
 use crate::shard::{ShardSnapshot, ShardStatus};
@@ -95,25 +105,44 @@ fn decode_cell(cell: &Json) -> Option<Value> {
     })
 }
 
+/// Bytes a rendered cell is guessed to take (`null,` is five).
+const CELL_BYTES_GUESS: usize = 8;
+/// Bytes a cell with its `{"value":…,"sources":[…]}` wrapper is guessed to take.
+const SOURCED_CELL_BYTES_GUESS: usize = 48;
+/// Bytes a tuple's `{"tids":[…],"cells":[…]}` frame and ids are guessed to take.
+const TUPLE_BYTES_GUESS: usize = 48;
+
 /// Renders the `POST /ingest` body for `table` (the client-side inverse of
 /// [`parse_ingest`]).
 pub fn ingest_body(group: &str, table: &Table) -> String {
-    let columns: Vec<Content> =
-        table.schema().names().iter().map(|n| Content::Str((*n).to_string())).collect();
-    let rows: Vec<Content> = table
-        .rows()
-        .iter()
-        .map(|row| Content::Seq(row.iter().map(cell_content).collect()))
-        .collect();
-    let table_obj = Content::Map(vec![
-        ("name".into(), Content::Str(table.name().to_string())),
-        ("columns".into(), Content::Seq(columns)),
-        ("rows".into(), Content::Seq(rows)),
-    ]);
-    render(Content::Map(vec![
-        ("group".into(), Content::Str(group.to_string())),
-        ("table".into(), table_obj),
-    ]))
+    let cells = table.rows().len() * table.num_columns();
+    let mut w = JsonWriter::with_capacity(128 + cells * CELL_BYTES_GUESS);
+    w.open('{');
+    w.key("group");
+    w.string(group);
+    w.key("table");
+    w.open('{');
+    w.key("name");
+    w.string(table.name());
+    w.key("columns");
+    w.open('[');
+    for name in table.schema().names() {
+        w.string(name);
+    }
+    w.close(']');
+    w.key("rows");
+    w.open('[');
+    for row in table.rows() {
+        w.open('[');
+        for cell in row {
+            w.cell(cell);
+        }
+        w.close(']');
+    }
+    w.close(']');
+    w.close('}');
+    w.close('}');
+    w.finish()
 }
 
 /// The three `GET /query` projections.
@@ -153,167 +182,182 @@ impl QueryView {
 /// Renders a `GET /query` response body for one shard snapshot.
 ///
 /// Fully deterministic in the snapshot: the integration tests compare
-/// these bytes against a server round-trip.
+/// these bytes against a server round-trip.  The server calls this at most
+/// once per published version and view (see
+/// [`Shard::query_body`](crate::Shard::query_body)).
 pub fn query_body(view: QueryView, shard: usize, snapshot: &ShardSnapshot) -> String {
-    let mut fields = vec![
-        ("shard".into(), Content::U64(shard as u64)),
-        ("version".into(), Content::U64(snapshot.version)),
-        ("view".into(), Content::Str(view.name().to_string())),
-        (
-            "lake_tables".into(),
-            Content::Seq(
-                snapshot.tables.iter().map(|t| Content::Str(t.name().to_string())).collect(),
-            ),
-        ),
-    ];
-    match view {
-        QueryView::Table => {
-            fields.push(("table".into(), table_content(&snapshot.outcome.table)));
-        }
-        QueryView::Report => {
-            fields.push(("report".into(), report_content(snapshot)));
-        }
+    let table = &snapshot.outcome.table;
+    let cells = table.len() * table.columns().len();
+    // A guess that saves most of the regrowth, not a bound.
+    let capacity = match view {
+        QueryView::Report => 1024,
+        QueryView::Table => 256 + table.len() * TUPLE_BYTES_GUESS + cells * CELL_BYTES_GUESS,
         QueryView::Provenance => {
-            fields.push(("table".into(), provenance_content(snapshot)));
+            256 + table.len() * TUPLE_BYTES_GUESS + cells * SOURCED_CELL_BYTES_GUESS
+        }
+    };
+    let mut w = JsonWriter::with_capacity(capacity);
+    w.open('{');
+    w.field("shard", shard as u64);
+    w.field("version", snapshot.version);
+    w.key("view");
+    w.string(view.name());
+    w.key("lake_tables");
+    w.open('[');
+    for table in snapshot.tables.iter() {
+        w.string(table.name());
+    }
+    w.close(']');
+    match view {
+        QueryView::Report => {
+            w.key("report");
+            write_report(&mut w, snapshot);
+        }
+        QueryView::Table | QueryView::Provenance => {
+            w.key("table");
+            write_table(&mut w, snapshot, view == QueryView::Provenance);
         }
     }
-    render(Content::Map(fields))
+    w.close('}');
+    w.finish()
 }
 
-/// The integrated table as `{"columns": [...], "tuples": [...]}` with each
+/// The integrated table as `{"columns": [...], "tuples": [...]}`, each
 /// tuple carrying its provenance ids and cells.
-fn table_content(table: &IntegratedTable) -> Content {
-    let columns: Vec<Content> = table.columns().iter().map(|c| Content::Str(c.clone())).collect();
-    let tuples: Vec<Content> = table
-        .tuples()
-        .iter()
-        .map(|tuple| {
-            Content::Map(vec![
-                ("tids".into(), tids_content(tuple)),
-                ("cells".into(), Content::Seq(tuple.values().iter().map(cell_content).collect())),
-            ])
-        })
-        .collect();
-    Content::Map(vec![
-        ("columns".into(), Content::Seq(columns)),
-        ("tuples".into(), Content::Seq(tuples)),
-    ])
+///
+/// With `sources`, every cell becomes `{"value": …, "sources": [...]}`:
+/// which base tuples contributed a value to it, derived from the
+/// integration schema's source-column mapping.  A source is attributed
+/// when its base table has a non-null cell in a column that maps to the
+/// integrated column — the base value itself may since have been rewritten
+/// to a group representative.
+fn write_table(w: &mut JsonWriter, snapshot: &ShardSnapshot, sources: bool) {
+    let table = &snapshot.outcome.table;
+    let index: HashMap<&str, usize> = if sources {
+        snapshot.tables.iter().enumerate().map(|(i, t)| (t.name(), i)).collect()
+    } else {
+        HashMap::new()
+    };
+    w.open('{');
+    w.key("columns");
+    w.open('[');
+    for column in table.columns() {
+        w.string(column);
+    }
+    w.close(']');
+    w.key("tuples");
+    w.open('[');
+    for tuple in table.tuples() {
+        w.open('{');
+        w.key("tids");
+        w.open('[');
+        // Already sorted — provenance is a `BTreeSet`.
+        for tid in tuple.provenance().iter() {
+            w.display(tid);
+        }
+        w.close(']');
+        w.key("cells");
+        w.open('[');
+        if sources {
+            for col in 0..table.columns().len() {
+                w.open('{');
+                w.key("value");
+                w.cell(tuple.value(col));
+                w.key("sources");
+                w.open('[');
+                write_sources(w, snapshot, &index, tuple, col);
+                w.close(']');
+                w.close('}');
+            }
+        } else {
+            for cell in tuple.values() {
+                w.cell(cell);
+            }
+        }
+        w.close(']');
+        w.close('}');
+    }
+    w.close(']');
+    w.close('}');
 }
 
-/// Per-cell source attribution: which base tuples contributed a value to
-/// each integrated cell, derived from the integration schema's
-/// source-column mapping.  A source is attributed when its base table has a
-/// non-null cell in a column that maps to the integrated column — the base
-/// value itself may since have been rewritten to a group representative.
-fn provenance_content(snapshot: &ShardSnapshot) -> Content {
-    let table = &snapshot.outcome.table;
-    let index: std::collections::HashMap<&str, usize> =
-        snapshot.tables.iter().enumerate().map(|(i, t)| (t.name(), i)).collect();
-    let columns: Vec<Content> = table.columns().iter().map(|c| Content::Str(c.clone())).collect();
-    let tuples: Vec<Content> = table
-        .tuples()
-        .iter()
-        .map(|tuple| {
-            let cells: Vec<Content> = (0..table.columns().len())
-                .map(|col| {
-                    let mut sources = Vec::new();
-                    if let Some(schema) = &snapshot.schema {
-                        for tid in tuple.provenance().iter() {
-                            let Some(&t) = index.get(tid.table.as_str()) else { continue };
-                            let base = &snapshot.tables[t];
-                            for c in 0..base.num_columns() {
-                                if schema.integrated_column(t, c) == col
-                                    && !matches!(base.rows()[tid.row][c], Value::Null)
-                                {
-                                    sources.push(Content::Str(tid.to_string()));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Content::Map(vec![
-                        ("value".into(), cell_content(tuple.value(col))),
-                        ("sources".into(), Content::Seq(sources)),
-                    ])
-                })
-                .collect();
-            Content::Map(vec![
-                ("tids".into(), tids_content(tuple)),
-                ("cells".into(), Content::Seq(cells)),
-            ])
-        })
-        .collect();
-    Content::Map(vec![
-        ("columns".into(), Content::Seq(columns)),
-        ("tuples".into(), Content::Seq(tuples)),
-    ])
+/// The ids of `tuple`'s base tuples that have a non-null cell in a column
+/// mapped to integrated column `col`.
+fn write_sources(
+    w: &mut JsonWriter,
+    snapshot: &ShardSnapshot,
+    index: &HashMap<&str, usize>,
+    tuple: &IntegratedTuple,
+    col: usize,
+) {
+    let Some(schema) = &snapshot.schema else { return };
+    for tid in tuple.provenance().iter() {
+        let Some(&t) = index.get(tid.table.as_str()) else { continue };
+        let base = &snapshot.tables[t];
+        let attributed = (0..base.num_columns()).any(|c| {
+            schema.integrated_column(t, c) == col && !matches!(base.rows()[tid.row][c], Value::Null)
+        });
+        if attributed {
+            w.display(tid);
+        }
+    }
 }
 
 /// The deterministic counters of the latest integration, grouped by
 /// pipeline stage.  Durations and scheduler busy-nanos are deliberately
 /// absent (see the module docs); they live in `/stats`.
-fn report_content(snapshot: &ShardSnapshot) -> Content {
+fn write_report(w: &mut JsonWriter, snapshot: &ShardSnapshot) {
     let report = &snapshot.outcome.report;
     let blocking = &report.blocking;
     let fd = &report.fd_stats;
     let inc = &snapshot.outcome.incremental;
-    Content::Map(vec![
-        ("tables".into(), Content::U64(snapshot.tables.len() as u64)),
-        ("tuples".into(), Content::U64(snapshot.outcome.table.len() as u64)),
-        (
-            "pipeline".into(),
-            Content::Map(vec![
-                ("aligned_sets".into(), Content::U64(report.aligned_sets as u64)),
-                ("value_groups".into(), Content::U64(report.value_groups as u64)),
-                ("matched_groups".into(), Content::U64(report.matched_groups as u64)),
-                ("rewritten_cells".into(), Content::U64(report.rewritten_cells as u64)),
-            ]),
-        ),
-        (
-            "blocking".into(),
-            Content::Map(vec![
-                ("folds".into(), Content::U64(blocking.folds as u64)),
-                ("escalated_folds".into(), Content::U64(blocking.escalated_folds as u64)),
-                ("blocks".into(), Content::U64(blocking.blocks as u64)),
-                ("candidate_pairs".into(), Content::U64(blocking.candidate_pairs as u64)),
-                ("scored_pairs".into(), Content::U64(blocking.scored_pairs as u64)),
-                ("pruned_pairs".into(), Content::U64(blocking.pruned_pairs as u64)),
-                ("split_components".into(), Content::U64(blocking.split_components as u64)),
-                ("severed_pairs".into(), Content::U64(blocking.severed_pairs as u64)),
-                ("max_block_size".into(), Content::U64(blocking.max_block_size as u64)),
-            ]),
-        ),
-        (
-            "fd".into(),
-            Content::Map(vec![
-                ("input_tuples".into(), Content::U64(fd.input_tuples as u64)),
-                ("output_tuples".into(), Content::U64(fd.output_tuples as u64)),
-                ("components".into(), Content::U64(fd.components as u64)),
-                ("largest_component".into(), Content::U64(fd.largest_component as u64)),
-                ("reused_components".into(), Content::U64(fd.reused_components as u64)),
-            ]),
-        ),
-        (
-            "incremental".into(),
-            Content::Map(vec![
-                ("appended_tables".into(), Content::U64(inc.appended_tables as u64)),
-                ("refolded_sets".into(), Content::U64(inc.refolded_sets as u64)),
-                ("rebuilt_sets".into(), Content::U64(inc.rebuilt_sets as u64)),
-                ("reused_sets".into(), Content::U64(inc.reused_sets as u64)),
-                ("embed_hits".into(), Content::U64(inc.embed_hits)),
-                ("embed_misses".into(), Content::U64(inc.embed_misses)),
-            ]),
-        ),
-        (
-            "caches".into(),
-            Content::Map(vec![
-                ("embed_hits".into(), Content::U64(snapshot.embed_cache.0)),
-                ("embed_misses".into(), Content::U64(snapshot.embed_cache.1)),
-                ("fd_hits".into(), Content::U64(snapshot.fd_cache.0)),
-                ("fd_misses".into(), Content::U64(snapshot.fd_cache.1)),
-            ]),
-        ),
-    ])
+    w.open('{');
+    w.field("tables", snapshot.tables.len() as u64);
+    w.field("tuples", snapshot.outcome.table.len() as u64);
+    w.key("pipeline");
+    w.open('{');
+    w.field("aligned_sets", report.aligned_sets as u64);
+    w.field("value_groups", report.value_groups as u64);
+    w.field("matched_groups", report.matched_groups as u64);
+    w.field("rewritten_cells", report.rewritten_cells as u64);
+    w.close('}');
+    w.key("blocking");
+    w.open('{');
+    w.field("folds", blocking.folds as u64);
+    w.field("escalated_folds", blocking.escalated_folds as u64);
+    w.field("blocks", blocking.blocks as u64);
+    w.field("candidate_pairs", blocking.candidate_pairs as u64);
+    w.field("scored_pairs", blocking.scored_pairs as u64);
+    w.field("pruned_pairs", blocking.pruned_pairs as u64);
+    w.field("split_components", blocking.split_components as u64);
+    w.field("severed_pairs", blocking.severed_pairs as u64);
+    w.field("max_block_size", blocking.max_block_size as u64);
+    w.close('}');
+    w.key("fd");
+    w.open('{');
+    w.field("input_tuples", fd.input_tuples as u64);
+    w.field("output_tuples", fd.output_tuples as u64);
+    w.field("components", fd.components as u64);
+    w.field("largest_component", fd.largest_component as u64);
+    w.field("reused_components", fd.reused_components as u64);
+    w.close('}');
+    w.key("incremental");
+    w.open('{');
+    w.field("appended_tables", inc.appended_tables as u64);
+    w.field("refolded_sets", inc.refolded_sets as u64);
+    w.field("rebuilt_sets", inc.rebuilt_sets as u64);
+    w.field("reused_sets", inc.reused_sets as u64);
+    w.field("embed_hits", inc.embed_hits);
+    w.field("embed_misses", inc.embed_misses);
+    w.close('}');
+    w.key("caches");
+    w.open('{');
+    w.field("embed_hits", snapshot.embed_cache.0);
+    w.field("embed_misses", snapshot.embed_cache.1);
+    w.field("fd_hits", snapshot.fd_cache.0);
+    w.field("fd_misses", snapshot.fd_cache.1);
+    w.close('}');
+    w.close('}');
 }
 
 /// Renders the `GET /health` body.
@@ -528,45 +572,469 @@ fn durability_content(store: &lake_store::StoreStatus) -> Content {
     ])
 }
 
-/// The tuple's provenance ids as a JSON array of `"table#row"` strings
-/// (already sorted — provenance is a `BTreeSet`).
-fn tids_content(tuple: &IntegratedTuple) -> Content {
-    Content::Seq(tuple.provenance().iter().map(|tid| Content::Str(tid.to_string())).collect())
+/// Compact JSON streamed into one `String`: the bytes the vendored
+/// `Content`-tree encoder would produce, without the tree.
+///
+/// The only state is whether the next key or element needs a comma: a
+/// value or a closed container is followed by one, a key or an opened
+/// container is not.  Nothing checks that containers balance or that keys
+/// alternate with values — the callers are the few fixed shapes above, and
+/// the tests parse every body they produce.
+struct JsonWriter {
+    out: String,
+    comma: bool,
+    /// Reused by [`display`](Self::display), so formatting an id allocates
+    /// nothing once the buffer has grown to the longest one.
+    scratch: String,
 }
 
-/// A workspace [`Value`] as a JSON cell.  Non-finite floats (which JSON
-/// cannot represent and the workspace never produces from parsed input)
-/// degrade to `null` rather than poisoning a whole response.
-fn cell_content(value: &Value) -> Content {
-    match value {
-        Value::Null => Content::Null,
-        Value::Text(s) => Content::Str(s.clone()),
-        Value::Int(i) => Content::I64(*i),
-        Value::Float(f) if f.is_finite() => Content::F64(*f),
-        Value::Float(_) => Content::Null,
-        Value::Bool(b) => Content::Bool(*b),
+impl JsonWriter {
+    fn with_capacity(bytes: usize) -> Self {
+        JsonWriter { out: String::with_capacity(bytes), comma: false, scratch: String::new() }
+    }
+
+    fn finish(self) -> String {
+        self.out
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Opens an object (`'{'`) or an array (`'['`).
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    /// Closes the innermost container with its `'}'` or `']'`.
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+
+    fn key(&mut self, name: &str) {
+        self.separate();
+        serde_json::write_escaped(name, &mut self.out);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    fn string(&mut self, value: &str) {
+        self.separate();
+        serde_json::write_escaped(value, &mut self.out);
+    }
+
+    /// A string value from its `Display` form, through the same escaper —
+    /// a [`TupleId`](lake_table::TupleId) renders as `table#row`, and table
+    /// names are user input.
+    fn display(&mut self, value: &impl Display) {
+        self.separate();
+        self.scratch.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.scratch, "{value}");
+        serde_json::write_escaped(&self.scratch, &mut self.out);
+    }
+
+    /// An integer value (`u64` or `i64`), in decimal.
+    fn integer(&mut self, value: impl Display) {
+        self.separate();
+        let _ = write!(self.out, "{value}");
+    }
+
+    /// `"name":value` for an unsigned counter.
+    fn field(&mut self, name: &str, value: u64) {
+        self.key(name);
+        self.integer(value);
+    }
+
+    /// `null`, `true` or `false`.
+    fn literal(&mut self, text: &str) {
+        self.separate();
+        self.out.push_str(text);
+    }
+
+    /// A workspace [`Value`] as a JSON cell.  Non-finite floats (which JSON
+    /// cannot represent and the workspace never produces from parsed input)
+    /// degrade to `null` rather than poisoning a whole response.
+    fn cell(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.literal("null"),
+            Value::Text(s) => self.string(s),
+            Value::Int(i) => self.integer(*i),
+            Value::Float(f) => {
+                self.separate();
+                if serde_json::write_f64(*f, &mut self.out).is_err() {
+                    self.out.push_str("null");
+                }
+            }
+            Value::Bool(b) => self.literal(if *b { "true" } else { "false" }),
+        }
     }
 }
 
 /// Renders a [`Content`] tree compactly.  Infallible for the trees this
-/// module builds: the only encoder error is a non-finite float, which
-/// [`cell_content`] already maps to `null`.
+/// module builds: the only encoder error is a non-finite float, and the
+/// small bodies that still go through a tree contain no floats at all.
 fn render(content: Content) -> String {
-    struct Raw(Content);
-    impl serde::Serialize for Raw {
-        fn to_content(&self) -> Content {
-            self.0.clone()
+    // lint:allow(serve-panic-path): provably unreachable — the encoder's only error is a non-finite float, and no tree this module builds holds a Content::F64
+    serde_json::content_to_string(&content).expect("wire content trees contain no floats")
+}
+
+/// The renderer this module had before it streamed: every `/query` view and
+/// the `/ingest` body as a `Content` tree handed to the vendored encoder.
+/// Kept as the reference the streamed bytes are held equal to.
+#[cfg(test)]
+mod oracle {
+    use std::collections::HashMap;
+
+    use lake_fd::{IntegratedTable, IntegratedTuple};
+    use lake_table::{Table, Value};
+    use serde::Content;
+
+    use super::{render, QueryView};
+    use crate::shard::ShardSnapshot;
+
+    /// Renders the `POST /ingest` body for `table` (the client-side inverse of
+    /// [`parse_ingest`]).
+    pub(super) fn ingest_body(group: &str, table: &Table) -> String {
+        let columns: Vec<Content> =
+            table.schema().names().iter().map(|n| Content::Str((*n).to_string())).collect();
+        let rows: Vec<Content> = table
+            .rows()
+            .iter()
+            .map(|row| Content::Seq(row.iter().map(cell_content).collect()))
+            .collect();
+        let table_obj = Content::Map(vec![
+            ("name".into(), Content::Str(table.name().to_string())),
+            ("columns".into(), Content::Seq(columns)),
+            ("rows".into(), Content::Seq(rows)),
+        ]);
+        render(Content::Map(vec![
+            ("group".into(), Content::Str(group.to_string())),
+            ("table".into(), table_obj),
+        ]))
+    }
+
+    /// Renders a `GET /query` response body for one shard snapshot.
+    ///
+    /// Fully deterministic in the snapshot: the integration tests compare
+    /// these bytes against a server round-trip.
+    pub(super) fn query_body(view: QueryView, shard: usize, snapshot: &ShardSnapshot) -> String {
+        let mut fields = vec![
+            ("shard".into(), Content::U64(shard as u64)),
+            ("version".into(), Content::U64(snapshot.version)),
+            ("view".into(), Content::Str(view.name().to_string())),
+            (
+                "lake_tables".into(),
+                Content::Seq(
+                    snapshot.tables.iter().map(|t| Content::Str(t.name().to_string())).collect(),
+                ),
+            ),
+        ];
+        match view {
+            QueryView::Table => {
+                fields.push(("table".into(), table_content(&snapshot.outcome.table)));
+            }
+            QueryView::Report => {
+                fields.push(("report".into(), report_content(snapshot)));
+            }
+            QueryView::Provenance => {
+                fields.push(("table".into(), provenance_content(snapshot)));
+            }
+        }
+        render(Content::Map(fields))
+    }
+
+    /// The integrated table as `{"columns": [...], "tuples": [...]}` with each
+    /// tuple carrying its provenance ids and cells.
+    fn table_content(table: &IntegratedTable) -> Content {
+        let columns: Vec<Content> =
+            table.columns().iter().map(|c| Content::Str(c.clone())).collect();
+        let tuples: Vec<Content> = table
+            .tuples()
+            .iter()
+            .map(|tuple| {
+                Content::Map(vec![
+                    ("tids".into(), tids_content(tuple)),
+                    (
+                        "cells".into(),
+                        Content::Seq(tuple.values().iter().map(cell_content).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Content::Map(vec![
+            ("columns".into(), Content::Seq(columns)),
+            ("tuples".into(), Content::Seq(tuples)),
+        ])
+    }
+
+    /// Per-cell source attribution: which base tuples contributed a value to
+    /// each integrated cell, derived from the integration schema's
+    /// source-column mapping.  A source is attributed when its base table has a
+    /// non-null cell in a column that maps to the integrated column — the base
+    /// value itself may since have been rewritten to a group representative.
+    fn provenance_content(snapshot: &ShardSnapshot) -> Content {
+        let table = &snapshot.outcome.table;
+        let index: HashMap<&str, usize> =
+            snapshot.tables.iter().enumerate().map(|(i, t)| (t.name(), i)).collect();
+        let columns: Vec<Content> =
+            table.columns().iter().map(|c| Content::Str(c.clone())).collect();
+        let tuples: Vec<Content> = table
+            .tuples()
+            .iter()
+            .map(|tuple| {
+                let cells: Vec<Content> = (0..table.columns().len())
+                    .map(|col| {
+                        let mut sources = Vec::new();
+                        if let Some(schema) = &snapshot.schema {
+                            for tid in tuple.provenance().iter() {
+                                let Some(&t) = index.get(tid.table.as_str()) else { continue };
+                                let base = &snapshot.tables[t];
+                                for c in 0..base.num_columns() {
+                                    if schema.integrated_column(t, c) == col
+                                        && !matches!(base.rows()[tid.row][c], Value::Null)
+                                    {
+                                        sources.push(Content::Str(tid.to_string()));
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                        Content::Map(vec![
+                            ("value".into(), cell_content(tuple.value(col))),
+                            ("sources".into(), Content::Seq(sources)),
+                        ])
+                    })
+                    .collect();
+                Content::Map(vec![
+                    ("tids".into(), tids_content(tuple)),
+                    ("cells".into(), Content::Seq(cells)),
+                ])
+            })
+            .collect();
+        Content::Map(vec![
+            ("columns".into(), Content::Seq(columns)),
+            ("tuples".into(), Content::Seq(tuples)),
+        ])
+    }
+
+    /// The deterministic counters of the latest integration, grouped by
+    /// pipeline stage.  Durations and scheduler busy-nanos are deliberately
+    /// absent (see the module docs); they live in `/stats`.
+    fn report_content(snapshot: &ShardSnapshot) -> Content {
+        let report = &snapshot.outcome.report;
+        let blocking = &report.blocking;
+        let fd = &report.fd_stats;
+        let inc = &snapshot.outcome.incremental;
+        Content::Map(vec![
+            ("tables".into(), Content::U64(snapshot.tables.len() as u64)),
+            ("tuples".into(), Content::U64(snapshot.outcome.table.len() as u64)),
+            (
+                "pipeline".into(),
+                Content::Map(vec![
+                    ("aligned_sets".into(), Content::U64(report.aligned_sets as u64)),
+                    ("value_groups".into(), Content::U64(report.value_groups as u64)),
+                    ("matched_groups".into(), Content::U64(report.matched_groups as u64)),
+                    ("rewritten_cells".into(), Content::U64(report.rewritten_cells as u64)),
+                ]),
+            ),
+            (
+                "blocking".into(),
+                Content::Map(vec![
+                    ("folds".into(), Content::U64(blocking.folds as u64)),
+                    ("escalated_folds".into(), Content::U64(blocking.escalated_folds as u64)),
+                    ("blocks".into(), Content::U64(blocking.blocks as u64)),
+                    ("candidate_pairs".into(), Content::U64(blocking.candidate_pairs as u64)),
+                    ("scored_pairs".into(), Content::U64(blocking.scored_pairs as u64)),
+                    ("pruned_pairs".into(), Content::U64(blocking.pruned_pairs as u64)),
+                    ("split_components".into(), Content::U64(blocking.split_components as u64)),
+                    ("severed_pairs".into(), Content::U64(blocking.severed_pairs as u64)),
+                    ("max_block_size".into(), Content::U64(blocking.max_block_size as u64)),
+                ]),
+            ),
+            (
+                "fd".into(),
+                Content::Map(vec![
+                    ("input_tuples".into(), Content::U64(fd.input_tuples as u64)),
+                    ("output_tuples".into(), Content::U64(fd.output_tuples as u64)),
+                    ("components".into(), Content::U64(fd.components as u64)),
+                    ("largest_component".into(), Content::U64(fd.largest_component as u64)),
+                    ("reused_components".into(), Content::U64(fd.reused_components as u64)),
+                ]),
+            ),
+            (
+                "incremental".into(),
+                Content::Map(vec![
+                    ("appended_tables".into(), Content::U64(inc.appended_tables as u64)),
+                    ("refolded_sets".into(), Content::U64(inc.refolded_sets as u64)),
+                    ("rebuilt_sets".into(), Content::U64(inc.rebuilt_sets as u64)),
+                    ("reused_sets".into(), Content::U64(inc.reused_sets as u64)),
+                    ("embed_hits".into(), Content::U64(inc.embed_hits)),
+                    ("embed_misses".into(), Content::U64(inc.embed_misses)),
+                ]),
+            ),
+            (
+                "caches".into(),
+                Content::Map(vec![
+                    ("embed_hits".into(), Content::U64(snapshot.embed_cache.0)),
+                    ("embed_misses".into(), Content::U64(snapshot.embed_cache.1)),
+                    ("fd_hits".into(), Content::U64(snapshot.fd_cache.0)),
+                    ("fd_misses".into(), Content::U64(snapshot.fd_cache.1)),
+                ]),
+            ),
+        ])
+    }
+
+    /// The tuple's provenance ids as a JSON array of `"table#row"` strings
+    /// (already sorted — provenance is a `BTreeSet`).
+    fn tids_content(tuple: &IntegratedTuple) -> Content {
+        Content::Seq(tuple.provenance().iter().map(|tid| Content::Str(tid.to_string())).collect())
+    }
+
+    /// A workspace [`Value`] as a JSON cell.  Non-finite floats (which JSON
+    /// cannot represent and the workspace never produces from parsed input)
+    /// degrade to `null` rather than poisoning a whole response.
+    fn cell_content(value: &Value) -> Content {
+        match value {
+            Value::Null => Content::Null,
+            Value::Text(s) => Content::Str(s.clone()),
+            Value::Int(i) => Content::I64(*i),
+            Value::Float(f) if f.is_finite() => Content::F64(*f),
+            Value::Float(_) => Content::Null,
+            Value::Bool(b) => Content::Bool(*b),
         }
     }
-    // lint:allow(serve-panic-path): provably unreachable — the encoder's only error is a non-finite float and cell_content maps those to Content::Null before this point
-    serde_json::to_string(&Raw(content)).expect("wire content trees contain no non-finite floats")
 }
 
 #[cfg(test)]
 mod tests {
+    use fuzzy_fd_core::{FuzzyFdConfig, IntegrationSession};
     use lake_table::TableBuilder;
 
     use super::*;
+
+    /// A shard snapshot after one `add_table` per table, as a writer makes it.
+    fn snapshot_of(tables: &[Table]) -> ShardSnapshot {
+        let mut session = IntegrationSession::begin(FuzzyFdConfig::default(), &[]).unwrap();
+        for table in tables {
+            session.add_table(table).unwrap();
+        }
+        ShardSnapshot::from_session(tables.len() as u64, &session)
+    }
+
+    /// The `cases` / `rates` lake of `docs/PROTOCOL.md`.
+    fn protocol_lake() -> Vec<Table> {
+        let cases = TableBuilder::new("cases", ["City", "Total Cases"])
+            .row(["Berlin", "1.4M"])
+            .row(["barcelona", "2.68M"])
+            .build()
+            .unwrap();
+        let rates = TableBuilder::new("rates", ["City", "Vaccination Rate"])
+            .row(["Berlin", "63%"])
+            .row(["Barcelona", "82%"])
+            .build()
+            .unwrap();
+        vec![cases, rates]
+    }
+
+    /// Everything the escaper and the number rules have to get right, in
+    /// table names, headers and cells.
+    const HOSTILE: &str = "a\"b\\c\nd\te\u{1}f\u{2028}g\u{1F600}";
+
+    fn hostile_lake() -> Vec<Table> {
+        let text = |s: &str| Value::Text(s.to_string());
+        let first = TableBuilder::new(format!("t1 {HOSTILE}"), ["ke\"y\\", "v\t\u{1}al", "n"])
+            .row_values([text(HOSTILE), Value::Int(i64::MIN), Value::Float(-0.0)])
+            .row_values([text("plain"), Value::Float(1e21), Value::Float(f64::NAN)])
+            .row_values([text("z"), Value::Bool(true), Value::Null])
+            .build()
+            .unwrap();
+        let second = TableBuilder::new("t2\u{2028}#", ["ke\"y\\", HOSTILE])
+            .row_values([text(HOSTILE), Value::Float(f64::INFINITY)])
+            .row_values([text("other"), text("\u{1F600}")])
+            .build()
+            .unwrap();
+        vec![first, second]
+    }
+
+    #[test]
+    fn streamed_bodies_equal_the_tree_encoder_byte_for_byte() {
+        for lake in [protocol_lake(), hostile_lake(), Vec::new()] {
+            let snapshot = snapshot_of(&lake);
+            for view in [QueryView::Table, QueryView::Report, QueryView::Provenance] {
+                let streamed = query_body(view, 3, &snapshot);
+                assert_eq!(streamed, oracle::query_body(view, 3, &snapshot), "{}", view.name());
+                assert!(serde_json::from_str(&streamed).is_ok(), "unparseable: {streamed}");
+            }
+            for table in &lake {
+                let streamed = ingest_body(HOSTILE, table);
+                assert_eq!(streamed, oracle::ingest_body(HOSTILE, table));
+                assert!(serde_json::from_str(&streamed).is_ok(), "unparseable: {streamed}");
+            }
+        }
+    }
+
+    #[test]
+    fn protocol_example_bodies_are_pinned() {
+        let snapshot = snapshot_of(&protocol_lake());
+        let envelope = |view: &str| {
+            format!(r#"{{"shard":0,"version":2,"view":"{view}","lake_tables":["cases","rates"],"#)
+        };
+        assert_eq!(
+            query_body(QueryView::Table, 0, &snapshot),
+            envelope("table")
+                + r#""table":{"columns":["City","Total Cases","Vaccination Rate"],"tuples":["#
+                + r#"{"tids":["cases#0","rates#0"],"cells":["Berlin","1.4M","63%"]},"#
+                + r#"{"tids":["cases#1","rates#1"],"cells":["barcelona","2.68M","82%"]}]}}"#
+        );
+        assert_eq!(
+            query_body(QueryView::Provenance, 0, &snapshot),
+            envelope("provenance")
+                + r#""table":{"columns":["City","Total Cases","Vaccination Rate"],"tuples":["#
+                + r#"{"tids":["cases#0","rates#0"],"cells":["#
+                + r#"{"value":"Berlin","sources":["cases#0","rates#0"]},"#
+                + r#"{"value":"1.4M","sources":["cases#0"]},"#
+                + r#"{"value":"63%","sources":["rates#0"]}]},"#
+                + r#"{"tids":["cases#1","rates#1"],"cells":["#
+                + r#"{"value":"barcelona","sources":["cases#1","rates#1"]},"#
+                + r#"{"value":"2.68M","sources":["cases#1"]},"#
+                + r#"{"value":"82%","sources":["rates#1"]}]}]}}"#
+        );
+        assert_eq!(
+            query_body(QueryView::Report, 0, &snapshot),
+            envelope("report")
+                + r#""report":{"tables":2,"tuples":2,"#
+                + r#""pipeline":{"aligned_sets":1,"value_groups":2,"matched_groups":2,"rewritten_cells":1},"#
+                + r#""blocking":{"folds":1,"escalated_folds":0,"blocks":1,"candidate_pairs":1,"scored_pairs":1,"#
+                + r#""pruned_pairs":0,"split_components":0,"severed_pairs":0,"max_block_size":2},"#
+                + r#""fd":{"input_tuples":4,"output_tuples":2,"components":2,"largest_component":2,"reused_components":0},"#
+                + r#""incremental":{"appended_tables":1,"refolded_sets":0,"rebuilt_sets":1,"reused_sets":0,"#
+                + r#""embed_hits":0,"embed_misses":3},"#
+                + r#""caches":{"embed_hits":0,"embed_misses":3,"fd_hits":0,"fd_misses":4}}}"#
+        );
+    }
+
+    /// The oracle shares the escaper with the streamed writer, so the
+    /// escapes themselves are pinned as literals.
+    #[test]
+    fn hostile_strings_and_numbers_are_pinned() {
+        let body = query_body(QueryView::Table, 0, &snapshot_of(&hostile_lake()));
+        let hostile = "a\\\"b\\\\c\\nd\\te\\u0001f\u{2028}g\u{1F600}";
+        let second = "t2\u{2028}#";
+        let first_tuple = format!(
+            r#"{{"tids":["t1 {hostile}#0","{second}#0"],"cells":["{hostile}",-9223372036854775808,-0.0,null]}}"#
+        );
+        assert!(body.contains(&first_tuple), "{body}");
+        assert!(body.contains(r#""cells":["plain",1e21,null,null]"#), "{body}");
+        assert!(body.contains(r#""cells":["z",true,null,null]"#), "{body}");
+        assert!(body.contains(r#""columns":["ke\"y\\","v\t\u0001al","n","#), "{body}");
+    }
 
     #[test]
     fn ingest_body_round_trips() {

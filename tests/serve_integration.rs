@@ -148,7 +148,20 @@ fn concurrent_readers_see_only_the_prior_snapshot() {
         let expected = wire::query_body(QueryView::Table, 0, &replay_snapshot(&policy, &routed));
         assert_eq!(body, &expected, "snapshot at version {version} is not a prior state");
     }
+    // A reader never goes back in time: a memoised body is dropped with its
+    // version, so a later read cannot be answered from an earlier one.
+    assert!(
+        observed.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+        "versions went backwards: {:?}",
+        observed.iter().map(|(version, _)| version).collect::<Vec<_>>()
+    );
     assert!(client.wait_idle(IDLE_TIMEOUT).expect("stats"));
+    let settled = client.query(QueryTarget::Group("heavy"), "table").expect("query");
+    assert_eq!(
+        settled.body,
+        observed.last().expect("at least one query ran").1,
+        "an idle server must keep serving its last version"
+    );
     server.shutdown();
 }
 
@@ -319,6 +332,13 @@ fn plus_signs_and_duplicate_content_lengths_over_a_raw_socket() {
     let reply =
         raw_socket(addr, b"GET /health HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n");
     assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
+
+    // A signed length and a signed percent escape are malformed: `+5` must
+    // not frame a five-byte body, `%+f` must not decode to 0x0f.
+    let reply = raw_socket(addr, b"POST /ingest HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello");
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+    let reply = raw_socket(addr, b"GET /query?group=%+f HTTP/1.1\r\n\r\n");
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
 
     // The reader survived the whole sweep.
     assert_eq!(client.health().expect("health").status, 200);
