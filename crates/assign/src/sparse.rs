@@ -258,6 +258,11 @@ pub fn sparse_shortest_augmenting_path(matrix: &SparseCostMatrix) -> Assignment 
             }
             let mut index = usize::MAX;
             let mut lowest = f64::INFINITY;
+            #[allow(
+                clippy::float_cmp,
+                reason = "exact tie-break, as in scipy's linear_sum_assignment: both sides are \
+                          stored path costs, and an epsilon would change which column wins"
+            )]
             for (it, &j) in remaining.iter().enumerate() {
                 let r = min_val + row_cost[j] - u[i] - v[j];
                 if r < shortest_path_costs[j] {

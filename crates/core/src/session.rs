@@ -348,7 +348,11 @@ pub(crate) fn integration_step(
     let (embed_hits_before, embed_misses_before) = embedder.stats();
     let matcher = ValueMatcher::new(embedder, *config);
 
-    // lint:allow(wallclock-in-replay): observability only — the elapsed time feeds IncrementalStats phase attribution and never flows into integrated state, so replay stays deterministic
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability only — the elapsed time feeds IncrementalStats phase attribution \
+                  and never flows into integrated state, so replay stays deterministic"
+    )]
     let matching_start = Instant::now();
     let mut incremental = IncrementalStats {
         appended_tables: tables.len() - first_new,
@@ -432,7 +436,10 @@ pub(crate) fn integration_step(
     let (rewritten_tables, rewritten_cells) = apply_substitutions(tables, &substitutions)?;
     let matching_time = matching_start.elapsed();
 
-    // lint:allow(wallclock-in-replay): observability only — phase timing for stats, not replayed state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability only — phase timing for stats, not replayed state"
+    )]
     let fd_start = Instant::now();
     let schema = IntegrationSchema::from_aligned_sets(&rewritten_tables, alignment.groups());
     // An append usually widens the integration schema (new attribute

@@ -248,11 +248,6 @@ impl AnnIndex {
         AnnIndex { params, hasher: Some(hasher), buckets, indexed: slab.len() }
     }
 
-    /// The configuration the index was built with.
-    pub fn params(&self) -> AnnParams {
-        self.params
-    }
-
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
         self.indexed

@@ -10,8 +10,8 @@
 //!   disjoint surfaces (e.g. `"Germany"` vs `"DE"`) do not — exactly the
 //!   strength and the weakness the paper reports for FastText in Table 1.
 //! * [`SimHasher`] — random-hyperplane LSH over any embedding vector:
-//!   compact bit signatures ([`signature_of`](SimHasher::signature_of),
-//!   batched as [`slab_signatures_into`](SimHasher::slab_signatures_into))
+//!   compact bit signatures
+//!   ([`slab_signatures_into`](SimHasher::slab_signatures_into))
 //!   and query-directed multi-probe sequences of banded collision keys
 //!   ([`probe_packed_keys_into`](SimHasher::probe_packed_keys_into), keyed by
 //!   [`packed_band_key`]) that power the [`AnnIndex`](crate::AnnIndex) behind
@@ -164,7 +164,7 @@ impl SimHasher {
     ///
     /// # Panics
     /// Panics when the slice length differs from the hasher's dimension.
-    pub fn signature_of(&self, components: &[f32]) -> u64 {
+    fn signature_of(&self, components: &[f32]) -> u64 {
         let mut signature = 0u64;
         for (bit, direction) in self.directions.iter().enumerate() {
             if dot_slice(components, direction.components()) >= 0.0 {
@@ -174,11 +174,12 @@ impl SimHasher {
         signature
     }
 
-    /// Batch form of [`signature_of`](Self::signature_of): one signature per
-    /// slab row, appended to `out` (which is cleared first).  The slab keeps
-    /// all rows contiguous in a single resident allocation, so the batch is
-    /// one matrix sweep with zero per-vector allocations; every signature is
-    /// bit-identical to `signature_of` over the row's source vector.
+    /// One SimHash signature per slab row (bit *i* is the sign of the
+    /// projection onto hyperplane *i*), appended to `out` (which is cleared
+    /// first).  The slab keeps all rows contiguous in a single resident
+    /// allocation, so the batch is one matrix sweep with zero per-vector
+    /// allocations; every signature is bit-identical to hashing the row's
+    /// source vector.
     ///
     /// # Panics
     /// Panics when the slab is non-empty and its dimension differs from the
@@ -202,7 +203,7 @@ impl SimHasher {
     ///
     /// # Panics
     /// Panics when the slice length differs from the hasher's dimension.
-    pub fn projections_into(&self, components: &[f32], out: &mut Vec<f32>) {
+    fn projections_into(&self, components: &[f32], out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.directions.len());
         for direction in &self.directions {

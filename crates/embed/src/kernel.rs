@@ -275,10 +275,13 @@ impl DotKind for Avx512Dot {
 /// [`QuantizedSlab`] width cap of `2²⁰` components keeps every lane below
 /// `2¹⁵ · 2¹⁶ = 2³¹` — no overflow, the bracket stays exact.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // sole exception to the workspace-wide deny: CPU
-                      // intrinsics have no safe form.  Every unsafe block is gated on runtime
-                      // feature detection, and all pointer arithmetic stays inside slice bounds
-                      // established by the equal-length / lane-multiple debug assertions.
+#[allow(
+    unsafe_code,
+    reason = "sole exception to the workspace-wide deny: CPU intrinsics have no safe form.  \
+              Every unsafe block is gated on runtime feature detection, and all pointer \
+              arithmetic stays inside slice bounds established by the equal-length / \
+              lane-multiple debug assertions"
+)]
 mod simd {
     use std::arch::x86_64::*;
 
@@ -411,7 +414,7 @@ mod simd {
     /// at-or-above the cutoff.  NaN estimates never set a mask bit (ordered
     /// comparison), so doubt still routes to the exact re-score.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // hot path: scalars beat a struct
+    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
     pub fn classify_group_vnni(
         qa_biased: &[u8],
         group: &[u8],
@@ -447,7 +450,7 @@ mod simd {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
     unsafe fn classify_group_vnni_inner(
         qa_biased: &[u8],
@@ -503,7 +506,7 @@ mod simd {
         (m_lo as u16) | ((m_hi as u16) << 8)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
     unsafe fn classify_octet(
         dots: __m512d,
@@ -621,7 +624,7 @@ fn exact_distance(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
 /// integer-dot implementation, monomorphized so the hot loop pays no
 /// indirect call.
 #[inline]
-#[allow(clippy::too_many_arguments)] // hot path: scalars beat a struct of refs
+#[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct of refs")]
 fn classify_pair<D: DotKind>(
     p: &SweepParams,
     qa: &[i8],
@@ -1010,7 +1013,7 @@ fn sweep_vnni(
 /// the same order as [`exact_distance`] (bit-identical results), but their
 /// serial add latencies overlap instead of queueing.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct of refs")]
 fn emit_row(
     rows: &QuantizedSlab,
     cols: &QuantizedSlab,
@@ -1105,7 +1108,7 @@ pub fn distance_below(
     // Same factored evaluation as the sweep's hoisted form, so borderline
     // pairs classify identically through either API.
     let inv = (p.scale_product / na as f64) * (1.0 / nb as f64);
-    #[allow(clippy::too_many_arguments)] // thin monomorphization shim
+    #[allow(clippy::too_many_arguments, reason = "thin monomorphization shim")]
     fn classify_at<D: DotKind>(
         p: &SweepParams,
         rows: &QuantizedSlab,
@@ -1171,7 +1174,10 @@ pub fn row_distances_below(
     // division hoists, the column-side reciprocal stays per pair, and the
     // product rounds identically.
     let inv_row = p.scale_product / na as f64;
-    #[allow(clippy::too_many_arguments)] // private monomorphised core; mirrors the sweep's state
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "private monomorphised core; mirrors the sweep's state"
+    )]
     fn run<D: DotKind>(
         p: &SweepParams,
         rows: &QuantizedSlab,

@@ -257,6 +257,11 @@ impl QuantizedSlab {
                 hi = hi.max(x);
             }
         }
+        #[allow(
+            clippy::float_cmp,
+            reason = "the epsilon module: exact equality is the zero-spread test — hi and lo are \
+                      a max and a min of the same components, not computed quantities"
+        )]
         let (scale, zero_point) = if hi == lo {
             // All-zero slab: no spread to quantize (the textbook zero-scale
             // degeneracy).  Unit scale with zero point 0 represents every

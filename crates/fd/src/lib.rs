@@ -27,15 +27,12 @@
 //!   [`ComponentCache`]: handed to [`incremental_full_disjunction_with`], it
 //!   lets an appended table recompute only the components it touches;
 //! * [`spec`] — a brute-force specification oracle used by property tests;
-//! * [`outer_join`] — binary/sequential full outer joins, the non-associative
-//!   baseline the paper contrasts FD with;
 //! * [`stats`] — result statistics used by the experiment harness.
 
 pub mod alite;
 pub mod complement;
 pub mod components;
 pub mod incremental;
-pub mod outer_join;
 pub mod outer_union;
 pub mod schema;
 pub mod spec;

@@ -33,6 +33,13 @@
 //! build environment has no registry access) and sits below every other
 //! workspace crate.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this crate is the executor: the one place allowed to touch std::thread, so that \
+              every other crate routes through run_scope / spawn_service (docs/LINTS.md)"
+)]
+
 pub mod executor;
 pub mod policy;
 pub mod service;

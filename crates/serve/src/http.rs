@@ -11,6 +11,9 @@
 //! headers are capped at 16 KiB and bodies at 16 MiB, so a hostile client
 //! cannot balloon a reader's memory.
 
+// A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 

@@ -25,6 +25,9 @@
 //! joined; then each writer finishes its remaining queue before it is
 //! joined — every acknowledged ingest is applied before `shutdown` returns.
 
+// A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -525,7 +528,11 @@ fn handle_query(request: &Request, shards: &[Arc<Shard>]) -> Response {
 /// simply queue behind it; log order stays apply order.
 fn writer_loop(shard: Arc<Shard>, policy: ServePolicy) {
     let session = IntegrationSession::begin(policy.integration, &[]);
-    // lint:allow(serve-panic-path): unreachable — start_inner already built a session from this exact policy and surfaced any error as ServeError before spawning this writer
+    #[expect(
+        clippy::expect_used,
+        reason = "unreachable — start_inner already built a session from this exact policy and \
+                  surfaced any error as ServeError before spawning this writer"
+    )]
     let mut session = session.expect("policy validated in start_inner");
     let mut version = 0u64;
 

@@ -18,6 +18,9 @@
 //!   its version: a shard holds at most three rendered bodies, all of the
 //!   published version, beside whatever in-flight responses still hold.
 
+// A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
@@ -416,10 +419,14 @@ impl Shard {
     /// `500` path over a real socket); hidden from docs, never called by
     /// serving code.
     #[doc(hidden)]
+    #[expect(
+        clippy::panic,
+        reason = "deliberate poison injection — the unwind is caught where it is raised and \
+                  never crosses a request thread"
+    )]
     pub fn poison_queue_for_test(&self) {
         let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = self.queue_state();
-            // lint:allow(serve-panic-path): deliberate poison injection — the unwind is caught on the line below and never crosses a request thread
             panic!("deliberate queue poisoning (test hook)");
         }));
         assert!(poisoner.is_err(), "the poisoning closure must panic");

@@ -20,6 +20,9 @@
 //!
 //! The full schema of every body is documented in `docs/PROTOCOL.md`.
 
+// A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
 
@@ -680,8 +683,12 @@ impl JsonWriter {
 /// Renders a [`Content`] tree compactly.  Infallible for the trees this
 /// module builds: the only encoder error is a non-finite float, and the
 /// small bodies that still go through a tree contain no floats at all.
+#[expect(
+    clippy::expect_used,
+    reason = "provably unreachable — the encoder's only error is a non-finite float, and no \
+              tree this module builds holds a Content::F64"
+)]
 fn render(content: Content) -> String {
-    // lint:allow(serve-panic-path): provably unreachable — the encoder's only error is a non-finite float, and no tree this module builds holds a Content::F64
     serde_json::content_to_string(&content).expect("wire content trees contain no floats")
 }
 

@@ -7,7 +7,11 @@
 //! holds both; counts are per thread, so the harness's own threads and the
 //! sibling test cannot leak into a measurement.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "a `#[global_allocator]` can only be written against the unsafe `GlobalAlloc` trait; \
+              this one forwards every call to `System` untouched"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,16 +29,13 @@ thread_local! {
 /// (`realloc` and `alloc_zeroed` reach `alloc` through the trait defaults).
 struct CountingAllocator;
 
-// lint:allow(unsafe-scope): a `#[global_allocator]` can only be written against the unsafe `GlobalAlloc` trait; this one forwards every call to `System` untouched
 unsafe impl GlobalAlloc for CountingAllocator {
-    // lint:allow(unsafe-scope): required signature of `GlobalAlloc::alloc`; the caller's layout contract is passed straight on to `System`
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|count| count.set(count.get() + 1));
         // SAFETY: `layout` is the caller's, under the same contract.
         System.alloc(layout)
     }
 
-    // lint:allow(unsafe-scope): required signature of `GlobalAlloc::dealloc`; pointer and layout go back to the allocator they came from
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
         System.dealloc(ptr, layout)

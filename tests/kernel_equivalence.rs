@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 /// Runs the quantized sweep and the dense f32 reference over the same rows ×
 /// cols fold and returns `(quantized, dense, stats)`.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "a one-off test helper returning both sides plus stats")]
 fn run_both(
     rows: &[Vec<f32>],
     cols: &[Vec<f32>],

@@ -103,24 +103,27 @@ fn escalated_fold_phase_timings_are_attributed_and_bounded() {
     );
 }
 
-/// Lint ban: the planner hot path must never build String band keys.  The
-/// packed-u64 representation (`packed_band_key`) exists precisely so the
-/// per-vector `Vec<String>` churn cannot come back: the planning files may
-/// not format the `sh{band}:{bucket}` key shape themselves.
-///
-/// Formerly a grep loop in this file; now a thin wrapper over `lake-lint`'s
-/// `string-band-keys` rule (token-level, so comments cannot false-positive
-/// and unreadable sources hard-error instead of skipping).  The hot-path
-/// file list lives with the rule; see `docs/LINTS.md`.
+/// The planner hot path must never build String band keys.  The packed-u64
+/// representation (`packed_band_key`) exists precisely so the per-vector
+/// `Vec<String>` churn cannot come back: the planning files may not format
+/// the `sh{band}:{bucket}` key shape themselves.  `include_str!`, so a
+/// moved or unreadable source is a compile error rather than a skipped check.
 #[test]
 fn no_string_band_keys_in_the_planner_hot_path() {
-    let report = lake_lint::Engine::new(env!("CARGO_MANIFEST_DIR"))
-        .run_rule("string-band-keys")
-        .expect("the workspace walk must succeed (unreadable sources are a failure, not a skip)");
+    // Candidate planning, block solving and the ANN index they drive.
+    let hot_path = [
+        ("crates/core/src/blocking.rs", include_str!("../crates/core/src/blocking.rs")),
+        ("crates/core/src/value_match.rs", include_str!("../crates/core/src/value_match.rs")),
+        ("crates/embed/src/ann.rs", include_str!("../crates/embed/src/ann.rs")),
+    ];
+    let offenders: Vec<&str> = hot_path
+        .iter()
+        .filter(|(_, source)| source.contains("sh{"))
+        .map(|(path, _)| *path)
+        .collect();
     assert!(
-        report.diagnostics.is_empty(),
+        offenders.is_empty(),
         "String band keys reintroduced on the planner hot path — use \
-         packed_band_key / signature shifts instead:\n{}",
-        report.diagnostics.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
+         packed_band_key / signature shifts instead: {offenders:?}"
     );
 }

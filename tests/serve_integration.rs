@@ -223,9 +223,20 @@ fn malformed_requests_return_4xx_without_killing_the_worker() {
     let server = LakeServer::start(policy).expect("server starts");
     let client = ServeClient::new(server.addr());
 
+    // A well-formed ingest around one cell literal.
+    let ingest_cell = |cell: &str| {
+        let body =
+            format!(r#"{{"group":"g","table":{{"name":"T","columns":["a"],"rows":[[{cell}]]}}}}"#);
+        raw_request(&client, "POST", "/ingest", Some(&body))
+    };
     let cases: Vec<(u16, datalake_fuzzy_fd::serve::Reply)> = vec![
         // Bad JSON body.
         (400, raw_request(&client, "POST", "/ingest", Some("{not json"))),
+        // Literals RFC 8259 forbids: a leading zero, a bare decimal point, a
+        // signed `\u` escape.
+        (400, ingest_cell("01")),
+        (400, ingest_cell("1.")),
+        (400, ingest_cell(r#""\u+041""#)),
         // Valid JSON, invalid ingest shape.
         (400, raw_request(&client, "POST", "/ingest", Some("{\"group\":\"g\"}"))),
         // Arity mismatch inside rows.
