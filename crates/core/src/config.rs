@@ -179,14 +179,15 @@ pub struct IncrementalPolicy {
     /// re-matching them from their columns.  Touched sets always re-plan
     /// only the appended columns' folds on top of the retained state.
     pub reuse_untouched_sets: bool,
-    /// Upper bound on the Full Disjunction component closures
-    /// ([`lake_fd::ComponentCache`]) kept across `add_table` calls for
-    /// join-connected components whose member tuples an append leaves
-    /// unchanged.  The closure of a component is a pure function of its
-    /// member tuples, so a verified hit is exact, never approximate.  When
-    /// an append would grow the cache past this bound, the oldest
-    /// generation is dropped first; `0` stores nothing, so every component
-    /// is re-closed on every step (lookups are still counted).
+    /// Upper bound on the join-connected components of the lake the
+    /// session keeps alive ([`lake_fd::ComponentCache`]: the rewritten rows,
+    /// the cell index and one closure per component) across `add_table`
+    /// calls, so an append re-closes only the components it touches.  A
+    /// component is kept only after every one of its rows compared equal
+    /// to the current lake's, so reuse is exact, never approximate.  A lake
+    /// with more components than this bound retains nothing — the next step
+    /// closes every component again; so does `0` (components are still
+    /// counted as misses).
     pub max_cached_components: usize,
 }
 

@@ -6,6 +6,7 @@
 //! rewritten, the tables are value-consistent and the ordinary equi-join Full
 //! Disjunction integrates them (paper §2.2, last paragraph).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use lake_table::{ColumnRef, Table, TableResult, Value};
@@ -48,12 +49,40 @@ pub fn apply_substitutions(
     tables: &[Table],
     substitutions: &HashMap<ColumnRef, HashMap<Value, Value>>,
 ) -> TableResult<(Vec<Table>, usize)> {
-    let mut rewritten: Vec<Table> = tables.to_vec();
-    let mut replaced = 0usize;
-    for (column, mapping) in substitutions {
-        replaced += rewritten[column.table].substitute_column(column.column, mapping)?;
+    let (mut rewritten, mut replaced) = (Vec::new(), Vec::new());
+    refresh_rewritten(tables, substitutions, &[], &mut rewritten, &mut replaced)?;
+    Ok((rewritten, replaced.iter().sum()))
+}
+
+/// Brings `rewritten` — the rewritten tables of an earlier call with, beside
+/// each, its count of rewritten cells — up to `tables`: a table that is new
+/// (beyond `rewritten`) or marked in `stale` is cloned from its base table
+/// and rewritten under `substitutions`; every other one is kept as it is.
+pub(crate) fn refresh_rewritten<'a, T: Borrow<Table>>(
+    tables: &[T],
+    substitutions: impl IntoIterator<Item = (&'a ColumnRef, &'a HashMap<Value, Value>)>,
+    stale: &[bool],
+    rewritten: &mut Vec<Table>,
+    replaced: &mut Vec<usize>,
+) -> TableResult<()> {
+    let kept = rewritten.len();
+    let redo = |table: usize| table >= kept || stale[table];
+    for (index, table) in tables.iter().enumerate().filter(|(index, _)| redo(*index)) {
+        if index < kept {
+            rewritten[index] = table.borrow().clone();
+            replaced[index] = 0;
+        } else {
+            rewritten.push(table.borrow().clone());
+            replaced.push(0);
+        }
     }
-    Ok((rewritten, replaced))
+    for (column, mapping) in substitutions {
+        if redo(column.table) {
+            replaced[column.table] +=
+                rewritten[column.table].substitute_column(column.column, mapping)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

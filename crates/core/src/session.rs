@@ -19,13 +19,17 @@
 //!   them ([`ValueMatcher::extend`]) instead of re-running the whole fold
 //!   chain: only folds touching the appended tables' columns are
 //!   re-planned and re-solved on the shared `lake-runtime` executor;
-//! * the **FD component cache** ([`lake_fd::ComponentCache`]) — join
-//!   components whose member tuples are unchanged reuse their closure
-//!   verbatim.
+//! * the **rewritten tables** — a table is rewritten again only when it is
+//!   new or a substitution map of one of its columns changed;
+//! * the **live FD partition** ([`lake_fd::ComponentCache`]) — the
+//!   rewritten rows, the cell index and one closure per join component: the
+//!   step diffs the rows, evicts the components a changed or appended row
+//!   reaches and re-closes only those.
 //!
-//! The reuse guarantees are layered: cache reuse and FD-component reuse are
-//! *exact by construction* (pure functions of their inputs, verified before
-//! a hit is served), and matcher-state reuse is *guarded*: occurrence
+//! The reuse guarantees are layered: embedding reuse and FD-component reuse
+//! are *exact by construction* (pure functions of their inputs; a component
+//! is kept only after each of its rows compared equal to the current one),
+//! and matcher-state reuse is *guarded*: occurrence
 //! counts influence matching only through representative elections, so
 //! before extending a set the session re-verifies every election the
 //! retained folds consumed under the appended counts
@@ -68,6 +72,7 @@
 //!
 //! [`FuzzyFullDisjunction::integrate`]: crate::FuzzyFullDisjunction::integrate
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,7 +86,7 @@ use lake_table::{ColumnRef, Table, TableResult, Value};
 use crate::blocking::BlockingStats;
 use crate::config::{FuzzyFdConfig, IncrementalPolicy};
 use crate::pipeline::FuzzyFdReport;
-use crate::rewrite::{apply_substitutions, build_substitutions};
+use crate::rewrite::{build_substitutions, refresh_rewritten};
 use crate::value_match::{MatcherState, ValueGroup, ValueMatcher};
 
 /// What one [`IntegrationSession::add_tables`] call reused and what it had
@@ -131,27 +136,35 @@ pub struct IncrementalOutcome {
 }
 
 /// Retained per-aligned-set state: the columns folded so far (sorted, the
-/// fold order) and the live matcher state (group snapshots are derived from
-/// it on demand — see [`MatcherState::groups`]).
+/// fold order), the live matcher state (group snapshots are derived from it
+/// on demand — see [`MatcherState::groups`]) and the substitution maps its
+/// groups gave when a column was last folded in.
 #[derive(Debug, Clone, Default)]
 struct SetState {
     columns: Vec<ColumnRef>,
     state: MatcherState,
+    substitutions: HashMap<ColumnRef, HashMap<Value, Value>>,
 }
 
 /// What one [`integration_step`] leaves for the next.  The default — no
-/// matcher state, no closure memo, no schema — is what the batch operator
-/// starts from (and it drops what the step leaves behind).
+/// matcher state, no rewritten tables, no live FD partition, no schema — is
+/// what the batch operator starts from (and it drops what the step leaves
+/// behind).
 #[derive(Debug, Default)]
 pub(crate) struct Retained {
     /// Live matcher state keyed by `(header key, ordinal)` — the ordinal
     /// disambiguates the rare case of several aligned sets sharing one
     /// header (duplicate headers within a table).
     sets: HashMap<(String, usize), SetState>,
-    /// The FD closure memo; `None` closes every component every time.
+    /// The rewritten tables of the previous step and, beside each, its
+    /// count of rewritten cells: a table is rewritten again only when it is
+    /// new or a substitution map of one of its columns changed.
+    rewritten: Vec<Table>,
+    rewritten_cells: Vec<usize>,
+    /// The live FD partition; `None` closes every component every time.
     fd_cache: Option<ComponentCache>,
-    /// The integration schema of the previous step, kept so the FD cache can
-    /// be remapped when an append widens the schema.
+    /// The integration schema of the previous step (what
+    /// [`IntegrationSession::schema`] hands out).
     last_schema: Option<IntegrationSchema>,
 }
 
@@ -165,7 +178,7 @@ pub(crate) struct Retained {
 pub struct IntegrationSession {
     config: FuzzyFdConfig,
     policy: IncrementalPolicy,
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
     embedder: EmbeddingCache<Box<dyn lake_embed::Embedder>>,
     retained: Retained,
     latest: Arc<IncrementalOutcome>,
@@ -239,8 +252,9 @@ impl IntegrationSession {
         &self.policy
     }
 
-    /// Every table integrated so far, in arrival order.
-    pub fn tables(&self) -> &[Table] {
+    /// Every table integrated so far, in arrival order — shared, so a
+    /// published snapshot takes the list by pointer bumps, not copies.
+    pub fn tables(&self) -> &[Arc<Table>] {
         &self.tables
     }
 
@@ -276,7 +290,7 @@ impl IntegrationSession {
     }
 
     /// `(hits, misses)` of the session's FD component cache, accumulated
-    /// over every call.
+    /// over every call: components kept as they were, and components closed.
     pub fn fd_cache_stats(&self) -> (u64, u64) {
         self.retained.fd_cache.as_ref().map_or((0, 0), ComponentCache::stats)
     }
@@ -308,7 +322,7 @@ impl IntegrationSession {
     /// not copied.
     pub fn add_tables(&mut self, new_tables: &[Table]) -> TableResult<Arc<IncrementalOutcome>> {
         let first_new = self.tables.len();
-        self.tables.extend(new_tables.iter().cloned());
+        self.tables.extend(new_tables.iter().cloned().map(Arc::new));
         self.batch_sizes.push(new_tables.len());
         if !self.policy.reuse_untouched_sets {
             self.retained.sets.clear();
@@ -335,12 +349,13 @@ impl IntegrationSession {
 /// What the step reuses depends only on what it finds there: a set whose
 /// retained matcher state covers exactly its old columns folds just the new
 /// ones in (or is reused outright when it has none), any other set is
-/// matched from its columns; with a component cache the FD serves unchanged
-/// closures from it, without one it closes every component.
-pub(crate) fn integration_step(
+/// matched from its columns; with a component cache the FD re-closes only
+/// the components a changed or new row reaches, without one it closes every
+/// component.
+pub(crate) fn integration_step<T: Borrow<Table>>(
     config: &FuzzyFdConfig,
     embedder: &EmbeddingCache<Box<dyn lake_embed::Embedder>>,
-    tables: &[Table],
+    tables: &[T],
     first_new: usize,
     alignment: &Alignment,
     retained: &mut Retained,
@@ -362,7 +377,9 @@ pub(crate) fn integration_step(
     let mut embed_runtime = RuntimeStats::default();
     let mut next_sets: HashMap<(String, usize), SetState> = HashMap::new();
     let mut all_groups: Vec<(Vec<ColumnRef>, Vec<ValueGroup>)> = Vec::new();
-    let mut substitutions: HashMap<ColumnRef, HashMap<Value, Value>> = HashMap::new();
+    // Tables whose retained rewritten copy a changed substitution map
+    // invalidates.
+    let mut stale = vec![false; tables.len()];
     let mut ordinals: HashMap<String, usize> = HashMap::new();
     let mut aligned_sets = 0usize;
 
@@ -372,8 +389,8 @@ pub(crate) fn integration_step(
         columns.sort();
         let key = {
             let first = columns[0];
-            let name =
-                tables[first.table].schema().column(first.column)?.name.trim().to_lowercase();
+            let table = tables[first.table].borrow();
+            let name = table.schema().column(first.column)?.name.trim().to_lowercase();
             let ordinal = ordinals.entry(name.clone()).or_insert(0);
             let key = (name, *ordinal);
             *ordinal += 1;
@@ -417,23 +434,40 @@ pub(crate) fn integration_step(
             Some(_) => &mut incremental.refolded_sets,
         };
         *counted += 1;
+        let rebuilt = prior.is_none();
         let mut entry = prior.unwrap_or_default();
-        if !to_fold.is_empty() {
+        let groups = if to_fold.is_empty() {
+            entry.state.groups()
+        } else {
             embed_runtime.merge(&warm_embedding_cache(config, embedder, &to_fold));
             blocking.merge(&matcher.extend(&mut entry.state, &to_fold));
             entry.columns = columns.clone();
-        }
-
-        let groups = entry.state.groups();
-        for (column, mapping) in build_substitutions(&columns, &groups) {
-            substitutions.entry(column).or_default().extend(mapping);
-        }
+            // The fold may have moved a map under an old column (a
+            // re-elected representative, a newly matched value); a rebuilt
+            // set's previous maps are gone, so all its tables count as moved.
+            let groups = entry.state.groups();
+            let substitutions = build_substitutions(&columns, &groups);
+            for column in &columns {
+                stale[column.table] |=
+                    rebuilt || substitutions.get(column) != entry.substitutions.get(column);
+            }
+            entry.substitutions = substitutions;
+            groups
+        };
         all_groups.push((columns, groups));
         next_sets.insert(key, entry);
     }
     retained.sets = next_sets;
 
-    let (rewritten_tables, rewritten_cells) = apply_substitutions(tables, &substitutions)?;
+    refresh_rewritten(
+        tables,
+        retained.sets.values().flat_map(|entry| &entry.substitutions),
+        &stale,
+        &mut retained.rewritten,
+        &mut retained.rewritten_cells,
+    )?;
+    let rewritten_tables = &retained.rewritten;
+    let rewritten_cells = retained.rewritten_cells.iter().sum();
     let matching_time = matching_start.elapsed();
 
     #[expect(
@@ -441,34 +475,16 @@ pub(crate) fn integration_step(
         reason = "observability only — phase timing for stats, not replayed state"
     )]
     let fd_start = Instant::now();
-    let schema = IntegrationSchema::from_aligned_sets(&rewritten_tables, alignment.groups());
-    // An append usually widens the integration schema (new attribute
-    // columns, newly aligned sets), which re-pads every outer-union
-    // tuple.  Re-padding moves columns without changing cells, so
-    // the memoised closures migrate instead of going stale: old
-    // integrated column `i` lands wherever any of its source columns
-    // maps in the new schema (header alignment never merges or drops
-    // existing integrated columns on append, so the mapping is total
-    // and injective — and the cache double-checks).
-    if let (Some(cache), Some(old_schema)) = (&mut retained.fd_cache, &retained.last_schema) {
-        if *old_schema != schema {
-            let mapping: Vec<usize> = old_schema
-                .aligned_sets()
-                .iter()
-                .map(|sources| schema.integrated_column(sources[0].table, sources[0].column))
-                .collect();
-            cache.remap_columns(&mapping, schema.num_columns());
-        }
-    }
+    let schema = IntegrationSchema::from_aligned_sets(rewritten_tables, alignment.groups());
     // The FD stage shares the matcher's thread semantics: component closures
     // run on the same work-stealing executor as the block solves, and the
     // result is identical across worker counts.
     let threads = config.matching_threads;
     let (table, fd_stats) = match &mut retained.fd_cache {
         Some(cache) => {
-            lake_fd::incremental_full_disjunction_with(&schema, &rewritten_tables, threads, cache)
+            lake_fd::incremental_full_disjunction_with(&schema, rewritten_tables, threads, cache)
         }
-        None => lake_fd::parallel_full_disjunction_with(&schema, &rewritten_tables, threads),
+        None => lake_fd::parallel_full_disjunction_with(&schema, rewritten_tables, threads),
     };
     retained.last_schema = Some(schema);
     let fd_time = fd_start.elapsed();
@@ -535,11 +551,15 @@ fn warm_embedding_cache(
 }
 
 /// Extracts the (cloned) value columns of an aligned set, in fold order.
-fn column_values(tables: &[Table], columns: &[ColumnRef]) -> TableResult<Vec<Vec<Value>>> {
+fn column_values<T: Borrow<Table>>(
+    tables: &[T],
+    columns: &[ColumnRef],
+) -> TableResult<Vec<Vec<Value>>> {
     columns
         .iter()
         .map(|cref| {
             tables[cref.table]
+                .borrow()
                 .column_values(cref.column)
                 .map(|vs| vs.into_iter().cloned().collect())
         })
@@ -689,6 +709,50 @@ mod tests {
         );
         let (fd_hits, _) = session.fd_cache_stats();
         assert!(fd_hits > 0);
+    }
+
+    #[test]
+    fn retained_fd_state_is_the_live_lake_after_every_append() {
+        // A `serve_mixed`-shaped shard: eight tenants' tables arriving
+        // round-robin, 32 appends, several re-electing representatives
+        // under old rows; the attribute headers are tenant-private, as in the
+        // benchmark, so tenants share the shard, not tuples.  The partition
+        // must hold one closure per component of the lake as batch
+        // re-integration partitions it — no superseded one, none missing.
+        let trace = lake_benchdata::generate_serving_trace(lake_benchdata::ServingTraceConfig {
+            tenants: 8,
+            tables_per_tenant: 4,
+            entities: 12,
+            ..Default::default()
+        });
+        assert_eq!(trace.arrivals.len(), 32);
+        let arrivals = trace.arrivals.iter().map(|arrival| {
+            let headers =
+                arrival.table.schema().names().into_iter().enumerate().map(|(i, name)| {
+                    if i == 0 {
+                        name.to_string()
+                    } else {
+                        format!("{}.{name}", arrival.tenant)
+                    }
+                });
+            let mut builder = TableBuilder::new(arrival.table.name(), headers);
+            for row in arrival.table.rows() {
+                builder = builder.row_values(row.clone());
+            }
+            builder.build().unwrap()
+        });
+        let mut session = IntegrationSession::begin(FuzzyFdConfig::default(), &[]).unwrap();
+        let mut lake: Vec<Table> = Vec::new();
+        for table in arrivals {
+            let live = session.add_table(&table).unwrap().report.fd_stats.clone();
+            lake.push(table);
+            let batch = FuzzyFullDisjunction::default().integrate_by_headers(&lake).unwrap();
+            assert_eq!(session.current().table, batch.table);
+            let retained = session.retained.fd_cache.as_ref().unwrap().len();
+            assert_eq!(retained, batch.report.fd_stats.components, "{} tables", lake.len());
+            assert_eq!(retained, live.components);
+            assert_eq!(live.input_tuples, batch.report.fd_stats.input_tuples);
+        }
     }
 
     #[test]

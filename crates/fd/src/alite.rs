@@ -15,13 +15,16 @@
 //! component order and are concatenated and sorted, so the result is
 //! byte-identical across worker counts.
 //!
-//! An optional [`ComponentCache`] memoises closures for lake-append
+//! An optional [`ComponentCache`] keeps the partition alive for lake-append
 //! workloads: an [`IntegrationSession`](../fuzzy_fd_core) appends tables
 //! against an already-integrated lake, so successive runs see mostly the
 //! *same* components — appended tuples touch only the components they join
 //! into, and every other component's closure, a pure function of its
-//! members, is unchanged.  Hits are verified (see [`crate::incremental`]),
-//! so the output does not depend on the cache's state.
+//! members, is unchanged.  With a cache the driver pads, partitions and
+//! closes only the rows of the touched components; every retained row is
+//! compared with the current one before its component is kept (see
+//! [`crate::incremental`]), so the output does not depend on the cache's
+//! state.
 
 use lake_runtime::ParallelPolicy;
 use lake_table::Table;
@@ -76,14 +79,14 @@ pub fn parallel_full_disjunction_with(
     run(schema, tables, threads, None)
 }
 
-/// As [`parallel_full_disjunction_with`], but serving unchanged component
-/// closures from `cache` and computing (and memoising) only the changed or
-/// new components.
+/// As [`parallel_full_disjunction_with`], but keeping in `cache` the
+/// components the last run left untouched and closing only those a changed
+/// or new row reaches.
 ///
 /// The result is byte-identical for any cache state;
-/// [`FdStats::reused_components`] reports how many components were served
-/// from the cache, and `stats.runtime` covers only the components that
-/// actually ran.
+/// [`FdStats::reused_components`] reports how many components were kept as
+/// they were, and `stats.runtime` covers only the components that actually
+/// ran.
 pub fn incremental_full_disjunction_with(
     schema: &IntegrationSchema,
     tables: &[Table],
@@ -93,71 +96,58 @@ pub fn incremental_full_disjunction_with(
     run(schema, tables, threads, Some(cache))
 }
 
-/// The one FD driver: outer union, partition into join-connected
-/// components, serve what `cache` (if any) already holds, close the rest on
-/// the executor, memoise them, concatenate in component order and sort.
+/// The one FD driver: pad the rows to close — the whole outer union, or what
+/// `cache` (if any) does not already hold — partition them into
+/// join-connected components, close those on the executor, concatenate with
+/// what the cache kept and sort.
 fn run(
     schema: &IntegrationSchema,
     tables: &[Table],
     threads: usize,
     mut cache: Option<&mut ComponentCache>,
 ) -> (IntegratedTable, FdStats) {
-    if let Some(cache) = cache.as_deref_mut() {
-        cache.advance_generation();
-    }
-    let base = outer_union(schema, tables);
+    let base = match cache.as_deref_mut() {
+        Some(cache) => cache.stage(schema, tables),
+        None => outer_union(schema, tables),
+    };
     let input_tuples = base.len();
     let components = join_components(&base);
-    let num_components = components.len();
-    let largest_component = components.iter().map(|c| c.len()).max().unwrap_or(0);
 
     // Move tuples into per-component member lists (outer-union order within
-    // each component) without cloning; a component the cache already holds
-    // takes its closure from there, the rest queue for the executor under
-    // their slot index.
+    // each component) without cloning; the closure consumes its members.
     let mut slots: Vec<Option<IntegratedTuple>> = base.into_iter().map(Some).collect();
-    let mut closures: Vec<Option<Vec<IntegratedTuple>>> = Vec::with_capacity(num_components);
-    let mut pending: Vec<(usize, Vec<IntegratedTuple>)> = Vec::new();
-    for (idx, component) in components.into_iter().enumerate() {
-        let members: Vec<IntegratedTuple> =
-            component.into_iter().map(|i| slots[i].take().expect("tuple moved twice")).collect();
-        let hit = cache.as_deref_mut().and_then(|cache| cache.lookup(&members));
-        if hit.is_none() {
-            pending.push((idx, members));
-        }
-        closures.push(hit);
-    }
-    let reused_components = num_components - pending.len();
-
-    // The closure consumes its members; a copy is kept only when there is a
-    // cache to key the result by.
-    let keyed = cache.is_some();
+    let pending: Vec<Vec<IntegratedTuple>> = components
+        .iter()
+        .map(|component| {
+            component.iter().map(|&i| slots[i].take().expect("tuple moved twice")).collect()
+        })
+        .collect();
     let policy = ParallelPolicy { threads, min_auto_cost: MIN_AUTO_CLOSURE_COST };
-    let (solved, runtime) = lake_runtime::run_scope(
+    let (closures, runtime) = lake_runtime::run_scope(
         &policy,
         pending,
-        |(_, members)| component_cost(members),
-        |(idx, members)| (idx, keyed.then(|| members.clone()), component_closure(members)),
+        |members| component_cost(members),
+        component_closure,
     );
-    for (idx, key, closure) in solved {
-        if let (Some(cache), Some(key)) = (cache.as_deref_mut(), key) {
-            cache.insert(key, closure.clone());
-        }
-        closures[idx] = Some(closure);
-    }
 
-    let mut tuples: Vec<IntegratedTuple> =
-        Vec::with_capacity(closures.iter().flatten().map(Vec::len).sum());
-    for closure in closures {
-        tuples.extend(closure.expect("component neither reused nor closed"));
-    }
-    let stats = FdStats {
-        input_tuples,
-        output_tuples: tuples.len(),
-        components: num_components,
-        largest_component,
-        reused_components,
-        runtime,
+    let (tuples, stats) = match cache {
+        Some(cache) => cache.commit(components, closures, runtime),
+        None => {
+            let mut tuples: Vec<IntegratedTuple> =
+                Vec::with_capacity(closures.iter().map(Vec::len).sum());
+            for closure in closures {
+                tuples.extend(closure);
+            }
+            let stats = FdStats {
+                input_tuples,
+                output_tuples: tuples.len(),
+                components: components.len(),
+                largest_component: components.iter().map(|c| c.len()).max().unwrap_or(0),
+                reused_components: 0,
+                runtime,
+            };
+            (tuples, stats)
+        }
     };
     let result = IntegratedTable::new(schema.column_names().to_vec(), tuples).sorted();
     (result, stats)

@@ -1,37 +1,69 @@
-//! The closure memo behind delta-aware Full Disjunction.
+//! The live partition behind delta-aware Full Disjunction.
 //!
 //! The closure of a join-connected component is a pure function of its
-//! member tuples, so [`incremental_full_disjunction_with`] may serve it from
-//! a [`ComponentCache`] instead of recomputing it.  Correctness does not
-//! depend on any diffing heuristic: a hit requires the entry's member tuples
-//! (values *and* provenance, in outer-union order) to equal the component's
-//! members exactly.
+//! member rows, and an append leaves most components alone.  A
+//! [`ComponentCache`] therefore keeps what the last
+//! [`incremental_full_disjunction_with`] run saw — every base row, the
+//! `(column, value) → component` index and one closure per live component —
+//! and the next run pays only for the difference: it compares the rows,
+//! evicts the components a changed or new row can reach, and re-closes just
+//! those.  Nothing is trusted unchecked: a retained row is compared cell by
+//! cell with the current one before its component is kept, and a lake that
+//! is not an extension of the retained one starts from empty.
 //!
 //! [`incremental_full_disjunction_with`]: crate::incremental_full_disjunction_with
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
+use lake_runtime::RuntimeStats;
+use lake_table::{ColumnRef, Table, Value};
+
+use crate::schema::IntegrationSchema;
+use crate::stats::FdStats;
 use crate::tuple::IntegratedTuple;
 
-/// One memoised closure: the exact member tuples it was computed from (the
-/// verification key) and the closure output.
+/// `(table, row)` of a base row.
+type RowId = (usize, usize);
+
+/// What is retained of one input table.
 #[derive(Debug, Clone)]
-struct CacheEntry {
-    members: Vec<IntegratedTuple>,
-    closure: Vec<IntegratedTuple>,
-    last_used: u64,
+struct LiveTable {
+    name: String,
+    /// The stable key of every source column: the first source column of
+    /// the aligned set it belongs to.  Appended tables only ever join a set
+    /// behind its first column, so the key survives schema growth while the
+    /// integrated column's *position* does not.
+    keys: Vec<ColumnRef>,
+    rows: Vec<Vec<Value>>,
+    /// Slab slot of each row's component (`None` for all-null rows, which
+    /// the outer union skips).
+    slots: Vec<Option<usize>>,
 }
 
-/// A memo table of component closures, keyed by the components' exact member
-/// tuples.
+/// One live join-connected component.
+#[derive(Debug, Clone)]
+struct Component {
+    /// Member rows in outer-union order.
+    members: Vec<RowId>,
+    closure: Vec<IntegratedTuple>,
+}
+
+/// The join-connected components of a lake and their closures, kept alive
+/// between [`incremental_full_disjunction_with`] runs.
 ///
-/// Lookups hash the member tuples (values and provenance) and verify full
-/// equality before a hit is served, so hash collisions can never smuggle a
-/// wrong closure in.  The cache is bounded: when an insert would exceed the
-/// capacity, entries not used by the current generation (one generation per
-/// [`incremental_full_disjunction_with`] call) are evicted first, and the
-/// cache is cleared outright if the live set alone exceeds the bound.
+/// Each run diffs the lake against the retained rows and re-closes only the
+/// components a changed or appended row touches; every other closure is
+/// served as is (re-padded when the integration schema moved its columns).
+/// A lake that does not extend the retained one — fewer tables, a renamed or
+/// resized table, a source column whose aligned set got a new first column —
+/// drops the state, so one cache may be handed unrelated lakes safely.
+///
+/// **Bound.**  The retained state is the lake and nothing else: one row per
+/// base row, one index entry per distinct `(column, value)` cell and one
+/// closure per *live* component — never a superseded one, so
+/// [`len`](Self::len) equals [`FdStats::components`] after every run.  A lake
+/// with more components than the capacity retains nothing (the next run
+/// closes everything again).
 ///
 /// [`incremental_full_disjunction_with`]: crate::incremental_full_disjunction_with
 ///
@@ -53,12 +85,22 @@ struct CacheEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ComponentCache {
-    entries: HashMap<u64, Vec<CacheEntry>>,
-    len: usize,
     capacity: usize,
-    generation: u64,
     hits: u64,
     misses: u64,
+    tables: Vec<LiveTable>,
+    /// The column key of every integrated column of the last run's schema.
+    layout: Vec<ColumnRef>,
+    /// `column key → value → slot` of the component holding that cell: the
+    /// `seen` map of [`join_components`](crate::components::join_components),
+    /// kept alive.  A cell occurs in exactly one component.
+    index: HashMap<ColumnRef, HashMap<Value, usize>>,
+    /// Slab of live components; `free` lists its empty slots.
+    components: Vec<Option<Component>>,
+    free: Vec<usize>,
+    /// The rows [`stage`](Self::stage) handed out for closing, in pool order,
+    /// until [`commit`](Self::commit) registers their components.
+    staged: Vec<RowId>,
 }
 
 impl Default for ComponentCache {
@@ -68,158 +110,219 @@ impl Default for ComponentCache {
 }
 
 impl ComponentCache {
-    /// Default closure-memo bound, shared with
+    /// Default component bound, shared with
     /// `IncrementalPolicy::max_cached_components` in `fuzzy-fd-core`: far
     /// above any benchmark lake (the IMDB fold peaks at ~20k components)
     /// while bounding worst-case memory on key-explosive inputs.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// An empty cache holding at most `capacity` closures (`0` disables
-    /// caching: every lookup misses and nothing is stored).
+    /// An empty cache retaining lakes of at most `capacity` components (`0`
+    /// retains nothing: every run closes every component).
     pub fn with_capacity(capacity: usize) -> Self {
         ComponentCache {
-            entries: HashMap::new(),
-            len: 0,
             capacity,
-            generation: 0,
             hits: 0,
             misses: 0,
+            tables: Vec::new(),
+            layout: Vec::new(),
+            index: HashMap::new(),
+            components: Vec::new(),
+            free: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
-    /// Number of memoised closures.
+    /// Number of live components (each holding its closure).
     pub fn len(&self) -> usize {
-        self.len
+        self.components.len() - self.free.len()
     }
 
-    /// `true` when nothing is memoised.
+    /// `true` when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// `(hits, misses)` counters over the cache's lifetime.
+    /// `(hits, misses)` over the cache's lifetime: components kept as they
+    /// were, and components closed.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
-    /// Drops every memoised closure (counters are kept — they describe
-    /// lookups, not contents).
+    /// Drops the retained lake (counters are kept — they describe runs, not
+    /// contents).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.len = 0;
+        let (hits, misses) = (self.hits, self.misses);
+        *self = ComponentCache { hits, misses, ..ComponentCache::with_capacity(self.capacity) };
     }
 
-    /// Starts a new reuse generation (called once per incremental FD run so
-    /// eviction can distinguish entries the current lake still produces from
-    /// leftovers of rewritten history).
-    pub(crate) fn advance_generation(&mut self) {
-        self.generation += 1;
-    }
+    /// Brings the retained lake up to `tables` under `schema` and returns
+    /// the padded rows whose components must be closed — the whole outer
+    /// union on a cold or foreign cache, the touched components' rows after
+    /// an append.  [`commit`](Self::commit) must follow.
+    pub(crate) fn stage(
+        &mut self,
+        schema: &IntegrationSchema,
+        tables: &[Table],
+    ) -> Vec<IntegratedTuple> {
+        let layout: Vec<ColumnRef> = schema.aligned_sets().iter().map(|set| set[0]).collect();
+        let keys: Vec<Vec<ColumnRef>> = tables
+            .iter()
+            .enumerate()
+            .map(|(t, table)| {
+                (0..table.num_columns()).map(|c| layout[schema.integrated_column(t, c)]).collect()
+            })
+            .collect();
 
-    fn key_hash(members: &[IntegratedTuple]) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        members.len().hash(&mut hasher);
-        for tuple in members {
-            tuple.values().hash(&mut hasher);
-            tuple.provenance().hash(&mut hasher);
-        }
-        hasher.finish()
-    }
-
-    /// The memoised closure of a component with exactly these members, if
-    /// one is cached.
-    pub(crate) fn lookup(&mut self, members: &[IntegratedTuple]) -> Option<Vec<IntegratedTuple>> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return None;
-        }
-        let generation = self.generation;
-        let found = self
-            .entries
-            .get_mut(&Self::key_hash(members))
-            .and_then(|bucket| bucket.iter_mut().find(|entry| entry.members == members))
-            .map(|entry| {
-                entry.last_used = generation;
-                entry.closure.clone()
+        // Verify: the lake must extend the retained one table by table.
+        let extends = self.tables.len() <= tables.len()
+            && self.tables.iter().zip(tables).zip(&keys).all(|((kept, table), keys)| {
+                kept.name == table.name()
+                    && kept.rows.len() == table.num_rows()
+                    && kept.keys == *keys
             });
-        match found {
-            Some(closure) => {
-                self.hits += 1;
-                Some(closure)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoises one freshly computed closure, evicting stale generations if
-    /// the bound would be exceeded.
-    pub(crate) fn insert(&mut self, members: Vec<IntegratedTuple>, closure: Vec<IntegratedTuple>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.len >= self.capacity {
-            self.evict_stale();
-        }
-        if self.len >= self.capacity {
-            // The live set alone overflows the bound: reset rather than
-            // thrash (the next run simply recomputes).
+        if !extends {
             self.clear();
         }
-        let hash = Self::key_hash(&members);
-        self.entries.entry(hash).or_default().push(CacheEntry {
-            members,
-            closure,
-            last_used: self.generation,
-        });
-        self.len += 1;
-    }
 
-    /// Evicts entries last used before the current generation.
-    fn evict_stale(&mut self) {
-        let generation = self.generation;
-        self.entries.retain(|_, bucket| {
-            bucket.retain(|entry| entry.last_used >= generation);
-            !bucket.is_empty()
-        });
-        self.len = self.entries.values().map(Vec::len).sum();
-    }
-
-    /// Re-pads every memoised component into a new integrated-column space:
-    /// old column `i` becomes column `mapping[i]` of a `new_columns`-wide
-    /// schema.
-    ///
-    /// Appending tables usually *widens* the integration schema (new
-    /// attribute columns, new aligned sets), which re-pads every outer-union
-    /// tuple and would turn the whole cache stale.  Re-padding is
-    /// position-only — no cell changes — so the cache migrates instead: a
-    /// component untouched by the append then matches its remapped entry
-    /// exactly.  An out-of-range or non-injective mapping (two old columns
-    /// merging) cannot be migrated faithfully and clears the cache instead.
-    pub fn remap_columns(&mut self, mapping: &[usize], new_columns: usize) {
-        if mapping.len() == new_columns && mapping.iter().enumerate().all(|(i, &m)| i == m) {
-            return;
-        }
-        let mut seen = vec![false; new_columns];
-        for &target in mapping {
-            if target >= new_columns || seen[target] {
-                self.clear();
-                return;
-            }
-            seen[target] = true;
-        }
-        // Remapping changes the member hashes, so the bucket map is rebuilt.
-        let entries = std::mem::take(&mut self.entries);
-        for (_, bucket) in entries {
-            for mut entry in bucket {
-                for tuple in entry.members.iter_mut().chain(entry.closure.iter_mut()) {
-                    tuple.remap_columns(mapping, new_columns);
+        // Diff: a changed row dirties the component it was in, and every
+        // present cell of a changed or new row dirties the component the
+        // index maps it to.  One level suffices — a clean component shares
+        // no cell with any row outside itself, so whatever the pool's rows
+        // can reach is already dirty.
+        let mut pool: Vec<RowId> = Vec::new();
+        let mut dirty: Vec<usize> = Vec::new();
+        for (t, table) in tables.iter().enumerate() {
+            let kept = self.tables.get(t);
+            for (r, row) in table.rows().iter().enumerate() {
+                if kept.is_some_and(|kept| kept.rows[r] == *row) {
+                    continue;
                 }
-                self.entries.entry(Self::key_hash(&entry.members)).or_default().push(entry);
+                dirty.extend(kept.and_then(|kept| kept.slots[r]));
+                for (value, key) in row.iter().zip(&keys[t]) {
+                    dirty.extend(self.index.get(key).and_then(|values| values.get(value)));
+                }
+                pool.push((t, r));
             }
         }
+        dirty.sort_unstable();
+        dirty.dedup();
+
+        // Evict the dirty components under their *old* row contents — the
+        // index was built from those — and only then take the new rows in.
+        let changed = pool.len();
+        for slot in dirty {
+            let component = self.components[slot].take().expect("dirty slots are live");
+            self.free.push(slot);
+            for &(t, r) in &component.members {
+                let kept = &self.tables[t];
+                for (value, key) in kept.rows[r].iter().zip(&kept.keys) {
+                    if let Some(values) = self.index.get_mut(key) {
+                        values.remove(value);
+                    }
+                }
+            }
+            pool.extend(component.members);
+        }
+        for &(t, r) in &pool[..changed] {
+            if let Some(kept) = self.tables.get_mut(t) {
+                kept.rows[r].clone_from(&tables[t].rows()[r]);
+            }
+        }
+        for (table, keys) in tables.iter().zip(keys).skip(self.tables.len()) {
+            self.tables.push(LiveTable {
+                name: table.name().to_string(),
+                keys,
+                rows: table.rows().to_vec(),
+                slots: vec![None; table.num_rows()],
+            });
+        }
+
+        // The clean closures follow their columns to the new positions.
+        if self.layout != layout {
+            let mapping: Vec<usize> = self
+                .layout
+                .iter()
+                .map(|key| schema.integrated_column(key.table, key.column))
+                .collect();
+            for component in self.components.iter_mut().flatten() {
+                for tuple in &mut component.closure {
+                    tuple.remap_columns(&mapping, layout.len());
+                }
+            }
+            self.layout = layout;
+        }
+
+        // The pool in outer-union order, all-null rows skipped as the outer
+        // union skips them.
+        pool.sort_unstable();
+        pool.dedup();
+        pool.retain(|&(t, r)| {
+            let kept = &mut self.tables[t];
+            let present = kept.rows[r].iter().any(Value::is_present);
+            if !present {
+                kept.slots[r] = None;
+            }
+            present
+        });
+        let padded = pool
+            .iter()
+            .map(|&(t, r)| {
+                let kept = &self.tables[t];
+                IntegratedTuple::from_base(schema, t, &kept.name, r, &kept.rows[r])
+            })
+            .collect();
+        self.staged = pool;
+        padded
+    }
+
+    /// Registers the closed `components` of the staged pool (index lists
+    /// into it, paired with their `closures`) and returns every live
+    /// closure's tuples with the run's statistics.
+    pub(crate) fn commit(
+        &mut self,
+        components: Vec<Vec<usize>>,
+        closures: Vec<Vec<IntegratedTuple>>,
+        runtime: RuntimeStats,
+    ) -> (Vec<IntegratedTuple>, FdStats) {
+        let staged = std::mem::take(&mut self.staged);
+        let closed = components.len();
+        for (component, closure) in components.into_iter().zip(closures) {
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.components.push(None);
+                self.components.len() - 1
+            });
+            let members: Vec<RowId> = component.into_iter().map(|i| staged[i]).collect();
+            for &(t, r) in &members {
+                let kept = &mut self.tables[t];
+                kept.slots[r] = Some(slot);
+                for (value, key) in kept.rows[r].iter().zip(&kept.keys) {
+                    if value.is_present() {
+                        let values = self.index.entry(*key).or_default();
+                        if !values.contains_key(value) {
+                            values.insert(value.clone(), slot);
+                        }
+                    }
+                }
+            }
+            self.components[slot] = Some(Component { members, closure });
+        }
+
+        let mut stats = FdStats { runtime, ..FdStats::default() };
+        let mut tuples = Vec::new();
+        for component in self.components.iter().flatten() {
+            stats.components += 1;
+            stats.input_tuples += component.members.len();
+            stats.largest_component = stats.largest_component.max(component.members.len());
+            tuples.extend_from_slice(&component.closure);
+        }
+        stats.output_tuples = tuples.len();
+        stats.reused_components = stats.components - closed;
+        self.hits += stats.reused_components as u64;
+        self.misses += closed as u64;
+        if stats.components > self.capacity {
+            self.clear();
+        }
+        (tuples, stats)
     }
 }
 
@@ -231,7 +334,7 @@ mod tests {
         full_disjunction, incremental_full_disjunction_with, parallel_full_disjunction_with,
     };
     use crate::schema::IntegrationSchema;
-    use lake_table::{TableBuilder, Value};
+    use lake_table::TableBuilder;
 
     #[test]
     fn cold_cache_matches_batch_and_warm_rerun_reuses_everything() {
@@ -313,8 +416,8 @@ mod tests {
 
     #[test]
     fn provenance_differences_are_not_cache_hits() {
-        // Two components with identical values but different provenance must
-        // not collide: the closure output embeds provenance.
+        // Two lakes with identical values but different provenance must not
+        // share closures: the closure output embeds provenance.
         let t1 = TableBuilder::new("T1", ["id"]).row(["k"]).build().unwrap();
         let t2 = TableBuilder::new("T2", ["id"]).row(["k"]).build().unwrap();
         let schema1 = IntegrationSchema::from_matching_headers(std::slice::from_ref(&t1));
@@ -332,17 +435,24 @@ mod tests {
 
     #[test]
     fn eviction_keeps_the_live_generation() {
-        // Capacity 4, lake with 5 components: the first run overflows and
-        // resets, but a stable smaller lake keeps hitting across runs.
+        // A lake of more components than the bound retains nothing.
+        let mut cache = ComponentCache::with_capacity(4);
+        let over = lake(5);
+        let over_schema = IntegrationSchema::from_matching_headers(&over);
+        let (result, stats) = incremental_full_disjunction_with(&over_schema, &over, 1, &mut cache);
+        assert_eq!(result, full_disjunction(&over_schema, &over));
+        assert_eq!((stats.components, cache.len()), (5, 0));
+
+        // One that exactly fills the bound is retained and keeps hitting
+        // across runs.
         let tables = lake(4); // 4 key components
         let schema = IntegrationSchema::from_matching_headers(&tables);
-        let mut cache = ComponentCache::with_capacity(4);
         let _ = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
         assert_eq!(cache.len(), 4);
         let (_, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
         assert_eq!(stats.reused_components, 4);
 
-        // A different lake of the same size evicts the old generation
+        // A different lake of the same size replaces the retained one
         // instead of refusing to cache.
         let other = vec![TableBuilder::new("D", ["id", "z"])
             .row(["p0", "z0"])
@@ -361,8 +471,8 @@ mod tests {
     #[test]
     fn remapped_cache_survives_schema_growth() {
         // A two-table lake, then a third table bringing a *new* column: the
-        // integration schema widens, every padded tuple changes shape, but a
-        // remapped cache still reuses the untouched components.
+        // integration schema widens, every padded tuple changes shape, but
+        // the untouched components keep their (re-padded) closures.
         let mut tables = lake(20);
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let mut cache = ComponentCache::default();
@@ -373,55 +483,13 @@ mod tests {
         let wider = IntegrationSchema::from_matching_headers(&tables);
         assert!(wider.num_columns() > schema.num_columns());
 
-        // old column i → the new position of any of its source columns.
-        let mapping: Vec<usize> = schema
-            .aligned_sets()
-            .iter()
-            .map(|sources| wider.integrated_column(sources[0].table, sources[0].column))
-            .collect();
-        cache.remap_columns(&mapping, wider.num_columns());
-
         let (incremental, stats) =
             incremental_full_disjunction_with(&wider, &tables, 1, &mut cache);
         assert_eq!(incremental, full_disjunction(&wider, &tables));
         assert_eq!(
             stats.reused_components,
             first.components - 1,
-            "only the k1 component may recompute after the remap: {stats:?}"
+            "only the k1 component may recompute after the widening: {stats:?}"
         );
-    }
-
-    #[test]
-    fn degenerate_remaps_clear_instead_of_corrupting() {
-        let tables = lake(4);
-        let schema = IntegrationSchema::from_matching_headers(&tables);
-        let mut cache = ComponentCache::default();
-        let _ = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
-        assert!(!cache.is_empty());
-        // Identity remap is a no-op.
-        let width = schema.num_columns();
-        cache.remap_columns(&(0..width).collect::<Vec<_>>(), width);
-        assert!(!cache.is_empty());
-        // A non-injective mapping cannot be migrated: the cache resets.
-        cache.remap_columns(&vec![0; width], width);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn values_sharing_hash_buckets_verify_membership() {
-        // Same values, different provenance → same value hash contribution
-        // but full-equality verification must reject the pairing.
-        let a = IntegratedTuple::new(
-            vec![Value::text("x")],
-            lake_table::ProvenanceSet::single(lake_table::TupleId::new("A", 0)),
-        );
-        let b = IntegratedTuple::new(
-            vec![Value::text("x")],
-            lake_table::ProvenanceSet::single(lake_table::TupleId::new("B", 0)),
-        );
-        let mut cache = ComponentCache::default();
-        cache.insert(vec![a.clone()], vec![a.clone()]);
-        assert!(cache.lookup(&[b]).is_none());
-        assert!(cache.lookup(&[a]).is_some());
     }
 }

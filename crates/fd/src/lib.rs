@@ -20,12 +20,13 @@
 //! * [`complement`] — the complementation closure + subsumption removal that
 //!   computes the exact FD inside one component;
 //! * [`alite`] — the one end-to-end FD operator ([`full_disjunction`] and
-//!   its threaded and memoising spellings): component closures run on the
+//!   its threaded and delta-aware spellings): component closures run on the
 //!   shared work-stealing executor (`lake-runtime`), inline when one worker
 //!   is asked for;
-//! * [`incremental`] — the operator's optional closure memo, the
+//! * [`incremental`] — the operator's optional live partition, the
 //!   [`ComponentCache`]: handed to [`incremental_full_disjunction_with`], it
-//!   lets an appended table recompute only the components it touches;
+//!   retains the lake's rows, cell index and one closure per component, so
+//!   an appended table pays only for the components it touches;
 //! * [`spec`] — a brute-force specification oracle used by property tests;
 //! * [`stats`] — result statistics used by the experiment harness.
 

@@ -5,7 +5,8 @@ use lake_runtime::RuntimeStats;
 /// Counters describing one Full Disjunction execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FdStats {
-    /// Number of base tuples across all input tables.
+    /// Number of base tuples across all input tables that reach the outer
+    /// union: rows with no present value are skipped and not counted.
     pub input_tuples: usize,
     /// Number of tuples in the FD result.
     pub output_tuples: usize,
@@ -13,9 +14,9 @@ pub struct FdStats {
     pub components: usize,
     /// Size of the largest component (in base tuples).
     pub largest_component: usize,
-    /// Components whose closure was reused from a
-    /// [`ComponentCache`](crate::ComponentCache) instead of recomputed
-    /// (always `0` when the operator was given no cache).
+    /// Components a [`ComponentCache`](crate::ComponentCache) kept as they
+    /// were — no changed or new row reached them — instead of closing them
+    /// again (always `0` when the operator was given no cache).
     pub reused_components: usize,
     /// How the component closures were scheduled: one task per component
     /// closed, at any thread count (cache-reused components never reach the

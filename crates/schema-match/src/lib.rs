@@ -20,6 +20,8 @@ pub mod signature;
 pub use cluster::{align_columns, AlignmentOptions};
 pub use signature::ColumnSignature;
 
+use std::borrow::Borrow;
+
 use lake_table::{ColumnRef, Table};
 
 /// A set of aligned column groups.  Each group holds at most one column per
@@ -70,10 +72,10 @@ impl Alignment {
 
 /// Aligns columns by case-insensitive header equality.  Reliable only when
 /// headers are consistent (e.g. generated benchmarks, the Figure 1 example).
-pub fn align_by_headers(tables: &[Table]) -> Alignment {
+pub fn align_by_headers<T: Borrow<Table>>(tables: &[T]) -> Alignment {
     let mut groups: Vec<(String, Vec<ColumnRef>)> = Vec::new();
     for (t_idx, table) in tables.iter().enumerate() {
-        for (c_idx, col) in table.schema().columns().iter().enumerate() {
+        for (c_idx, col) in table.borrow().schema().columns().iter().enumerate() {
             let key = col.name.trim().to_lowercase();
             if key.is_empty() {
                 continue;

@@ -94,8 +94,9 @@ pub struct ShardSnapshot {
     /// The latest integration outcome (shared with the session's retained
     /// copy — an `Arc` bump, not a table copy).
     pub outcome: Arc<IncrementalOutcome>,
-    /// Every table integrated so far, in arrival order.
-    pub tables: Arc<Vec<Table>>,
+    /// Every table integrated so far, in arrival order (shared with the
+    /// session — one pointer bump per table, not a copy).
+    pub tables: Vec<Arc<Table>>,
     /// Source-column → integrated-column mapping of the latest call (feeds
     /// the per-cell provenance view).
     pub schema: Option<IntegrationSchema>,
@@ -111,7 +112,7 @@ impl ShardSnapshot {
         ShardSnapshot {
             version,
             outcome: session.snapshot(),
-            tables: Arc::new(session.tables().to_vec()),
+            tables: session.tables().to_vec(),
             schema: session.schema().cloned(),
             embed_cache: session.embedding_stats(),
             fd_cache: session.fd_cache_stats(),
