@@ -23,7 +23,7 @@
 //!   `BlockingStats` and `FuzzyFdReport` so benchmarks can see scheduling
 //!   quality.
 //! * [`spawn_service`] / [`ServiceHandle`] — named long-lived threads for
-//!   server-style components (accept loops, shard writers) that outlive the
+//!   server-style components (request readers, shard writers) that outlive the
 //!   call that started them; the only sanctioned way to obtain such a
 //!   thread outside this crate.  [`spawn_periodic`] layers an
 //!   interruptible ticking loop on top for maintenance services (the

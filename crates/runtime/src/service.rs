@@ -2,11 +2,11 @@
 //!
 //! [`run_scope`](crate::run_scope) covers the *scoped* parallelism in the
 //! workspace: a batch of tasks fanned out and joined before the call
-//! returns.  Server-style components (accept loops, queue drainers, reader
-//! pools) need the opposite shape — a thread that outlives the call that
-//! started it and runs until told to stop.  The workspace bans raw std
-//! thread primitives outside this crate (see `tests/no_raw_threads.rs`),
-//! so those components obtain their threads here.
+//! returns.  Server-style components (queue drainers, reader pools that
+//! block in `accept()`) need the opposite shape — a thread that outlives
+//! the call that started it and runs until told to stop.  The workspace
+//! bans raw std thread primitives outside this crate (see
+//! `docs/LINTS.md`), so those components obtain their threads here.
 //!
 //! [`spawn_service`] starts a named OS thread and returns a
 //! [`ServiceHandle`].  Unlike the executor's workers, service threads are
@@ -14,7 +14,7 @@
 //! Joining a handle propagates a panic from the service body, so a crashed
 //! writer loop surfaces at shutdown instead of being silently swallowed.
 //! Dropping a handle without joining detaches the thread (same contract as
-//! `std`), which is deliberate: an accept loop blocked on a socket would
+//! `std`), which is deliberate: a reader blocked in `accept()` would
 //! otherwise deadlock the dropping thread.
 
 use std::sync::{Arc, Condvar, Mutex};

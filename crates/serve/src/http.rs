@@ -486,4 +486,216 @@ mod tests {
             assert_eq!(out.taken, whole, "step {step}");
         }
     }
+
+    /// splitmix64: a seeded case generator with no dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// A valid request in parts, so that its `Content-Length` lines can be
+    /// rendered as the mutations below need them.
+    struct Case {
+        request_line: String,
+        /// Header lines other than `Content-Length`, as sent.
+        lines: Vec<String>,
+        /// Where the `Content-Length` lines go among `lines`.
+        length_at: usize,
+        has_length: bool,
+        body: Vec<u8>,
+        method: &'static str,
+        path: String,
+        query: Vec<(String, String)>,
+        /// `lines` as the parser must report them.
+        headers: Vec<(String, String)>,
+    }
+
+    impl Case {
+        fn render(&self, lengths: &[String]) -> Vec<u8> {
+            let mut lines = self.lines.clone();
+            for length in lengths.iter().rev() {
+                lines.insert(self.length_at, format!("Content-Length: {length}"));
+            }
+            let mut head = format!("{}\r\n", self.request_line);
+            for line in lines {
+                head = head + &line + "\r\n";
+            }
+            let mut bytes = (head + "\r\n").into_bytes();
+            bytes.extend_from_slice(&self.body);
+            bytes
+        }
+
+        fn valid(&self) -> Vec<u8> {
+            let lengths = if self.has_length { vec![self.body.len().to_string()] } else { vec![] };
+            self.render(&lengths)
+        }
+    }
+
+    /// One path segment or query key / value: `(as sent, as decoded)`, with
+    /// `%XX` escapes in either hex case and `+` in its per-component sense.
+    fn component(rng: &mut SplitMix, in_query: bool) -> (String, String) {
+        const PLAIN: &[u8] = b"abcXYZ019-._~!$'()*,;:@";
+        let (mut sent, mut decoded) = (String::new(), String::new());
+        for _ in 0..rng.below(8) {
+            match rng.below(6) {
+                0 => {
+                    let c = rng.pick(&['/', '?', '&', '=', '%', '+', '#', ' ', 'é', '€']);
+                    for byte in c.to_string().bytes() {
+                        let escape = if rng.below(2) == 0 {
+                            format!("%{byte:02X}")
+                        } else {
+                            format!("%{byte:02x}")
+                        };
+                        sent.push_str(&escape);
+                    }
+                    decoded.push(c);
+                }
+                1 => {
+                    sent.push('+');
+                    decoded.push(if in_query { ' ' } else { '+' });
+                }
+                _ => {
+                    let c = char::from(rng.pick(PLAIN));
+                    sent.push(c);
+                    decoded.push(c);
+                }
+            }
+        }
+        (sent, decoded)
+    }
+
+    fn generate(rng: &mut SplitMix) -> Case {
+        let method = rng.pick(&["GET", "POST"]);
+        let (mut target, mut path) = (String::new(), String::new());
+        for _ in 0..1 + rng.below(3) {
+            let (sent, decoded) = component(rng, false);
+            target = format!("{target}/{sent}");
+            path = format!("{path}/{decoded}");
+        }
+        let mut query = Vec::new();
+        let pairs: Vec<String> = (0..rng.below(4))
+            .map(|_| {
+                let ((key, k), (value, v)) = (component(rng, true), component(rng, true));
+                query.push((k, v));
+                format!("{key}={value}")
+            })
+            .collect();
+        if !pairs.is_empty() || rng.below(4) == 0 {
+            target = format!("{target}?{}", pairs.join("&"));
+        }
+        let version = rng.pick(&["HTTP/1.1", "HTTP/1.0"]);
+
+        let (mut lines, mut headers) = (Vec::new(), Vec::new());
+        for _ in 0..rng.below(6) {
+            let name: String = (0..1 + rng.below(12))
+                .map(|_| char::from(rng.pick(b"abcdefxyzABCDEFXYZ0129-")))
+                .collect();
+            let value: String =
+                (0..rng.below(20)).map(|_| char::from(b'!' + rng.below(94) as u8)).collect();
+            let pad = rng.pick(&["", " ", "  ", "\t"]);
+            lines.push(format!("{name}:{pad}{value}{pad}"));
+            headers.push((name.to_ascii_lowercase(), value));
+        }
+        let body: Vec<u8> = (0..rng.below(4097)).map(|_| rng.next() as u8).collect();
+        Case {
+            request_line: format!("{method} {target} {version}"),
+            length_at: rng.below(lines.len() + 1),
+            has_length: !body.is_empty() || rng.below(2) == 0,
+            lines,
+            body,
+            method,
+            path,
+            query,
+            headers,
+        }
+    }
+
+    /// Parses `bytes` fed `step` at a time, then an endless run of filler,
+    /// and returns the outcome with the bytes consumed; a panic names the
+    /// input it came from.
+    fn parse(bytes: &[u8], step: usize) -> (Result<Request, HttpError>, usize) {
+        const BOUND: u64 = (MAX_HEAD_BYTES + MAX_BODY_BYTES + 4096) as u64;
+        let mut stream = Trickle::new(bytes, step).chain(io::repeat(b'x')).take(BOUND + 1);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read_request(&mut stream)))
+                .unwrap_or_else(|_| {
+                    panic!("read_request panicked on {:?}", String::from_utf8_lossy(bytes))
+                });
+        (outcome, (BOUND + 1 - stream.limit()) as usize)
+    }
+
+    #[test]
+    fn generated_requests_round_trip_and_their_mutants_fail_cleanly() {
+        const CEILING: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES + 4096;
+        let mut rng = SplitMix(0x5EED_1A4E);
+        for _ in 0..300 {
+            let case = generate(&mut rng);
+            let valid = case.valid();
+            let step = if rng.below(4) == 0 { 1 + rng.below(8) } else { 1 + rng.below(4096) };
+            let request = read_request(&mut Trickle::new(&valid[..], step))
+                .unwrap_or_else(|err| panic!("{err}: {:?}", String::from_utf8_lossy(&valid)));
+            let mut headers = case.headers.clone();
+            if case.has_length {
+                headers
+                    .insert(case.length_at, ("content-length".into(), case.body.len().to_string()));
+            }
+            assert_eq!(request.method, case.method);
+            assert_eq!((&request.path, &request.query), (&case.path, &case.query));
+            assert_eq!(request.headers, headers);
+            assert_eq!(request.body, case.body);
+
+            let mut mutants = Vec::new();
+            mutants.push(valid[..rng.below(valid.len())].to_vec());
+            let mut spliced = valid.clone();
+            let at = rng.below(spliced.len());
+            let cut = (at + rng.below(8)).min(spliced.len());
+            let noise: Vec<u8> = (0..rng.below(16)).map(|_| rng.next() as u8).collect();
+            spliced.splice(at..cut, noise);
+            mutants.push(spliced);
+            let mut flipped = valid.clone();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(flipped.len());
+                flipped[at] ^= 1 << rng.below(8);
+            }
+            mutants.push(flipped);
+            for mutant in &mutants {
+                let (_, consumed) = parse(mutant, 1 + rng.below(4096));
+                assert!(consumed <= CEILING, "consumed {consumed} bytes");
+            }
+
+            // Inflated and duplicated lengths, each with the answer it must get.
+            let length = case.body.len().to_string();
+            for (lengths, expected) in [
+                (vec![(MAX_BODY_BYTES + 1).to_string()], "413"),
+                (vec!["1234567890123456789012345".to_string()], "400"),
+                (vec![length.clone(), length.clone()], "same body"),
+                (vec![length, (case.body.len() + 1).to_string()], "400"),
+            ] {
+                let (outcome, consumed) = parse(&case.render(&lengths), step);
+                assert!(consumed <= CEILING, "consumed {consumed} bytes");
+                let got = match outcome {
+                    Ok(request) if request.body == case.body => "same body",
+                    Err(HttpError::TooLarge("request body")) => "413",
+                    Err(HttpError::BadRequest(msg)) if msg.contains("content-length") => "400",
+                    _ => "something else",
+                };
+                assert_eq!(got, expected, "Content-Length {lengths:?}");
+            }
+        }
+    }
 }

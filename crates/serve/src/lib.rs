@@ -30,9 +30,9 @@
 //! environment has no registry access, so no tokio/hyper): one request per
 //! connection, `Content-Length` framing, `Connection: close`.  All service
 //! threads come from [`lake_runtime::spawn_service`]; none of them polls —
-//! the acceptor blocks in `accept()` and [`ServerHandle::shutdown`] wakes it
-//! with a connection to the server's own port (thread layout and shutdown
-//! order in [`server`]).
+//! each reader blocks in `accept()` on the shared listener, and
+//! [`ServerHandle::shutdown`] wakes the readers with connections to the
+//! server's own port (thread layout and shutdown order in [`server`]).
 //!
 //! ## Durability
 //!

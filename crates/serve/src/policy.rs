@@ -32,9 +32,10 @@ pub struct ServePolicy {
     /// full queue is rejected with `429 Too Many Requests` instead of
     /// queueing unboundedly.
     pub queue_depth: usize,
-    /// Number of reader threads serving queries, health and stats.  Readers
-    /// only ever clone the shard's published snapshot handle, so they never
-    /// block on (or be blocked by) writers.
+    /// Number of reader threads, each accepting and serving one connection
+    /// at a time — also the bound on connections in flight (the rest wait
+    /// in the kernel's listen backlog).  Readers only ever clone a shard's
+    /// published snapshot, so they never block on (or are blocked by) writers.
     pub readers: usize,
     /// Advisory `Retry-After` (seconds) attached to `429` responses.
     pub retry_after_secs: u32,

@@ -1,13 +1,13 @@
-//! The server: accept loop, reader pool, shard writer loops, routing.
+//! The server: reader pool, shard writer loops, routing.
 //!
 //! Thread layout for a [`ServePolicy`] with `S` shards and `R` readers
 //! (all threads come from [`lake_runtime::spawn_service`] — the workspace
 //! bans raw thread primitives outside the runtime crate):
 //!
-//! * 1 × `serve-accept` — blocks in `accept()` and hands each connection
-//!   to the reader pool over a channel; it wakes only for a connection.
-//! * `R` × `serve-reader-i` — pop a connection, read one request, route
-//!   it, write the response, close.  Readers touch shards only through
+//! * `R` × `serve-reader-i` — accept a connection on the shared listener,
+//!   read one request, route it, write the response, close.  At most `R`
+//!   connections are in flight; the rest wait in the listen backlog.
+//!   Readers touch shards only through
 //!   [`Shard::try_ingest`] (queue admission), [`Shard::query_body`] and
 //!   [`Shard::status`] (an `Arc` clone of what the writer published), so
 //!   no request ever waits on an in-flight integration.  A `/query` body
@@ -19,11 +19,11 @@
 //!   [`ShardSnapshot`] after every applied append.
 //!
 //! Shutdown drains: [`ServerHandle::shutdown`] flips the stop flag and
-//! connects to the server's own port so the acceptor returns from
-//! `accept()`, sees the flag and exits; the readers serve what is already
-//! queued to them (giving up on a client that has sent nothing) and are
-//! joined; then each writer finishes its remaining queue before it is
-//! joined — every acknowledged ingest is applied before `shutdown` returns.
+//! connects to the server's own port until every reader, woken from
+//! `accept()` or done with its connection, has exited and been joined;
+//! then the batched-fsync flusher (if any) stops, and each writer finishes
+//! its remaining queue before it is joined — every acknowledged ingest is
+//! applied before `shutdown` returns.
 
 // A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -32,8 +32,7 @@ use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fuzzy_fd_core::IntegrationSession;
@@ -45,8 +44,8 @@ use crate::shard::{IngestJob, IngestReject, Shard, ShardSnapshot, ShardStatus};
 use crate::wire::{self, QueryView};
 use crate::ServePolicy;
 
-/// How long a reader waits on a slow client before giving up on the
-/// connection.
+/// How long a client has to send its whole request, from the accept; also
+/// how long one write of the response may block.
 const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// How often a reader blocked on a silent client looks at the stop flag,
 /// which bounds what such a client can add to a shutdown.
@@ -54,7 +53,7 @@ const STOP_CHECK: Duration = Duration::from_millis(100);
 /// Pause after a failed `accept()`.  Descriptor exhaustion (`EMFILE`) fails
 /// every call until a connection closes; retrying at once would spin.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
-/// First and longest pause between two attempts to wake the acceptor.
+/// First and longest pause between two attempts to wake the readers.
 const WAKE_BACKOFF_MIN: Duration = Duration::from_micros(100);
 const WAKE_BACKOFF_MAX: Duration = Duration::from_millis(20);
 /// How long one wake-up connection attempt may take.
@@ -178,7 +177,8 @@ impl LakeServer {
         durability: Option<DurabilityPolicy>,
     ) -> Result<ServerHandle, ServeError> {
         policy.validate().map_err(ServeError::InvalidPolicy)?;
-        let listener = TcpListener::bind(addr)?;
+        // Every reader accepts on it; the last one to exit closes it.
+        let listener = Arc::new(TcpListener::bind(addr)?);
         let local_addr = listener.local_addr()?;
 
         let shards: Arc<Vec<Arc<Shard>>> = Arc::new(
@@ -203,21 +203,13 @@ impl LakeServer {
         );
 
         let stop = Arc::new(AtomicBool::new(false));
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            spawn_service("serve-accept", move || accept_loop(listener, conn_tx, stop))
-        };
-
         let readers = (0..policy.readers)
             .map(|i| {
-                let conn_rx = Arc::clone(&conn_rx);
+                let listener = Arc::clone(&listener);
                 let shards = Arc::clone(&shards);
                 let stop = Arc::clone(&stop);
                 spawn_service(format!("serve-reader-{i}"), move || {
-                    reader_loop(conn_rx, shards, policy, &stop)
+                    reader_loop(&listener, &shards, &policy, &stop)
                 })
             })
             .collect();
@@ -247,15 +239,7 @@ impl LakeServer {
                 })
             });
 
-        Ok(ServerHandle {
-            addr: local_addr,
-            shards,
-            stop,
-            acceptor: Some(acceptor),
-            readers,
-            writers,
-            flusher,
-        })
+        Ok(ServerHandle { addr: local_addr, shards, stop, readers, writers, flusher })
     }
 }
 
@@ -266,7 +250,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shards: Arc<Vec<Arc<Shard>>>,
     stop: Arc<AtomicBool>,
-    acceptor: Option<ServiceHandle>,
     readers: Vec<ServiceHandle>,
     writers: Vec<ServiceHandle>,
     flusher: Option<PeriodicHandle>,
@@ -302,18 +285,13 @@ impl ServerHandle {
     }
 
     /// Stops the server: no new connections, readers joined once they
-    /// have served what was already queued to them, every shard queue
+    /// have served the connection each already accepted, every shard queue
     /// drained and applied, writers joined.  Propagates a panic from any
     /// service thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            wake_acceptor(self.addr, &acceptor);
-            acceptor.join();
-        }
-        for reader in self.readers.drain(..) {
-            reader.join();
-        }
+        wake_readers(self.addr, &self.readers);
+        self.readers.drain(..).for_each(ServiceHandle::join);
         if let Some(flusher) = self.flusher.take() {
             flusher.stop();
         }
@@ -327,50 +305,23 @@ impl ServerHandle {
         }
     }
 
-    /// Blocks the calling thread until the accept loop exits — forever in
-    /// a long-running process such as `examples/serve.rs`, since only
-    /// [`shutdown`](Self::shutdown) stops the loop and this call consumes
-    /// the handle.
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join();
-        }
+    /// Blocks the calling thread until the readers exit — forever in a
+    /// long-running process such as `examples/serve.rs`, since only
+    /// [`shutdown`](Self::shutdown) stops them and this call consumes the
+    /// handle.
+    pub fn wait(self) {
+        self.readers.into_iter().for_each(ServiceHandle::join);
     }
 }
 
-/// Blocking accept loop; exits (dropping `conn_tx`, which lets the readers
-/// finish once the channel is empty) at the first return from `accept()`
-/// after the stop flag flipped.  That connection is the wake-up call of
-/// [`wake_acceptor`], or a client that raced it: either way it was never
-/// promised service and is dropped.
-fn accept_loop(listener: TcpListener, conn_tx: mpsc::Sender<TcpStream>, stop: Arc<AtomicBool>) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => {
-                if conn_tx.send(stream).is_err() {
-                    return;
-                }
-            }
-            // A connection reset before it was accepted is not fatal to the
-            // server, and neither is running out of descriptors.
-            Err(_) => pause(ACCEPT_ERROR_BACKOFF),
-        }
-    }
-}
-
-/// Makes an acceptor parked in `accept()` notice the stop flag, which the
-/// caller has already set: connects to the listener (on loopback when it
-/// is bound to an unspecified address) until the acceptor has exited.
+/// Makes the readers notice the stop flag, which the caller has already
+/// set: connects to the listener (on loopback when it is bound to an
+/// unspecified address) until every reader has exited.
 ///
-/// One accepted connection is enough.  The retry is for a connect that is
-/// refused or times out (a full backlog) — the pause between attempts is
-/// bounded, and an acceptor that exits on its own, out of its error
-/// back-off, ends the loop too.
-fn wake_acceptor(addr: SocketAddr, acceptor: &ServiceHandle) {
+/// A reader parked in `accept()` takes one call and returns; a busy one
+/// sees the flag when its connection is done, or at its next [`STOP_CHECK`]
+/// if the client is silent.  The pause between attempts is bounded.
+fn wake_readers(addr: SocketAddr, readers: &[ServiceHandle]) {
     let target = match addr {
         SocketAddr::V4(v4) if v4.ip().is_unspecified() => {
             SocketAddr::from((Ipv4Addr::LOCALHOST, addr.port()))
@@ -381,59 +332,69 @@ fn wake_acceptor(addr: SocketAddr, acceptor: &ServiceHandle) {
         bound => bound,
     };
     let mut backoff = WAKE_BACKOFF_MIN;
-    while !acceptor.is_finished() {
-        // Success or failure, the answer that counts is the acceptor's exit.
+    while !readers.iter().all(ServiceHandle::is_finished) {
+        // Success or failure, the answer that counts is the readers' exit.
         let _ = TcpStream::connect_timeout(&target, WAKE_CONNECT_TIMEOUT);
         pause(backoff);
         backoff = (backoff * 2).min(WAKE_BACKOFF_MAX);
     }
 }
 
-/// A client connection as a reader reads it: a read blocks for as long as
-/// the client stays silent, up to [`CLIENT_IO_TIMEOUT`] — or, once the
-/// server is stopping, up to the next [`STOP_CHECK`] tick.  Bytes that have
-/// already arrived are always delivered, so a request queued before a
-/// shutdown is still served.
+/// A client connection as a reader reads it: a read blocks while the
+/// client is silent, up to `deadline` (fixed at the accept, so trickled
+/// bytes do not extend it) — or, once the server is stopping, up to the
+/// next [`STOP_CHECK`] tick.  Bytes that have already arrived are
+/// delivered, so a request sent before a shutdown is still served.
 struct ClientStream<'a> {
     stream: &'a TcpStream,
     stop: &'a AtomicBool,
+    deadline: Instant,
 }
 
 impl Read for ClientStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let deadline = Instant::now() + CLIENT_IO_TIMEOUT;
         loop {
+            if Instant::now() >= self.deadline {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
             let outcome = self.stream.read(buf);
             // The socket's read timeout is `STOP_CHECK`; which of the two
             // kinds reports it depends on the platform.
             let timed_out = outcome.as_ref().is_err_and(|err| {
                 matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
             });
-            if !timed_out || self.stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
+            if !timed_out || self.stop.load(Ordering::SeqCst) {
                 return outcome;
             }
         }
     }
 }
 
-/// Reader-pool loop: one request per connection, until the channel closes.
+/// Reader loop: accept a connection and serve its one request, until stopped.
 fn reader_loop(
-    conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    shards: Arc<Vec<Arc<Shard>>>,
-    policy: ServePolicy,
+    listener: &TcpListener,
+    shards: &[Arc<Shard>],
+    policy: &ServePolicy,
     stop: &AtomicBool,
 ) {
-    loop {
-        // Recover from a poisoned receiver lock: the receiver is plain
-        // channel state, and one panicking reader must not wedge the
-        // whole pool (every surviving reader would otherwise panic here
-        // and the server would stop accepting work while still listening).
-        let conn = { conn_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv() };
-        let Ok(mut stream) = conn else { return };
+    while !stop.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        // A wake-up call of [`wake_readers`], or a client that raced it:
+        // either way it was never promised service.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((mut stream, _)) = accepted else {
+            // A connection reset before it was accepted is not fatal to the
+            // server, and neither is running out of descriptors.
+            pause(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let deadline = Instant::now() + CLIENT_IO_TIMEOUT;
         let _ = stream.set_read_timeout(Some(STOP_CHECK));
         let _ = stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-        let response = match read_request(&mut ClientStream { stream: &stream, stop }) {
-            Ok(request) => handle_request(&request, &shards, &policy),
+        let response = match read_request(&mut ClientStream { stream: &stream, stop, deadline }) {
+            Ok(request) => handle_request(&request, shards, policy),
             Err(HttpError::BadRequest(msg)) => Response::json(400, wire::error_body(&msg)),
             Err(HttpError::TooLarge(what)) => {
                 let status = if what == "request body" { 413 } else { 431 };
@@ -637,10 +598,39 @@ mod tests {
         let server = LakeServer::start(ServePolicy::default()).unwrap();
         let silent = TcpStream::connect(server.addr()).unwrap();
         // Connections are accepted in order, so once this answer is back a
-        // reader has the silent one (or is about to pop it).
+        // reader holds the silent one.
         assert_eq!(ServeClient::new(server.addr()).health().unwrap().status, 200);
         shutdown_promptly(server);
         drop(silent);
+    }
+
+    /// A client that sends one byte per 50 ms never lets a read time out;
+    /// only a deadline fixed at the accept cuts it off.
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_request_deadline() {
+        let listener = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = spawn_service("trickle-client", move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // Two seconds of trickle at most, or until the server hangs up.
+            for _ in 0..40 {
+                if io::Write::write_all(&mut stream, b"G").is_err() {
+                    return;
+                }
+                pause(Duration::from_millis(50));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(STOP_CHECK)).unwrap();
+        let stop = AtomicBool::new(false);
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(300);
+        let outcome = read_request(&mut ClientStream { stream: &stream, stop: &stop, deadline });
+        let took = started.elapsed();
+        assert!(matches!(outcome, Err(HttpError::Io(_))), "{outcome:?}");
+        assert!(took < Duration::from_secs(1), "read_request took {took:?}");
+        drop(stream);
+        client.join();
     }
 
     #[test]

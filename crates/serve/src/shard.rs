@@ -565,18 +565,20 @@ mod tests {
         let shard = Arc::new(Shard::new(0, 4, ShardSnapshot::from_session(1, &session)));
 
         let gate = Arc::new(std::sync::Barrier::new(READERS));
-        let (tx, rx) = std::sync::mpsc::channel();
+        let served = Arc::new(Mutex::new(Vec::new()));
         let readers: Vec<_> = (0..READERS)
             .map(|i| {
-                let (shard, gate, tx) = (Arc::clone(&shard), Arc::clone(&gate), tx.clone());
+                let (shard, gate, served) =
+                    (Arc::clone(&shard), Arc::clone(&gate), Arc::clone(&served));
                 lake_runtime::spawn_service(format!("racing-reader-{i}"), move || {
                     gate.wait();
-                    tx.send(shard.query_body(QueryView::Table)).unwrap();
+                    let body = shard.query_body(QueryView::Table);
+                    served.lock().unwrap().push(body);
                 })
             })
             .collect();
         readers.into_iter().for_each(lake_runtime::ServiceHandle::join);
-        let bodies: Vec<Arc<str>> = rx.try_iter().collect();
+        let bodies: Vec<Arc<str>> = std::mem::take(&mut *served.lock().unwrap());
         assert_eq!(bodies.len(), READERS);
         assert!(bodies.iter().all(|body| Arc::ptr_eq(body, &bodies[0])));
         // The shard's slot and the eight handles: nobody rendered a copy.

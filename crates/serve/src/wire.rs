@@ -11,13 +11,6 @@
 //! appears in `/query` bodies.  Timing-dependent counters are confined to
 //! `/stats`, which is observability, not data.
 //!
-//! The bodies that grow with the lake — `/query` and the client's
-//! `/ingest` — are streamed straight into one `String` by `JsonWriter`;
-//! the small fixed-shape ones (`/stats`, acks, errors, health) still build
-//! a [`Content`] tree.  Both paths emit strings and floats through the
-//! vendored encoder's own leaf writers, and the tests hold the streamed
-//! bytes equal to the tree encoder's.
-//!
 //! The full schema of every body is documented in `docs/PROTOCOL.md`.
 
 // A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
@@ -26,7 +19,6 @@
 use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
 
-use serde::Content;
 use serde_json::Value as Json;
 
 use lake_fd::IntegratedTuple;
@@ -119,14 +111,11 @@ const TUPLE_BYTES_GUESS: usize = 48;
 /// [`parse_ingest`]).
 pub fn ingest_body(group: &str, table: &Table) -> String {
     let cells = table.rows().len() * table.num_columns();
-    let mut w = JsonWriter::with_capacity(128 + cells * CELL_BYTES_GUESS);
-    w.open('{');
-    w.key("group");
-    w.string(group);
+    let mut w = JsonWriter::object(128 + cells * CELL_BYTES_GUESS);
+    w.text("group", group);
     w.key("table");
     w.open('{');
-    w.key("name");
-    w.string(table.name());
+    w.text("name", table.name());
     w.key("columns");
     w.open('[');
     for name in table.schema().names() {
@@ -143,7 +132,6 @@ pub fn ingest_body(group: &str, table: &Table) -> String {
         w.close(']');
     }
     w.close(']');
-    w.close('}');
     w.close('}');
     w.finish()
 }
@@ -199,12 +187,10 @@ pub fn query_body(view: QueryView, shard: usize, snapshot: &ShardSnapshot) -> St
             256 + table.len() * TUPLE_BYTES_GUESS + cells * SOURCED_CELL_BYTES_GUESS
         }
     };
-    let mut w = JsonWriter::with_capacity(capacity);
-    w.open('{');
+    let mut w = JsonWriter::object(capacity);
     w.field("shard", shard as u64);
     w.field("version", snapshot.version);
-    w.key("view");
-    w.string(view.name());
+    w.text("view", view.name());
     w.key("lake_tables");
     w.open('[');
     for table in snapshot.tables.iter() {
@@ -221,7 +207,6 @@ pub fn query_body(view: QueryView, shard: usize, snapshot: &ShardSnapshot) -> St
             write_table(&mut w, snapshot, view == QueryView::Provenance);
         }
     }
-    w.close('}');
     w.finish()
 }
 
@@ -353,6 +338,13 @@ fn write_report(w: &mut JsonWriter, snapshot: &ShardSnapshot) {
     w.field("embed_hits", inc.embed_hits);
     w.field("embed_misses", inc.embed_misses);
     w.close('}');
+    write_caches(w, snapshot);
+    w.close('}');
+}
+
+/// The session's cumulative cache counters, in `/query`'s report and in
+/// `/stats` alike.
+fn write_caches(w: &mut JsonWriter, snapshot: &ShardSnapshot) {
     w.key("caches");
     w.open('{');
     w.field("embed_hits", snapshot.embed_cache.0);
@@ -360,41 +352,42 @@ fn write_report(w: &mut JsonWriter, snapshot: &ShardSnapshot) {
     w.field("fd_hits", snapshot.fd_cache.0);
     w.field("fd_misses", snapshot.fd_cache.1);
     w.close('}');
-    w.close('}');
 }
 
 /// Renders the `GET /health` body.
 pub fn health_body(shards: usize) -> String {
-    render(Content::Map(vec![
-        ("status".into(), Content::Str("ok".into())),
-        ("shards".into(), Content::U64(shards as u64)),
-    ]))
+    let mut w = JsonWriter::object(32);
+    w.text("status", "ok");
+    w.field("shards", shards as u64);
+    w.finish()
 }
 
 /// Renders the `202 Accepted` ingest acknowledgement.
 pub fn ingest_ack_body(group: &str, shard: usize, queued: usize) -> String {
-    render(Content::Map(vec![
-        ("status".into(), Content::Str("accepted".into())),
-        ("group".into(), Content::Str(group.to_string())),
-        ("shard".into(), Content::U64(shard as u64)),
-        ("queued".into(), Content::U64(queued as u64)),
-    ]))
+    let mut w = JsonWriter::object(64 + group.len());
+    w.text("status", "accepted");
+    w.text("group", group);
+    w.field("shard", shard as u64);
+    w.field("queued", queued as u64);
+    w.finish()
 }
 
 /// Renders the `429 Too Many Requests` backpressure body.
 pub fn reject_body(group: &str, shard: usize, queued: usize, retry_after_secs: u32) -> String {
-    render(Content::Map(vec![
-        ("error".into(), Content::Str("shard queue full".into())),
-        ("group".into(), Content::Str(group.to_string())),
-        ("shard".into(), Content::U64(shard as u64)),
-        ("queued".into(), Content::U64(queued as u64)),
-        ("retry_after_secs".into(), Content::U64(u64::from(retry_after_secs))),
-    ]))
+    let mut w = JsonWriter::object(96 + group.len());
+    w.text("error", "shard queue full");
+    w.text("group", group);
+    w.field("shard", shard as u64);
+    w.field("queued", queued as u64);
+    w.field("retry_after_secs", u64::from(retry_after_secs));
+    w.finish()
 }
 
 /// Renders a generic error body (`400`, `404`, `405`, `413`).
 pub fn error_body(message: &str) -> String {
-    render(Content::Map(vec![("error".into(), Content::Str(message.to_string()))]))
+    let mut w = JsonWriter::object(16 + message.len());
+    w.text("error", message);
+    w.finish()
 }
 
 /// Renders the `GET /stats` body from per-shard statuses.
@@ -415,168 +408,142 @@ pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
     let mut phases = fuzzy_fd_core::PhaseTimings::default();
     let mut durable = lake_store::StoreStatus::default();
     let mut durable_shards = 0u64;
-    let shards: Vec<Content> = statuses
-        .iter()
-        .map(|status| {
-            total_queued += status.queued as u64;
-            total_accepted += status.accepted;
-            total_rejected += status.rejected;
-            total_applied += status.applied;
-            total_failed += status.failed;
-            total_tables += status.snapshot.tables.len() as u64;
-            total_tuples += status.snapshot.outcome.table.len() as u64;
-            let last_runtime = status.snapshot.outcome.report.runtime();
-            runtime.merge(&last_runtime);
-            let last_phases = &status.snapshot.outcome.report.blocking.phase;
-            phases.merge(last_phases);
-            if let Some(store) = &status.durability {
-                durable_shards += 1;
-                durable.appends += store.appends;
-                durable.wal_records += store.wal_records;
-                durable.wal_bytes += store.wal_bytes;
-                durable.fsyncs += store.fsyncs;
-                durable.checkpoints += store.checkpoints;
-                durable.checkpointed_records += store.checkpointed_records;
-                durable.segment_blocks += store.segment_blocks;
-                durable.recovery.manifest_records += store.recovery.manifest_records;
-                durable.recovery.wal_records += store.recovery.wal_records;
-                durable.recovery.torn_bytes += store.recovery.torn_bytes;
-            }
-            let inc = &status.snapshot.outcome.incremental;
-            let mut fields = vec![
-                ("id".into(), Content::U64(status.id as u64)),
-                ("queued".into(), Content::U64(status.queued as u64)),
-                ("busy".into(), Content::Bool(status.busy)),
-                ("accepted".into(), Content::U64(status.accepted)),
-                ("rejected".into(), Content::U64(status.rejected)),
-                ("applied".into(), Content::U64(status.applied)),
-                ("failed".into(), Content::U64(status.failed)),
-                ("version".into(), Content::U64(status.snapshot.version)),
-                ("lake_tables".into(), Content::U64(status.snapshot.tables.len() as u64)),
-                ("tuples".into(), Content::U64(status.snapshot.outcome.table.len() as u64)),
-                (
-                    "incremental".into(),
-                    Content::Map(vec![
-                        ("appended_tables".into(), Content::U64(inc.appended_tables as u64)),
-                        ("refolded_sets".into(), Content::U64(inc.refolded_sets as u64)),
-                        ("rebuilt_sets".into(), Content::U64(inc.rebuilt_sets as u64)),
-                        ("reused_sets".into(), Content::U64(inc.reused_sets as u64)),
-                    ]),
-                ),
-                (
-                    "runtime".into(),
-                    Content::Map(vec![
-                        ("tasks".into(), Content::U64(last_runtime.tasks)),
-                        ("steals".into(), Content::U64(last_runtime.steals)),
-                        ("busy_nanos".into(), Content::U64(last_runtime.busy_nanos())),
-                        (
-                            "sequential_batches".into(),
-                            Content::U64(last_runtime.sequential_batches),
-                        ),
-                    ]),
-                ),
-                ("planner_phases".into(), phase_content(last_phases)),
-                (
-                    "caches".into(),
-                    Content::Map(vec![
-                        ("embed_hits".into(), Content::U64(status.snapshot.embed_cache.0)),
-                        ("embed_misses".into(), Content::U64(status.snapshot.embed_cache.1)),
-                        ("fd_hits".into(), Content::U64(status.snapshot.fd_cache.0)),
-                        ("fd_misses".into(), Content::U64(status.snapshot.fd_cache.1)),
-                    ]),
-                ),
-            ];
-            if let Some(store) = &status.durability {
-                fields.push(("durability".into(), durability_content(store)));
-            }
-            Content::Map(fields)
-        })
-        .collect();
-    let mut totals = vec![
-        ("queued".into(), Content::U64(total_queued)),
-        ("accepted".into(), Content::U64(total_accepted)),
-        ("rejected".into(), Content::U64(total_rejected)),
-        ("applied".into(), Content::U64(total_applied)),
-        ("failed".into(), Content::U64(total_failed)),
-        ("lake_tables".into(), Content::U64(total_tables)),
-        ("tuples".into(), Content::U64(total_tuples)),
-        (
-            "runtime".into(),
-            Content::Map(vec![
-                ("tasks".into(), Content::U64(runtime.tasks)),
-                ("steals".into(), Content::U64(runtime.steals)),
-                ("busy_nanos".into(), Content::U64(runtime.busy_nanos())),
-                ("sequential_batches".into(), Content::U64(runtime.sequential_batches)),
-            ]),
-        ),
-        ("planner_phases".into(), phase_content(&phases)),
-    ];
-    if durable_shards > 0 {
-        totals.push(("durable_shards".into(), Content::U64(durable_shards)));
-        totals.push(("durability".into(), durability_content(&durable)));
+    let mut w = JsonWriter::object(512 + statuses.len() * 1024);
+    w.key("policy");
+    w.open('{');
+    w.field("shards", policy.shards as u64);
+    w.field("queue_depth", policy.queue_depth as u64);
+    w.field("readers", policy.readers as u64);
+    w.field("retry_after_secs", u64::from(policy.retry_after_secs));
+    w.close('}');
+    w.key("shards");
+    w.open('[');
+    for status in statuses {
+        total_queued += status.queued as u64;
+        total_accepted += status.accepted;
+        total_rejected += status.rejected;
+        total_applied += status.applied;
+        total_failed += status.failed;
+        total_tables += status.snapshot.tables.len() as u64;
+        total_tuples += status.snapshot.outcome.table.len() as u64;
+        let last_runtime = status.snapshot.outcome.report.runtime();
+        runtime.merge(&last_runtime);
+        let last_phases = &status.snapshot.outcome.report.blocking.phase;
+        phases.merge(last_phases);
+        if let Some(store) = &status.durability {
+            durable_shards += 1;
+            durable.appends += store.appends;
+            durable.wal_records += store.wal_records;
+            durable.wal_bytes += store.wal_bytes;
+            durable.fsyncs += store.fsyncs;
+            durable.checkpoints += store.checkpoints;
+            durable.checkpointed_records += store.checkpointed_records;
+            durable.segment_blocks += store.segment_blocks;
+            durable.recovery.manifest_records += store.recovery.manifest_records;
+            durable.recovery.wal_records += store.recovery.wal_records;
+            durable.recovery.torn_bytes += store.recovery.torn_bytes;
+        }
+        let inc = &status.snapshot.outcome.incremental;
+        w.open('{');
+        w.field("id", status.id as u64);
+        w.field("queued", status.queued as u64);
+        w.key("busy");
+        w.literal(if status.busy { "true" } else { "false" });
+        w.field("accepted", status.accepted);
+        w.field("rejected", status.rejected);
+        w.field("applied", status.applied);
+        w.field("failed", status.failed);
+        w.field("version", status.snapshot.version);
+        w.field("lake_tables", status.snapshot.tables.len() as u64);
+        w.field("tuples", status.snapshot.outcome.table.len() as u64);
+        w.key("incremental");
+        w.open('{');
+        w.field("appended_tables", inc.appended_tables as u64);
+        w.field("refolded_sets", inc.refolded_sets as u64);
+        w.field("rebuilt_sets", inc.rebuilt_sets as u64);
+        w.field("reused_sets", inc.reused_sets as u64);
+        w.close('}');
+        write_runtime(&mut w, &last_runtime);
+        write_phases(&mut w, last_phases);
+        write_caches(&mut w, &status.snapshot);
+        if let Some(store) = &status.durability {
+            write_durability(&mut w, store);
+        }
+        w.close('}');
     }
-    render(Content::Map(vec![
-        (
-            "policy".into(),
-            Content::Map(vec![
-                ("shards".into(), Content::U64(policy.shards as u64)),
-                ("queue_depth".into(), Content::U64(policy.queue_depth as u64)),
-                ("readers".into(), Content::U64(policy.readers as u64)),
-                ("retry_after_secs".into(), Content::U64(u64::from(policy.retry_after_secs))),
-            ]),
-        ),
-        ("shards".into(), Content::Seq(shards)),
-        ("totals".into(), Content::Map(totals)),
-    ]))
+    w.close(']');
+    w.key("totals");
+    w.open('{');
+    w.field("queued", total_queued);
+    w.field("accepted", total_accepted);
+    w.field("rejected", total_rejected);
+    w.field("applied", total_applied);
+    w.field("failed", total_failed);
+    w.field("lake_tables", total_tables);
+    w.field("tuples", total_tuples);
+    write_runtime(&mut w, &runtime);
+    write_phases(&mut w, &phases);
+    if durable_shards > 0 {
+        w.field("durable_shards", durable_shards);
+        write_durability(&mut w, &durable);
+    }
+    w.close('}');
+    w.finish()
 }
 
-/// Planner phase-timing attribution as a `/stats` JSON object: one
-/// `<phase>_nanos` entry per phase (hash/probe/pairs/dedup/score/fallback/
-/// assign/total), so operators can see where the planning wall clock of the
-/// latest integration went (see docs/OPERATIONS.md).
-fn phase_content(phase: &fuzzy_fd_core::PhaseTimings) -> Content {
-    Content::Map(
-        phase
-            .named()
-            .iter()
-            .map(|(name, duration)| {
-                (format!("{name}_nanos"), Content::U64(duration.as_nanos() as u64))
-            })
-            .collect(),
-    )
+/// The `"runtime"` member of a `/stats` shard or of its totals.
+fn write_runtime(w: &mut JsonWriter, runtime: &lake_runtime::RuntimeStats) {
+    w.key("runtime");
+    w.open('{');
+    w.field("tasks", runtime.tasks);
+    w.field("steals", runtime.steals);
+    w.field("busy_nanos", runtime.busy_nanos());
+    w.field("sequential_batches", runtime.sequential_batches);
+    w.close('}');
 }
 
-/// One store's durability counters as a `/stats` JSON object.
-fn durability_content(store: &lake_store::StoreStatus) -> Content {
-    Content::Map(vec![
-        ("appends".into(), Content::U64(store.appends)),
-        ("wal_records".into(), Content::U64(store.wal_records)),
-        ("wal_bytes".into(), Content::U64(store.wal_bytes)),
-        ("fsyncs".into(), Content::U64(store.fsyncs)),
-        ("checkpoints".into(), Content::U64(store.checkpoints)),
-        ("checkpointed_records".into(), Content::U64(store.checkpointed_records)),
-        ("segment_blocks".into(), Content::U64(store.segment_blocks)),
-        (
-            "pool".into(),
-            Content::Map(vec![
-                ("hits".into(), Content::U64(store.pool.hits)),
-                ("misses".into(), Content::U64(store.pool.misses)),
-                ("evictions".into(), Content::U64(store.pool.evictions)),
-            ]),
-        ),
-        (
-            "recovery".into(),
-            Content::Map(vec![
-                ("manifest_records".into(), Content::U64(store.recovery.manifest_records)),
-                ("wal_records".into(), Content::U64(store.recovery.wal_records)),
-                ("torn_bytes".into(), Content::U64(store.recovery.torn_bytes)),
-            ]),
-        ),
-    ])
+/// Planner phase-timing attribution as the `/stats` `"planner_phases"`
+/// member: one `<phase>_nanos` entry per phase (hash/probe/pairs/dedup/
+/// score/fallback/assign/total), so operators can see where the planning
+/// wall clock of the latest integration went (see docs/OPERATIONS.md).
+fn write_phases(w: &mut JsonWriter, phase: &fuzzy_fd_core::PhaseTimings) {
+    w.key("planner_phases");
+    w.open('{');
+    for (name, duration) in phase.named() {
+        w.field(&format!("{name}_nanos"), duration.as_nanos() as u64);
+    }
+    w.close('}');
 }
 
-/// Compact JSON streamed into one `String`: the bytes the vendored
-/// `Content`-tree encoder would produce, without the tree.
+/// One store's durability counters as the `/stats` `"durability"` member.
+fn write_durability(w: &mut JsonWriter, store: &lake_store::StoreStatus) {
+    w.key("durability");
+    w.open('{');
+    w.field("appends", store.appends);
+    w.field("wal_records", store.wal_records);
+    w.field("wal_bytes", store.wal_bytes);
+    w.field("fsyncs", store.fsyncs);
+    w.field("checkpoints", store.checkpoints);
+    w.field("checkpointed_records", store.checkpointed_records);
+    w.field("segment_blocks", store.segment_blocks);
+    w.key("pool");
+    w.open('{');
+    w.field("hits", store.pool.hits);
+    w.field("misses", store.pool.misses);
+    w.field("evictions", store.pool.evictions);
+    w.close('}');
+    w.key("recovery");
+    w.open('{');
+    w.field("manifest_records", store.recovery.manifest_records);
+    w.field("wal_records", store.recovery.wal_records);
+    w.field("torn_bytes", store.recovery.torn_bytes);
+    w.close('}');
+    w.close('}');
+}
+
+/// Compact JSON streamed into one `String`: the bytes the vendored tree
+/// encoder (`serde_json::content_to_string`) would produce, without the
+/// tree.  Every body in this module is written through it.
 ///
 /// The only state is whether the next key or element needs a comma: a
 /// value or a closed container is followed by one, a key or an opened
@@ -592,11 +559,16 @@ struct JsonWriter {
 }
 
 impl JsonWriter {
-    fn with_capacity(bytes: usize) -> Self {
-        JsonWriter { out: String::with_capacity(bytes), comma: false, scratch: String::new() }
+    /// Opens a body, sized for `bytes`: every body is one JSON object.
+    fn object(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push('{');
+        JsonWriter { out, comma: false, scratch: String::new() }
     }
 
-    fn finish(self) -> String {
+    /// Closes the body's object and hands over its bytes.
+    fn finish(mut self) -> String {
+        self.close('}');
         self.out
     }
 
@@ -655,6 +627,12 @@ impl JsonWriter {
         self.integer(value);
     }
 
+    /// `"name":"value"` for a string.
+    fn text(&mut self, name: &str, value: &str) {
+        self.key(name);
+        self.string(value);
+    }
+
     /// `null`, `true` or `false`.
     fn literal(&mut self, text: &str) {
         self.separate();
@@ -680,20 +658,8 @@ impl JsonWriter {
     }
 }
 
-/// Renders a [`Content`] tree compactly.  Infallible for the trees this
-/// module builds: the only encoder error is a non-finite float, and the
-/// small bodies that still go through a tree contain no floats at all.
-#[expect(
-    clippy::expect_used,
-    reason = "provably unreachable — the encoder's only error is a non-finite float, and no \
-              tree this module builds holds a Content::F64"
-)]
-fn render(content: Content) -> String {
-    serde_json::content_to_string(&content).expect("wire content trees contain no floats")
-}
-
 /// The renderer this module had before it streamed: every `/query` view and
-/// the `/ingest` body as a `Content` tree handed to the vendored encoder.
+/// the `/ingest` body as a tree handed to the vendored encoder.
 /// Kept as the reference the streamed bytes are held equal to.
 #[cfg(test)]
 mod oracle {
@@ -703,8 +669,14 @@ mod oracle {
     use lake_table::{Table, Value};
     use serde::Content;
 
-    use super::{render, QueryView};
+    use super::QueryView;
     use crate::shard::ShardSnapshot;
+
+    /// Renders a [`Content`] tree compactly (the oracle never builds a
+    /// non-finite float, the encoder's only error).
+    fn render(content: Content) -> String {
+        serde_json::content_to_string(&content).expect("oracle trees hold finite floats only")
+    }
 
     /// Renders the `POST /ingest` body for `table` (the client-side inverse of
     /// [`parse_ingest`]).
@@ -1094,11 +1066,103 @@ mod tests {
         assert!(QueryView::parse(Some("nope")).is_err());
     }
 
+    /// The small bodies, byte for byte; the `/health`, `202` and `429`
+    /// examples of `docs/PROTOCOL.md` are these strings.
     #[test]
     fn bodies_are_reparseable_json() {
-        assert!(serde_json::from_str(&health_body(3)).is_ok());
-        assert!(serde_json::from_str(&ingest_ack_body("g", 1, 2)).is_ok());
-        assert!(serde_json::from_str(&reject_body("g", 1, 2, 1)).is_ok());
-        assert!(serde_json::from_str(&error_body("nope \"quoted\"")).is_ok());
+        let pinned = [
+            (health_body(2), r#"{"status":"ok","shards":2}"#),
+            (
+                ingest_ack_body("covid", 0, 1),
+                r#"{"status":"accepted","group":"covid","shard":0,"queued":1}"#,
+            ),
+            (
+                reject_body("covid", 0, 64, 1),
+                r#"{"error":"shard queue full","group":"covid","shard":0,"queued":64,"retry_after_secs":1}"#,
+            ),
+            (error_body("say \"no\" \\ twice\nnow"), r#"{"error":"say \"no\" \\ twice\nnow"}"#),
+        ];
+        for (body, golden) in pinned {
+            assert_eq!(body, golden);
+            assert!(serde_json::from_str(&body).is_ok(), "unparseable: {body}");
+        }
+    }
+
+    /// `/stats` over one in-memory and one durable shard, both over empty
+    /// sessions: no integration has run, so every timing field is 0 and the
+    /// body is deterministic.  The queue and store counters are set to
+    /// distinct values so a swapped or dropped field shows.
+    #[test]
+    fn stats_body_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("lake-serve-stats-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = lake_store::LakeStore::open(&dir, lake_store::StorePolicy::default()).unwrap();
+        let mut statuses = [
+            crate::Shard::new(0, 64, snapshot_of(&[])).status(),
+            crate::Shard::new_durable(1, 64, snapshot_of(&[]), store).status(),
+        ];
+        std::fs::remove_dir_all(&dir).ok();
+        for (status, base) in statuses.iter_mut().zip([0, 5]) {
+            status.queued = base as usize + 1;
+            status.accepted = base + 2;
+            status.rejected = base + 3;
+            status.applied = base + 4;
+            status.failed = base + 5;
+        }
+        statuses[0].busy = true;
+        let durable = statuses[1].durability.as_mut().unwrap();
+        durable.appends = 11;
+        durable.wal_records = 12;
+        durable.wal_bytes = 13;
+        durable.fsyncs = 14;
+        durable.checkpoints = 15;
+        durable.checkpointed_records = 16;
+        durable.segment_blocks = 17;
+        durable.pool.hits = 18;
+        durable.pool.misses = 19;
+        durable.pool.evictions = 20;
+        durable.recovery.manifest_records = 21;
+        durable.recovery.wal_records = 22;
+        durable.recovery.torn_bytes = 23;
+
+        let zero_runtime =
+            r#""runtime":{"tasks":0,"steals":0,"busy_nanos":0,"sequential_batches":0},"#;
+        let zero_phases =
+            r#""planner_phases":{"hash_nanos":0,"probe_nanos":0,"pairs_nanos":0,"dedup_nanos":0,"#
+                .to_string()
+                + r#""score_nanos":0,"fallback_nanos":0,"assign_nanos":0,"total_nanos":0}"#;
+        let empty_lake = r#""lake_tables":0,"tuples":0,"#;
+        let shard_tail = r#""version":0,"#.to_string()
+            + empty_lake
+            + r#""incremental":{"appended_tables":0,"refolded_sets":0,"rebuilt_sets":0,"reused_sets":0},"#
+            + zero_runtime
+            + &zero_phases
+            + r#","caches":{"embed_hits":0,"embed_misses":0,"fd_hits":0,"fd_misses":0}"#;
+        // The totals sum every store counter but the pool's.
+        let durability = |pool: &str| {
+            r#"{"appends":11,"wal_records":12,"wal_bytes":13,"fsyncs":14,"#.to_string()
+                + r#""checkpoints":15,"checkpointed_records":16,"segment_blocks":17,"#
+                + r#""pool":"#
+                + pool
+                + r#","recovery":{"manifest_records":21,"wal_records":22,"torn_bytes":23}}"#
+        };
+        let golden = r#"{"policy":{"shards":2,"queue_depth":64,"readers":2,"retry_after_secs":1},"#
+            .to_string()
+            + r#""shards":[{"id":0,"queued":1,"busy":true,"accepted":2,"rejected":3,"applied":4,"failed":5,"#
+            + &shard_tail
+            + r#"},{"id":1,"queued":6,"busy":false,"accepted":7,"rejected":8,"applied":9,"failed":10,"#
+            + &shard_tail
+            + r#","durability":"#
+            + &durability(r#"{"hits":18,"misses":19,"evictions":20}"#)
+            + r#"}],"totals":{"queued":7,"accepted":9,"rejected":11,"applied":13,"failed":15,"#
+            + empty_lake
+            + zero_runtime
+            + &zero_phases
+            + r#","durable_shards":1,"durability":"#
+            + &durability(r#"{"hits":0,"misses":0,"evictions":0}"#)
+            + "}}";
+        let body = stats_body(&ServePolicy::default(), &statuses);
+        assert_eq!(body, golden);
+        assert!(serde_json::from_str(&body).is_ok(), "unparseable: {body}");
     }
 }

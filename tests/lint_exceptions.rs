@@ -27,7 +27,7 @@ const INVARIANT_LINTS: [&str; 7] = [
 ];
 
 /// Every exception in the workspace, one row per lint per attribute, sorted.
-const EXCEPTIONS: [(&str, &str); 12] = [
+const EXCEPTIONS: [(&str, &str); 11] = [
     // Exact tie-breaks of the scipy port.
     ("crates/assign/src/sap.rs", "clippy::float_cmp"),
     ("crates/assign/src/sparse.rs", "clippy::float_cmp"),
@@ -41,10 +41,9 @@ const EXCEPTIONS: [(&str, &str); 12] = [
     // The executor: the one crate allowed to touch `std::thread`.
     ("crates/runtime/src/lib.rs", "clippy::disallowed_methods"),
     ("crates/runtime/src/lib.rs", "clippy::disallowed_types"),
-    // Three proven-unreachable or deliberately caught panics.
+    // A proven-unreachable panic and a deliberately caught one.
     ("crates/serve/src/server.rs", "clippy::expect_used"),
     ("crates/serve/src/shard.rs", "clippy::panic"),
-    ("crates/serve/src/wire.rs", "clippy::expect_used"),
     // The counting `#[global_allocator]`.
     ("tests/embed_alloc.rs", "unsafe_code"),
 ];
