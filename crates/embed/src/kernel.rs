@@ -195,7 +195,7 @@ fn int8_dot(a: &[i8], b: &[i8]) -> i64 {
 /// (the workspace builds for the baseline target, so AVX paths must never be
 /// assumed at compile time); `std`'s feature probe caches the CPUID results,
 /// making detection effectively free per sweep.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DotImpl {
     Portable,
     #[cfg(target_arch = "x86_64")]
@@ -220,6 +220,28 @@ fn detect_dot() -> DotImpl {
         }
     }
     DotImpl::Portable
+}
+
+/// Every implementation this CPU can run, portable first, so each test can
+/// hold all of them to the dense reference and not only the one
+/// [`detect_dot`] picks here.
+#[cfg(test)]
+fn supported_impls() -> Vec<DotImpl> {
+    #[allow(unused_mut, reason = "only x86_64 hosts have wide paths to add")]
+    let mut impls = vec![DotImpl::Portable];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx2") {
+            impls.push(DotImpl::Avx2);
+        }
+        if is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512f") {
+            impls.push(DotImpl::Avx512);
+            if is_x86_feature_detected!("avx512vnni") {
+                impls.push(DotImpl::Avx512Vnni);
+            }
+        }
+    }
+    impls
 }
 
 /// An integer-dot strategy, monomorphized into the sweep so the hot loops
@@ -679,6 +701,17 @@ pub fn sweep_below(
     cutoff: f32,
     stats: &mut KernelStats,
 ) -> (Vec<(usize, usize)>, Vec<f32>) {
+    sweep_below_with(detect_dot(), rows, cols, cutoff, stats)
+}
+
+/// [`sweep_below`] on a given integer-dot implementation.
+fn sweep_below_with(
+    dot: DotImpl,
+    rows: &QuantizedSlab,
+    cols: &QuantizedSlab,
+    cutoff: f32,
+    stats: &mut KernelStats,
+) -> (Vec<(usize, usize)>, Vec<f32>) {
     if rows.is_empty() || cols.is_empty() {
         return (Vec::new(), Vec::new());
     }
@@ -694,7 +727,7 @@ pub fn sweep_below(
         return (Vec::new(), Vec::new());
     }
     assert_eq!(rows.dim(), cols.dim(), "slab dimension mismatch");
-    match detect_dot() {
+    match dot {
         DotImpl::Portable => sweep_tiles::<PortableDot>(rows, cols, cutoff, stats),
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => sweep_tiles::<Avx2Dot>(rows, cols, cutoff, stats),
@@ -1096,6 +1129,19 @@ pub fn distance_below(
     cutoff: f32,
     stats: &mut KernelStats,
 ) -> Option<f32> {
+    distance_below_with(detect_dot(), rows, r, cols, c, cutoff, stats)
+}
+
+/// [`distance_below`] on a given integer-dot implementation.
+fn distance_below_with(
+    dot: DotImpl,
+    rows: &QuantizedSlab,
+    r: usize,
+    cols: &QuantizedSlab,
+    c: usize,
+    cutoff: f32,
+    stats: &mut KernelStats,
+) -> Option<f32> {
     let na = rows.norm(r);
     let nb = cols.norm(c);
     debug_assert!(
@@ -1135,7 +1181,7 @@ pub fn distance_below(
             stats,
         )
     }
-    match detect_dot() {
+    match dot {
         DotImpl::Portable => classify_at::<PortableDot>(&p, rows, r, na, cols, c, nb, inv, stats),
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => classify_at::<Avx2Dot>(&p, rows, r, na, cols, c, nb, inv, stats),
@@ -1160,6 +1206,21 @@ pub fn distance_below(
 ///
 /// `keep` observes columns in the order `candidates` yields them.
 pub fn row_distances_below(
+    rows: &QuantizedSlab,
+    r: usize,
+    cols: &QuantizedSlab,
+    candidates: impl IntoIterator<Item = usize>,
+    cutoff: f32,
+    stats: &mut KernelStats,
+    keep: impl FnMut(usize, f32),
+) {
+    row_distances_below_with(detect_dot(), rows, r, cols, candidates, cutoff, stats, keep);
+}
+
+/// [`row_distances_below`] on a given integer-dot implementation.
+#[allow(clippy::too_many_arguments, reason = "the public signature plus the implementation")]
+fn row_distances_below_with(
+    dot: DotImpl,
     rows: &QuantizedSlab,
     r: usize,
     cols: &QuantizedSlab,
@@ -1220,7 +1281,7 @@ pub fn row_distances_below(
             }
         }
     }
-    match detect_dot() {
+    match dot {
         DotImpl::Portable => {
             run::<PortableDot>(&p, rows, r, na, inv_row, cols, candidates, stats, keep)
         }
@@ -1262,6 +1323,7 @@ pub fn dense_sweep_below(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedder::splitmix64;
 
     /// Deterministic pseudo-random vectors with mixed magnitudes.
     fn test_vectors(count: usize, dim: usize, salt: u64) -> Vec<Vector> {
@@ -1281,32 +1343,112 @@ mod tests {
 
     type SweepResult = (Vec<(usize, usize)>, Vec<f32>);
 
+    fn slabs(rows: &[Vector], cols: &[Vector]) -> (QuantizedSlab, QuantizedSlab) {
+        let row_refs: Vec<&Vector> = rows.iter().collect();
+        let col_refs: Vec<&Vector> = cols.iter().collect();
+        (QuantizedSlab::from_vectors(&row_refs), QuantizedSlab::from_vectors(&col_refs))
+    }
+
+    fn dense(rows: &[Vector], cols: &[Vector], cutoff: f32) -> SweepResult {
+        let row_refs: Vec<&Vector> = rows.iter().collect();
+        let col_refs: Vec<&Vector> = cols.iter().collect();
+        dense_sweep_below(&row_refs, &col_refs, cutoff)
+    }
+
     fn sweep_both(
+        dot: DotImpl,
         rows: &[Vector],
         cols: &[Vector],
         cutoff: f32,
     ) -> (SweepResult, SweepResult, KernelStats) {
-        let row_refs: Vec<&Vector> = rows.iter().collect();
-        let col_refs: Vec<&Vector> = cols.iter().collect();
-        let dense = dense_sweep_below(&row_refs, &col_refs, cutoff);
-        let row_slab = QuantizedSlab::from_vectors(&row_refs);
-        let col_slab = QuantizedSlab::from_vectors(&col_refs);
+        let (row_slab, col_slab) = slabs(rows, cols);
         let mut stats = KernelStats::default();
-        let quantized = sweep_below(&row_slab, &col_slab, cutoff, &mut stats);
-        (dense, quantized, stats)
+        let quantized = sweep_below_with(dot, &row_slab, &col_slab, cutoff, &mut stats);
+        (dense(rows, cols, cutoff), quantized, stats)
+    }
+
+    /// `(pairs, cost bits)`: costs compared as bit patterns, so `-0.0` and
+    /// `0.0` (or two NaNs) can never pass for each other.
+    fn bits(result: &SweepResult) -> (Vec<(usize, usize)>, Vec<u32>) {
+        (result.0.clone(), result.1.iter().map(|d| d.to_bits()).collect())
+    }
+
+    /// Holds every entry point on `dot` to the dense sweep bit for bit: the
+    /// tiled sweep, [`distance_below`] per pair, and [`row_distances_below`]
+    /// per row, with the pair-level counters of all three equal.
+    fn assert_every_entry_point_is_dense(
+        dot: DotImpl,
+        rows: &[Vector],
+        cols: &[Vector],
+        cutoff: f32,
+    ) {
+        let (row_slab, col_slab) = slabs(rows, cols);
+        let expected = bits(&dense(rows, cols, cutoff));
+        let mut sweep_stats = KernelStats::default();
+        let swept = sweep_below_with(dot, &row_slab, &col_slab, cutoff, &mut sweep_stats);
+        assert_eq!(bits(&swept), expected, "{dot:?} sweep at cutoff {cutoff}");
+        assert_eq!(sweep_stats.int8_scored, sweep_stats.skipped + sweep_stats.rescored);
+        assert_eq!(sweep_stats.classified(), rows.len() * cols.len());
+
+        let mut pair_stats = KernelStats::default();
+        let mut row_stats = KernelStats::default();
+        let mut per_pair: SweepResult = (Vec::new(), Vec::new());
+        let mut per_row: SweepResult = (Vec::new(), Vec::new());
+        for r in 0..rows.len() {
+            for c in 0..cols.len() {
+                let found =
+                    distance_below_with(dot, &row_slab, r, &col_slab, c, cutoff, &mut pair_stats);
+                if let Some(d) = found {
+                    per_pair.0.push((r, c));
+                    per_pair.1.push(d);
+                }
+            }
+            row_distances_below_with(
+                dot,
+                &row_slab,
+                r,
+                &col_slab,
+                0..cols.len(),
+                cutoff,
+                &mut row_stats,
+                |c, d| {
+                    per_row.0.push((r, c));
+                    per_row.1.push(d);
+                },
+            );
+        }
+        assert_eq!(bits(&per_pair), expected, "{dot:?} distance_below at cutoff {cutoff}");
+        assert_eq!(bits(&per_row), expected, "{dot:?} row_distances_below at {cutoff}");
+        // Same pair-level counters; only tile accounting differs.
+        for stats in [pair_stats, row_stats] {
+            assert_eq!(stats.int8_scored, sweep_stats.int8_scored, "{dot:?}");
+            assert_eq!(stats.skipped, sweep_stats.skipped, "{dot:?}");
+            assert_eq!(stats.rescored, sweep_stats.rescored, "{dot:?}");
+            assert_eq!(stats.trivial, sweep_stats.trivial, "{dot:?}");
+            assert_eq!(stats.blocks, 0);
+        }
+    }
+
+    #[test]
+    fn every_impl_this_cpu_supports_is_listed_and_detected_first() {
+        let impls = supported_impls();
+        assert_eq!(impls[0], DotImpl::Portable);
+        assert!(impls.contains(&detect_dot()), "{impls:?}");
     }
 
     #[test]
     fn quantized_sweep_matches_dense_reference_bitwise() {
         let rows = test_vectors(70, 24, 1);
         let cols = test_vectors(53, 24, 2);
-        for cutoff in [0.05f32, 0.3, 0.8, 1.0, 1.4] {
-            let (dense, quantized, stats) = sweep_both(&rows, &cols, cutoff);
-            assert_eq!(dense.0, quantized.0, "pairs diverge at cutoff {cutoff}");
-            assert_eq!(dense.1, quantized.1, "costs diverge at cutoff {cutoff}");
-            assert_eq!(stats.int8_scored, stats.skipped + stats.rescored);
-            assert_eq!(stats.classified(), rows.len() * cols.len());
-            assert!(stats.blocks > 0);
+        for dot in supported_impls() {
+            for cutoff in [0.05f32, 0.3, 0.8, 1.0, 1.4] {
+                let (dense, quantized, stats) = sweep_both(dot, &rows, &cols, cutoff);
+                assert_eq!(dense.0, quantized.0, "{dot:?}: pairs diverge at cutoff {cutoff}");
+                assert_eq!(dense.1, quantized.1, "{dot:?}: costs diverge at cutoff {cutoff}");
+                assert_eq!(stats.int8_scored, stats.skipped + stats.rescored);
+                assert_eq!(stats.classified(), rows.len() * cols.len());
+                assert!(stats.blocks > 0);
+            }
         }
     }
 
@@ -1318,14 +1460,16 @@ mod tests {
         // include them in both with the identical bit pattern.
         let rows = vec![Vector::new(vec![1.0, 0.0, 0.0, 0.0])];
         let cols = vec![Vector::new(vec![0.0, 1.0, 0.0, 0.0])];
-        let (dense_at, quant_at, _) = sweep_both(&rows, &cols, 1.0);
-        assert!(dense_at.0.is_empty());
-        assert!(quant_at.0.is_empty());
-        let above = f32::from_bits(1.0f32.to_bits() + 1);
-        let (dense_up, quant_up, _) = sweep_both(&rows, &cols, above);
-        assert_eq!(dense_up.0, vec![(0, 0)]);
-        assert_eq!(quant_up.0, vec![(0, 0)]);
-        assert_eq!(dense_up.1[0].to_bits(), quant_up.1[0].to_bits());
+        for dot in supported_impls() {
+            let (dense_at, quant_at, _) = sweep_both(dot, &rows, &cols, 1.0);
+            assert!(dense_at.0.is_empty());
+            assert!(quant_at.0.is_empty(), "{dot:?}");
+            let above = f32::from_bits(1.0f32.to_bits() + 1);
+            let (dense_up, quant_up, _) = sweep_both(dot, &rows, &cols, above);
+            assert_eq!(dense_up.0, vec![(0, 0)]);
+            assert_eq!(quant_up.0, vec![(0, 0)], "{dot:?}");
+            assert_eq!(dense_up.1[0].to_bits(), quant_up.1[0].to_bits(), "{dot:?}");
+        }
     }
 
     #[test]
@@ -1365,41 +1509,42 @@ mod tests {
             Vector::new(vec![255.0 * g, 0.0, 0.0, 0.0]),
             Vector::new(vec![0.0, 0.0, 192.0 * g, 0.0]),
         ];
-        let row_refs: Vec<&Vector> = rows.iter().collect();
-        let col_refs: Vec<&Vector> = cols.iter().collect();
-        let row_slab = QuantizedSlab::from_vectors(&row_refs);
-        let col_slab = QuantizedSlab::from_vectors(&col_refs);
+        let (row_slab, col_slab) = slabs(&rows, &cols);
         assert_eq!(row_slab.max_rel_error_bound(), 0.0, "grid data must quantize exactly");
         assert_eq!(col_slab.max_rel_error_bound(), 0.0);
 
         let cutoff = 0.5f32;
-        let mut stats = KernelStats::default();
-        let (pairs, costs) = sweep_below(&row_slab, &col_slab, cutoff, &mut stats);
-        let (dense_pairs, dense_costs) = dense_sweep_below(&row_refs, &col_refs, cutoff);
-        assert_eq!(pairs, dense_pairs);
-        assert_eq!(costs, dense_costs);
-        // Only the accepted pair (row 0 with its identical column) was ever
-        // re-scored; every rejected pair was proven away in int8.
-        assert_eq!(stats.rescored, pairs.len());
-        assert_eq!(stats.skipped, row_refs.len() * col_refs.len() - pairs.len());
-        assert_eq!(stats.trivial, 0);
+        let (dense_pairs, dense_costs) = dense(&rows, &cols, cutoff);
+        for dot in supported_impls() {
+            let mut stats = KernelStats::default();
+            let (pairs, costs) = sweep_below_with(dot, &row_slab, &col_slab, cutoff, &mut stats);
+            assert_eq!(pairs, dense_pairs, "{dot:?}");
+            assert_eq!(costs, dense_costs, "{dot:?}");
+            // Only the accepted pair (row 0 with its identical column) was
+            // ever re-scored; every rejected pair was proven away in int8.
+            assert_eq!(stats.rescored, pairs.len(), "{dot:?}");
+            assert_eq!(stats.skipped, rows.len() * cols.len() - pairs.len(), "{dot:?}");
+            assert_eq!(stats.trivial, 0);
+        }
     }
 
     #[test]
     fn zero_norm_pairs_classify_trivially() {
         let rows = vec![Vector::zeros(8), Vector::new(vec![1.0; 8])];
         let cols = vec![Vector::new(vec![1.0; 8]), Vector::zeros(8)];
-        // Distance to/from a zero vector is exactly 1.0: below a 1.5 cutoff,
-        // at-or-above a 1.0 cutoff.
-        let (dense, quantized, stats) = sweep_both(&rows, &cols, 1.5);
-        assert_eq!(dense.0, quantized.0);
-        assert_eq!(dense.1, quantized.1);
-        assert!(quantized.0.contains(&(0, 0)) && quantized.0.contains(&(1, 1)));
-        assert!(quantized.1.iter().filter(|&&d| d == 1.0).count() >= 3);
-        assert_eq!(stats.trivial, 3);
-        let (dense_tight, quant_tight, _) = sweep_both(&rows, &cols, 1.0);
-        assert_eq!(dense_tight.0, quant_tight.0);
-        assert!(!quant_tight.0.contains(&(0, 0)));
+        for dot in supported_impls() {
+            // Distance to/from a zero vector is exactly 1.0: below a 1.5
+            // cutoff, at-or-above a 1.0 cutoff.
+            let (dense, quantized, stats) = sweep_both(dot, &rows, &cols, 1.5);
+            assert_eq!(dense.0, quantized.0, "{dot:?}");
+            assert_eq!(dense.1, quantized.1, "{dot:?}");
+            assert!(quantized.0.contains(&(0, 0)) && quantized.0.contains(&(1, 1)));
+            assert!(quantized.1.iter().filter(|&&d| d == 1.0).count() >= 3);
+            assert_eq!(stats.trivial, 3, "{dot:?}");
+            let (dense_tight, quant_tight, _) = sweep_both(dot, &rows, &cols, 1.0);
+            assert_eq!(dense_tight.0, quant_tight.0, "{dot:?}");
+            assert!(!quant_tight.0.contains(&(0, 0)));
+        }
     }
 
     #[test]
@@ -1407,52 +1552,33 @@ mod tests {
         let empty = QuantizedSlab::from_vectors(&[]);
         let v = Vector::new(vec![1.0, 0.0]);
         let one = QuantizedSlab::from_vectors(&[&v]);
-        let mut stats = KernelStats::default();
-        assert_eq!(sweep_below(&empty, &one, 1.0, &mut stats).0.len(), 0);
-        assert_eq!(sweep_below(&one, &empty, 1.0, &mut stats).0.len(), 0);
-        assert_eq!(stats, KernelStats::default());
-
-        // A zero-dimensional side means every pair is zero-norm: constant
-        // distance 1.0, admitted only under a looser-than-1.0 cutoff —
-        // exactly the dense behaviour, which never panics on this shape.
         let dimless = QuantizedSlab::from_rows([[].as_slice(), [].as_slice()]);
-        let (pairs, costs) = sweep_below(&dimless, &one, 1.5, &mut stats);
-        assert_eq!(pairs, vec![(0, 0), (1, 0)]);
-        assert_eq!(costs, vec![1.0, 1.0]);
-        assert_eq!(stats.trivial, 2);
-        let (none, _) = sweep_below(&dimless, &one, 1.0, &mut stats);
-        assert!(none.is_empty());
+        for dot in supported_impls() {
+            let mut stats = KernelStats::default();
+            assert_eq!(sweep_below_with(dot, &empty, &one, 1.0, &mut stats).0.len(), 0);
+            assert_eq!(sweep_below_with(dot, &one, &empty, 1.0, &mut stats).0.len(), 0);
+            assert_eq!(stats, KernelStats::default());
+
+            // A zero-dimensional side means every pair is zero-norm:
+            // constant distance 1.0, admitted only under a looser-than-1.0
+            // cutoff — exactly the dense behaviour, which never panics on
+            // this shape.
+            let (pairs, costs) = sweep_below_with(dot, &dimless, &one, 1.5, &mut stats);
+            assert_eq!(pairs, vec![(0, 0), (1, 0)], "{dot:?}");
+            assert_eq!(costs, vec![1.0, 1.0]);
+            assert_eq!(stats.trivial, 2);
+            let (none, _) = sweep_below_with(dot, &dimless, &one, 1.0, &mut stats);
+            assert!(none.is_empty());
+        }
     }
 
     #[test]
     fn distance_below_agrees_with_the_sweep() {
         let rows = test_vectors(13, 20, 7);
         let cols = test_vectors(11, 20, 8);
-        let row_refs: Vec<&Vector> = rows.iter().collect();
-        let col_refs: Vec<&Vector> = cols.iter().collect();
-        let row_slab = QuantizedSlab::from_vectors(&row_refs);
-        let col_slab = QuantizedSlab::from_vectors(&col_refs);
-        let cutoff = 0.6f32;
-        let mut sweep_stats = KernelStats::default();
-        let (pairs, costs) = sweep_below(&row_slab, &col_slab, cutoff, &mut sweep_stats);
-        let mut pair_stats = KernelStats::default();
-        let mut single: Vec<((usize, usize), f32)> = Vec::new();
-        for r in 0..rows.len() {
-            for c in 0..cols.len() {
-                if let Some(d) = distance_below(&row_slab, r, &col_slab, c, cutoff, &mut pair_stats)
-                {
-                    single.push(((r, c), d));
-                }
-            }
+        for dot in supported_impls() {
+            assert_every_entry_point_is_dense(dot, &rows, &cols, 0.6);
         }
-        let collected: Vec<((usize, usize), f32)> =
-            pairs.iter().copied().zip(costs.iter().copied()).collect();
-        assert_eq!(single, collected);
-        // Same pair-level counters; only tile accounting differs.
-        assert_eq!(pair_stats.int8_scored, sweep_stats.int8_scored);
-        assert_eq!(pair_stats.skipped, sweep_stats.skipped);
-        assert_eq!(pair_stats.rescored, sweep_stats.rescored);
-        assert_eq!(pair_stats.blocks, 0);
     }
 
     #[test]
@@ -1489,11 +1615,68 @@ mod tests {
         rows.push(Vector::new(vec![1.0e-6; 12]));
         let mut cols = test_vectors(9, 12, 4);
         cols.push(Vector::new(vec![-1.0e7; 12]));
-        for cutoff in [0.4f32, 1.0] {
-            let (dense, quantized, stats) = sweep_both(&rows, &cols, cutoff);
-            assert_eq!(dense.0, quantized.0, "cutoff {cutoff}");
-            assert_eq!(dense.1, quantized.1, "cutoff {cutoff}");
-            assert_eq!(stats.int8_scored, stats.skipped + stats.rescored);
+        for dot in supported_impls() {
+            for cutoff in [0.4f32, 1.0] {
+                assert_every_entry_point_is_dense(dot, &rows, &cols, cutoff);
+            }
+        }
+    }
+
+    /// A seeded stand-in for `tests/kernel_equivalence.rs`'s proptest
+    /// strategies, so the same shapes reach every implementation: dims 1–19
+    /// (straddling [`SLAB_LANE`], so padding and multi-chunk rows both
+    /// occur), up to 31 rows a side, components mixing ordinary values,
+    /// exact zeros and ±1e6 / 1e-6 magnitudes, and cutoffs drawn at random
+    /// as well as set exactly at (and one ulp above) observed distances.
+    #[test]
+    fn seeded_folds_are_bit_identical_on_every_impl() {
+        let impls = supported_impls();
+        let mut state = 0x6b65_726e_656cu64;
+        let mut next = move || {
+            state = splitmix64(state);
+            state
+        };
+        for _ in 0..48 {
+            let dim = 1 + (next() % 19) as usize;
+            let side = |next: &mut dyn FnMut() -> u64| -> Vec<Vector> {
+                (0..next() % 32)
+                    .map(|_| {
+                        Vector::new(
+                            (0..dim)
+                                .map(|_| {
+                                    let unit = (next() >> 40) as f32 / (1u32 << 24) as f32;
+                                    let x = unit * 3.0 - 1.5;
+                                    match next() % 4 {
+                                        0 => x,
+                                        1 => 0.0,
+                                        2 => x * 1.0e6,
+                                        _ => x * 1.0e-6,
+                                    }
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect()
+            };
+            let rows = side(&mut next);
+            let cols = side(&mut next);
+            let mut cutoffs = vec![(next() >> 40) as f32 / (1u32 << 24) as f32 * 1.6];
+            // Every observed distance, dense and exact: cutoff 2.0 admits
+            // all.  At the distance itself the pair must be excluded
+            // (strict θ); one ulp up it must be included.
+            let mut observed: Vec<u32> =
+                dense(&rows, &cols, 2.0).1.iter().map(|d| d.to_bits()).collect();
+            observed.sort_unstable();
+            observed.dedup();
+            for &at in observed.iter().take(4) {
+                cutoffs.push(f32::from_bits(at));
+                cutoffs.push(f32::from_bits(at + 1));
+            }
+            for &dot in &impls {
+                for &cutoff in &cutoffs {
+                    assert_every_entry_point_is_dense(dot, &rows, &cols, cutoff);
+                }
+            }
         }
     }
 }
