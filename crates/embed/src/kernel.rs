@@ -41,20 +41,16 @@
 //! [`sweep_below`] walks the cartesian space in fixed-size row × column
 //! tiles so the column tile's int8 mirror stays cache-hot while a stripe of
 //! rows streams against it.  Candidates land in per-row stripe buffers, so
-//! emission is exactly row-major without a global sort.  The f32 lanes are
+//! emission is exactly row-major without a global sort.  The f32 rows are
 //! only touched for the near-threshold band.
 //!
 //! The integer tier is runtime-dispatched (the workspace builds for the
-//! baseline target, so nothing wide is assumed at compile time): a portable
-//! [`SLAB_LANE`]-chunked multiply-accumulate, AVX2 / AVX-512BW `vpmaddwd`
-//! paths that batch one row against a column tile with register blocking,
-//! and — where AVX-512 VNNI is available — a `vpdpbusd` sweep over a
-//! dword-interleaved column mirror that accumulates 16 column dots
-//! vertically and finishes the estimate/bound arithmetic in f64 lanes.  On
-//! that path, near-threshold survivors are re-scored in batches of eight
-//! interleaved (individually sequential, hence bit-identical) f32 chains,
-//! hiding the serial-add latency of a lone dense evaluation.  Every path
-//! makes the identical skip/re-score decision on every pair.
+//! baseline target, so nothing wide is assumed at compile time): an AVX2
+//! `vpmaddwd` dot where the CPU has it, else a portable [`SLAB_LANE`]-chunked
+//! multiply-accumulate the autovectorizer widens.  Both compute the same
+//! exact integer, so every path makes the identical skip/re-score decision
+//! on every pair, and the tests hold each one the host can run to the dense
+//! sweep.
 
 use crate::vector::{QuantizedSlab, Vector, DISTANCE_EPSILON, SLAB_LANE};
 
@@ -176,7 +172,7 @@ impl SweepParams {
 /// Integer dot product over two equal-length padded int8 rows, accumulated
 /// lane-chunk by lane-chunk so the inner loop is a fixed-width
 /// multiply-accumulate the autovectorizer can widen.  Portable fallback for
-/// hosts without the wide paths in [`simd`].
+/// hosts without the AVX2 path in [`simd`].
 #[inline]
 fn int8_dot(a: &[i8], b: &[i8]) -> i64 {
     debug_assert_eq!(a.len(), b.len(), "slab dimension mismatch");
@@ -200,63 +196,32 @@ enum DotImpl {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx512Vnni,
 }
 
 fn detect_dot() -> DotImpl {
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512f") {
-            if is_x86_feature_detected!("avx512vnni") {
-                return DotImpl::Avx512Vnni;
-            }
-            return DotImpl::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return DotImpl::Avx2;
-        }
+    if is_x86_feature_detected!("avx2") {
+        return DotImpl::Avx2;
     }
     DotImpl::Portable
 }
 
-/// Every implementation this CPU can run, portable first, so each test can
-/// hold all of them to the dense reference and not only the one
-/// [`detect_dot`] picks here.
+/// Every implementation this CPU can run — the portable dot and, where it
+/// differs, the one [`detect_dot`] picks — so each test holds all of them to
+/// the dense reference and not only the one production takes here.
 #[cfg(test)]
 fn supported_impls() -> Vec<DotImpl> {
-    #[allow(unused_mut, reason = "only x86_64 hosts have wide paths to add")]
     let mut impls = vec![DotImpl::Portable];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            impls.push(DotImpl::Avx2);
-        }
-        if is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512f") {
-            impls.push(DotImpl::Avx512);
-            if is_x86_feature_detected!("avx512vnni") {
-                impls.push(DotImpl::Avx512Vnni);
-            }
-        }
+    if detect_dot() != DotImpl::Portable {
+        impls.push(detect_dot());
     }
     impls
 }
 
 /// An integer-dot strategy, monomorphized into the sweep so the hot loops
-/// pay no indirect calls: a single pair dot plus a row-against-tile batch
-/// (the batch is where register blocking amortizes the row loads).
+/// pay no indirect calls.
 trait DotKind {
     fn dot(a: &[i8], b: &[i8]) -> i64;
-
-    /// Dots of one padded row against `dots.len()` consecutive padded rows
-    /// of `tile`.
-    fn row_tile(qa: &[i8], tile: &[i8], padded: usize, dots: &mut [i64]) {
-        for (j, d) in dots.iter_mut().enumerate() {
-            *d = Self::dot(qa, &tile[j * padded..(j + 1) * padded]);
-        }
-    }
 }
 
 struct PortableDot;
@@ -277,21 +242,7 @@ impl DotKind for Avx2Dot {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-struct Avx512Dot;
-
-#[cfg(target_arch = "x86_64")]
-impl DotKind for Avx512Dot {
-    fn dot(a: &[i8], b: &[i8]) -> i64 {
-        simd::dot_avx512(a, b)
-    }
-
-    fn row_tile(qa: &[i8], tile: &[i8], padded: usize, dots: &mut [i64]) {
-        simd::row_tile_avx512(qa, tile, padded, dots);
-    }
-}
-
-/// Runtime-detected wide integer-dot paths.  Both accumulate `vpmaddwd`
+/// The runtime-detected AVX2 integer dot.  It accumulates `vpmaddwd`
 /// partial sums in i32 lanes: each lane holds sums of paired `i16 × i16`
 /// products (`≤ 2 · 128² = 2¹⁵` per chunk), so a row bounded by the
 /// [`QuantizedSlab`] width cap of `2²⁰` components keeps every lane below
@@ -300,20 +251,26 @@ impl DotKind for Avx512Dot {
 #[allow(
     unsafe_code,
     reason = "sole exception to the workspace-wide deny: CPU intrinsics have no safe form.  \
-              Every unsafe block is gated on runtime feature detection, and all pointer \
-              arithmetic stays inside slice bounds established by the equal-length / \
-              lane-multiple debug assertions"
+              The one unsafe block is gated on runtime feature detection, and its pointer \
+              arithmetic stays inside slice bounds the kernel's entry points assert"
 )]
 mod simd {
     use std::arch::x86_64::*;
 
     #[inline]
     pub fn dot_avx2(a: &[i8], b: &[i8]) -> i64 {
-        // SAFETY: only selected after runtime AVX2 detection; the slabs
-        // guarantee equal-length rows in multiples of 16 (`SLAB_LANE`).
+        // SAFETY: only selected after runtime AVX2 detection.  The loads
+        // stay in bounds because both rows have one padded width (a multiple
+        // of 16, `SLAB_LANE`): every dot is reached only after an entry
+        // assert that the two slabs share one dimension or that one side
+        // has zero norm (which is answered without a dot) — `assert_eq!` in
+        // `sweep_below`, `assert!` in `distance_below` and in
+        // `row_distances_below`.
         unsafe { dot_avx2_inner(a, b) }
     }
 
+    /// # Safety
+    /// The CPU must support AVX2, and `b` must hold at least `a.len()` bytes.
     #[target_feature(enable = "avx2")]
     unsafe fn dot_avx2_inner(a: &[i8], b: &[i8]) -> i64 {
         debug_assert_eq!(a.len(), b.len());
@@ -331,303 +288,11 @@ mod simd {
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01));
         _mm_cvtsi128_si32(s) as i64
     }
-
-    #[inline]
-    pub fn dot_avx512(a: &[i8], b: &[i8]) -> i64 {
-        // SAFETY: only selected after runtime AVX-512F/BW detection; the
-        // slabs guarantee equal-length rows in multiples of 16.
-        unsafe { dot_avx512_inner(a, b) }
-    }
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot_avx512_inner(a: &[i8], b: &[i8]) -> i64 {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len() % 16, 0);
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 32 <= a.len() {
-            let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i));
-            let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i));
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb));
-            i += 32;
-        }
-        let mut total = _mm512_reduce_add_epi32(acc) as i64;
-        // Padding is a multiple of 16, not 32: fold in the odd 16-wide tail.
-        while i < a.len() {
-            total += *a.get_unchecked(i) as i64 * *b.get_unchecked(i) as i64;
-            i += 1;
-        }
-        total
-    }
-
-    /// One padded row against a tile of consecutive padded rows, four
-    /// columns at a time: each row chunk is loaded and widened once per
-    /// k-step and reused across four independent madd chains, halving the
-    /// load traffic and keeping the multiply pipes saturated.
-    #[inline]
-    pub fn row_tile_avx512(qa: &[i8], tile: &[i8], padded: usize, dots: &mut [i64]) {
-        // SAFETY: only selected after runtime AVX-512F/BW detection; `tile`
-        // holds `dots.len()` consecutive rows of `padded` bytes and `qa` is
-        // one such row, so every offset below stays inside slice bounds.
-        unsafe { row_tile_avx512_inner(qa, tile, padded, dots) }
-    }
-
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn row_tile_avx512_inner(qa: &[i8], tile: &[i8], padded: usize, dots: &mut [i64]) {
-        debug_assert_eq!(qa.len(), padded);
-        debug_assert_eq!(tile.len(), dots.len() * padded);
-        let full = padded - padded % 32;
-        let n = dots.len();
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = tile.as_ptr().add(j * padded);
-            let b1 = b0.add(padded);
-            let b2 = b1.add(padded);
-            let b3 = b2.add(padded);
-            let mut a0 = _mm512_setzero_si512();
-            let mut a1 = _mm512_setzero_si512();
-            let mut a2 = _mm512_setzero_si512();
-            let mut a3 = _mm512_setzero_si512();
-            let mut k = 0;
-            while k < full {
-                let va =
-                    _mm512_cvtepi8_epi16(_mm256_loadu_si256(qa.as_ptr().add(k) as *const __m256i));
-                let w0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b0.add(k) as *const __m256i));
-                let w1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b1.add(k) as *const __m256i));
-                let w2 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b2.add(k) as *const __m256i));
-                let w3 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b3.add(k) as *const __m256i));
-                a0 = _mm512_add_epi32(a0, _mm512_madd_epi16(va, w0));
-                a1 = _mm512_add_epi32(a1, _mm512_madd_epi16(va, w1));
-                a2 = _mm512_add_epi32(a2, _mm512_madd_epi16(va, w2));
-                a3 = _mm512_add_epi32(a3, _mm512_madd_epi16(va, w3));
-                k += 32;
-            }
-            let mut d0 = _mm512_reduce_add_epi32(a0) as i64;
-            let mut d1 = _mm512_reduce_add_epi32(a1) as i64;
-            let mut d2 = _mm512_reduce_add_epi32(a2) as i64;
-            let mut d3 = _mm512_reduce_add_epi32(a3) as i64;
-            // Padding is a multiple of 16, not 32: odd 16-wide tail.
-            while k < padded {
-                let x = *qa.get_unchecked(k) as i64;
-                d0 += x * *b0.add(k) as i64;
-                d1 += x * *b1.add(k) as i64;
-                d2 += x * *b2.add(k) as i64;
-                d3 += x * *b3.add(k) as i64;
-                k += 1;
-            }
-            *dots.get_unchecked_mut(j) = d0;
-            *dots.get_unchecked_mut(j + 1) = d1;
-            *dots.get_unchecked_mut(j + 2) = d2;
-            *dots.get_unchecked_mut(j + 3) = d3;
-            j += 4;
-        }
-        while j < n {
-            *dots.get_unchecked_mut(j) =
-                dot_avx512_inner(qa, tile.get_unchecked(j * padded..(j + 1) * padded));
-            j += 1;
-        }
-    }
-
-    /// Classifies one 16-column interleaved group against one biased row:
-    /// `vpdpbusd` accumulates the 16 biased dots vertically, the bracket and
-    /// the estimate/bound arithmetic finish in f64 lanes with the identical
-    /// operation order to the scalar path (every intermediate an exact
-    /// integer below 2⁵³), and the returned mask marks lanes provably
-    /// at-or-above the cutoff.  NaN estimates never set a mask bit (ordered
-    /// comparison), so doubt still routes to the exact re-score.
-    #[inline]
-    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
-    pub fn classify_group_vnni(
-        qa_biased: &[u8],
-        group: &[u8],
-        padded: usize,
-        adj: &[f64],
-        inv_nb: &[f64],
-        errs: &[f64],
-        row_const: f64,
-        scale_over_na: f64,
-        ea1: f64,
-        base: f64,
-        cutoff: f64,
-    ) -> u16 {
-        debug_assert_eq!(qa_biased.len(), padded);
-        debug_assert_eq!(group.len(), 16 * padded);
-        debug_assert!(adj.len() >= 16 && inv_nb.len() >= 16 && errs.len() >= 16);
-        // SAFETY: only selected after runtime AVX-512F/BW/VNNI detection;
-        // the asserted lengths bound every offset below.
-        unsafe {
-            classify_group_vnni_inner(
-                qa_biased,
-                group,
-                padded,
-                adj,
-                inv_nb,
-                errs,
-                row_const,
-                scale_over_na,
-                ea1,
-                base,
-                cutoff,
-            )
-        }
-    }
-
-    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
-    unsafe fn classify_group_vnni_inner(
-        qa_biased: &[u8],
-        group: &[u8],
-        padded: usize,
-        adj: &[f64],
-        inv_nb: &[f64],
-        errs: &[f64],
-        row_const: f64,
-        scale_over_na: f64,
-        ea1: f64,
-        base: f64,
-        cutoff: f64,
-    ) -> u16 {
-        let mut acc = _mm512_setzero_si512();
-        let mut k = 0;
-        while k < padded {
-            let word = core::ptr::read_unaligned(qa_biased.as_ptr().add(k) as *const i32);
-            let va = _mm512_set1_epi32(word);
-            let vb = _mm512_loadu_si512(group.as_ptr().add(k * 16) as *const _);
-            acc = _mm512_dpbusd_epi32(acc, va, vb);
-            k += 4;
-        }
-        let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(acc));
-        let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(acc, 1));
-        let rc = _mm512_set1_pd(row_const);
-        let sna = _mm512_set1_pd(scale_over_na);
-        let vea1 = _mm512_set1_pd(ea1);
-        let vbase = _mm512_set1_pd(base);
-        let vcut = _mm512_set1_pd(cutoff);
-        let m_lo = classify_octet(
-            lo,
-            _mm512_loadu_pd(adj.as_ptr()),
-            _mm512_loadu_pd(inv_nb.as_ptr()),
-            _mm512_loadu_pd(errs.as_ptr()),
-            rc,
-            sna,
-            vea1,
-            vbase,
-            vcut,
-        );
-        let m_hi = classify_octet(
-            hi,
-            _mm512_loadu_pd(adj.as_ptr().add(8)),
-            _mm512_loadu_pd(inv_nb.as_ptr().add(8)),
-            _mm512_loadu_pd(errs.as_ptr().add(8)),
-            rc,
-            sna,
-            vea1,
-            vbase,
-            vcut,
-        );
-        (m_lo as u16) | ((m_hi as u16) << 8)
-    }
-
-    #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct")]
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
-    unsafe fn classify_octet(
-        dots: __m512d,
-        adj: __m512d,
-        inv_nb: __m512d,
-        errs: __m512d,
-        rc: __m512d,
-        sna: __m512d,
-        ea1: __m512d,
-        base: __m512d,
-        cut: __m512d,
-    ) -> u8 {
-        let one = _mm512_set1_pd(1.0);
-        let neg_one = _mm512_set1_pd(-1.0);
-        // `(vnni − (z_a+128)·Σq_b) + row_const` — exactly the scalar i64
-        // bracket, evaluated on exact-integer f64 values.
-        let bracket = _mm512_add_pd(_mm512_sub_pd(dots, adj), rc);
-        let inv = _mm512_mul_pd(sna, inv_nb);
-        let sim = _mm512_mul_pd(bracket, inv);
-        // Clamp with NaN in the second operand of both min and max, so a
-        // NaN similarity survives to the (ordered, hence false) comparison.
-        let clamped = _mm512_min_pd(one, _mm512_max_pd(neg_one, sim));
-        let est = _mm512_sub_pd(one, clamped);
-        let bound = _mm512_add_pd(_mm512_mul_pd(ea1, errs), base);
-        let diff = _mm512_sub_pd(est, bound);
-        _mm512_cmp_pd_mask::<_CMP_GE_OQ>(diff, cut)
-    }
-
-    /// Eight dense f32 dot chains advanced in lockstep over zero-padded
-    /// rows: an 8×8 transpose turns eight row loads into per-component
-    /// vectors, and each step is a multiply followed by a separate add
-    /// (never fused), so lane `l`'s accumulator performs exactly the scalar
-    /// dense chain's operations in the same order — bit-identical dots, with
-    /// the eight serial add latencies overlapped.
-    #[inline]
-    pub fn rescore_batch8(a: &[f32], bs: &[&[f32]; 8], padded: usize, out: &mut [f32; 8]) {
-        debug_assert_eq!(a.len(), padded);
-        debug_assert_eq!(padded % 8, 0);
-        // SAFETY: reached only from the VNNI sweep, which runtime-requires
-        // AVX-512 (a strict superset of AVX2); the asserted lengths bound
-        // every offset below.
-        unsafe { rescore_batch8_inner(a, bs, padded, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn rescore_batch8_inner(a: &[f32], bs: &[&[f32]; 8], padded: usize, out: &mut [f32; 8]) {
-        for b in bs {
-            debug_assert_eq!(b.len(), padded);
-        }
-        let mut acc = _mm256_setzero_ps();
-        let mut k = 0;
-        while k < padded {
-            let r0 = _mm256_loadu_ps(bs[0].as_ptr().add(k));
-            let r1 = _mm256_loadu_ps(bs[1].as_ptr().add(k));
-            let r2 = _mm256_loadu_ps(bs[2].as_ptr().add(k));
-            let r3 = _mm256_loadu_ps(bs[3].as_ptr().add(k));
-            let r4 = _mm256_loadu_ps(bs[4].as_ptr().add(k));
-            let r5 = _mm256_loadu_ps(bs[5].as_ptr().add(k));
-            let r6 = _mm256_loadu_ps(bs[6].as_ptr().add(k));
-            let r7 = _mm256_loadu_ps(bs[7].as_ptr().add(k));
-            let u0 = _mm256_unpacklo_ps(r0, r1);
-            let u1 = _mm256_unpackhi_ps(r0, r1);
-            let u2 = _mm256_unpacklo_ps(r2, r3);
-            let u3 = _mm256_unpackhi_ps(r2, r3);
-            let u4 = _mm256_unpacklo_ps(r4, r5);
-            let u5 = _mm256_unpackhi_ps(r4, r5);
-            let u6 = _mm256_unpacklo_ps(r6, r7);
-            let u7 = _mm256_unpackhi_ps(r6, r7);
-            let s0 = _mm256_shuffle_ps(u0, u2, 0b0100_0100);
-            let s1 = _mm256_shuffle_ps(u0, u2, 0b1110_1110);
-            let s2 = _mm256_shuffle_ps(u1, u3, 0b0100_0100);
-            let s3 = _mm256_shuffle_ps(u1, u3, 0b1110_1110);
-            let s4 = _mm256_shuffle_ps(u4, u6, 0b0100_0100);
-            let s5 = _mm256_shuffle_ps(u4, u6, 0b1110_1110);
-            let s6 = _mm256_shuffle_ps(u5, u7, 0b0100_0100);
-            let s7 = _mm256_shuffle_ps(u5, u7, 0b1110_1110);
-            let t = [
-                _mm256_permute2f128_ps(s0, s4, 0x20),
-                _mm256_permute2f128_ps(s1, s5, 0x20),
-                _mm256_permute2f128_ps(s2, s6, 0x20),
-                _mm256_permute2f128_ps(s3, s7, 0x20),
-                _mm256_permute2f128_ps(s0, s4, 0x31),
-                _mm256_permute2f128_ps(s1, s5, 0x31),
-                _mm256_permute2f128_ps(s2, s6, 0x31),
-                _mm256_permute2f128_ps(s3, s7, 0x31),
-            ];
-            for (j, &tj) in t.iter().enumerate() {
-                let x = _mm256_broadcast_ss(a.get_unchecked(k + j));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(x, tj));
-            }
-            k += 8;
-        }
-        _mm256_storeu_ps(out.as_mut_ptr(), acc);
-    }
 }
 
 /// The exact f32 re-score: operation-for-operation identical to
 /// [`Vector::cosine_distance_given_norms`] with non-zero norms, applied to
-/// the slab's preserved f32 lanes.
+/// the slab's preserved f32 rows.
 #[inline]
 fn exact_distance(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
     let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
@@ -731,37 +396,18 @@ fn sweep_below_with(
         DotImpl::Portable => sweep_tiles::<PortableDot>(rows, cols, cutoff, stats),
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => sweep_tiles::<Avx2Dot>(rows, cols, cutoff, stats),
-        #[cfg(target_arch = "x86_64")]
-        DotImpl::Avx512 => sweep_tiles::<Avx512Dot>(rows, cols, cutoff, stats),
-        #[cfg(target_arch = "x86_64")]
-        DotImpl::Avx512Vnni => {
-            if rows.padded_dim() <= MAX_VNNI_WIDTH {
-                sweep_vnni(rows, cols, cutoff, stats)
-            } else {
-                sweep_tiles::<Avx512Dot>(rows, cols, cutoff, stats)
-            }
-        }
     }
 }
 
-/// Widest row the VNNI sweep accepts: each i32 accumulator lane sums one
-/// column's `padded` byte products of magnitude `≤ 255·128 < 2¹⁵`, so a
-/// `2¹⁶` width keeps every lane strictly inside i32 range.  Wider slabs
-/// (which no embedder in the workspace produces) fall back to the 16-bit
-/// madd path, whose pairing supports the full `2²⁰` slab cap.
-#[cfg(target_arch = "x86_64")]
-const MAX_VNNI_WIDTH: usize = 1 << 16;
-
 /// The tiled sweep body, monomorphized per integer-dot implementation.
 ///
-/// Shape of the hot path: one `D::row_tile` call batches a row's integer
-/// dots against the whole column tile (register-blocked on the wide paths),
-/// then a branch-lean scalar loop turns each dot into the skip/re-score
-/// decision using per-column arrays (`1/‖b‖`, `z_a·Σq_b`, `ρ_b`) divided and
-/// multiplied once per sweep rather than once per pair.  Candidates land in
-/// per-row stripe buffers: a row's columns arrive tile by tile in ascending
-/// order, so draining the stripe row by row restores exact row-major
-/// emission without a global sort.
+/// Shape of the hot path: one tight loop takes a row's integer dots against
+/// the whole column tile, then a branch-lean scalar loop turns each dot into
+/// the skip/re-score decision using per-column arrays (`1/‖b‖`, `z_a·Σq_b`,
+/// `ρ_b`) divided and multiplied once per sweep rather than once per pair.
+/// Candidates land in per-row stripe buffers: a row's columns arrive tile by
+/// tile in ascending order, so draining the stripe row by row restores exact
+/// row-major emission without a global sort.
 fn sweep_tiles<D: DotKind>(
     rows: &QuantizedSlab,
     cols: &QuantizedSlab,
@@ -807,7 +453,10 @@ fn sweep_tiles<D: DotKind>(
                     }
                     continue;
                 }
-                D::row_tile(rows.quant_row(r), tile_quant, padded, &mut dots[..width]);
+                let qa = rows.quant_row(r);
+                for (d, qb) in dots.iter_mut().zip(tile_quant.chunks_exact(padded)) {
+                    *d = D::dot(qa, qb);
+                }
                 let ea = rows.rel_error_bound(r);
                 let ea1 = 1.0 + ea;
                 let base = ea + p.slop;
@@ -861,266 +510,15 @@ fn sweep_tiles<D: DotKind>(
     (pairs, costs)
 }
 
-/// Columns per VNNI group: one `vpdpbusd` accumulates 16 column dots in the
-/// dword lanes of a single register, so the group width is fixed by the ISA.
-#[cfg(target_arch = "x86_64")]
-const VNNI_GROUP: usize = 16;
-
-/// Groups per cache block of the VNNI sweep: 8 groups × 16 columns × the
-/// default 64-byte padded width is 8 KiB of interleaved tile data, resident
-/// in L1 while a row stripe streams against it.
-#[cfg(target_arch = "x86_64")]
-const VNNI_GROUP_BLOCK: usize = 8;
-
-/// The VNNI sweep body: same contract and bit-identical output as
-/// [`sweep_tiles`], restructured around `vpdpbusd`.
-///
-/// The column slab is re-laid dword-interleaved per 16-column group, so one
-/// `vpdpbusd` per 4 components accumulates all 16 column dots vertically —
-/// no horizontal reductions anywhere.  The unsigned operand is the row's
-/// bytes biased by +128 (`q ⊕ 0x80`); the resulting `+128·Σq_b` excess is
-/// folded into the per-column bracket adjustment, keeping the bracket the
-/// exact same integer as the scalar path (every f64 intermediate is an
-/// integer below 2⁵³, so the conversion is exact).  The estimate/bound
-/// epilogue then runs in f64 lanes with the identical operation order to
-/// [`classify_pair`], producing a skip mask per group.
-///
-/// Near-threshold survivors are not re-scored inline: each row's candidate
-/// columns accumulate across the stripe and are re-scored in batches of
-/// eight interleaved (but individually sequential, hence bit-identical)
-/// f32 chains, which hides the serial-add latency that dominates a lone
-/// dense evaluation.
-#[cfg(target_arch = "x86_64")]
-fn sweep_vnni(
-    rows: &QuantizedSlab,
-    cols: &QuantizedSlab,
-    cutoff: f32,
-    stats: &mut KernelStats,
-) -> (Vec<(usize, usize)>, Vec<f32>) {
-    let p = SweepParams::new(rows, cols, cutoff);
-    let padded = rows.padded_dim();
-    let admit_trivial = 1.0 < p.cutoff;
-    let ncols = cols.len();
-    let groups = ncols.div_ceil(VNNI_GROUP);
-
-    // Interleaved column mirror: group `g` stores its columns' bytes dword-
-    // interleaved ([col₀ k..k+4][col₁ k..k+4]…[col₁₅ k..k+4] per step), with
-    // absent trailing columns left zero and masked out of every decision.
-    let mut inter = vec![0u8; groups * VNNI_GROUP * padded];
-    for c in 0..ncols {
-        let q = cols.quant_row(c);
-        let base = (c / VNNI_GROUP) * VNNI_GROUP * padded + (c % VNNI_GROUP) * 4;
-        for k in (0..padded).step_by(4) {
-            let dst = base + k * VNNI_GROUP;
-            for (t, &v) in q[k..k + 4].iter().enumerate() {
-                inter[dst + t] = v as u8;
-            }
-        }
-    }
-    // Biased row mirror: the unsigned `vpdpbusd` operand is `q + 128`.
-    let mut biased = vec![0u8; rows.len() * padded];
-    for (dst, &src) in biased.iter_mut().zip(rows.quant_lanes()) {
-        *dst = (src as u8) ^ 0x80;
-    }
-
-    // Per-column constants, padded to whole groups (pad lanes masked off).
-    let col_norms = cols.norms();
-    let mut adj = vec![0f64; groups * VNNI_GROUP];
-    let mut inv_nb = vec![0f64; groups * VNNI_GROUP];
-    let mut errs = vec![0f64; groups * VNNI_GROUP];
-    let mut valid_mask = vec![0u16; groups];
-    let mut zero_mask = vec![0u16; groups];
-    for c in 0..ncols {
-        adj[c] = ((p.za + 128) * cols.qsum(c)) as f64;
-        let nb = col_norms[c];
-        inv_nb[c] = 1.0 / nb as f64;
-        errs[c] = cols.rel_error_bound(c);
-        valid_mask[c / VNNI_GROUP] |= 1 << (c % VNNI_GROUP);
-        if nb == 0.0 {
-            zero_mask[c / VNNI_GROUP] |= 1 << (c % VNNI_GROUP);
-        }
-    }
-
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut costs: Vec<f32> = Vec::new();
-    let (mut int8_scored, mut skipped, mut rescored, mut trivial) =
-        (0usize, 0usize, 0usize, 0usize);
-    let mut cand: Vec<Vec<usize>> = (0..TILE_ROWS).map(|_| Vec::new()).collect();
-    let mut triv: Vec<Vec<usize>> = (0..TILE_ROWS).map(|_| Vec::new()).collect();
-    let mut batch = Vec::new();
-
-    for r0 in (0..rows.len()).step_by(TILE_ROWS) {
-        let r1 = (r0 + TILE_ROWS).min(rows.len());
-        for buf in &mut cand {
-            buf.clear();
-        }
-        for buf in &mut triv {
-            buf.clear();
-        }
-        for g0 in (0..groups).step_by(VNNI_GROUP_BLOCK) {
-            let g1 = (g0 + VNNI_GROUP_BLOCK).min(groups);
-            stats.blocks = stats.blocks.saturating_add(1);
-            let block_cols = (g1 * VNNI_GROUP).min(ncols) - g0 * VNNI_GROUP;
-            for r in r0..r1 {
-                let na = rows.norm(r);
-                if na == 0.0 {
-                    // The dense path defines zero-norm similarity as 0:
-                    // distance 1.0, exactly, for the whole block at once.
-                    trivial += block_cols;
-                    if admit_trivial {
-                        let lo = g0 * VNNI_GROUP;
-                        triv[r - r0].extend(lo..lo + block_cols);
-                    }
-                    continue;
-                }
-                let qa = &biased[r * padded..(r + 1) * padded];
-                let ea = rows.rel_error_bound(r);
-                let ea1 = 1.0 + ea;
-                let base = ea + p.slop;
-                let row_const = (p.padded * p.za * p.zb - p.zb * rows.qsum(r)) as f64;
-                let scale_over_na = p.scale_product / na as f64;
-                for g in g0..g1 {
-                    let cbase = g * VNNI_GROUP;
-                    let skip_raw = simd::classify_group_vnni(
-                        qa,
-                        &inter[cbase * padded..(cbase + VNNI_GROUP) * padded],
-                        padded,
-                        &adj[cbase..cbase + VNNI_GROUP],
-                        &inv_nb[cbase..cbase + VNNI_GROUP],
-                        &errs[cbase..cbase + VNNI_GROUP],
-                        row_const,
-                        scale_over_na,
-                        ea1,
-                        base,
-                        p.cutoff_f64,
-                    );
-                    let live = valid_mask[g] & !zero_mask[g];
-                    let skip = skip_raw & live;
-                    let attend = live & !skip;
-                    int8_scored += live.count_ones() as usize;
-                    skipped += skip.count_ones() as usize;
-                    rescored += attend.count_ones() as usize;
-                    trivial += zero_mask[g].count_ones() as usize;
-                    let mut m = attend;
-                    while m != 0 {
-                        cand[r - r0].push(cbase + m.trailing_zeros() as usize);
-                        m &= m - 1;
-                    }
-                    if admit_trivial {
-                        let mut m = zero_mask[g];
-                        while m != 0 {
-                            triv[r - r0].push(cbase + m.trailing_zeros() as usize);
-                            m &= m - 1;
-                        }
-                    }
-                }
-            }
-        }
-        for offset in 0..(r1 - r0) {
-            emit_row(
-                rows,
-                cols,
-                r0 + offset,
-                &cand[offset],
-                &triv[offset],
-                &p,
-                &mut batch,
-                &mut pairs,
-                &mut costs,
-            );
-        }
-    }
-    stats.int8_scored = stats.int8_scored.saturating_add(int8_scored);
-    stats.skipped = stats.skipped.saturating_add(skipped);
-    stats.rescored = stats.rescored.saturating_add(rescored);
-    stats.trivial = stats.trivial.saturating_add(trivial);
-    (pairs, costs)
-}
-
-/// Re-scores one row's candidate columns in interleaved batches and merges
-/// the admitted ones with the row's trivial (zero-norm) columns, emitting in
-/// ascending column order — exactly the dense sweep's row-major emission.
-///
-/// Each batch runs [`RESCORE_BATCH`] dense evaluations as independent f32
-/// chains advanced in lockstep: every chain performs the same operations in
-/// the same order as [`exact_distance`] (bit-identical results), but their
-/// serial add latencies overlap instead of queueing.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct of refs")]
-fn emit_row(
-    rows: &QuantizedSlab,
-    cols: &QuantizedSlab,
-    r: usize,
-    cand: &[usize],
-    triv: &[usize],
-    p: &SweepParams,
-    batch: &mut Vec<f32>,
-    pairs: &mut Vec<(usize, usize)>,
-    costs: &mut Vec<f32>,
-) {
-    let na = rows.norm(r);
-    let padded = rows.padded_dim();
-    // The batched path sums over the full zero-padded width: the trailing
-    // `+ 0.0` terms can only flip a `-0.0` partial sum to `+0.0`, and
-    // `1.0 - x` maps both signed zeros to the same 1.0 — so the final
-    // distance stays bit-identical to the dense dim-length chain.
-    let a_pad = &rows.f32_lanes()[r * padded..(r + 1) * padded];
-    batch.clear();
-    let mut i = 0;
-    while i + RESCORE_BATCH <= cand.len() {
-        let bs: [&[f32]; RESCORE_BATCH] = std::array::from_fn(|l| {
-            let c = cand[i + l];
-            &cols.f32_lanes()[c * padded..(c + 1) * padded]
-        });
-        let mut dots = [0f32; RESCORE_BATCH];
-        simd::rescore_batch8(a_pad, &bs, padded, &mut dots);
-        for (l, &dot) in dots.iter().enumerate() {
-            let nb = cols.norm(cand[i + l]);
-            batch.push(1.0 - (dot / (na * nb)).clamp(-1.0, 1.0));
-        }
-        i += RESCORE_BATCH;
-    }
-    let a = rows.row(r);
-    while i < cand.len() {
-        let c = cand[i];
-        batch.push(exact_distance(a, cols.row(c), na, cols.norm(c)));
-        i += 1;
-    }
-    // Two sorted streams (candidates with their exact distances, trivial
-    // columns at constant 1.0) merge back into ascending column order.
-    let mut ci = 0;
-    let mut ti = 0;
-    while ci < cand.len() || ti < triv.len() {
-        let take_cand = match (cand.get(ci), triv.get(ti)) {
-            (Some(&c), Some(&t)) => c < t,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_cand {
-            let d = batch[ci];
-            if d < p.cutoff {
-                pairs.push((r, cand[ci]));
-                costs.push(d);
-            }
-            ci += 1;
-        } else {
-            pairs.push((r, triv[ti]));
-            costs.push(1.0);
-            ti += 1;
-        }
-    }
-}
-
-/// Dense evaluations interleaved per re-score batch: eight chains cover the
-/// ~4-cycle f32 add latency with independent work.
-#[cfg(target_arch = "x86_64")]
-const RESCORE_BATCH: usize = 8;
-
 /// Classifies a single `(r, c)` pair: `Some(d)` iff the dense f32 distance
 /// `d` is strictly below `cutoff`, with `d` bit-identical to the dense
 /// computation.  This is the escalated tier's re-score primitive — the ANN
 /// index picks *which* pairs to look at, this decides them one at a time
 /// under the same two-tier guarantee as [`sweep_below`].
+///
+/// # Panics
+/// Panics when the slabs' dimensions differ and neither row has zero norm
+/// (a zero-norm side is answered with the exact constant `1.0`).
 pub fn distance_below(
     rows: &QuantizedSlab,
     r: usize,
@@ -1144,7 +542,7 @@ fn distance_below_with(
 ) -> Option<f32> {
     let na = rows.norm(r);
     let nb = cols.norm(c);
-    debug_assert!(
+    assert!(
         rows.dim() == cols.dim() || na == 0.0 || nb == 0.0,
         "slab dimension mismatch: {} vs {}",
         rows.dim(),
@@ -1185,13 +583,6 @@ fn distance_below_with(
         DotImpl::Portable => classify_at::<PortableDot>(&p, rows, r, na, cols, c, nb, inv, stats),
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => classify_at::<Avx2Dot>(&p, rows, r, na, cols, c, nb, inv, stats),
-        // The VNNI layout only pays off across a column tile; single pairs
-        // classify through the madd dot, whose exact integer bracket and f64
-        // epilogue make the identical skip/re-score decision.
-        #[cfg(target_arch = "x86_64")]
-        DotImpl::Avx512 | DotImpl::Avx512Vnni => {
-            classify_at::<Avx512Dot>(&p, rows, r, na, cols, c, nb, inv, stats)
-        }
     }
 }
 
@@ -1205,6 +596,10 @@ fn distance_below_with(
 /// (the probe emits them that way), so the amortization is free.
 ///
 /// `keep` observes columns in the order `candidates` yields them.
+///
+/// # Panics
+/// Panics, like [`distance_below`], on a candidate whose slab dimension
+/// differs from the row's when neither side has zero norm.
 pub fn row_distances_below(
     rows: &QuantizedSlab,
     r: usize,
@@ -1255,7 +650,7 @@ fn row_distances_below_with(
         let ea = rows.rel_error_bound(r);
         for c in candidates {
             let nb = cols.norm(c);
-            debug_assert!(
+            assert!(
                 rows.dim() == cols.dim() || na == 0.0 || nb == 0.0,
                 "slab dimension mismatch: {} vs {}",
                 rows.dim(),
@@ -1287,10 +682,6 @@ fn row_distances_below_with(
         }
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => run::<Avx2Dot>(&p, rows, r, na, inv_row, cols, candidates, stats, keep),
-        #[cfg(target_arch = "x86_64")]
-        DotImpl::Avx512 | DotImpl::Avx512Vnni => {
-            run::<Avx512Dot>(&p, rows, r, na, inv_row, cols, candidates, stats, keep)
-        }
     }
 }
 
@@ -1367,8 +758,8 @@ mod tests {
         (dense(rows, cols, cutoff), quantized, stats)
     }
 
-    /// `(pairs, cost bits)`: costs compared as bit patterns, so `-0.0` and
-    /// `0.0` (or two NaNs) can never pass for each other.
+    /// `(pairs, cost bits)`: costs compared as bit patterns, so `-0.0` can
+    /// never pass for `0.0`.
     fn bits(result: &SweepResult) -> (Vec<(usize, usize)>, Vec<u32>) {
         (result.0.clone(), result.1.iter().map(|d| d.to_bits()).collect())
     }
@@ -1427,13 +818,6 @@ mod tests {
             assert_eq!(stats.trivial, sweep_stats.trivial, "{dot:?}");
             assert_eq!(stats.blocks, 0);
         }
-    }
-
-    #[test]
-    fn every_impl_this_cpu_supports_is_listed_and_detected_first() {
-        let impls = supported_impls();
-        assert_eq!(impls[0], DotImpl::Portable);
-        assert!(impls.contains(&detect_dot()), "{impls:?}");
     }
 
     #[test]
@@ -1620,6 +1004,37 @@ mod tests {
                 assert_every_entry_point_is_dense(dot, &rows, &cols, cutoff);
             }
         }
+    }
+
+    /// A 48-wide row against a 16-wide column: the SIMD dot would read past
+    /// the narrower row and the portable one would silently truncate, so the
+    /// entry points must refuse the pair in release builds too.
+    fn mismatched_widths() -> (QuantizedSlab, QuantizedSlab) {
+        slabs(&[Vector::new(vec![0.5; 48])], &[Vector::new(vec![0.5; 16])])
+    }
+
+    #[test]
+    #[should_panic(expected = "slab dimension mismatch")]
+    fn distance_below_rejects_mismatched_slab_widths() {
+        let (rows, cols) = mismatched_widths();
+        distance_below(&rows, 0, &cols, 0, 2.0, &mut KernelStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "slab dimension mismatch")]
+    fn row_distances_below_rejects_mismatched_slab_widths() {
+        let (rows, cols) = mismatched_widths();
+        row_distances_below(&rows, 0, &cols, [0], 2.0, &mut KernelStats::default(), |_, _| {});
+    }
+
+    #[test]
+    fn zero_norm_sides_of_mismatched_widths_stay_trivial() {
+        let wide = QuantizedSlab::from_vectors(&[&Vector::zeros(48)]);
+        let (_, narrow) = mismatched_widths();
+        let mut stats = KernelStats::default();
+        assert_eq!(distance_below(&wide, 0, &narrow, 0, 1.5, &mut stats), Some(1.0));
+        assert_eq!(distance_below(&narrow, 0, &wide, 0, 1.0, &mut stats), None);
+        assert_eq!(stats.trivial, 2);
     }
 
     /// A seeded stand-in for `tests/kernel_equivalence.rs`'s proptest

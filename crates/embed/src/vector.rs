@@ -33,7 +33,7 @@ pub fn approx_eq_within(a: f32, b: f32, tolerance: f32) -> bool {
     (a - b).abs() <= tolerance
 }
 
-/// Every [`QuantizedSlab`] row is padded to a multiple of this many
+/// Every [`QuantizedSlab`] int8 row is padded to a multiple of this many
 /// components so the kernel's inner loops run over fixed-width chunks with no
 /// per-pair bounds checks or remainder handling.
 pub const SLAB_LANE: usize = 16;
@@ -166,16 +166,16 @@ impl Vector {
     }
 }
 
-/// A structure-of-arrays slab of embedding vectors: contiguous fixed-width
-/// `f32` lanes plus an asymmetric int8 scalar-quantized mirror, the storage
-/// layout the scoring kernel ([`crate::kernel`]) sweeps over.
+/// A structure-of-arrays slab of embedding vectors: contiguous `f32` lanes
+/// plus an asymmetric int8 scalar-quantized mirror, the storage layout the
+/// scoring kernel ([`crate::kernel`]) sweeps over.
 ///
-/// Both mirrors store rows back to back, each padded to a multiple of
-/// [`SLAB_LANE`] components, so the kernel's inner loops see equal-length
-/// fixed-width slices (no per-pair bounds checks, autovectorizer-friendly).
-/// The f32 lanes hold the original components bit-for-bit (padding is `0.0`,
-/// which cannot change a running dot product), so a dot product over a slab
-/// row is bit-identical to [`Vector::dot`] over the source vector.
+/// Both mirrors store rows back to back.  The f32 lanes hold the original
+/// components bit-for-bit at the logical width, so a dot product over a slab
+/// row is bit-identical to [`Vector::dot`] over the source vector.  The int8
+/// mirror pads every row to a multiple of [`SLAB_LANE`] components, so the
+/// kernel's integer loops see equal-length fixed-width slices (no per-pair
+/// bounds checks, autovectorizer-friendly).
 ///
 /// The int8 mirror uses one asymmetric affine quantizer per slab — scale `s`
 /// and zero point `z` chosen from the slab-wide value range (always extended
@@ -205,7 +205,7 @@ pub struct QuantizedSlab {
     len: usize,
     dim: usize,
     padded: usize,
-    /// `len × padded` f32 components, row-major, zero-padded.
+    /// `len × dim` f32 components, row-major.
     lanes: Vec<f32>,
     /// `len × padded` quantized components, row-major, padded with the zero
     /// point (so padded entries dequantize to exactly `0.0`).
@@ -282,14 +282,13 @@ impl QuantizedSlab {
 
         let scale_f64 = scale as f64;
         let z_f64 = zero_point as f64;
-        let mut lanes = Vec::with_capacity(len * padded);
+        let mut lanes = Vec::with_capacity(len * dim);
         let mut quant = Vec::with_capacity(len * padded);
         let mut norms = Vec::with_capacity(len);
         let mut qsums = Vec::with_capacity(len);
         let mut rel_err = Vec::with_capacity(len);
         for row in &rows {
             lanes.extend_from_slice(row);
-            lanes.resize(lanes.len() + (padded - dim), 0.0);
             let mut qsum = 0i64;
             let mut err2 = 0.0f64;
             let mut norm2 = 0.0f64;
@@ -328,8 +327,8 @@ impl QuantizedSlab {
         self.dim
     }
 
-    /// Padded (stored) width of every row — [`dim`](Self::dim) rounded up to
-    /// a multiple of [`SLAB_LANE`].
+    /// Padded (stored) width of every int8 row — [`dim`](Self::dim) rounded
+    /// up to a multiple of [`SLAB_LANE`].
     pub fn padded_dim(&self) -> usize {
         self.padded
     }
@@ -344,9 +343,9 @@ impl QuantizedSlab {
         self.zero_point
     }
 
-    /// Row `i`'s original f32 components (logical width, padding excluded).
+    /// Row `i`'s original f32 components.
     pub fn row(&self, i: usize) -> &[f32] {
-        &self.lanes[i * self.padded..i * self.padded + self.dim]
+        &self.lanes[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Row `i`'s quantized mirror at full padded width.
@@ -377,12 +376,6 @@ impl QuantizedSlab {
     /// slab for an exact one.
     pub fn max_rel_error_bound(&self) -> f64 {
         self.rel_err.iter().fold(0.0f64, |acc, &e| if e > acc || e.is_nan() { e } else { acc })
-    }
-
-    /// The whole f32 mirror (`len × padded_dim` components, row-major,
-    /// zero-padded) for tile-slicing kernels.
-    pub fn f32_lanes(&self) -> &[f32] {
-        &self.lanes
     }
 
     /// The whole int8 mirror (`len × padded_dim` components, row-major,
