@@ -14,13 +14,12 @@ use lake_fd::{
     full_disjunction, outer_union, parallel_full_disjunction, IntegratedTable, IntegrationSchema,
 };
 use lake_metrics::PrecisionRecall;
-use lake_table::Table;
-use serde::Serialize;
+use lake_table::{JsonWriter, Table};
 
 use crate::table1::evaluate_set;
 
 /// One point of the θ sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThresholdPoint {
     /// The matching threshold θ.
     pub theta: f32,
@@ -30,6 +29,18 @@ pub struct ThresholdPoint {
     pub recall: f64,
     /// Macro-averaged F1.
     pub f1: f64,
+}
+
+impl ThresholdPoint {
+    /// Writes the point as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.number("theta", f64::from(self.theta));
+        w.number("precision", self.precision);
+        w.number("recall", self.recall);
+        w.number("f1", self.f1);
+        w.close('}');
+    }
 }
 
 /// Sweeps the matching threshold θ with the default (Mistral) model.
@@ -48,7 +59,7 @@ pub fn threshold_sweep(config: AutoJoinConfig, thetas: &[f32]) -> Vec<ThresholdP
 }
 
 /// One row of the assignment-solver ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AssignmentAblationRow {
     /// Solver label.
     pub solver: String,
@@ -56,6 +67,17 @@ pub struct AssignmentAblationRow {
     pub f1: f64,
     /// Total wall-clock seconds spent matching across the benchmark.
     pub seconds: f64,
+}
+
+impl AssignmentAblationRow {
+    /// Writes the row as one JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.text("solver", &self.solver);
+        w.number("f1", self.f1);
+        w.number("seconds", self.seconds);
+        w.close('}');
+    }
 }
 
 /// Compares the exact assignment solver against the greedy baseline (every
@@ -97,7 +119,7 @@ pub fn assignment_ablation(config: AutoJoinConfig) -> Vec<AssignmentAblationRow>
 }
 
 /// One row of the FD-algorithm ablation (partitioning / parallelism).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FdAblationRow {
     /// Configuration label.
     pub configuration: String,
@@ -105,6 +127,35 @@ pub struct FdAblationRow {
     pub seconds: f64,
     /// Number of output tuples (identical across configurations).
     pub output_tuples: usize,
+}
+
+impl FdAblationRow {
+    /// Writes the row as one JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.text("configuration", &self.configuration);
+        w.number("seconds", self.seconds);
+        w.field("output_tuples", self.output_tuples as u64);
+        w.close('}');
+    }
+}
+
+/// Both design ablations as `{"assignment": [...], "fd": [...]}`.
+pub fn ablations_json(assignment: &[AssignmentAblationRow], fd: &[FdAblationRow]) -> String {
+    let mut w = JsonWriter::object(512);
+    w.key("assignment");
+    w.open('[');
+    for row in assignment {
+        row.write_json(&mut w);
+    }
+    w.close(']');
+    w.key("fd");
+    w.open('[');
+    for row in fd {
+        row.write_json(&mut w);
+    }
+    w.close(']');
+    w.finish()
 }
 
 /// The "no partitioning" side of the design ablation: the closure run over

@@ -6,13 +6,6 @@
 use lake_bench::{ablation, write_results_json};
 use lake_benchdata::AutoJoinConfig;
 use lake_metrics::{format_table, ReportRow};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct AllAblations {
-    assignment: Vec<ablation::AssignmentAblationRow>,
-    fd: Vec<ablation::FdAblationRow>,
-}
 
 fn main() {
     let autojoin =
@@ -54,7 +47,7 @@ fn main() {
         )
     );
 
-    match write_results_json("ablations", &AllAblations { assignment, fd }) {
+    match write_results_json("ablations", &ablation::ablations_json(&assignment, &fd)) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write results file: {err}"),
     }

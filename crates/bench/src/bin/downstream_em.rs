@@ -47,7 +47,7 @@ fn main() {
     );
     println!("(paper reports: regular FD P=79% R=83% F1=81%; Fuzzy FD P=86% R=85% F1=85%)");
 
-    match write_results_json("downstream_em", &result) {
+    match write_results_json("downstream_em", &result.to_json()) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write results file: {err}"),
     }

@@ -6,7 +6,7 @@
 //! that is not a tuple count is a usage error (exit 2), never a silent
 //! fall-back to the full paper sweep.
 
-use lake_bench::{fig3, write_results_json};
+use lake_bench::{fig3, json_array, write_results_json};
 use lake_metrics::{format_table, ReportRow};
 
 /// The sweep sizes the arguments name: the paper's when there are none.
@@ -54,7 +54,7 @@ fn main() {
     );
     println!("(paper: the two runtime curves almost overlap for all sizes 5K-30K)");
 
-    match write_results_json("fig3_runtime", &points) {
+    match write_results_json("fig3_runtime", &json_array(&points, fig3::RuntimePoint::write_json)) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write results file: {err}"),
     }

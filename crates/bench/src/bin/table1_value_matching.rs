@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p lake-bench --release --bin table1_value_matching`.
 
-use lake_bench::{table1, write_results_json};
+use lake_bench::{json_array, table1, write_results_json};
 use lake_benchdata::AutoJoinConfig;
 use lake_metrics::{format_table, ReportRow};
 
@@ -44,7 +44,10 @@ fn main() {
     );
     println!(" Llama3 0.81/0.85/0.81, Mistral 0.81/0.86/0.82)");
 
-    match write_results_json("table1_value_matching", &rows) {
+    match write_results_json(
+        "table1_value_matching",
+        &json_array(&rows, table1::ModelScores::write_json),
+    ) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write results file: {err}"),
     }

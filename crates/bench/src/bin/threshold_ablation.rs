@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p lake-bench --release --bin threshold_ablation`.
 
-use lake_bench::{ablation, write_results_json};
+use lake_bench::{ablation, json_array, write_results_json};
 use lake_benchdata::AutoJoinConfig;
 use lake_metrics::{format_table, ReportRow};
 
@@ -38,7 +38,10 @@ fn main() {
     let best = points.iter().max_by(|a, b| a.f1.total_cmp(&b.f1)).expect("non-empty sweep");
     println!("best F1 at theta = {:.1} (paper uses theta = 0.7)", best.theta);
 
-    match write_results_json("threshold_ablation", &points) {
+    match write_results_json(
+        "threshold_ablation",
+        &json_array(&points, ablation::ThresholdPoint::write_json),
+    ) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write results file: {err}"),
     }

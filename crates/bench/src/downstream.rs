@@ -6,10 +6,10 @@ use lake_benchdata::{generate_em_benchmark, EmBenchmark, EmBenchmarkConfig};
 use lake_em::{match_entities, EmOptions};
 use lake_metrics::PrecisionRecall;
 use lake_schema_match::align_by_headers;
-use serde::Serialize;
+use lake_table::JsonWriter;
 
 /// Entity-matching effectiveness over one integration method.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DownstreamScores {
     /// Integration method label ("Regular FD (ALITE)" or "Fuzzy FD").
     pub method: String,
@@ -24,12 +24,37 @@ pub struct DownstreamScores {
 }
 
 /// Result of the downstream experiment: one row per integration method.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DownstreamResult {
     /// Regular (equi-join) FD row.
     pub regular: DownstreamScores,
     /// Fuzzy FD row.
     pub fuzzy: DownstreamScores,
+}
+
+impl DownstreamScores {
+    /// Writes the row as one JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.text("method", &self.method);
+        w.number("precision", self.precision);
+        w.number("recall", self.recall);
+        w.number("f1", self.f1);
+        w.field("integrated_tuples", self.integrated_tuples as u64);
+        w.close('}');
+    }
+}
+
+impl DownstreamResult {
+    /// The result as `{"regular": {...}, "fuzzy": {...}}`.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::object(256);
+        w.key("regular");
+        self.regular.write_json(&mut w);
+        w.key("fuzzy");
+        self.fuzzy.write_json(&mut w);
+        w.finish()
+    }
 }
 
 /// Runs the experiment on a generated ALITE-EM-style benchmark.

@@ -6,10 +6,10 @@ use std::time::Instant;
 use fuzzy_fd_core::{regular_full_disjunction, FuzzyFdConfig, FuzzyFullDisjunction};
 use lake_benchdata::{generate_imdb_benchmark, ImdbConfig};
 use lake_schema_match::align_by_headers;
-use serde::Serialize;
+use lake_table::JsonWriter;
 
 /// One point of the Figure 3 curves.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimePoint {
     /// Requested number of input tuples (the X axis of Figure 3).
     pub requested_tuples: usize,
@@ -35,6 +35,19 @@ impl RuntimePoint {
             return 0.0;
         }
         self.fuzzy_seconds / self.alite_seconds - 1.0
+    }
+
+    /// Writes the point as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.field("requested_tuples", self.requested_tuples as u64);
+        w.field("input_tuples", self.input_tuples as u64);
+        w.number("alite_seconds", self.alite_seconds);
+        w.number("fuzzy_seconds", self.fuzzy_seconds);
+        w.number("matching_seconds", self.matching_seconds);
+        w.field("alite_output", self.alite_output as u64);
+        w.field("fuzzy_output", self.fuzzy_output as u64);
+        w.close('}');
     }
 }
 

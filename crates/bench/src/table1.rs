@@ -5,11 +5,10 @@ use fuzzy_fd_core::{match_column_values, FuzzyFdConfig, ValueGroup};
 use lake_benchdata::{generate_autojoin_benchmark, AutoJoinConfig, ValueMatchingSet};
 use lake_embed::{EmbeddingModel, ALL_MODELS};
 use lake_metrics::{PairSet, PrecisionRecall};
-use lake_table::Value;
-use serde::Serialize;
+use lake_table::{JsonWriter, Value};
 
 /// Scores of one embedding model, averaged over all integration sets.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelScores {
     /// Model name (Table 1 row label).
     pub model: String,
@@ -21,6 +20,19 @@ pub struct ModelScores {
     pub f1: f64,
     /// Number of integration sets evaluated.
     pub sets: usize,
+}
+
+impl ModelScores {
+    /// Writes the row as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{');
+        w.text("model", &self.model);
+        w.number("precision", self.precision);
+        w.number("recall", self.recall);
+        w.number("f1", self.f1);
+        w.field("sets", self.sets as u64);
+        w.close('}');
+    }
 }
 
 /// Evaluates one model on one integration set.

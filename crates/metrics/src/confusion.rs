@@ -1,9 +1,7 @@
 //! Confusion counts and the precision / recall / F1 triple.
 
-use serde::{Deserialize, Serialize};
-
 /// True positive / false positive / false negative counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionCounts {
     /// Predicted and correct.
     pub tp: usize,
@@ -14,7 +12,7 @@ pub struct ConfusionCounts {
 }
 
 /// Precision, recall and F1 score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionRecall {
     /// `tp / (tp + fp)`; 1.0 when nothing was predicted.
     pub precision: f64,

@@ -1,11 +1,8 @@
 //! Plain-text report tables for the experiment harness binaries.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of an experiment report: a label and a list of already-formatted
-/// cell values.  Serialisable so harness binaries can dump machine-readable
-/// results next to the printed table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// cell values.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportRow {
     /// Row label (e.g. the embedding model name).
     pub label: String,

@@ -255,7 +255,7 @@ impl Response {
         self
     }
 
-    /// Serializes the response (status line, headers, body) onto `w`; a
+    /// Writes the response (status line, headers, body) onto `w`; a
     /// shared body is sent from where it lives.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let reason = reason_phrase(self.status);

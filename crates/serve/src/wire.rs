@@ -11,18 +11,19 @@
 //! appears in `/query` bodies.  Timing-dependent counters are confined to
 //! `/stats`, which is observability, not data.
 //!
-//! The full schema of every body is documented in `docs/PROTOCOL.md`.
+//! Every body is streamed through [`JsonWriter`], the workspace's one JSON
+//! encoder (`lake_table::json`).  The full schema of every body is
+//! documented in `docs/PROTOCOL.md`.
 
 // A panic here kills a reader thread: degrade to a `500` (docs/LINTS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
-use std::fmt::{Display, Write as _};
 
 use serde_json::Value as Json;
 
 use lake_fd::IntegratedTuple;
-use lake_table::{Schema, Table, Value};
+use lake_table::{JsonWriter, Schema, Table, Value};
 
 use crate::shard::{ShardSnapshot, ShardStatus};
 use crate::ServePolicy;
@@ -541,356 +542,6 @@ fn write_durability(w: &mut JsonWriter, store: &lake_store::StoreStatus) {
     w.close('}');
 }
 
-/// Compact JSON streamed into one `String`: the bytes the vendored tree
-/// encoder (`serde_json::content_to_string`) would produce, without the
-/// tree.  Every body in this module is written through it.
-///
-/// The only state is whether the next key or element needs a comma: a
-/// value or a closed container is followed by one, a key or an opened
-/// container is not.  Nothing checks that containers balance or that keys
-/// alternate with values — the callers are the few fixed shapes above, and
-/// the tests parse every body they produce.
-struct JsonWriter {
-    out: String,
-    comma: bool,
-    /// Reused by [`display`](Self::display), so formatting an id allocates
-    /// nothing once the buffer has grown to the longest one.
-    scratch: String,
-}
-
-impl JsonWriter {
-    /// Opens a body, sized for `bytes`: every body is one JSON object.
-    fn object(bytes: usize) -> Self {
-        let mut out = String::with_capacity(bytes);
-        out.push('{');
-        JsonWriter { out, comma: false, scratch: String::new() }
-    }
-
-    /// Closes the body's object and hands over its bytes.
-    fn finish(mut self) -> String {
-        self.close('}');
-        self.out
-    }
-
-    fn separate(&mut self) {
-        if self.comma {
-            self.out.push(',');
-        }
-        self.comma = true;
-    }
-
-    /// Opens an object (`'{'`) or an array (`'['`).
-    fn open(&mut self, bracket: char) {
-        self.separate();
-        self.out.push(bracket);
-        self.comma = false;
-    }
-
-    /// Closes the innermost container with its `'}'` or `']'`.
-    fn close(&mut self, bracket: char) {
-        self.out.push(bracket);
-        self.comma = true;
-    }
-
-    fn key(&mut self, name: &str) {
-        self.separate();
-        serde_json::write_escaped(name, &mut self.out);
-        self.out.push(':');
-        self.comma = false;
-    }
-
-    fn string(&mut self, value: &str) {
-        self.separate();
-        serde_json::write_escaped(value, &mut self.out);
-    }
-
-    /// A string value from its `Display` form, through the same escaper —
-    /// a [`TupleId`](lake_table::TupleId) renders as `table#row`, and table
-    /// names are user input.
-    fn display(&mut self, value: &impl Display) {
-        self.separate();
-        self.scratch.clear();
-        // Writing into a `String` cannot fail.
-        let _ = write!(self.scratch, "{value}");
-        serde_json::write_escaped(&self.scratch, &mut self.out);
-    }
-
-    /// An integer value (`u64` or `i64`), in decimal.
-    fn integer(&mut self, value: impl Display) {
-        self.separate();
-        let _ = write!(self.out, "{value}");
-    }
-
-    /// `"name":value` for an unsigned counter.
-    fn field(&mut self, name: &str, value: u64) {
-        self.key(name);
-        self.integer(value);
-    }
-
-    /// `"name":"value"` for a string.
-    fn text(&mut self, name: &str, value: &str) {
-        self.key(name);
-        self.string(value);
-    }
-
-    /// `null`, `true` or `false`.
-    fn literal(&mut self, text: &str) {
-        self.separate();
-        self.out.push_str(text);
-    }
-
-    /// A workspace [`Value`] as a JSON cell.  Non-finite floats (which JSON
-    /// cannot represent and the workspace never produces from parsed input)
-    /// degrade to `null` rather than poisoning a whole response.
-    fn cell(&mut self, value: &Value) {
-        match value {
-            Value::Null => self.literal("null"),
-            Value::Text(s) => self.string(s),
-            Value::Int(i) => self.integer(*i),
-            Value::Float(f) => {
-                self.separate();
-                if serde_json::write_f64(*f, &mut self.out).is_err() {
-                    self.out.push_str("null");
-                }
-            }
-            Value::Bool(b) => self.literal(if *b { "true" } else { "false" }),
-        }
-    }
-}
-
-/// The renderer this module had before it streamed: every `/query` view and
-/// the `/ingest` body as a tree handed to the vendored encoder.
-/// Kept as the reference the streamed bytes are held equal to.
-#[cfg(test)]
-mod oracle {
-    use std::collections::HashMap;
-
-    use lake_fd::{IntegratedTable, IntegratedTuple};
-    use lake_table::{Table, Value};
-    use serde::Content;
-
-    use super::QueryView;
-    use crate::shard::ShardSnapshot;
-
-    /// Renders a [`Content`] tree compactly (the oracle never builds a
-    /// non-finite float, the encoder's only error).
-    fn render(content: Content) -> String {
-        serde_json::content_to_string(&content).expect("oracle trees hold finite floats only")
-    }
-
-    /// Renders the `POST /ingest` body for `table` (the client-side inverse of
-    /// [`parse_ingest`]).
-    pub(super) fn ingest_body(group: &str, table: &Table) -> String {
-        let columns: Vec<Content> =
-            table.schema().names().iter().map(|n| Content::Str((*n).to_string())).collect();
-        let rows: Vec<Content> = table
-            .rows()
-            .iter()
-            .map(|row| Content::Seq(row.iter().map(cell_content).collect()))
-            .collect();
-        let table_obj = Content::Map(vec![
-            ("name".into(), Content::Str(table.name().to_string())),
-            ("columns".into(), Content::Seq(columns)),
-            ("rows".into(), Content::Seq(rows)),
-        ]);
-        render(Content::Map(vec![
-            ("group".into(), Content::Str(group.to_string())),
-            ("table".into(), table_obj),
-        ]))
-    }
-
-    /// Renders a `GET /query` response body for one shard snapshot.
-    ///
-    /// Fully deterministic in the snapshot: the integration tests compare
-    /// these bytes against a server round-trip.
-    pub(super) fn query_body(view: QueryView, shard: usize, snapshot: &ShardSnapshot) -> String {
-        let mut fields = vec![
-            ("shard".into(), Content::U64(shard as u64)),
-            ("version".into(), Content::U64(snapshot.version)),
-            ("view".into(), Content::Str(view.name().to_string())),
-            (
-                "lake_tables".into(),
-                Content::Seq(
-                    snapshot.tables.iter().map(|t| Content::Str(t.name().to_string())).collect(),
-                ),
-            ),
-        ];
-        match view {
-            QueryView::Table => {
-                fields.push(("table".into(), table_content(&snapshot.outcome.table)));
-            }
-            QueryView::Report => {
-                fields.push(("report".into(), report_content(snapshot)));
-            }
-            QueryView::Provenance => {
-                fields.push(("table".into(), provenance_content(snapshot)));
-            }
-        }
-        render(Content::Map(fields))
-    }
-
-    /// The integrated table as `{"columns": [...], "tuples": [...]}` with each
-    /// tuple carrying its provenance ids and cells.
-    fn table_content(table: &IntegratedTable) -> Content {
-        let columns: Vec<Content> =
-            table.columns().iter().map(|c| Content::Str(c.clone())).collect();
-        let tuples: Vec<Content> = table
-            .tuples()
-            .iter()
-            .map(|tuple| {
-                Content::Map(vec![
-                    ("tids".into(), tids_content(tuple)),
-                    (
-                        "cells".into(),
-                        Content::Seq(tuple.values().iter().map(cell_content).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        Content::Map(vec![
-            ("columns".into(), Content::Seq(columns)),
-            ("tuples".into(), Content::Seq(tuples)),
-        ])
-    }
-
-    /// Per-cell source attribution: which base tuples contributed a value to
-    /// each integrated cell, derived from the integration schema's
-    /// source-column mapping.  A source is attributed when its base table has a
-    /// non-null cell in a column that maps to the integrated column — the base
-    /// value itself may since have been rewritten to a group representative.
-    fn provenance_content(snapshot: &ShardSnapshot) -> Content {
-        let table = &snapshot.outcome.table;
-        let index: HashMap<&str, usize> =
-            snapshot.tables.iter().enumerate().map(|(i, t)| (t.name(), i)).collect();
-        let columns: Vec<Content> =
-            table.columns().iter().map(|c| Content::Str(c.clone())).collect();
-        let tuples: Vec<Content> = table
-            .tuples()
-            .iter()
-            .map(|tuple| {
-                let cells: Vec<Content> = (0..table.columns().len())
-                    .map(|col| {
-                        let mut sources = Vec::new();
-                        if let Some(schema) = &snapshot.schema {
-                            for tid in tuple.provenance().iter() {
-                                let Some(&t) = index.get(tid.table.as_str()) else { continue };
-                                let base = &snapshot.tables[t];
-                                for c in 0..base.num_columns() {
-                                    if schema.integrated_column(t, c) == col
-                                        && !matches!(base.rows()[tid.row][c], Value::Null)
-                                    {
-                                        sources.push(Content::Str(tid.to_string()));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Content::Map(vec![
-                            ("value".into(), cell_content(tuple.value(col))),
-                            ("sources".into(), Content::Seq(sources)),
-                        ])
-                    })
-                    .collect();
-                Content::Map(vec![
-                    ("tids".into(), tids_content(tuple)),
-                    ("cells".into(), Content::Seq(cells)),
-                ])
-            })
-            .collect();
-        Content::Map(vec![
-            ("columns".into(), Content::Seq(columns)),
-            ("tuples".into(), Content::Seq(tuples)),
-        ])
-    }
-
-    /// The deterministic counters of the latest integration, grouped by
-    /// pipeline stage.  Durations and scheduler busy-nanos are deliberately
-    /// absent (see the module docs); they live in `/stats`.
-    fn report_content(snapshot: &ShardSnapshot) -> Content {
-        let report = &snapshot.outcome.report;
-        let blocking = &report.blocking;
-        let fd = &report.fd_stats;
-        let inc = &snapshot.outcome.incremental;
-        Content::Map(vec![
-            ("tables".into(), Content::U64(snapshot.tables.len() as u64)),
-            ("tuples".into(), Content::U64(snapshot.outcome.table.len() as u64)),
-            (
-                "pipeline".into(),
-                Content::Map(vec![
-                    ("aligned_sets".into(), Content::U64(report.aligned_sets as u64)),
-                    ("value_groups".into(), Content::U64(report.value_groups as u64)),
-                    ("matched_groups".into(), Content::U64(report.matched_groups as u64)),
-                    ("rewritten_cells".into(), Content::U64(report.rewritten_cells as u64)),
-                ]),
-            ),
-            (
-                "blocking".into(),
-                Content::Map(vec![
-                    ("folds".into(), Content::U64(blocking.folds as u64)),
-                    ("escalated_folds".into(), Content::U64(blocking.escalated_folds as u64)),
-                    ("blocks".into(), Content::U64(blocking.blocks as u64)),
-                    ("candidate_pairs".into(), Content::U64(blocking.candidate_pairs as u64)),
-                    ("scored_pairs".into(), Content::U64(blocking.scored_pairs as u64)),
-                    ("pruned_pairs".into(), Content::U64(blocking.pruned_pairs as u64)),
-                    ("split_components".into(), Content::U64(blocking.split_components as u64)),
-                    ("severed_pairs".into(), Content::U64(blocking.severed_pairs as u64)),
-                    ("max_block_size".into(), Content::U64(blocking.max_block_size as u64)),
-                ]),
-            ),
-            (
-                "fd".into(),
-                Content::Map(vec![
-                    ("input_tuples".into(), Content::U64(fd.input_tuples as u64)),
-                    ("output_tuples".into(), Content::U64(fd.output_tuples as u64)),
-                    ("components".into(), Content::U64(fd.components as u64)),
-                    ("largest_component".into(), Content::U64(fd.largest_component as u64)),
-                    ("reused_components".into(), Content::U64(fd.reused_components as u64)),
-                ]),
-            ),
-            (
-                "incremental".into(),
-                Content::Map(vec![
-                    ("appended_tables".into(), Content::U64(inc.appended_tables as u64)),
-                    ("refolded_sets".into(), Content::U64(inc.refolded_sets as u64)),
-                    ("rebuilt_sets".into(), Content::U64(inc.rebuilt_sets as u64)),
-                    ("reused_sets".into(), Content::U64(inc.reused_sets as u64)),
-                    ("embed_hits".into(), Content::U64(inc.embed_hits)),
-                    ("embed_misses".into(), Content::U64(inc.embed_misses)),
-                ]),
-            ),
-            (
-                "caches".into(),
-                Content::Map(vec![
-                    ("embed_hits".into(), Content::U64(snapshot.embed_cache.0)),
-                    ("embed_misses".into(), Content::U64(snapshot.embed_cache.1)),
-                    ("fd_hits".into(), Content::U64(snapshot.fd_cache.0)),
-                    ("fd_misses".into(), Content::U64(snapshot.fd_cache.1)),
-                ]),
-            ),
-        ])
-    }
-
-    /// The tuple's provenance ids as a JSON array of `"table#row"` strings
-    /// (already sorted — provenance is a `BTreeSet`).
-    fn tids_content(tuple: &IntegratedTuple) -> Content {
-        Content::Seq(tuple.provenance().iter().map(|tid| Content::Str(tid.to_string())).collect())
-    }
-
-    /// A workspace [`Value`] as a JSON cell.  Non-finite floats (which JSON
-    /// cannot represent and the workspace never produces from parsed input)
-    /// degrade to `null` rather than poisoning a whole response.
-    fn cell_content(value: &Value) -> Content {
-        match value {
-            Value::Null => Content::Null,
-            Value::Text(s) => Content::Str(s.clone()),
-            Value::Int(i) => Content::I64(*i),
-            Value::Float(f) if f.is_finite() => Content::F64(*f),
-            Value::Float(_) => Content::Null,
-            Value::Bool(b) => Content::Bool(*b),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use fuzzy_fd_core::{FuzzyFdConfig, IntegrationSession};
@@ -942,20 +593,112 @@ mod tests {
         vec![first, second]
     }
 
+    /// A golden split into lines, with `$H` for [`HOSTILE`] as it is
+    /// escaped, `$T2` for the second hostile table's name and `$E` for the
+    /// astral character.
+    fn golden(lines: &[&str]) -> String {
+        lines
+            .concat()
+            .replace("$H", "a\\\"b\\\\c\\nd\\te\\u0001f\u{2028}g\u{1F600}")
+            .replace("$T2", "t2\u{2028}#")
+            .replace("$E", "\u{1F600}")
+    }
+
+    /// Every view of the hostile and the empty lake and the hostile
+    /// `/ingest` bodies, byte for byte.
     #[test]
-    fn streamed_bodies_equal_the_tree_encoder_byte_for_byte() {
-        for lake in [protocol_lake(), hostile_lake(), Vec::new()] {
-            let snapshot = snapshot_of(&lake);
-            for view in [QueryView::Table, QueryView::Report, QueryView::Provenance] {
-                let streamed = query_body(view, 3, &snapshot);
-                assert_eq!(streamed, oracle::query_body(view, 3, &snapshot), "{}", view.name());
-                assert!(serde_json::from_str(&streamed).is_ok(), "unparseable: {streamed}");
-            }
-            for table in &lake {
-                let streamed = ingest_body(HOSTILE, table);
-                assert_eq!(streamed, oracle::ingest_body(HOSTILE, table));
-                assert!(serde_json::from_str(&streamed).is_ok(), "unparseable: {streamed}");
-            }
+    fn hostile_and_empty_bodies_are_pinned() {
+        let lake = hostile_lake();
+        let hostile = snapshot_of(&lake);
+        let empty = snapshot_of(&[]);
+        let pinned = [
+            (
+                query_body(QueryView::Table, 3, &hostile),
+                golden(&[
+                    r#"{"shard":3,"version":2,"view":"table","lake_tables":["t1 $H","$T2"],"#,
+                    r#""table":{"columns":["ke\"y\\","v\t\u0001al","n","$H"],"tuples":[{"tids":["t1 $H#0","#,
+                    r#""$T2#0"],"cells":["$H",-9223372036854775808,-0.0,null]},{"tids":["$T2#1"],"#,
+                    r#""cells":["other",null,null,"$E"]},{"tids":["t1 $H#1"],"cells":["plain",1e21,null,"#,
+                    r#"null]},{"tids":["t1 $H#2"],"cells":["z",true,null,null]}]}}"#,
+                ]),
+            ),
+            (
+                query_body(QueryView::Report, 3, &hostile),
+                golden(&[
+                    r#"{"shard":3,"version":2,"view":"report","lake_tables":["t1 $H","$T2"],"#,
+                    r#""report":{"tables":2,"tuples":4,"pipeline":{"aligned_sets":1,"value_groups":4,"#,
+                    r#""matched_groups":1,"rewritten_cells":0},"blocking":{"folds":1,"escalated_folds":0,"#,
+                    r#""blocks":1,"candidate_pairs":2,"scored_pairs":2,"pruned_pairs":0,"#,
+                    r#""split_components":0,"severed_pairs":0,"max_block_size":3},"fd":{"input_tuples":5,"#,
+                    r#""output_tuples":4,"components":4,"largest_component":2,"reused_components":2},"#,
+                    r#""incremental":{"appended_tables":1,"refolded_sets":0,"rebuilt_sets":1,"#,
+                    r#""reused_sets":0,"embed_hits":0,"embed_misses":4},"caches":{"embed_hits":0,"#,
+                    r#""embed_misses":4,"fd_hits":2,"fd_misses":5}}}"#,
+                ]),
+            ),
+            (
+                query_body(QueryView::Provenance, 3, &hostile),
+                golden(&[
+                    r#"{"shard":3,"version":2,"view":"provenance","lake_tables":["t1 $H","$T2"],"#,
+                    r#""table":{"columns":["ke\"y\\","v\t\u0001al","n","$H"],"tuples":[{"tids":["t1 $H#0","#,
+                    r#""$T2#0"],"cells":[{"value":"$H","sources":["t1 $H#0","$T2#0"]},"#,
+                    r#"{"value":-9223372036854775808,"sources":["t1 $H#0"]},{"value":-0.0,"#,
+                    r#""sources":["t1 $H#0"]},{"value":null,"sources":["$T2#0"]}]},{"tids":["$T2#1"],"#,
+                    r#""cells":[{"value":"other","sources":["$T2#1"]},{"value":null,"sources":[]},"#,
+                    r#"{"value":null,"sources":[]},{"value":"$E","sources":["$T2#1"]}]},"#,
+                    r#"{"tids":["t1 $H#1"],"cells":[{"value":"plain","sources":["t1 $H#1"]},{"value":1e21,"#,
+                    r#""sources":["t1 $H#1"]},{"value":null,"sources":["t1 $H#1"]},{"value":null,"#,
+                    r#""sources":[]}]},{"tids":["t1 $H#2"],"cells":[{"value":"z","sources":["t1 $H#2"]},"#,
+                    r#"{"value":true,"sources":["t1 $H#2"]},{"value":null,"sources":[]},{"value":null,"#,
+                    r#""sources":[]}]}]}}"#,
+                ]),
+            ),
+            (
+                ingest_body(HOSTILE, &lake[0]),
+                golden(&[
+                    r#"{"group":"$H","table":{"name":"t1 $H","columns":["ke\"y\\","v\t\u0001al","n"],"#,
+                    r#""rows":[["$H",-9223372036854775808,-0.0],["plain",1e21,null],["z",true,null]]}}"#,
+                ]),
+            ),
+            (
+                ingest_body(HOSTILE, &lake[1]),
+                golden(&[
+                    r#"{"group":"$H","table":{"name":"$T2","columns":["ke\"y\\","$H"],"rows":[["$H",null],"#,
+                    r#"["other","$E"]]}}"#,
+                ]),
+            ),
+            (
+                query_body(QueryView::Table, 3, &empty),
+                golden(&[
+                    r#"{"shard":3,"version":0,"view":"table","lake_tables":[],"table":{"columns":[],"#,
+                    r#""tuples":[]}}"#,
+                ]),
+            ),
+            (
+                query_body(QueryView::Report, 3, &empty),
+                golden(&[
+                    r#"{"shard":3,"version":0,"view":"report","lake_tables":[],"report":{"tables":0,"#,
+                    r#""tuples":0,"pipeline":{"aligned_sets":0,"value_groups":0,"matched_groups":0,"#,
+                    r#""rewritten_cells":0},"blocking":{"folds":0,"escalated_folds":0,"blocks":0,"#,
+                    r#""candidate_pairs":0,"scored_pairs":0,"pruned_pairs":0,"split_components":0,"#,
+                    r#""severed_pairs":0,"max_block_size":0},"fd":{"input_tuples":0,"output_tuples":0,"#,
+                    r#""components":0,"largest_component":0,"reused_components":0},"#,
+                    r#""incremental":{"appended_tables":0,"refolded_sets":0,"rebuilt_sets":0,"#,
+                    r#""reused_sets":0,"embed_hits":0,"embed_misses":0},"caches":{"embed_hits":0,"#,
+                    r#""embed_misses":0,"fd_hits":0,"fd_misses":0}}}"#,
+                ]),
+            ),
+            (
+                query_body(QueryView::Provenance, 3, &empty),
+                golden(&[
+                    r#"{"shard":3,"version":0,"view":"provenance","lake_tables":[],"table":{"columns":[],"#,
+                    r#""tuples":[]}}"#,
+                ]),
+            ),
+        ];
+        for (body, golden) in pinned {
+            assert_eq!(body, golden);
+            assert!(serde_json::from_str(&body).is_ok(), "unparseable: {body}");
         }
     }
 
@@ -999,8 +742,7 @@ mod tests {
         );
     }
 
-    /// The oracle shares the escaper with the streamed writer, so the
-    /// escapes themselves are pinned as literals.
+    /// The escapes themselves, pinned as literals.
     #[test]
     fn hostile_strings_and_numbers_are_pinned() {
         let body = query_body(QueryView::Table, 0, &snapshot_of(&hostile_lake()));

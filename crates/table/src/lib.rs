@@ -6,8 +6,8 @@
 //! [`Table`]s with a named [`Schema`], typed [`Value`] cells, explicit nulls
 //! and per-tuple provenance ([`TupleId`]).  The crate also provides a small,
 //! dependency-free CSV reader/writer so benchmark data can be exported and
-//! re-imported, plus pretty-printing helpers used by the examples and the
-//! experiment harness.
+//! re-imported, the workspace's one JSON encoder ([`JsonWriter`]), plus
+//! pretty-printing helpers used by the examples and the experiment harness.
 //!
 //! The model intentionally mirrors the assumptions of the paper
 //! *Fuzzy Integration of Data Lake Tables*:
@@ -22,6 +22,7 @@
 pub mod builder;
 pub mod csv;
 pub mod error;
+pub mod json;
 pub mod print;
 pub mod provenance;
 pub mod schema;
@@ -30,6 +31,7 @@ pub mod value;
 
 pub use builder::TableBuilder;
 pub use error::{TableError, TableResult};
+pub use json::JsonWriter;
 pub use provenance::{ProvenanceSet, TupleId};
 pub use schema::{ColumnMeta, DataType, Schema};
 pub use table::{ColumnRef, Row, Table};

@@ -9,10 +9,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a base tuple: `(table name, row index)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TupleId {
     /// Name of the source table.
     pub table: String,
@@ -37,7 +35,7 @@ impl fmt::Display for TupleId {
 ///
 /// Ordered so that provenance renders deterministically and can be used as a
 /// dedup key for integrated tuples.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProvenanceSet {
     ids: BTreeSet<TupleId>,
 }

@@ -7,13 +7,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{TableError, TableResult};
 use crate::value::Value;
 
 /// Coarse data type of a column, inferred from its values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// All present values are text (or the column is empty).
     Text,
@@ -66,7 +64,7 @@ impl DataType {
 }
 
 /// Metadata for a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnMeta {
     /// Column header.  May be empty or unreliable in data lake tables.
     pub name: String,
@@ -87,10 +85,9 @@ impl ColumnMeta {
 }
 
 /// An ordered collection of column metadata with unique names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnMeta>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -142,12 +139,7 @@ impl Schema {
 
     /// Index of a column by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        if let Some(idx) = self.by_name.get(name) {
-            return Some(*idx);
-        }
-        // `by_name` is skipped by serde; fall back to a scan so deserialised
-        // schemas still resolve names correctly.
-        self.columns.iter().position(|c| c.name == name)
+        self.by_name.get(name).copied()
     }
 
     /// Metadata of the column at `idx`.

@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{TableError, TableResult};
 use crate::provenance::TupleId;
 use crate::schema::{DataType, Schema};
@@ -16,7 +14,7 @@ pub type Row = Vec<Value>;
 /// (an ordered `&[Table]` slice).  Used by column alignment and by the fuzzy
 /// value matcher to name "the j-th column of the i-th table" without copying
 /// data around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ColumnRef {
     /// Index of the table within the integration set.
     pub table: usize,
@@ -32,7 +30,7 @@ impl ColumnRef {
 }
 
 /// A named, row-oriented table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     schema: Schema,

@@ -11,8 +11,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// A single typed cell value.
 ///
 /// `Null` represents a missing value, either because the source table had an
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Disjunction.  The integration operators in `lake-fd` treat `Null` as
 /// "unknown": it never joins with anything and is subsumed by any non-null
 /// value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing / unknown value (the `⊥` of the paper's Figure 1).
     Null,
