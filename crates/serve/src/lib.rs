@@ -43,8 +43,8 @@
 //! fsync-per-append policy).  On restart each shard writer replays its
 //! log before draining new work — integration is deterministic, so the
 //! recovered `/query` bodies are byte-identical to an uninterrupted run.
-//! `/stats` grows a per-shard `durability` section (log size, fsyncs,
-//! checkpoints, buffer-pool counters, what recovery found); see
+//! The log is the shard's only file.  `/stats` grows a per-shard
+//! `durability` section (log size, fsyncs, what recovery found); see
 //! `docs/OPERATIONS.md` for the recovery runbook.
 //!
 //! ## Routes

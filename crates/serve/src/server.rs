@@ -106,8 +106,7 @@ impl From<StoreError> for ServeError {
 pub struct DurabilityPolicy {
     /// Root directory; shard `i` stores under `dir/shard-<i>`.
     pub dir: PathBuf,
-    /// Per-shard store policy (fsync cadence, buffer pool size,
-    /// checkpoint cadence).
+    /// Per-shard store policy (fsync cadence).
     pub store: StorePolicy,
     /// How often the background flusher syncs the logs under
     /// [`FsyncPolicy::Batched`] (ignored for `Always`/`Never`, which
@@ -128,7 +127,6 @@ impl DurabilityPolicy {
 
     /// Validates the policy (same contract as [`ServePolicy::validate`]).
     pub fn validate(&self) -> Result<(), String> {
-        self.store.validate()?;
         if self.store.fsync == FsyncPolicy::Batched && self.flush_interval.is_zero() {
             return Err("flush_interval must be positive under batched fsync".to_string());
         }
@@ -298,8 +296,8 @@ impl ServerHandle {
         for shard in self.shards.iter() {
             shard.stop();
         }
-        // Each durable writer flushes and checkpoints its store on exit,
-        // so after `shutdown` the logs are compact and fully applied.
+        // Each durable writer flushes its log on exit, so after `shutdown`
+        // every acknowledged ingest is applied and on stable storage.
         for writer in self.writers.drain(..) {
             writer.join();
         }
@@ -432,7 +430,7 @@ fn handle_ingest(request: &Request, shards: &[Arc<Shard>], policy: &ServePolicy)
         Err(msg) => return Response::json(400, wire::error_body(&msg)),
     };
     let shard_id = crate::route_group(&parsed.group, shards.len());
-    let job = IngestJob { group: parsed.group.clone(), table: parsed.table, seq: None };
+    let job = IngestJob { group: parsed.group.clone(), table: parsed.table };
     match shards[shard_id].try_ingest(job) {
         Ok(queued) => Response::json(202, wire::ingest_ack_body(&parsed.group, shard_id, queued)),
         Err(IngestReject::QueueFull(queued)) => Response::json(
@@ -522,9 +520,6 @@ fn writer_loop(shard: Arc<Shard>, policy: ServePolicy) {
         shard.publish(ShardSnapshot::from_session(version, &session));
     }
 
-    let checkpoint_every =
-        shard.with_store(|store| store.policy().checkpoint_every).unwrap_or(u64::MAX);
-    let mut since_checkpoint = 0u64;
     while let Some(job) = shard.next_job() {
         let applied = match session.add_table(&job.table) {
             Ok(_) => {
@@ -539,27 +534,11 @@ fn writer_loop(shard: Arc<Shard>, policy: ServePolicy) {
             // recovered state identical to live state.
             Err(_) => false,
         };
-        if let Some(seq) = job.seq {
-            since_checkpoint += 1;
-            if since_checkpoint >= checkpoint_every {
-                // A failed checkpoint is retried next round: the log still
-                // holds every record, so durability is not at risk.
-                if shard.with_store(|store| store.checkpoint(seq).is_ok()) == Some(true) {
-                    since_checkpoint = 0;
-                }
-            }
-        }
         shard.finish_job(applied);
     }
 
-    // Drained and stopping: leave a compact, fully-checkpointed store so
-    // the next start replays from segments instead of a long log tail.
-    let _ = shard.with_store(|store| {
-        let _ = store.flush();
-        if store.next_seq() > 0 {
-            let _ = store.checkpoint(store.next_seq() - 1);
-        }
-    });
+    // Drained and stopping: sync whatever a batched policy still holds.
+    let _ = shard.with_store(LakeStore::flush);
 }
 
 #[cfg(test)]

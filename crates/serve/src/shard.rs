@@ -56,9 +56,6 @@ pub struct IngestJob {
     pub group: String,
     /// The table to append.
     pub table: Table,
-    /// Durable log sequence number, assigned at admission on durable
-    /// shards (`None` on in-memory shards).
-    pub seq: Option<u64>,
 }
 
 /// Why [`Shard::try_ingest`] refused a job.
@@ -242,14 +239,14 @@ impl Shard {
     }
 
     /// Runs `f` with exclusive access to the shard's store; `None` on
-    /// in-memory shards.  Used by the writer (recovery replay,
-    /// checkpoints) and the periodic flusher.
+    /// in-memory shards.  Used by the writer (recovery replay, the
+    /// shutdown flush) and the periodic flusher.
     ///
     /// Recovers from a poisoned store mutex: `LakeStore`'s consistency
     /// lives in its write-ahead log (appends are self-delimiting and
     /// re-validated on recovery), so a panic mid-operation risks a stale
     /// in-memory counter, not a torn log — and the flusher and shutdown
-    /// checkpoint must keep running after a request panic.  Admission
+    /// flush must keep running after a request panic.  Admission
     /// does *not* use this helper; it refuses a poisoned store outright
     /// ([`IngestReject::Wal`]) rather than promise durability over it.
     pub fn with_store<T>(&self, f: impl FnOnce(&mut LakeStore) -> T) -> Option<T> {
@@ -268,7 +265,7 @@ impl Shard {
     ///
     /// Returns the queue depth after admission; the error carries either
     /// the current depth (for the 429 body) or the log failure.
-    pub fn try_ingest(&self, mut job: IngestJob) -> Result<usize, IngestReject> {
+    pub fn try_ingest(&self, job: IngestJob) -> Result<usize, IngestReject> {
         // Refuse before any side effect: a poisoned queue must not gain a
         // WAL record (the writer may never apply it), and a poisoned
         // store must not back a durability promise.
@@ -291,10 +288,9 @@ impl Shard {
                 return Err(IngestReject::QueueFull(state.jobs.len()));
             }
         }
-        let seq = store
+        store
             .append(&job.group, &job.table, true)
             .map_err(|err| IngestReject::Wal(err.to_string()))?;
-        job.seq = Some(seq);
         self.admit(job)
     }
 
@@ -448,7 +444,7 @@ mod tests {
 
     fn job(name: &str) -> IngestJob {
         let table = lake_table::TableBuilder::new(name, ["c"]).row(["v"]).build().unwrap();
-        IngestJob { group: "g".into(), table, seq: None }
+        IngestJob { group: "g".into(), table }
     }
 
     #[test]
@@ -502,11 +498,11 @@ mod tests {
         assert_eq!(shard.try_ingest(job("c")), Err(IngestReject::QueueFull(2)));
         assert_eq!(shard.with_store(|s| s.next_seq()), Some(2));
 
-        // Jobs carry the log sequence they were admitted under, in order.
+        // Jobs drain in admission order, which is log order.
         shard.stop();
-        assert_eq!(shard.next_job().unwrap().seq, Some(0));
+        assert_eq!(shard.next_job().unwrap().table.name(), "a");
         shard.finish_job(true);
-        assert_eq!(shard.next_job().unwrap().seq, Some(1));
+        assert_eq!(shard.next_job().unwrap().table.name(), "b");
         shard.finish_job(true);
         assert!(shard.status().durability.is_some());
         std::fs::remove_dir_all(&dir).ok();

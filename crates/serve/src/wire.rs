@@ -437,10 +437,6 @@ pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
             durable.wal_records += store.wal_records;
             durable.wal_bytes += store.wal_bytes;
             durable.fsyncs += store.fsyncs;
-            durable.checkpoints += store.checkpoints;
-            durable.checkpointed_records += store.checkpointed_records;
-            durable.segment_blocks += store.segment_blocks;
-            durable.recovery.manifest_records += store.recovery.manifest_records;
             durable.recovery.wal_records += store.recovery.wal_records;
             durable.recovery.torn_bytes += store.recovery.torn_bytes;
         }
@@ -524,18 +520,8 @@ fn write_durability(w: &mut JsonWriter, store: &lake_store::StoreStatus) {
     w.field("wal_records", store.wal_records);
     w.field("wal_bytes", store.wal_bytes);
     w.field("fsyncs", store.fsyncs);
-    w.field("checkpoints", store.checkpoints);
-    w.field("checkpointed_records", store.checkpointed_records);
-    w.field("segment_blocks", store.segment_blocks);
-    w.key("pool");
-    w.open('{');
-    w.field("hits", store.pool.hits);
-    w.field("misses", store.pool.misses);
-    w.field("evictions", store.pool.evictions);
-    w.close('}');
     w.key("recovery");
     w.open('{');
-    w.field("manifest_records", store.recovery.manifest_records);
     w.field("wal_records", store.recovery.wal_records);
     w.field("torn_bytes", store.recovery.torn_bytes);
     w.close('}');
@@ -857,15 +843,8 @@ mod tests {
         durable.wal_records = 12;
         durable.wal_bytes = 13;
         durable.fsyncs = 14;
-        durable.checkpoints = 15;
-        durable.checkpointed_records = 16;
-        durable.segment_blocks = 17;
-        durable.pool.hits = 18;
-        durable.pool.misses = 19;
-        durable.pool.evictions = 20;
-        durable.recovery.manifest_records = 21;
-        durable.recovery.wal_records = 22;
-        durable.recovery.torn_bytes = 23;
+        durable.recovery.wal_records = 15;
+        durable.recovery.torn_bytes = 16;
 
         let zero_runtime =
             r#""runtime":{"tasks":0,"steals":0,"busy_nanos":0,"sequential_batches":0},"#;
@@ -880,14 +859,10 @@ mod tests {
             + zero_runtime
             + &zero_phases
             + r#","caches":{"embed_hits":0,"embed_misses":0,"fd_hits":0,"fd_misses":0}"#;
-        // The totals sum every store counter but the pool's.
-        let durability = |pool: &str| {
-            r#"{"appends":11,"wal_records":12,"wal_bytes":13,"fsyncs":14,"#.to_string()
-                + r#""checkpoints":15,"checkpointed_records":16,"segment_blocks":17,"#
-                + r#""pool":"#
-                + pool
-                + r#","recovery":{"manifest_records":21,"wal_records":22,"torn_bytes":23}}"#
-        };
+        // One durable shard: the totals equal its counters.
+        let durability = r#"{"appends":11,"wal_records":12,"wal_bytes":13,"fsyncs":14,"#
+            .to_string()
+            + r#""recovery":{"wal_records":15,"torn_bytes":16}}"#;
         let golden = r#"{"policy":{"shards":2,"queue_depth":64,"readers":2,"retry_after_secs":1},"#
             .to_string()
             + r#""shards":[{"id":0,"queued":1,"busy":true,"accepted":2,"rejected":3,"applied":4,"failed":5,"#
@@ -895,13 +870,13 @@ mod tests {
             + r#"},{"id":1,"queued":6,"busy":false,"accepted":7,"rejected":8,"applied":9,"failed":10,"#
             + &shard_tail
             + r#","durability":"#
-            + &durability(r#"{"hits":18,"misses":19,"evictions":20}"#)
+            + &durability
             + r#"}],"totals":{"queued":7,"accepted":9,"rejected":11,"applied":13,"failed":15,"#
             + empty_lake
             + zero_runtime
             + &zero_phases
             + r#","durable_shards":1,"durability":"#
-            + &durability(r#"{"hits":0,"misses":0,"evictions":0}"#)
+            + &durability
             + "}}";
         let body = stats_body(&ServePolicy::default(), &statuses);
         assert_eq!(body, golden);

@@ -6,7 +6,7 @@
 //! lockstep with `crash_kill::workload_table` — the harness rebuilds the
 //! uninterrupted run from it and asserts the recovered store matches.
 //!
-//! Usage: `crash-writer <dir> <count> [checkpoint_every]`
+//! Usage: `crash-writer <dir> <count>`
 
 use std::io::Write;
 
@@ -26,24 +26,16 @@ fn workload_table(seq: u64) -> Table {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let (dir, count, checkpoint_every) = match args.as_slice() {
-        [_, dir, count] => (dir.clone(), count.parse::<u64>(), Ok(5u64)),
-        [_, dir, count, every] => (dir.clone(), count.parse::<u64>(), every.parse::<u64>()),
-        _ => {
-            eprintln!("usage: crash-writer <dir> <count> [checkpoint_every]");
-            std::process::exit(2);
-        }
+    let [_, dir, count] = args.as_slice() else {
+        eprintln!("usage: crash-writer <dir> <count>");
+        std::process::exit(2);
     };
-    let (count, checkpoint_every) = match (count, checkpoint_every) {
-        (Ok(count), Ok(every)) if every > 0 => (count, every),
-        _ => {
-            eprintln!("crash-writer: count and checkpoint_every must be positive integers");
-            std::process::exit(2);
-        }
+    let Ok(count) = count.parse::<u64>() else {
+        eprintln!("crash-writer: count must be a non-negative integer");
+        std::process::exit(2);
     };
 
-    let policy = StorePolicy { checkpoint_every, ..StorePolicy::default() };
-    let mut store = LakeStore::open(std::path::Path::new(&dir), policy)
+    let mut store = LakeStore::open(std::path::Path::new(dir), StorePolicy::default())
         .unwrap_or_else(|err| panic!("open store in {dir}: {err}"));
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -56,9 +48,6 @@ fn main() {
         // before the kill MUST survive recovery.
         writeln!(out, "acked {seq}").expect("stdout");
         out.flush().expect("stdout flush");
-        if (seq + 1) % checkpoint_every == 0 {
-            store.checkpoint(seq).expect("checkpoint");
-        }
     }
     writeln!(out, "done").expect("stdout");
 }

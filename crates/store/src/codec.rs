@@ -1,14 +1,11 @@
-//! Hand-rolled little-endian binary codec shared by the WAL, the column
-//! segments and the manifest.
+//! Hand-rolled little-endian binary codec of the WAL records.
 //!
 //! The build environment has no registry access, so there is no bincode or
 //! crc crate to lean on; this module implements exactly the primitives the
-//! durable formats need — LE integers, length-prefixed UTF-8 strings and a
-//! CRC-32 (IEEE) checksum — plus the **column-major** [`Table`] layout the
-//! segment store pages out: table name, per-column metadata, then each
-//! column's cells contiguously.  Column-major is the layout that makes a
-//! fold over one aligned column touch a contiguous byte range (and so a
-//! minimal set of buffer-pool pages) instead of striding across every row.
+//! log format needs — LE integers, length-prefixed UTF-8 strings and a
+//! CRC-32 (IEEE) checksum — plus the **column-major** [`Table`] layout
+//! each append record carries: table name, per-column metadata, then each
+//! column's cells contiguously.
 
 use lake_table::{ColumnMeta, DataType, Row, Schema, Table, Value};
 
@@ -175,7 +172,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes `table` in the column-segment layout.
+/// Encodes `table` column-major (the layout each append record carries).
 pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
     put_str(&mut out, table.name());

@@ -25,13 +25,10 @@ pub enum StoreError {
     /// A table-layer failure while decoding or replaying (e.g. a schema
     /// rejected by `lake-table`).
     Table(TableError),
-    /// A [`StorePolicy`](crate::StorePolicy) that cannot be honoured.
-    InvalidPolicy(String),
-    /// Every buffer-pool frame is pinned; the pool is too small for the
-    /// concurrent pin set.
-    PoolExhausted {
-        /// Configured pool capacity in pages.
-        capacity: usize,
+    /// A record too large for one log frame (the length field is 32 bits).
+    RecordTooLarge {
+        /// Encoded size of the rejected record.
+        bytes: usize,
     },
     /// A snapshot request the store cannot represent (e.g. snapshotting
     /// into a store that already holds records).
@@ -44,9 +41,8 @@ impl std::fmt::Display for StoreError {
             StoreError::Io(err) => write!(f, "store i/o error: {err}"),
             StoreError::Corrupt { context, detail } => write!(f, "corrupt {context}: {detail}"),
             StoreError::Table(err) => write!(f, "table error: {err}"),
-            StoreError::InvalidPolicy(msg) => write!(f, "invalid store policy: {msg}"),
-            StoreError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
+            StoreError::RecordTooLarge { bytes } => {
+                write!(f, "record of {bytes} bytes exceeds the 4 GiB log frame limit")
             }
             StoreError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
         }

@@ -3,28 +3,25 @@
 //! Durable lake state for the integration pipeline: everything a
 //! [`LakeStore`] is asked to remember survives `kill -9`.
 //!
-//! The design follows the classic storage-engine decomposition (block
-//! file manager → buffer pool → log → recovery), adapted to this
-//! workspace's one unusual asset: an
+//! The design starts from the classic storage-engine decomposition (log
+//! → recovery), adapted to this workspace's one unusual asset: an
 //! [`IntegrationSession`](fuzzy_fd_core::IntegrationSession) is a *pure,
 //! deterministic function* of its appended tables and call boundaries.
 //! So the store never serializes matcher state or caches — it logs the
 //! `add_table` calls themselves and restores by replay, which reproduces
-//! warmed caches and every `/query` byte exactly.
+//! warmed caches and every `/query` byte exactly.  Every open replays every
+//! record anyway, so the log is the store's one durable copy of each
+//! table: there are no pages to cache and nothing to checkpoint.
 //!
 //! ## Layers
 //!
-//! * [`FileManager`] — block-granular file access ([`BLOCK_SIZE`] = 4 KiB);
-//! * [`BufferPool`] — pinned-page cache with LRU eviction over unpinned
-//!   frames, so recovery over lakes larger than RAM pages cleanly;
-//! * [`Wal`] — length+CRC framed log, torn-tail-tolerant scan, fsync
-//!   cadence per [`FsyncPolicy`];
-//! * [`SegmentStore`] — append-only paged **column segments** (one
-//!   immutable encoded [`Table`](lake_table::Table) each, column-major);
-//! * [`LakeStore`] — ties them together: [`append`](LakeStore::append) =
-//!   one durable log record per `add_table` call,
-//!   [`checkpoint`](LakeStore::checkpoint) migrates applied records into
-//!   segments behind an atomically renamed manifest and compacts the log;
+//! * [`Wal`] — length+CRC framed log, a streaming torn-tail-tolerant scan
+//!   ([`wal::scan_decoded`]), fsync cadence per [`FsyncPolicy`];
+//! * [`codec`] — the record and [`Table`](lake_table::Table) encoding
+//!   inside each frame;
+//! * [`LakeStore`] — one log file per store: [`append`](LakeStore::append)
+//!   = one durable log record per `add_table` call, [`open`](LakeStore::open)
+//!   = one pass over the log;
 //! * [`snapshot_session`] / [`restore_session`] / [`replay_session`] —
 //!   session persistence by deterministic replay.
 //!
@@ -33,9 +30,9 @@
 //! After a crash at *any* point, reopening the store recovers exactly the
 //! records whose append (plus fsync, under the policy in force) completed
 //! — acknowledged records are never lost and torn records are never
-//! half-applied.  The fault-point matrix (torn tail, mid-checkpoint,
-//! post-ack/pre-apply) is exercised by `tests/store_recovery.rs` and a
-//! real `SIGKILL` harness in `tests/crash_kill.rs`.
+//! half-applied.  The fault points (torn tail, post-ack/pre-apply) are
+//! exercised by `tests/store_recovery.rs` and a real `SIGKILL` harness in
+//! `tests/crash_kill.rs`.
 //!
 //! ```
 //! use fuzzy_fd_core::{FuzzyFdConfig, IncrementalPolicy, IntegrationSession};
@@ -60,22 +57,18 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-pub mod buffer;
 pub mod codec;
 pub mod error;
-pub mod file;
-pub mod segment;
 pub mod session;
 pub mod store;
 pub mod wal;
 
-pub use buffer::{BufferPool, PoolStats};
 pub use codec::crc32;
 pub use error::{StoreError, StoreResult};
-pub use file::{FileManager, BLOCK_SIZE};
-pub use segment::{SegmentRef, SegmentStore};
 pub use session::{replay_session, restore_session, snapshot_session};
-pub use store::{DurableOp, DurableRecord, LakeStore, RecoveryStats, StorePolicy, StoreStatus};
+pub use store::{
+    DurableOp, DurableRecord, LakeStore, PoolStats, RecoveryStats, StorePolicy, StoreStatus,
+};
 pub use wal::{FsyncPolicy, Wal, WalScan};
 
 /// Creates a unique scratch directory for a unit test.

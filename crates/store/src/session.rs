@@ -48,8 +48,8 @@ pub fn replay_session(
 }
 
 /// Persists `session` into `store` (which must be empty): one record per
-/// appended table, batch boundaries preserved, finished with a flush and a
-/// full checkpoint so the snapshot survives any crash after this returns.
+/// appended table, batch boundaries preserved, finished with a flush so
+/// the snapshot survives any crash after this returns.
 ///
 /// The record group is the table name (plain snapshots have no routing
 /// key; the serving layer writes its own records with tenant groups).
@@ -71,11 +71,7 @@ pub fn snapshot_session(store: &mut LakeStore, session: &IntegrationSession) -> 
             store.append(table.name(), table, index == 0)?;
         }
     }
-    store.flush()?;
-    if store.next_seq() > 0 {
-        store.checkpoint(store.next_seq() - 1)?;
-    }
-    Ok(())
+    store.flush()
 }
 
 /// Restores the session a store's records describe, replaying them with

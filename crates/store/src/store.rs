@@ -1,77 +1,46 @@
-//! The durable lake store: WAL + column segments + manifest checkpoints.
+//! The durable lake store: one write-ahead log per shard.
 //!
 //! One [`LakeStore`] persists the append history of one
 //! [`IntegrationSession`](fuzzy_fd_core::IntegrationSession) (one serving
 //! shard).  The natural log record is the `add_table` call: an
 //! [`append`](LakeStore::append) writes one WAL frame carrying the full
 //! table and is durable when it returns (under
-//! [`FsyncPolicy::Always`]).  A [`checkpoint`](LakeStore::checkpoint)
-//! migrates applied records out of the log into paged column segments,
-//! publishes the new manifest by atomic rename, and compacts the log down
-//! to its unapplied tail — so the log stays short and recovery reads
-//! bulk data through the buffer pool instead of re-parsing frames.
+//! [`FsyncPolicy::Always`]).  The session is a deterministic function of
+//! those records, so the log is the store's only file: it is never
+//! compacted, and [`open`](LakeStore::open) recovers with one pass over it.
 //!
 //! ## Crash safety, by fault point
 //!
 //! * **torn tail** — a crash mid-append leaves a frame that fails its
 //!   length/CRC check; the scan drops it.  Such a frame was never
 //!   acknowledged, so recovered state equals the acknowledged history.
-//! * **mid-checkpoint** — the manifest is replaced by atomic rename
-//!   (`manifest.tmp` → fsync → rename → directory fsync); a crash before
-//!   the rename leaves the old manifest + the untruncated log, after the
-//!   rename but before log compaction leaves records present in *both* —
-//!   recovery deduplicates by sequence number (manifest wins).
 //! * **post-ack / pre-apply** — an acknowledged record whose session apply
 //!   never ran is simply an intact log frame; recovery replays it.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use lake_table::Table;
 
-use crate::buffer::PoolStats;
-use crate::codec::{self, crc32, Reader};
+use crate::codec::{self, Reader};
 use crate::error::{StoreError, StoreResult};
-use crate::segment::{SegmentRef, SegmentStore};
 use crate::wal::{self, FsyncPolicy, Wal};
 
-/// Magic prefix of the manifest file.
-const MANIFEST_MAGIC: &[u8; 8] = b"LAKEMANI";
-/// Manifest format version.
-const MANIFEST_VERSION: u32 = 1;
+/// Files of the checkpointed layout earlier versions of this store wrote
+/// beside `wal`.  The records they hold are not in the log, so a store
+/// that finds one refuses to open rather than silently drop them.
+const CHECKPOINTED_LAYOUT: [&str; 2] = ["manifest", "segments"];
 
 /// Durability configuration of a [`LakeStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorePolicy {
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
-    /// Buffer-pool capacity in 4 KiB pages for segment reads.
-    pub buffer_pages: usize,
-    /// Checkpoint cadence hint for embedding layers (the serving layer
-    /// checkpoints every this-many applied records).  The store itself
-    /// checkpoints only when told to.
-    pub checkpoint_every: u64,
-}
-
-impl Default for StorePolicy {
-    /// Fsync on every append, 64 pool pages (256 KiB), checkpoint every 16
-    /// applied records.
-    fn default() -> Self {
-        StorePolicy { fsync: FsyncPolicy::Always, buffer_pages: 64, checkpoint_every: 16 }
-    }
-}
-
-impl StorePolicy {
-    /// Validates the policy (same contract as the rest of the workspace:
-    /// the error names the offending field).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.buffer_pages == 0 {
-            return Err("buffer_pages must be at least 1".to_string());
-        }
-        if self.checkpoint_every == 0 {
-            return Err("checkpoint_every must be at least 1".to_string());
-        }
-        Ok(())
-    }
+    /// Not a setting: keeps `StorePolicy { fsync, ..StorePolicy::default() }`,
+    /// which `lakebench` writes, free of clippy's `needless_update`.  Goes
+    /// with the other two `lakebench` shims ([`LakeStore::checkpoint`],
+    /// [`StoreStatus::pool`]).
+    #[doc(hidden)]
+    pub _reserved: (),
 }
 
 /// What one durable record did to the session.
@@ -94,7 +63,7 @@ pub enum DurableOp {
     EmptyBatch,
 }
 
-/// One recovered or pending log record.
+/// One recovered log record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurableRecord {
     /// Monotone sequence number, unique per store.
@@ -103,29 +72,23 @@ pub struct DurableRecord {
     pub op: DurableOp,
 }
 
-/// One manifest entry: record metadata plus (for table records) where the
-/// payload lives in the segment file.
-#[derive(Debug, Clone)]
-struct ManifestEntry {
-    seq: u64,
-    op: ManifestOp,
-}
-
-#[derive(Debug, Clone)]
-enum ManifestOp {
-    Append { group: String, new_batch: bool, segment: SegmentRef },
-    EmptyBatch,
-}
-
 /// What recovery found when the store was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Records recovered from the manifest (read back out of segments).
-    pub manifest_records: u64,
-    /// Records recovered from the log tail.
+    /// Records recovered from the log.
     pub wal_records: u64,
     /// Bytes dropped from the log as a torn tail.
     pub torn_bytes: u64,
+}
+
+/// Buffer-pool counters of the retired segment reader: always zero.  Kept
+/// only because `lakebench` still reads `store.pool_hit_ratio` from them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
 }
 
 /// Cumulative durability counters, surfaced by the serving layer's
@@ -134,19 +97,13 @@ pub struct RecoveryStats {
 pub struct StoreStatus {
     /// Records appended through this handle.
     pub appends: u64,
-    /// Frames currently in the log (compaction shrinks this).
+    /// Frames in the log.
     pub wal_records: u64,
     /// Log length in bytes.
     pub wal_bytes: u64,
-    /// Fsyncs issued (appends + flushes + compactions).
+    /// Fsyncs issued (appends + flushes).
     pub fsyncs: u64,
-    /// Checkpoints taken through this handle.
-    pub checkpoints: u64,
-    /// Records migrated into segments over the store's lifetime.
-    pub checkpointed_records: u64,
-    /// Whole blocks in the segment file.
-    pub segment_blocks: u64,
-    /// Buffer-pool counters.
+    /// All zero; see [`PoolStats`].
     pub pool: PoolStats,
     /// What recovery found at open.
     pub recovery: RecoveryStats,
@@ -155,100 +112,45 @@ pub struct StoreStatus {
 /// The durable store for one lake shard.
 #[derive(Debug)]
 pub struct LakeStore {
-    dir: PathBuf,
-    policy: StorePolicy,
     wal: Wal,
-    segments: SegmentStore,
-    manifest: Vec<ManifestEntry>,
-    /// Records in the log but not yet in segments, oldest first (tables
-    /// kept in memory until a checkpoint migrates them; bounded by the
-    /// caller's checkpoint cadence).
-    pending: Vec<DurableRecord>,
     /// Records recovered at open, in sequence order.
     recovered: Vec<DurableRecord>,
     next_seq: u64,
-    appends: u64,
-    checkpoints: u64,
-    checkpointed_records: u64,
     recovery: RecoveryStats,
 }
 
 impl LakeStore {
     /// Opens (creating if absent) the store in `dir` and runs recovery:
-    /// manifest records are read back out of segments (through the buffer
-    /// pool), intact log-tail records are decoded, torn tails are dropped,
-    /// and records present in both (a crash between manifest rename and
-    /// log compaction) are deduplicated by sequence number.
+    /// one pass over the log decodes every intact record and drops a torn
+    /// tail.  A directory that still holds a checkpointed layout (a
+    /// `manifest` or `segments` file) is refused as
+    /// [`StoreError::Corrupt`].
     pub fn open(dir: &Path, policy: StorePolicy) -> StoreResult<Self> {
-        policy.validate().map_err(StoreError::InvalidPolicy)?;
         std::fs::create_dir_all(dir)?;
-        // A leftover manifest.tmp is a checkpoint that died before its
-        // rename; the renamed manifest is the only authority.
-        match std::fs::remove_file(dir.join("manifest.tmp")) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(StoreError::Io(err)),
-        }
-
-        let manifest = read_manifest(&dir.join("manifest"))?;
-        let mut segments = SegmentStore::open(&dir.join("segments"), policy.buffer_pages)?;
-        let mut recovered = Vec::with_capacity(manifest.len());
-        for entry in &manifest {
-            let op = match &entry.op {
-                ManifestOp::EmptyBatch => DurableOp::EmptyBatch,
-                ManifestOp::Append { group, new_batch, segment } => DurableOp::Append {
-                    group: group.clone(),
-                    new_batch: *new_batch,
-                    table: segments.read_table(*segment)?,
-                },
-            };
-            recovered.push(DurableRecord { seq: entry.seq, op });
-        }
-        let manifest_records = recovered.len() as u64;
-        let checkpointed_seq = manifest.last().map(|entry| entry.seq);
-
-        let scan = wal::scan(&dir.join("wal"))?;
-        let mut pending = Vec::new();
-        let mut wal_records = 0u64;
-        for payload in &scan.records {
-            let record = decode_record(payload)?;
-            // Skip frames the manifest already covers (crash between
-            // rename and compaction).
-            if checkpointed_seq.is_some_and(|upto| record.seq <= upto) {
-                continue;
+        for name in CHECKPOINTED_LAYOUT {
+            let path = dir.join(name);
+            if path.try_exists()? {
+                return Err(StoreError::Corrupt {
+                    context: "store directory",
+                    detail: format!(
+                        "{} belongs to a checkpointed layout whose records are not in the log",
+                        path.display()
+                    ),
+                });
             }
-            wal_records += 1;
-            pending.push(record.clone());
-            recovered.push(record);
         }
-        let next_seq = recovered.last().map_or(0, |record| record.seq + 1);
-        let wal =
-            Wal::open(&dir.join("wal"), policy.fsync, scan.valid_bytes, scan.records.len() as u64)?;
 
+        let path = dir.join("wal");
+        let scan = wal::scan_decoded(&path, decode_record)?;
+        let wal_records = scan.records.len() as u64;
+        let next_seq = scan.records.last().map_or(0, |record| record.seq + 1);
+        let wal = Wal::open(&path, policy.fsync, scan.valid_bytes, wal_records)?;
         Ok(LakeStore {
-            dir: dir.to_path_buf(),
-            policy,
             wal,
-            segments,
-            manifest,
-            pending,
-            recovered,
+            recovered: scan.records,
             next_seq,
-            appends: 0,
-            checkpoints: 0,
-            checkpointed_records: 0,
-            recovery: RecoveryStats { manifest_records, wal_records, torn_bytes: scan.torn_bytes },
+            recovery: RecoveryStats { wal_records, torn_bytes: scan.torn_bytes },
         })
-    }
-
-    /// Store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The policy the store was opened with.
-    pub fn policy(&self) -> StorePolicy {
-        self.policy
     }
 
     /// Records recovered at open, in sequence order.
@@ -270,25 +172,23 @@ impl LakeStore {
     /// Logs one `add_table` record; durable on return under
     /// [`FsyncPolicy::Always`].  Returns the record's sequence number.
     pub fn append(&mut self, group: &str, table: &Table, new_batch: bool) -> StoreResult<u64> {
-        let record = DurableRecord {
-            seq: self.next_seq,
-            op: DurableOp::Append { group: group.to_string(), new_batch, table: table.clone() },
-        };
-        self.wal.append(&encode_record(&record))?;
-        self.next_seq += 1;
-        self.appends += 1;
-        self.pending.push(record);
-        Ok(self.next_seq - 1)
+        let mut payload = record_header(self.next_seq, 0);
+        codec::put_u8(&mut payload, u8::from(new_batch));
+        codec::put_str(&mut payload, group);
+        payload.extend_from_slice(&codec::encode_table(table));
+        self.log(&payload)
     }
 
     /// Logs an `add_tables(&[])` call (session snapshots use this to keep
     /// replayed call boundaries exact).
     pub fn append_empty_batch(&mut self) -> StoreResult<u64> {
-        let record = DurableRecord { seq: self.next_seq, op: DurableOp::EmptyBatch };
-        self.wal.append(&encode_record(&record))?;
+        self.log(&record_header(self.next_seq, 1))
+    }
+
+    /// Appends one encoded record and hands out its sequence number.
+    fn log(&mut self, payload: &[u8]) -> StoreResult<u64> {
+        self.wal.append(payload)?;
         self.next_seq += 1;
-        self.appends += 1;
-        self.pending.push(record);
         Ok(self.next_seq - 1)
     }
 
@@ -298,68 +198,33 @@ impl LakeStore {
         self.wal.flush()
     }
 
-    /// Checkpoints every pending record with `seq <= upto_seq`: migrates
-    /// their tables into fsynced column segments, publishes the extended
-    /// manifest by atomic rename, then compacts the log down to the still
-    /// unapplied tail.  Returns how many records were migrated.
-    ///
-    /// Callers checkpoint records they have *applied*; the log tail keeps
-    /// everything acknowledged but not yet applied.
-    pub fn checkpoint(&mut self, upto_seq: u64) -> StoreResult<usize> {
-        let moved = self.pending.partition_point(|record| record.seq <= upto_seq);
-        if moved == 0 {
-            return Ok(0);
-        }
-        for record in self.pending.iter().take(moved) {
-            let op = match &record.op {
-                DurableOp::EmptyBatch => ManifestOp::EmptyBatch,
-                DurableOp::Append { group, new_batch, table } => {
-                    let segment = self.segments.append_table(table)?;
-                    ManifestOp::Append { group: group.clone(), new_batch: *new_batch, segment }
-                }
-            };
-            self.manifest.push(ManifestEntry { seq: record.seq, op });
-        }
-        self.segments.sync()?;
-        write_manifest(&self.dir.join("manifest"), &self.manifest)?;
-        self.pending.drain(..moved);
-        let tail: Vec<Vec<u8>> = self.pending.iter().map(encode_record).collect();
-        let tail_refs: Vec<&[u8]> = tail.iter().map(Vec::as_slice).collect();
-        self.wal.rewrite(&tail_refs)?;
-        self.checkpoints += 1;
-        self.checkpointed_records += moved as u64;
-        Ok(moved)
+    /// A [`flush`](Self::flush) that reports no records moved.  The log is
+    /// the store's only copy, so there is nothing to checkpoint; kept only
+    /// because `lakebench` still times `store.checkpoint_ms` through it.
+    pub fn checkpoint(&mut self, _upto_seq: u64) -> StoreResult<usize> {
+        self.flush()?;
+        Ok(0)
     }
 
     /// Current durability counters.
     pub fn status(&self) -> StoreStatus {
         StoreStatus {
-            appends: self.appends,
+            appends: self.wal.appends(),
             wal_records: self.wal.records(),
             wal_bytes: self.wal.bytes(),
             fsyncs: self.wal.fsyncs(),
-            checkpoints: self.checkpoints,
-            checkpointed_records: self.checkpointed_records,
-            segment_blocks: self.segments.blocks(),
-            pool: self.segments.pool_stats(),
+            pool: PoolStats::default(),
             recovery: self.recovery,
         }
     }
 }
 
-/// Encodes one record as a WAL frame payload.
-fn encode_record(record: &DurableRecord) -> Vec<u8> {
+/// The first bytes of every WAL record: sequence number and record kind
+/// (0 = table append, 1 = empty batch).
+fn record_header(seq: u64, kind: u8) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_u64(&mut out, record.seq);
-    match &record.op {
-        DurableOp::Append { group, new_batch, table } => {
-            codec::put_u8(&mut out, 0);
-            codec::put_u8(&mut out, u8::from(*new_batch));
-            codec::put_str(&mut out, group);
-            out.extend_from_slice(&codec::encode_table(table));
-        }
-        DurableOp::EmptyBatch => codec::put_u8(&mut out, 1),
-    }
+    codec::put_u64(&mut out, seq);
+    codec::put_u8(&mut out, kind);
     out
 }
 
@@ -385,91 +250,4 @@ fn decode_record(payload: &[u8]) -> StoreResult<DurableRecord> {
     };
     reader.finish()?;
     Ok(DurableRecord { seq, op })
-}
-
-/// Reads and validates the manifest; a missing file is an empty manifest.
-fn read_manifest(path: &Path) -> StoreResult<Vec<ManifestEntry>> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(err) => return Err(StoreError::Io(err)),
-    };
-    let corrupt = |detail: String| StoreError::Corrupt { context: "manifest", detail };
-    if bytes.len() < 12 {
-        return Err(corrupt(format!("{} bytes is too short", bytes.len())));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored_crc {
-        return Err(corrupt("CRC mismatch".to_string()));
-    }
-    if &body[..8] != MANIFEST_MAGIC.as_slice() {
-        return Err(corrupt("bad magic".to_string()));
-    }
-    let mut reader = Reader::new(&body[8..], "manifest");
-    let version = reader.take_u32()?;
-    if version != MANIFEST_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let count = reader.take_u64()?;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        let seq = reader.take_u64()?;
-        let op = match reader.take_u8()? {
-            0 => {
-                let new_batch = reader.take_u8()? != 0;
-                let group = reader.take_str()?;
-                let first_block = reader.take_u64()?;
-                let len = reader.take_u64()?;
-                let crc = reader.take_u32()?;
-                ManifestOp::Append {
-                    group,
-                    new_batch,
-                    segment: SegmentRef { first_block, len, crc },
-                }
-            }
-            1 => ManifestOp::EmptyBatch,
-            tag => return Err(corrupt(format!("unknown entry kind {tag}"))),
-        };
-        entries.push(ManifestEntry { seq, op });
-    }
-    reader.finish()?;
-    Ok(entries)
-}
-
-/// Writes the manifest durably: temp file, fsync, atomic rename, directory
-/// fsync.
-fn write_manifest(path: &Path, entries: &[ManifestEntry]) -> StoreResult<()> {
-    let mut body = Vec::new();
-    body.extend_from_slice(MANIFEST_MAGIC);
-    codec::put_u32(&mut body, MANIFEST_VERSION);
-    codec::put_u64(&mut body, entries.len() as u64);
-    for entry in entries {
-        codec::put_u64(&mut body, entry.seq);
-        match &entry.op {
-            ManifestOp::Append { group, new_batch, segment } => {
-                codec::put_u8(&mut body, 0);
-                codec::put_u8(&mut body, u8::from(*new_batch));
-                codec::put_str(&mut body, group);
-                codec::put_u64(&mut body, segment.first_block);
-                codec::put_u64(&mut body, segment.len);
-                codec::put_u32(&mut body, segment.crc);
-            }
-            ManifestOp::EmptyBatch => codec::put_u8(&mut body, 1),
-        }
-    }
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp_path = path.with_extension("tmp");
-    {
-        use std::io::Write;
-        let mut tmp =
-            std::fs::OpenOptions::new().write(true).create(true).truncate(true).open(&tmp_path)?;
-        tmp.write_all(&body)?;
-        tmp.sync_data()?;
-    }
-    std::fs::rename(&tmp_path, path)?;
-    wal::sync_parent_dir(path)?;
-    Ok(())
 }

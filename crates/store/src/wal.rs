@@ -5,8 +5,10 @@
 //! length field overruns the file or whose CRC does not match.  Recovery
 //! ([`scan`]) keeps every frame up to the first tear and drops the rest —
 //! a torn frame was by definition never fsync-acknowledged, so dropping it
-//! is the correct outcome, never a data loss.  Opening the log truncates
-//! the tear so appends resume on a clean frame boundary.
+//! is the correct outcome, never a data loss.  The scan reads one frame at
+//! a time ([`scan_decoded`]), so recovering a log costs one frame of memory
+//! beyond what its records decode to.  Opening the log truncates the tear
+//! so appends resume on a clean frame boundary.
 //!
 //! Durability cadence is the [`FsyncPolicy`]: `Always` fsyncs inside every
 //! append (ack ⇒ durable), `Batched` leaves fsync to explicit
@@ -14,11 +16,14 @@
 //! `lake-runtime` periodic service), `Never` leaves it to the OS.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use crate::codec::crc32;
 use crate::error::{StoreError, StoreResult};
+
+/// The frame header length: payload length and CRC, four bytes each.
+const FRAME_HEADER: u64 = 8;
 
 /// When the log forces appended frames to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,52 +37,82 @@ pub enum FsyncPolicy {
     /// appends acknowledged since the last flush (they are still torn-tail
     /// safe: lost entirely, never half-applied).
     Batched,
-    /// Never fsync appends (checkpoints still fsync); fastest, weakest.
+    /// Never fsync appends; fastest, weakest.
     Never,
 }
 
-/// Result of scanning a log file: the intact frame payloads in append
-/// order, plus where the intact prefix ends.
+/// Result of scanning a log file: the intact records in append order,
+/// plus where the intact prefix ends.
 #[derive(Debug)]
-pub struct WalScan {
-    /// Payloads of every intact frame, in append order.
-    pub records: Vec<Vec<u8>>,
+pub struct WalScan<T = Vec<u8>> {
+    /// Every intact frame, in append order, as the scan's decoder returned
+    /// it (the raw payload for [`scan`]).
+    pub records: Vec<T>,
     /// Byte length of the intact prefix (where the next append belongs).
     pub valid_bytes: u64,
     /// Bytes dropped after the intact prefix (torn tail), 0 on a clean log.
     pub torn_bytes: u64,
 }
 
-/// Scans the log at `path`.  A missing file is an empty log.
+/// Scans the log at `path`, returning every intact payload.  A missing
+/// file is an empty log.
 pub fn scan(path: &Path) -> StoreResult<WalScan> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(err) if err.kind() == io::ErrorKind::NotFound => Vec::new(),
+    scan_decoded(path, |payload| Ok(payload.to_vec()))
+}
+
+/// Scans the log at `path` one frame at a time, handing each intact
+/// payload to `decode` as soon as its CRC checks out.  A missing file is
+/// an empty log.
+///
+/// Only one payload is held at a time, and a length field is checked
+/// against the bytes left in the file before its payload is allocated, so
+/// a scan never holds more than one frame beyond what `decode` keeps.  A
+/// `decode` error aborts the scan: the frame is intact, so its bytes are
+/// not a torn tail but corruption.
+pub fn scan_decoded<T>(
+    path: &Path,
+    mut decode: impl FnMut(&[u8]) -> StoreResult<T>,
+) -> StoreResult<WalScan<T>> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => {
+            return Ok(WalScan { records: Vec::new(), valid_bytes: 0, torn_bytes: 0 })
+        }
         Err(err) => return Err(StoreError::Io(err)),
     };
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let Some(end) = (pos + 8).checked_add(len) else { break };
-        if end > bytes.len() {
+    let mut payload = Vec::new();
+    let mut pos = 0u64;
+    while file_len - pos >= FRAME_HEADER {
+        let mut header = [0u8; FRAME_HEADER as usize];
+        reader.read_exact(&mut header)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u64::from(u32::from_le_bytes([l0, l1, l2, l3]));
+        if len > file_len - pos - FRAME_HEADER {
             break; // length field overruns the file: torn mid-payload
         }
-        let payload = &bytes[pos + 8..end];
-        if crc32(payload) != crc {
+        payload.resize(len as usize, 0);
+        reader.read_exact(&mut payload)?;
+        if crc32(&payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
             break; // torn mid-frame (or bit rot at the tail)
         }
-        records.push(payload.to_vec());
-        pos = end;
+        records.push(decode(&payload)?);
+        pos += FRAME_HEADER + len;
     }
-    Ok(WalScan { records, valid_bytes: pos as u64, torn_bytes: (bytes.len() - pos) as u64 })
+    Ok(WalScan { records, valid_bytes: pos, torn_bytes: file_len - pos })
+}
+
+/// The length field of a frame carrying `payload_len` bytes; a payload
+/// over 4 GiB cannot be framed.
+fn frame_len(payload_len: usize) -> StoreResult<u32> {
+    u32::try_from(payload_len).map_err(|_| StoreError::RecordTooLarge { bytes: payload_len })
 }
 
 /// An open write-ahead log positioned after its intact prefix.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
     file: File,
     policy: FsyncPolicy,
     bytes: u64,
@@ -96,27 +131,24 @@ impl Wal {
         valid_bytes: u64,
         records: u64,
     ) -> StoreResult<Self> {
+        let created = !path.try_exists()?;
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         file.set_len(valid_bytes)?;
-        Ok(Wal {
-            path: path.to_path_buf(),
-            file,
-            policy,
-            bytes: valid_bytes,
-            records,
-            appends: 0,
-            fsyncs: 0,
-        })
+        if created {
+            // An fsynced append is lost with its file if the directory
+            // entry is not durable too.
+            sync_parent_dir(path)?;
+        }
+        Ok(Wal { file, policy, bytes: valid_bytes, records, appends: 0, fsyncs: 0 })
     }
 
     /// Appends one frame; under [`FsyncPolicy::Always`] it is durable when
     /// this returns.
     pub fn append(&mut self, payload: &[u8]) -> StoreResult<()> {
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len()).expect("payload over 4 GiB").to_le_bytes(),
-        );
+        let len = frame_len(payload.len())?;
+        let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER as usize);
+        frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.seek(SeekFrom::Start(self.bytes))?;
@@ -141,36 +173,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Atomically replaces the log contents with `payloads` (checkpoint
-    /// compaction): writes a sibling temp file, fsyncs it, renames it over
-    /// the log and fsyncs the directory.  Always durable, regardless of
-    /// the fsync policy — a checkpoint that is not durable is not a
-    /// checkpoint.
-    pub fn rewrite(&mut self, payloads: &[&[u8]]) -> StoreResult<()> {
-        let tmp_path = self.path.with_extension("tmp");
-        let mut tmp = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp_path)?;
-        let mut bytes = 0u64;
-        for payload in payloads {
-            let mut frame = Vec::with_capacity(payload.len() + 8);
-            frame.extend_from_slice(
-                &u32::try_from(payload.len()).expect("payload over 4 GiB").to_le_bytes(),
-            );
-            frame.extend_from_slice(&crc32(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-            tmp.write_all(&frame)?;
-            bytes += frame.len() as u64;
-        }
-        tmp.sync_data()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &self.path)?;
-        sync_parent_dir(&self.path)?;
-        self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        self.bytes = bytes;
-        self.records = payloads.len() as u64;
-        self.fsyncs += 1;
-        Ok(())
-    }
-
     /// Current log length in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -192,16 +194,20 @@ impl Wal {
     }
 }
 
-/// Fsyncs the directory containing `path`, making a rename durable.
-pub(crate) fn sync_parent_dir(path: &Path) -> StoreResult<()> {
-    if let Some(parent) = path.parent() {
-        File::open(parent)?.sync_all()?;
-    }
+/// Fsyncs the directory containing `path`, making a new entry durable.
+fn sync_parent_dir(path: &Path) -> StoreResult<()> {
+    let parent = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn open_fresh(tag: &str) -> (PathBuf, Wal) {
@@ -282,17 +288,25 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_compacts_and_survives_rescan() {
-        let (path, mut wal) = open_fresh("wal-rewrite");
-        for payload in [b"one".as_slice(), b"two", b"three"] {
-            wal.append(payload).unwrap();
-        }
-        wal.rewrite(&[b"three"]).unwrap();
-        assert_eq!(wal.records(), 1);
-        let scanned = scan(&path).unwrap();
-        assert_eq!(scanned.records, vec![b"three".to_vec()]);
-        // Appends continue after the compacted prefix.
-        wal.append(b"four").unwrap();
-        assert_eq!(scan(&path).unwrap().records.len(), 2);
+    fn a_payload_over_4_gib_is_an_error_not_a_panic() {
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = frame_len(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, StoreError::RecordTooLarge { bytes } if bytes == 1 << 32), "{err}");
+    }
+
+    #[test]
+    fn a_frame_that_fails_to_decode_is_corruption_not_a_tear() {
+        let (path, mut wal) = open_fresh("wal-decode");
+        wal.append(b"good").unwrap();
+        wal.append(b"bad").unwrap();
+        let err = scan_decoded(&path, |payload| {
+            if payload == b"bad" {
+                Err(StoreError::Corrupt { context: "test record", detail: "bad".to_string() })
+            } else {
+                Ok(payload.len())
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { context: "test record", .. }), "{err}");
     }
 }

@@ -15,8 +15,7 @@
 //!   final state equals a never-crashed run.
 //!
 //! The kill lands wherever the writer happens to be — mid-append (torn
-//! tail), mid-checkpoint, or between ack and apply; recovery must not
-//! care.  Deterministic file-level fault *injection* for each named fault
+//! tail) or between ack and apply; recovery must not care.  Deterministic file-level fault *injection* for each named fault
 //! point lives in `tests/store_recovery.rs` at the workspace root.
 
 use std::io::{BufRead, BufReader};
@@ -28,7 +27,6 @@ use lake_store::{DurableOp, LakeStore, StorePolicy};
 use lake_table::{Table, TableBuilder};
 
 const WORKLOAD: u64 = 12;
-const CHECKPOINT_EVERY: u64 = 3;
 
 /// The deterministic workload table for sequence `seq` (kept in lockstep
 /// with the copy in `src/bin/crash_writer.rs`).
@@ -65,7 +63,6 @@ fn run_and_kill(dir: &Path, kill_after_acks: usize) -> Vec<u64> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_crash-writer"))
         .arg(dir)
         .arg(WORKLOAD.to_string())
-        .arg(CHECKPOINT_EVERY.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -132,8 +129,7 @@ fn assert_recovered_contract(dir: &Path, acked: &[u64]) -> u64 {
 
 #[test]
 fn killed_writers_lose_nothing_acknowledged() {
-    // Kill points straddle checkpoint boundaries (cadence 3): right before,
-    // on, and after a checkpoint, plus an early and a deep kill.
+    // An early kill, three consecutive ones and a deep one.
     for kill_after in [2usize, 3, 4, 7] {
         let dir = test_dir(&format!("kill-{kill_after}"));
         let acked = run_and_kill(&dir, kill_after);
@@ -160,7 +156,6 @@ fn restarted_writer_finishes_and_matches_a_never_crashed_run() {
     let output = Command::new(env!("CARGO_BIN_EXE_crash-writer"))
         .arg(&dir)
         .arg(WORKLOAD.to_string())
-        .arg(CHECKPOINT_EVERY.to_string())
         .output()
         .expect("run crash-writer to completion");
     assert!(output.status.success(), "writer failed: {:?}", output);

@@ -20,8 +20,8 @@
 //!   site routes through;
 //! * [`serve`] — the sharded concurrent integration server (hand-rolled
 //!   HTTP/1.1 over `std::net`; see `docs/PROTOCOL.md`);
-//! * [`store`] — the durable lake store (write-ahead log, paged column
-//!   segments, buffer pool, session snapshot/restore by replay).
+//! * [`store`] — the durable lake store (one write-ahead log per store,
+//!   session snapshot/restore by replay).
 //!
 //! ## Quickstart
 //!

@@ -61,10 +61,7 @@ fn capture_views(client: &ServeClient, tenants: &[&str]) -> Vec<(String, String,
 fn restarted_server_serves_byte_identical_views() {
     let dir = test_dir("restart");
     let policy = ServePolicy { shards: 2, ..ServePolicy::default() };
-    let durability = DurabilityPolicy {
-        store: StorePolicy { checkpoint_every: 3, ..StorePolicy::default() },
-        ..DurabilityPolicy::at(&dir)
-    };
+    let durability = DurabilityPolicy::at(&dir);
     let trace = generate_serving_trace(small_trace());
     let tenants: Vec<&str> = trace.tenants();
 
@@ -106,17 +103,16 @@ fn restarted_server_serves_byte_identical_views() {
         assert_eq!(before, after, "tenant {tenant} view {view} diverged across restart");
     }
 
-    // Recovery provenance is visible: the replayed records came from the
-    // manifest (final-checkpoint shutdown) and/or the log tail.
+    // Recovery provenance is visible: every replayed record came from the
+    // log.
     let stats = client.stats().expect("stats").json().expect("stats JSON");
-    let recovery = stats
+    let recovered = stats
         .get("totals")
         .and_then(|t| t.get("durability"))
         .and_then(|d| d.get("recovery"))
-        .expect("durability totals include recovery");
-    let recovered = recovery.get("manifest_records").and_then(serde_json::Value::as_u64).unwrap()
-        + recovery.get("wal_records").and_then(serde_json::Value::as_u64).unwrap();
-    assert_eq!(recovered, trace.arrivals.len() as u64, "recovery covers the whole trace");
+        .and_then(|r| r.get("wal_records"))
+        .and_then(serde_json::Value::as_u64);
+    assert_eq!(recovered, Some(trace.arrivals.len() as u64), "recovery covers the whole trace");
 
     // The restarted server keeps serving: a fresh ingest applies on top of
     // the recovered state.
@@ -213,5 +209,34 @@ fn batched_fsync_flusher_persists_acknowledged_ingests() {
         assert_eq!(before, after, "tenant {tenant} view {view} diverged under batched fsync");
     }
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_shard_directory_holds_only_its_log_across_shutdown_and_restart() {
+    let dir = test_dir("only-wal");
+    let policy = ServePolicy { shards: 1, ..ServePolicy::default() };
+    let trace = generate_serving_trace(ServingTraceConfig {
+        tenants: 1,
+        tables_per_tenant: 2,
+        entities: 10,
+        seed: 0x0A1F,
+    });
+    for _ in 0..2 {
+        let server =
+            LakeServer::start_durable(policy, DurabilityPolicy::at(&dir)).expect("server starts");
+        let client = ServeClient::new(server.addr());
+        for arrival in &trace.arrivals {
+            assert_eq!(client.ingest(&arrival.tenant, &arrival.table).expect("ingest").status, 202);
+        }
+        assert!(client.wait_idle(IDLE_TIMEOUT).expect("stats"));
+        server.shutdown();
+    }
+    let mut files: Vec<String> = std::fs::read_dir(dir.join("shard-0"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["wal"]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,17 +3,16 @@
 //! The SIGKILL harness (`crates/store/tests/crash_kill.rs`) kills a real
 //! writer at arbitrary moments; these tests instead *fabricate* the exact
 //! on-disk state each named fault point leaves behind — a torn tail
-//! record, a crash mid-checkpoint (before and after the manifest rename),
-//! an acknowledged-but-never-applied tail — plus the store edge cases
-//! (zero-length log, torn-only log, widened-schema restore, a buffer pool
-//! smaller than the segment count), and assert recovery always equals a
-//! clean uninterrupted replay.
+//! record, an acknowledged-but-never-applied tail — plus the store edge
+//! cases (zero-length log, torn-only log, widened-schema restore, a
+//! ten-record log, a directory left in the retired checkpointed layout),
+//! and assert recovery always equals a clean uninterrupted replay.
 
 use std::path::{Path, PathBuf};
 
 use datalake_fuzzy_fd::core::{FuzzyFdConfig, IncrementalPolicy, IntegrationSession};
 use datalake_fuzzy_fd::store::{
-    restore_session, snapshot_session, DurableOp, LakeStore, StorePolicy,
+    restore_session, snapshot_session, DurableOp, LakeStore, StoreError, StorePolicy,
 };
 use datalake_fuzzy_fd::table::{Table, TableBuilder};
 
@@ -108,45 +107,6 @@ fn fault_torn_tail_record_is_dropped_and_the_prefix_replays_cleanly() {
 }
 
 #[test]
-fn fault_crash_mid_checkpoint_leaves_a_manifest_tmp_that_is_ignored() {
-    let dir = test_dir("mid-checkpoint");
-    let mut store = LakeStore::open(&dir, StorePolicy::default()).unwrap();
-    append_workload(&mut store, 0, 4);
-    drop(store);
-
-    // The crash landed inside `checkpoint`, after writing the temporary
-    // manifest but before the atomic rename: the tmp file is garbage from
-    // the reader's perspective and must be discarded, not read.
-    std::fs::write(dir.join("manifest.tmp"), b"half-written manifest bytes").unwrap();
-
-    assert_recovers_prefix(&dir, StorePolicy::default(), 4);
-    assert!(!dir.join("manifest.tmp").exists(), "open removes the orphaned tmp manifest");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn fault_crash_between_manifest_rename_and_log_compaction_deduplicates() {
-    let dir = test_dir("post-rename");
-    let mut store = LakeStore::open(&dir, StorePolicy::default()).unwrap();
-    append_workload(&mut store, 0, 4);
-    store.flush().unwrap();
-
-    // Save the pre-checkpoint log, checkpoint (manifest renamed + log
-    // compacted), then put the stale log back: exactly the state a crash
-    // after the rename but before the compaction rewrite leaves behind —
-    // every checkpointed record present in *both* manifest and log.
-    let wal = dir.join("wal");
-    let stale_log = std::fs::read(&wal).unwrap();
-    store.checkpoint(3).unwrap();
-    drop(store);
-    std::fs::write(&wal, &stale_log).unwrap();
-
-    let store = assert_recovers_prefix(&dir, StorePolicy::default(), 4);
-    assert_eq!(store.status().recovery.manifest_records, 4);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn fault_acknowledged_but_never_applied_records_recover() {
     // The post-ack/pre-apply fault point: the writer logged (and fsynced)
     // records, acked them, and died before any session ever applied them.
@@ -154,7 +114,7 @@ fn fault_acknowledged_but_never_applied_records_recover() {
     let dir = test_dir("post-ack");
     let mut store = LakeStore::open(&dir, StorePolicy::default()).unwrap();
     append_workload(&mut store, 0, 3);
-    drop(store); // no checkpoint, no session, no clean shutdown
+    drop(store); // no flush, no session, no clean shutdown
 
     assert_recovers_prefix(&dir, StorePolicy::default(), 3);
     std::fs::remove_dir_all(&dir).ok();
@@ -223,24 +183,44 @@ fn edge_snapshot_restores_onto_a_widened_schema() {
 }
 
 #[test]
-fn edge_recovery_pages_cleanly_with_a_pool_smaller_than_the_segments() {
-    // Checkpoint ten multi-block tables, then recover through a one-page
-    // buffer pool: every segment read evicts, and the recovered bytes are
-    // still exact.
-    let tiny_pool = StorePolicy { buffer_pages: 1, ..StorePolicy::default() };
-    let dir = test_dir("tiny-pool");
-    let mut store = LakeStore::open(&dir, tiny_pool).unwrap();
+fn edge_ten_records_recover_exactly_from_one_log_pass() {
+    // Ten tables whose schemas keep widening: the recovered bytes and the
+    // replayed session (whose `ComponentCache` must index every append
+    // afresh) still equal a clean run.
+    let dir = test_dir("ten-records");
+    let mut store = LakeStore::open(&dir, StorePolicy::default()).unwrap();
     append_workload(&mut store, 0, 10);
     store.flush().unwrap();
-    store.checkpoint(9).unwrap();
     drop(store);
 
-    let store = assert_recovers_prefix(&dir, tiny_pool, 10);
+    let store = assert_recovers_prefix(&dir, StorePolicy::default(), 10);
     let status = store.status();
-    assert_eq!(status.recovery.manifest_records, 10);
-    assert!(
-        status.pool.evictions > 0,
-        "a one-page pool over ten segments must evict (stats: {status:?})"
-    );
+    assert_eq!(status.recovery.wal_records, 10);
+    assert_eq!(status.recovery.torn_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn edge_a_checkpointed_layout_is_refused_not_silently_dropped() {
+    // Records a checkpoint moved into `segments` are not in the log, so
+    // replaying the log alone would lose them without a word.
+    for name in ["manifest", "segments"] {
+        let dir = test_dir(&format!("checkpointed-{name}"));
+        let mut store = LakeStore::open(&dir, StorePolicy::default()).unwrap();
+        append_workload(&mut store, 0, 2);
+        drop(store);
+        std::fs::write(dir.join(name), b"checkpointed records").unwrap();
+
+        let err = LakeStore::open(&dir, StorePolicy::default()).unwrap_err();
+        match &err {
+            StoreError::Corrupt { detail, .. } => {
+                assert!(detail.contains(&dir.join(name).display().to_string()), "{err}");
+            }
+            other => panic!("expected Corrupt naming {name}, got {other:?}"),
+        }
+        // The refusal touched nothing: without the stray file the log opens.
+        std::fs::remove_file(dir.join(name)).unwrap();
+        assert_recovers_prefix(&dir, StorePolicy::default(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
