@@ -103,6 +103,13 @@ struct WorkingGroup {
     embedding: Vector,
 }
 
+impl WorkingGroup {
+    /// The group of one value, represented by it.
+    fn singleton(position: ColumnPosition, value: Value, embedding: Vector) -> Self {
+        WorkingGroup { members: vec![(position, value.clone())], representative: value, embedding }
+    }
+}
+
 /// Persistent matching state of one aligned column set: the working groups,
 /// the per-value occurrence counts that drive representative selection, and
 /// how many columns have been folded in so far.
@@ -234,8 +241,9 @@ impl<'a> ValueMatcher<'a> {
             state.columns_folded += 1;
             let distinct = distinct_present(column);
             if state.groups.is_empty() {
-                for value in distinct {
-                    state.groups.push(self.singleton(position, value));
+                let embeddings = self.embed_all(&distinct);
+                for (value, embedding) in distinct.into_iter().zip(embeddings) {
+                    state.groups.push(WorkingGroup::singleton(position, value, embedding));
                 }
                 continue;
             }
@@ -297,8 +305,7 @@ impl<'a> ValueMatcher<'a> {
 
         let mut leftover_embeddings: Vec<Option<Vector>> = vec![None; leftover.len()];
         if !candidate_groups.is_empty() && !fuzzy_values.is_empty() {
-            let value_embeddings: Vec<Vector> =
-                fuzzy_values.iter().map(|v| self.embedder.embed(&v.render())).collect();
+            let value_embeddings = self.embed_all(&fuzzy_values);
             let plan = self.plan_fold(&candidate_groups, groups, &fuzzy_values, &value_embeddings);
             let ((accepted, scheduling), solve_time) = Stopwatch::time(|| {
                 self.solve_blocks(&plan.blocks, &candidate_groups, groups, &value_embeddings)
@@ -323,21 +330,32 @@ impl<'a> ValueMatcher<'a> {
         }
 
         // Pass 3: everything still unmatched becomes a new singleton group —
-        // "left in a singleton set represented by its embedding".
+        // "left in a singleton set represented by its embedding".  Values
+        // pass 2 did not embed are embedded here, as one batch.
+        let unembedded: Vec<Value> = leftover
+            .iter()
+            .enumerate()
+            .filter(|&(idx, _)| !matched_values[idx] && leftover_embeddings[idx].is_none())
+            .map(|(_, value)| value.clone())
+            .collect();
+        let mut fresh = self.embed_all(&unembedded).into_iter();
         for (idx, value) in leftover.into_iter().enumerate() {
             if !matched_values[idx] {
-                let group = match leftover_embeddings[idx].take() {
-                    Some(embedding) => WorkingGroup {
-                        members: vec![(position, value.clone())],
-                        representative: value,
-                        embedding,
-                    },
-                    None => self.singleton(position, value),
+                let embedding = match leftover_embeddings[idx].take() {
+                    Some(embedding) => embedding,
+                    None => fresh.next().expect("one embedding per unembedded leftover"),
                 };
-                groups.push(group);
+                groups.push(WorkingGroup::singleton(position, value, embedding));
             }
         }
         stats
+    }
+
+    /// The embeddings of `values`' renderings, as one batch.
+    fn embed_all(&self, values: &[Value]) -> Vec<Vector> {
+        let rendered: Vec<_> = values.iter().map(Value::render).collect();
+        let rendered: Vec<&str> = rendered.iter().map(AsRef::as_ref).collect();
+        self.embedder.embed_many(&rendered)
     }
 
     /// Plans the blocks of one fuzzy pass.  The fold's size picks the tier
@@ -499,11 +517,6 @@ impl<'a> ValueMatcher<'a> {
             AssignmentStrategy::AlwaysExact => true,
             AssignmentStrategy::ExactUpTo { max_side } => rows.max(cols) <= max_side,
         }
-    }
-
-    fn singleton(&self, position: ColumnPosition, value: Value) -> WorkingGroup {
-        let embedding = self.embedder.embed(&value.render());
-        WorkingGroup { members: vec![(position, value.clone())], representative: value, embedding }
     }
 
     /// Recomputes the representative (most frequent member, ties to the
@@ -998,9 +1011,8 @@ mod tests {
         assert_eq!(exhaustive.tier(ceiling, ceiling), FoldTier::Cartesian);
 
         // What `plan_fold` hands the planner as surface keys, per tier.
-        let embedder = EmbeddingModel::FastText.build();
-        let matcher = ValueMatcher::new(embedder.as_ref(), config);
-        let groups = [matcher.singleton(0, Value::text("United Nations"))];
+        let embedding = EmbeddingModel::FastText.build().embed("United Nations");
+        let groups = [WorkingGroup::singleton(0, Value::text("United Nations"), embedding)];
         let fuzzy = values(&["UN", "Quito"]);
         for tier in [FoldTier::Cartesian, FoldTier::Exact] {
             let (row_keys, col_keys) = fold_surface_keys(tier, &[0], &groups, &fuzzy);

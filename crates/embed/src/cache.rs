@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
-use lake_runtime::{run_scope, ParallelPolicy, RuntimeStats};
+use lake_runtime::{run_scope_batched, ParallelPolicy, RuntimeStats};
 
 use crate::embedder::Embedder;
 use crate::vector::Vector;
@@ -68,9 +68,12 @@ impl<E: Embedder> EmbeddingCache<E> {
     /// shared scoped executor and returning the vectors in input order.
     ///
     /// The per-value workload is the wrapped embedder's cost, so the
-    /// executor's cost hint is the value length.  Counter semantics match a
-    /// sequence of [`embed`](Embedder::embed) calls: each distinct value not
-    /// yet cached is one miss, every other lookup is a hit.
+    /// executor's cost hint is the value length.  When `policy` resolves to
+    /// one worker, the distinct uncached values go to the wrapped
+    /// embedder's [`embed_many`](Embedder::embed_many) in one call.  Counter
+    /// semantics match a sequence of [`embed`](Embedder::embed) calls: each
+    /// distinct value not yet cached is one miss, every other lookup is a
+    /// hit.
     pub fn embed_batch(&self, values: &[&str], policy: &ParallelPolicy) -> Vec<Vector> {
         self.embed_batch_with_stats(values, policy).0
     }
@@ -108,11 +111,12 @@ impl<E: Embedder> EmbeddingCache<E> {
         };
 
         let inner = &self.inner;
-        let (embedded, stats) = run_scope(
+        let (embedded, stats) = run_scope_batched(
             policy,
             pending.iter().map(|&(_, value)| value).collect(),
             |value| value.len() as u64,
             |value| inner.embed(value),
+            |values| inner.embed_many(&values),
         );
 
         {
@@ -127,9 +131,20 @@ impl<E: Embedder> EmbeddingCache<E> {
         for (&(slot, _), vector) in pending.iter().zip(embedded) {
             distinct[slot] = Some(vector);
         }
+        // The last output of each distinct value takes its vector, the
+        // others clone it: a batch holds no third copy beside the cache's.
+        let mut uses = vec![0usize; distinct.len()];
+        for &slot in &slots {
+            uses[slot] += 1;
+        }
         let outputs = slots
             .into_iter()
-            .map(|slot| distinct[slot].clone().expect("every distinct value is cached or embedded"))
+            .map(|slot| {
+                uses[slot] -= 1;
+                let vector =
+                    if uses[slot] == 0 { distinct[slot].take() } else { distinct[slot].clone() };
+                vector.expect("every distinct value is cached or embedded")
+            })
             .collect();
         (outputs, stats)
     }
@@ -144,22 +159,11 @@ impl<E: Embedder> Embedder for EmbeddingCache<E> {
         self.inner.dim()
     }
 
-    fn embed(&self, value: &str) -> Vector {
-        {
-            let mut state = self.state();
-            if let Some(v) = state.vectors.get(value) {
-                let v = v.clone();
-                state.hits += 1;
-                return v;
-            }
-        }
-        // The lock is not held across the inner embedder: concurrent first
-        // lookups of one value may each compute it (and each count a miss).
-        let v = self.inner.embed(value);
-        let mut state = self.state();
-        state.misses += 1;
-        state.vectors.insert(value.to_string(), v.clone());
-        v
+    /// [`embed_batch`](Self::embed_batch) on the calling thread.  The lock
+    /// is not held across the inner embedder: concurrent first lookups of
+    /// one value may each compute it (and each count a miss).
+    fn embed_many(&self, values: &[&str]) -> Vec<Vector> {
+        self.embed_batch(values, &ParallelPolicy::explicit(1))
     }
 }
 
@@ -167,6 +171,7 @@ impl<E: Embedder> Embedder for EmbeddingCache<E> {
 mod tests {
     use super::*;
     use crate::hashing::HashingNgramEmbedder;
+    use lake_runtime::run_scope;
 
     #[test]
     fn caches_and_counts() {
@@ -303,9 +308,9 @@ mod tests {
             self.inner.dim()
         }
 
-        fn embed(&self, value: &str) -> Vector {
-            self.calls.lock().unwrap().push(value.to_string());
-            self.inner.embed(value)
+        fn embed_many(&self, values: &[&str]) -> Vec<Vector> {
+            self.calls.lock().unwrap().extend(values.iter().map(|value| value.to_string()));
+            self.inner.embed_many(values)
         }
     }
 

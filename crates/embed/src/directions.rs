@@ -1,29 +1,44 @@
-//! Seeded pseudo-random directions, the bounded per-thread table that
-//! memoises them, and the per-thread scratch the embedding kernel runs in.
+//! Seeded pseudo-random directions and the batch kernel that sums them.
 //!
 //! Every n-gram, word token, concept and acronym owns a *direction*: a unit
 //! vector that is a pure function of a 64-bit seed
 //! (`seeded_direction_into`).  Generating one is 64 serial hash steps and a
 //! norm, and an embedding sums ~50 of them drawn from a vocabulary of a few
-//! thousand, so the kernel keeps recent directions in a `DirectionTable`:
-//! direct-mapped, seed-tagged, [`DIRECTION_TABLE_SLOTS`] rows, one table per
-//! embedding thread, allocated on the thread's first embedding.  The hash
-//! steps of one direction form a dependency chain the CPU cannot overlap, so
-//! the directions a value is missing are regenerated `LANES` at a time,
-//! their chains interleaved.
+//! thousand, so values embedded together share most of their directions.
+//! The kernel therefore embeds a *batch* of values at a time
+//! (`embed_batch_of`):
 //!
-//! **Vector bits cannot depend on table state.**  A row is only ever the
-//! output of `seeded_direction_into` for the seed in its tag; a lookup
-//! either finds the tag it asked for or regenerates the row in place, so it
-//! returns the same bits whether it hit, missed, evicted, or ran on another
-//! thread — and the caller adds rows into its sum in the order the
-//! straight-line algorithm would.  `tests/embed_equivalence.rs` shrinks the
-//! table to two slots and permutes the embedding order to hold this.
+//! 1. scan each value, in input order, into its `(seed, scale)` terms in
+//!    the straight-line order, interning each seed into the thread's arena
+//!    (`seed → row`) and recording the sum as `Step`s;
+//! 2. once the values scanned so far wait on `PENDING_ROWS` rows the batch
+//!    had not met before (and at the end of the batch), generate those
+//!    rows, eight at a time with their hash chains interleaved;
+//! 3. run the waiting steps: each value's rows summed in term order,
+//!    normalised, gated on a non-zero sum, extended and normalised again.
 //!
-//! **Memory bound.**  A table never grows: `DIRECTION_TABLE_SLOTS × (4·dim +
-//! 16)` bytes plus `1 + LANES` staging rows, 511 KiB at the default 64
-//! dimensions, per thread that embeds.  The operating system backs rows
-//! lazily, so a thread that touches few distinct seeds pays for few pages.
+//! So every distinct seed of a batch is generated exactly once, and only a
+//! few values' steps are ever held.  A batch with more distinct seeds than
+//! the arena's cap ([`ARENA_ROWS`]) runs as consecutive chunks: when the
+//! arena is full, the steps recorded so far are summed and the arena starts
+//! over, so a value may straddle two chunks, its partial sum carried over.
+//!
+//! **Vector bits cannot depend on batch composition.**  A row is only ever
+//! the output of `seeded_direction_into` for the seed interned at it, and
+//! each value's rows are added into its sum in the order the straight-line
+//! algorithm would, with the same arithmetic — so a value embeds to the same
+//! bits alone, in any batch, at any position, across any chunk boundary and
+//! on any thread.  `tests/embed_equivalence.rs` embeds one corpus one value
+//! at a time, as one batch, reversed, interleaved, and under a 2-row cap to
+//! hold this.
+//!
+//! **Memory bound.**  The arena keeps its capacity between batches, so a
+//! warm embedding allocates only its output, and never holds more than
+//! [`ARENA_ROWS`] rows: per row `4·dim` bytes of components, an 8-byte
+//! seed and two 8-byte index slots — 280 bytes, so 2.2 MiB at the default
+//! 64 dimensions — plus `MAX_STEPS` 12-byte steps (48 KiB), per thread
+//! that embeds.  Every buffer grows only as far as the largest chunk yet:
+//! Auto-Join's largest batch (2 320 distinct seeds) leaves under 1 MiB.
 
 use std::cell::RefCell;
 
@@ -32,14 +47,26 @@ use lake_text::TextScanner;
 use crate::embedder::splitmix64;
 use crate::vector::Vector;
 
-/// Rows in a thread's direction table.  With 16 bytes of tag per row this
-/// keeps the table of a 64-dimensional embedder just under 512 KiB.
-pub const DIRECTION_TABLE_SLOTS: usize = 1920;
+/// Most rows a thread's arena holds; a batch with more distinct seeds runs
+/// in chunks of at most this many.  A power of two, so the doubling growth
+/// of the seed list lands on it exactly.
+pub const ARENA_ROWS: usize = 8_192;
 
-/// Directions regenerated together on a miss.  Four independent hash chains
-/// overlap where one waits on its own multiplies: generating four costs 1.4×
-/// generating one.
-const LANES: usize = 4;
+/// Most steps held before they are summed: a value with more terms (a cell
+/// of well over a thousand characters) is summed in parts.
+const MAX_STEPS: usize = 4_096;
+
+/// New rows that wait for generation before the values needing them are
+/// summed, so that generation runs mostly in full groups of [`LANES`].
+const PENDING_ROWS: usize = 4 * LANES;
+
+/// Most directions generated together.  Independent hash chains overlap
+/// where one waits on its own multiplies: generating four or eight costs
+/// about half as much per direction as generating one.
+const LANES: usize = 8;
+
+/// Slots of the `seed → row` index before its first growth.
+const MIN_INDEX_SLOTS: usize = 256;
 
 /// Writes the direction of `seed` into `out` (whose length is the
 /// dimension): a deterministic pseudo-random vector scaled to unit norm.
@@ -97,192 +124,321 @@ pub(crate) fn add_scaled(acc: &mut [f32], row: &[f32], scale: f32) {
     }
 }
 
-/// A direct-mapped memo of seed → direction with a fixed number of slots;
-/// see the module docs for why its state can never show in a vector.
+/// One step of a value's sum, in the straight-line order.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Add the arena row times the scale into the current value's sum.
+    Add(u32, f32),
+    /// Normalise the current value's sum; if it is zero, skip the value's
+    /// remaining `Add`s (empty values embed to zero).
+    Gate,
+    /// Normalise the current value's sum and move on to the next value.
+    Finish,
+}
+
+/// The per-thread arena: the distinct seeds of the chunk being built, their
+/// rows, and the steps that sum them.  See the module docs.
 #[derive(Debug)]
-pub(crate) struct DirectionTable {
-    /// Row width; the table re-allocates (and forgets every row) when an
-    /// embedder of another dimension uses the thread.
-    dim: usize,
-    /// The seed whose direction each row holds.
-    tags: Vec<Option<u64>>,
-    /// `tags.len() × dim` components, row-major.
+struct Arena {
+    /// Most rows a chunk may intern: [`ARENA_ROWS`], lowered only by
+    /// [`with_arena_cap`].
+    cap: usize,
+    /// The seed interned at each row, in first-occurrence order.
+    seeds: Vec<u64>,
+    /// How many of `seeds` have their row written.
+    generated: usize,
+    /// `generated × dim` components, row-major.
     rows: Vec<f32>,
-    /// The row handed out for one-shot seeds, which bypass the slots.
-    spare: Vec<f32>,
+    /// Open-addressed `seed → row` index, each slot `stamp << 32 | row`; a
+    /// slot holding another stamp is empty, so starting a chunk clears it
+    /// in O(1).  A power of two at least twice the chunk's rows, grown with
+    /// them up to `2 · ARENA_ROWS` slots.
+    index: Vec<u64>,
+    stamp: u32,
+    /// The steps not yet summed: a few values', at most [`MAX_STEPS`].
+    steps: Vec<Step>,
     /// `dim × LANES` interleaved components of the directions being
-    /// regenerated together.
+    /// generated together.
     staging: Vec<f32>,
 }
 
-impl DirectionTable {
-    pub(crate) fn new(slots: usize) -> Self {
-        assert!(slots > 0, "a direction table needs at least one slot");
-        DirectionTable {
-            dim: 0,
-            tags: vec![None; slots],
+impl Arena {
+    fn new() -> Self {
+        Arena {
+            cap: ARENA_ROWS,
+            seeds: Vec::new(),
+            generated: 0,
             rows: Vec::new(),
-            spare: Vec::new(),
+            index: vec![0; MIN_INDEX_SLOTS],
+            // Stamp 0 is never current, so a zeroed slot is empty.
+            stamp: 1,
+            steps: Vec::new(),
             staging: Vec::new(),
         }
     }
 
-    /// Adds `direction(seed) * scale` into `acc` for every `(seed, scale)`
-    /// of `terms`, in order.
-    pub(crate) fn accumulate(&mut self, terms: &[(u64, f32)], dim: usize, acc: &mut [f32]) {
-        self.ensure_dim(dim);
-        // First make the missing directions resident, `LANES` at a time.
-        // This only ever moves work forward: the sum below looks every seed
-        // up again, and regenerates the odd row a later seed of the same
-        // value evicted in between.
-        let mut missing = [(0, 0); LANES];
-        let mut queued = 0;
-        for &(seed, _) in terms {
-            let slot = self.slot_of(seed);
-            if self.tags[slot] != Some(seed) {
-                self.tags[slot] = Some(seed);
-                missing[queued] = (slot, seed);
-                queued += 1;
-                if queued == LANES {
-                    self.regenerate(&missing);
-                    queued = 0;
-                }
+    /// The row of `seed`, or the empty slot where it would go.
+    #[inline]
+    fn probe(&self, seed: u64) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        // Multiply-shift over the mixed seed's high bits.
+        let mut slot = (seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        loop {
+            let entry = self.index[slot];
+            if (entry >> 32) as u32 != self.stamp {
+                return Err(slot);
             }
-        }
-        self.regenerate(&missing[..queued]);
-        for &(seed, scale) in terms {
-            add_scaled(acc, self.direction(seed, dim), scale);
+            let row = entry as u32;
+            if self.seeds[row as usize] == seed {
+                return Ok(row);
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// The direction of `seed`: its slot's row when the tag matches,
-    /// regenerated in place (evicting the slot's previous seed) otherwise.
+    /// The row of `seed`, interning it if it is new; `None` when it is new
+    /// and the chunk already holds `cap` rows.
     #[inline]
-    pub(crate) fn direction(&mut self, seed: u64, dim: usize) -> &[f32] {
-        self.ensure_dim(dim);
-        let slot = self.slot_of(seed);
-        let row = &mut self.rows[slot * dim..(slot + 1) * dim];
-        if self.tags[slot] != Some(seed) {
-            seeded_direction_into(seed, row);
-            self.tags[slot] = Some(seed);
+    fn intern(&mut self, seed: u64) -> Option<u32> {
+        let mut slot = match self.probe(seed) {
+            Ok(row) => return Some(row),
+            Err(_) if self.seeds.len() == self.cap => return None,
+            Err(slot) => slot,
+        };
+        if 2 * (self.seeds.len() + 1) > self.index.len() {
+            self.grow_index();
+            slot = self.probe(seed).expect_err("the seed is new");
         }
-        row
+        let row = self.seeds.len() as u32;
+        self.seeds.push(seed);
+        self.index[slot] = (self.stamp as u64) << 32 | row as u64;
+        Some(row)
     }
 
-    #[inline]
-    fn slot_of(&self, seed: u64) -> usize {
-        // Multiply-shift range reduction over the mixed seed's high bits:
-        // uniform over any slot count, no division.
-        let mixed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((mixed as u128 * self.tags.len() as u128) >> 64) as usize
+    /// Doubles the index and re-inserts the chunk's seeds.
+    #[cold]
+    fn grow_index(&mut self) {
+        self.index = vec![0; 2 * self.index.len()];
+        self.stamp = 1;
+        for (row, &seed) in self.seeds.iter().enumerate() {
+            let slot = self.probe(seed).expect_err("interned seeds are distinct");
+            self.index[slot] = (self.stamp as u64) << 32 | row as u64;
+        }
     }
 
-    /// Writes the directions of up to [`LANES`] `(slot, seed)` pairs into
-    /// their slots' rows, in order (so the last of two pairs that share a
-    /// slot is the one left in it, matching the tag [`accumulate`] set).
-    ///
-    /// [`accumulate`]: Self::accumulate
-    fn regenerate(&mut self, missing: &[(usize, u64)]) {
-        if missing.is_empty() {
-            return;
+    /// Writes the rows of the seeds interned since the last call.
+    fn generate(&mut self, dim: usize) {
+        let (mut next, end) = (self.generated, self.seeds.len());
+        let len = end * dim;
+        if self.rows.capacity() < len {
+            // Amortised growth, never past the most rows a chunk can hold.
+            let target = len.max(2 * self.rows.capacity()).min(ARENA_ROWS * dim);
+            self.rows.reserve_exact(target - self.rows.len());
         }
-        let mut seeds = [0; LANES];
-        for (lane, &(_, seed)) in seeds.iter_mut().zip(missing) {
-            *lane = seed;
+        self.rows.resize(len, 0.0);
+        self.staging.resize(dim * LANES, 0.0);
+        while next < end {
+            next += match end - next {
+                LANES.. => self.generate_lanes::<LANES>(next, dim),
+                4.. => self.generate_lanes::<4>(next, dim),
+                2.. => self.generate_lanes::<2>(next, dim),
+                _ => self.generate_lanes::<1>(next, dim),
+            };
         }
-        raw_directions_into(seeds, &mut self.staging);
-        for (lane, &(slot, _)) in missing.iter().enumerate() {
-            let row = &mut self.rows[slot * self.dim..(slot + 1) * self.dim];
-            for (component, lanes) in row.iter_mut().zip(self.staging.chunks_exact(LANES)) {
+        self.generated = end;
+    }
+
+    /// Writes the rows of the `N` seeds from row `first` on, their hash
+    /// chains interleaved; returns `N`.
+    fn generate_lanes<const N: usize>(&mut self, first: usize, dim: usize) -> usize {
+        let seeds: [u64; N] = self.seeds[first..first + N].try_into().expect("N seeds");
+        let staging = &mut self.staging[..N * dim];
+        raw_directions_into(seeds, staging);
+        for (lane, row) in self.rows[first * dim..][..N * dim].chunks_exact_mut(dim).enumerate() {
+            for (component, lanes) in row.iter_mut().zip(staging.chunks_exact(N)) {
                 *component = lanes[lane];
             }
             normalize_in_place(row);
         }
+        N
     }
 
-    /// The direction of a seed that will not recur (per-value noise): written
-    /// to the spare row so it cannot evict a direction that will.
-    pub(crate) fn one_shot(&mut self, seed: u64, dim: usize) -> &[f32] {
-        self.ensure_dim(dim);
-        seeded_direction_into(seed, &mut self.spare);
-        &self.spare
-    }
-
-    #[inline]
-    fn ensure_dim(&mut self, dim: usize) {
-        if self.dim != dim {
-            self.resize_rows(dim);
-        }
-    }
-
-    #[cold]
-    fn resize_rows(&mut self, dim: usize) {
-        {
-            self.dim = dim;
-            self.tags.fill(None);
-            // `vec!` of zeros is a zeroed allocation: pages stay unbacked
-            // until a row is first generated into them.
-            self.rows = vec![0.0; self.tags.len() * dim];
-            self.spare = vec![0.0; dim];
-            self.staging = vec![0.0; dim * LANES];
+    /// Forgets the chunk's seeds and steps, keeping every buffer.
+    fn reset(&mut self) {
+        self.seeds.clear();
+        self.generated = 0;
+        self.steps.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.index.fill(0);
+            self.stamp = 1;
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        self.tags.capacity() * std::mem::size_of::<Option<u64>>()
-            + (self.rows.capacity() + self.spare.capacity() + self.staging.capacity())
-                * std::mem::size_of::<f32>()
+        use std::mem::size_of;
+        self.seeds.capacity() * size_of::<u64>()
+            + (self.rows.capacity() + self.staging.capacity()) * size_of::<f32>()
+            + self.index.capacity() * size_of::<u64>()
+            + self.steps.capacity() * size_of::<Step>()
     }
 }
 
-/// Everything an embedding needs besides its output vector, kept per thread
+/// A batch being embedded: the terms of its values go in through
+/// [`add`](Self::add) and [`gate`](Self::gate), and the values are summed
+/// into their outputs whenever [`PENDING_ROWS`] new rows wait, the arena or
+/// the step list is full, or the batch ends.
+pub(crate) struct Batch<'a> {
+    arena: &'a mut Arena,
+    dim: usize,
+    out: &'a mut [Vec<f32>],
+    /// The value the next summed step belongs to.
+    value: usize,
+    /// Whether that value's sum was zero at its gate.
+    skipping: bool,
+}
+
+impl Batch<'_> {
+    /// Adds `direction(seed) × scale` to the sum of the value being scanned.
+    pub(crate) fn add(&mut self, seed: u64, scale: f32) {
+        self.make_room_for_a_step();
+        let row = match self.arena.intern(seed) {
+            Some(row) => row,
+            None => {
+                // The chunk is full: sum every step that refers to it, then
+                // start the next one.
+                self.sum_pending();
+                self.arena.reset();
+                self.arena.intern(seed).expect("an empty chunk has a free row")
+            }
+        };
+        self.arena.steps.push(Step::Add(row, scale));
+    }
+
+    /// Normalises the scanned value's sum so far; when it is zero, the
+    /// value's later terms are skipped and it embeds to zero.
+    pub(crate) fn gate(&mut self) {
+        self.mark(Step::Gate);
+    }
+
+    /// Closes the scanned value, and sums the values closed so far once
+    /// their new rows fill [`PENDING_ROWS`].
+    fn finish(&mut self) {
+        self.mark(Step::Finish);
+        if self.arena.seeds.len() - self.arena.generated >= PENDING_ROWS {
+            self.sum_pending();
+        }
+    }
+
+    fn mark(&mut self, step: Step) {
+        self.make_room_for_a_step();
+        self.arena.steps.push(step);
+    }
+
+    fn make_room_for_a_step(&mut self) {
+        if self.arena.steps.len() == MAX_STEPS {
+            self.sum_pending();
+        }
+    }
+
+    /// Generates the rows the pending steps need and runs the steps.
+    fn sum_pending(&mut self) {
+        let dim = self.dim;
+        self.arena.generate(dim);
+        let arena = &mut *self.arena;
+        for &step in &arena.steps {
+            let acc = &mut self.out[self.value];
+            match step {
+                Step::Add(row, scale) => {
+                    if !self.skipping {
+                        let row = row as usize;
+                        add_scaled(acc, &arena.rows[row * dim..(row + 1) * dim], scale);
+                    }
+                }
+                Step::Gate => {
+                    normalize_in_place(acc);
+                    self.skipping = acc.iter().all(|c| *c == 0.0);
+                }
+                Step::Finish => {
+                    normalize_in_place(acc);
+                    self.value += 1;
+                    self.skipping = false;
+                }
+            }
+        }
+        arena.steps.clear();
+    }
+}
+
+/// Embeds `values` into `dim`-dimensional vectors, in input order: the
+/// kernel under every embedder.  `terms` receives each value with the
+/// thread's scanner already loaded with it and a scratch key `String`, and
+/// feeds the value's terms into the batch in the straight-line order; the
+/// kernel normalises each value's sum after its last term.
+pub(crate) fn embed_batch_of(
+    values: &[&str],
+    dim: usize,
+    mut terms: impl FnMut(&str, &TextScanner, &mut String, &mut Batch<'_>),
+) -> Vec<Vector> {
+    let mut out: Vec<Vec<f32>> = values.iter().map(|_| vec![0.0; dim]).collect();
+    with_scratch(|scratch| {
+        let EmbedScratch { text, key, arena } = scratch;
+        arena.reset();
+        let mut batch = Batch { arena, dim, out: &mut out, value: 0, skipping: false };
+        for value in values {
+            text.load(value);
+            terms(value, text, key, &mut batch);
+            batch.finish();
+        }
+        batch.sum_pending();
+    });
+    out.into_iter().map(Vector::new).collect()
+}
+
+/// Everything an embedding needs besides its output vectors, kept per thread
 /// so that a warm embedding allocates nothing else.
 #[derive(Debug)]
-pub(crate) struct EmbedScratch {
-    /// The value being embedded, normalised and tokenised once.
-    pub(crate) text: TextScanner,
+struct EmbedScratch {
+    /// The value being scanned, normalised and tokenised once.
+    text: TextScanner,
     /// Lexicon lookup key under construction.
-    pub(crate) key: String,
-    /// The `(seed, scale)` terms of the surface sum under construction.
-    pub(crate) terms: Vec<(u64, f32)>,
-    pub(crate) table: DirectionTable,
+    key: String,
+    arena: Arena,
 }
 
 thread_local! {
     static SCRATCH: RefCell<EmbedScratch> = RefCell::new(EmbedScratch {
         text: TextScanner::new(),
         key: String::new(),
-        terms: Vec::new(),
-        table: DirectionTable::new(DIRECTION_TABLE_SLOTS),
+        arena: Arena::new(),
     });
 }
 
-/// Runs `f` over the calling thread's scratch.  Embedders never call one
-/// another from inside `f`, so the borrow cannot be re-entered.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut EmbedScratch) -> R) -> R {
+/// Runs `f` over the calling thread's scratch.  The kernel never calls an
+/// embedder from inside `f`, so the borrow cannot be re-entered.
+fn with_scratch<R>(f: impl FnOnce(&mut EmbedScratch) -> R) -> R {
     SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// `(slots, heap bytes)` of the calling thread's direction table — the
-/// stated bound a soak test holds it to.  Bytes are `0` until the thread's
-/// first embedding allocates the rows.
-pub fn thread_table_footprint() -> (usize, usize) {
-    with_scratch(|scratch| (scratch.table.tags.len(), scratch.table.heap_bytes()))
+/// `(rows, heap bytes)` the calling thread's arena keeps between batches —
+/// the stated bound a soak test holds it to.
+pub fn thread_arena_footprint() -> (usize, usize) {
+    with_scratch(|scratch| (scratch.arena.seeds.capacity(), scratch.arena.heap_bytes()))
 }
 
-/// Runs `f` with the calling thread's direction table replaced by an empty
-/// one of `slots` slots, then puts the original back.  Embeddings computed
-/// inside `f` are bit-identical to those computed outside it; a tiny table
-/// makes nearly every lookup an eviction, which is how the equivalence tests
-/// exercise that guarantee.
+/// Runs `f` with the calling thread's arena capped at `rows` rows, then
+/// restores [`ARENA_ROWS`].  Embeddings computed inside `f` are
+/// bit-identical to those computed outside it; a tiny cap cuts every batch
+/// into many chunks and nearly every value across two of them, which is how
+/// the equivalence tests exercise that guarantee.
 ///
 /// # Panics
-/// Panics if `slots == 0`.
-pub fn with_thread_table_slots<R>(slots: usize, f: impl FnOnce() -> R) -> R {
-    let small = DirectionTable::new(slots);
-    let full = with_scratch(|scratch| std::mem::replace(&mut scratch.table, small));
+/// Panics unless `1 <= rows <= ARENA_ROWS`.
+pub fn with_arena_cap<R>(rows: usize, f: impl FnOnce() -> R) -> R {
+    assert!((1..=ARENA_ROWS).contains(&rows), "an arena cap must be in 1..=ARENA_ROWS");
+    with_scratch(|scratch| scratch.arena.cap = rows);
     let result = f();
-    with_scratch(|scratch| scratch.table = full);
+    with_scratch(|scratch| scratch.arena.cap = ARENA_ROWS);
     result
 }
 
@@ -294,74 +450,74 @@ mod tests {
         row.iter().map(|c| c.to_bits()).collect()
     }
 
-    fn fresh_bits(seed: u64) -> Vec<u32> {
-        bits(seeded_direction(seed, 16).components())
+    /// The straight-line sum: `normalise(Σ direction(seed) × scale)`.
+    fn expected(terms: &[(u64, f32)], dim: usize) -> Vec<u32> {
+        let mut acc = vec![0.0; dim];
+        for &(seed, scale) in terms {
+            add_scaled(&mut acc, seeded_direction(seed, dim).components(), scale);
+        }
+        normalize_in_place(&mut acc);
+        bits(&acc)
     }
 
-    #[test]
-    fn hits_misses_and_evictions_return_the_same_bits() {
-        // One slot: every change of seed evicts.
-        let mut table = DirectionTable::new(1);
-        for seed in [7u64, 7, 9, 7, u64::MAX, 0, 0, 9] {
-            assert_eq!(bits(table.direction(seed, 16)), fresh_bits(seed), "seed {seed}");
-        }
-        assert_eq!(bits(table.one_shot(11, 16)), fresh_bits(11));
-        // The spare row left the slot alone.
-        assert_eq!(table.tags, [Some(9)]);
+    /// Embeds each term list as one value of one batch.
+    fn embed_terms(values: &[&[(u64, f32)]], dim: usize) -> Vec<Vec<u32>> {
+        let keys: Vec<String> = (0..values.len()).map(|i| i.to_string()).collect();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        embed_batch_of(&keys, dim, |key, _, _, batch| {
+            for &(seed, scale) in values[key.parse::<usize>().expect("an index")] {
+                batch.add(seed, scale);
+            }
+        })
+        .iter()
+        .map(|v| bits(v.components()))
+        .collect()
     }
 
     #[test]
     fn batched_sums_equal_one_lookup_at_a_time_whatever_collides() {
-        // Ten terms with repeats through two slots: every group of missing
-        // directions has seeds that share a slot, and seeds evicted between
-        // being made resident and being summed.
-        let terms: Vec<(u64, f32)> =
+        // Repeats within and across values, a value with no terms, and
+        // seeds at both ends of the range.
+        let a: Vec<(u64, f32)> =
             [5u64, 6, 7, 5, 8, 9, 6, 10, 11, 5].iter().map(|&s| (s, 0.5 + s as f32)).collect();
-        let mut expected = vec![0.0; 16];
-        for &(seed, scale) in &terms {
-            add_scaled(&mut expected, seeded_direction(seed, 16).components(), scale);
-        }
-        for slots in [1, 2, 3, 64] {
-            let mut table = DirectionTable::new(slots);
-            let mut acc = vec![0.0; 16];
-            table.accumulate(&terms, 16, &mut acc);
-            assert_eq!(bits(&acc), bits(&expected), "{slots} slots");
-            for (slot, tag) in table.tags.iter().enumerate() {
-                let row = &table.rows[slot * 16..(slot + 1) * 16];
-                if let Some(seed) = tag {
-                    assert_eq!(bits(row), fresh_bits(*seed), "slot {slot} disagrees with its tag");
-                }
+        let b = [(u64::MAX, 1.0), (0, 2.5), (7, 1.0), (u64::MAX, 1.0)];
+        // More terms than the steps held at once: summed in parts.
+        let c = [(5, 1.0); MAX_STEPS + 7];
+        let values: [&[(u64, f32)]; 5] = [&a, &b, &[], &c, &a];
+        for cap in [1, 2, 3, 64] {
+            let seen = with_arena_cap(cap, || embed_terms(&values, 16));
+            for (value, seen) in values.iter().zip(&seen) {
+                assert_eq!(seen, &expected(value, 16), "cap {cap}");
             }
         }
     }
 
     #[test]
     fn a_change_of_dimension_forgets_every_row() {
-        let mut table = DirectionTable::new(4);
-        let wide = bits(table.direction(3, 8));
-        assert_eq!(wide.len(), 8);
-        let narrow = bits(table.direction(3, 4));
-        assert_eq!(narrow, bits(seeded_direction(3, 4).components()));
-        assert_eq!(bits(table.direction(3, 8)), wide);
-        assert_eq!(table.tags.iter().flatten().count(), 1);
+        let terms: &[(u64, f32)] = &[(3, 1.0), (9, 2.0)];
+        let wide = embed_terms(&[terms], 8);
+        assert_eq!(wide[0], expected(terms, 8));
+        assert_eq!(embed_terms(&[terms], 4)[0], expected(terms, 4));
+        assert_eq!(embed_terms(&[terms], 8), wide);
     }
 
     #[test]
-    fn the_thread_table_stays_within_its_stated_bound() {
-        with_scratch(|scratch| {
-            for seed in 0..10_000u64 {
-                scratch.table.direction(splitmix64(seed), 64);
-            }
-        });
-        let (slots, bytes) = thread_table_footprint();
-        assert_eq!(slots, DIRECTION_TABLE_SLOTS);
-        assert!(bytes <= 512 << 10, "{bytes} bytes");
+    fn the_thread_arena_stays_within_its_stated_bound() {
+        // 40 000 distinct seeds in one batch: more than two chunks.
+        let values: Vec<Vec<(u64, f32)>> = (0..1_000u64)
+            .map(|v| (0..40).map(|t| (splitmix64(v * 40 + t), 1.0)).collect())
+            .collect();
+        let values: Vec<&[(u64, f32)]> = values.iter().map(Vec::as_slice).collect();
+        embed_terms(&values, 64);
+        let (rows, bytes) = thread_arena_footprint();
+        assert!(rows <= ARENA_ROWS, "{rows} rows");
+        assert!(bytes <= ARENA_ROWS * (4 * 64 + 8 + 2 * 8) + MAX_STEPS * 12 + LANES * 64 * 4);
     }
 
     #[test]
-    fn shrinking_the_thread_table_is_scoped() {
-        let inside = with_thread_table_slots(2, || thread_table_footprint().0);
+    fn capping_the_thread_arena_is_scoped() {
+        let inside = with_arena_cap(2, || with_scratch(|scratch| scratch.arena.cap));
         assert_eq!(inside, 2);
-        assert_eq!(thread_table_footprint().0, DIRECTION_TABLE_SLOTS);
+        assert_eq!(with_scratch(|scratch| scratch.arena.cap), ARENA_ROWS);
     }
 }

@@ -15,8 +15,18 @@ pub trait Embedder: Send + Sync {
     /// Output dimensionality.
     fn dim(&self) -> usize;
 
-    /// Embeds one cell value.
-    fn embed(&self, value: &str) -> Vector;
+    /// Embeds a batch of cell values: one vector per value, in input order.
+    ///
+    /// A batch is the unit of embedding work — a direction that several of
+    /// its values share is generated once for all of them — but never of
+    /// meaning: each vector is the one the value embeds to alone, whatever
+    /// else the batch holds.
+    fn embed_many(&self, values: &[&str]) -> Vec<Vector>;
+
+    /// Embeds one cell value: a batch of one.
+    fn embed(&self, value: &str) -> Vector {
+        self.embed_many(&[value]).pop().expect("one vector per value")
+    }
 
     /// Cosine distance between the embeddings of two values.  Convenience
     /// wrapper; performance-sensitive callers should embed once and reuse the
@@ -35,8 +45,8 @@ impl Embedder for Box<dyn Embedder> {
         self.as_ref().dim()
     }
 
-    fn embed(&self, value: &str) -> Vector {
-        self.as_ref().embed(value)
+    fn embed_many(&self, values: &[&str]) -> Vec<Vector> {
+        self.as_ref().embed_many(values)
     }
 }
 

@@ -17,7 +17,9 @@
 //!   [`packed_band_key`]) that power the [`AnnIndex`](crate::AnnIndex) behind
 //!   the fuzzy value matcher's escalated blocking tier.
 
-use crate::directions::{normalize_in_place, seeded_direction, with_scratch, EmbedScratch};
+use lake_text::TextScanner;
+
+use crate::directions::{embed_batch_of, seeded_direction, Batch};
 use crate::embedder::{Embedder, Fnv1a};
 use crate::vector::{QuantizedSlab, Vector};
 
@@ -81,31 +83,22 @@ impl HashingNgramEmbedder {
         self
     }
 
-    /// Loads `value` into the scratch's scanner and adds its *surface form*
-    /// into `acc`: one direction per padded character n-gram, then one
-    /// weighted direction per word token, before normalisation.  Exposed so
-    /// [`SimulatedLmEmbedder`](crate::SimulatedLmEmbedder) can combine it
-    /// with a semantic component over the same scan.
-    pub(crate) fn accumulate_surface(
-        &self,
-        value: &str,
-        scratch: &mut EmbedScratch,
-        acc: &mut [f32],
-    ) {
-        let EmbedScratch { text, terms, table, .. } = scratch;
-        text.load(value);
-        terms.clear();
+    /// Feeds the *surface form* of the value loaded in `text` into `batch`:
+    /// one direction per padded character n-gram, then one weighted
+    /// direction per word token.  [`SimulatedLmEmbedder`] feeds the same
+    /// terms ahead of its semantic ones.
+    ///
+    /// [`SimulatedLmEmbedder`]: crate::SimulatedLmEmbedder
+    pub(crate) fn surface_terms(&self, text: &TextScanner, batch: &mut Batch<'_>) {
         for n in self.min_ngram..=self.max_ngram {
             let salt = (n as u64).wrapping_mul(0x51_7c_c1_b7);
-            terms.extend(
-                text.padded_ngrams(n).map(|gram| (Fnv1a::new().chars(gram).finish() ^ salt, 1.0)),
-            );
+            for gram in text.padded_ngrams(n) {
+                batch.add(Fnv1a::new().chars(gram).finish() ^ salt, 1.0);
+            }
         }
-        terms.extend(
-            text.words()
-                .map(|word| (Fnv1a::new().chars(word).finish() ^ WORD_SALT, self.word_weight)),
-        );
-        table.accumulate(terms, self.dim, acc);
+        for word in text.words() {
+            batch.add(Fnv1a::new().chars(word).finish() ^ WORD_SALT, self.word_weight);
+        }
     }
 }
 
@@ -400,11 +393,8 @@ impl Embedder for HashingNgramEmbedder {
         self.dim
     }
 
-    fn embed(&self, value: &str) -> Vector {
-        let mut out = vec![0.0; self.dim];
-        with_scratch(|scratch| self.accumulate_surface(value, scratch, &mut out));
-        normalize_in_place(&mut out);
-        Vector::new(out)
+    fn embed_many(&self, values: &[&str]) -> Vec<Vector> {
+        embed_batch_of(values, self.dim, |_, text, _, batch| self.surface_terms(text, batch))
     }
 }
 

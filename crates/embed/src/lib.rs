@@ -17,10 +17,11 @@
 //!   *coverage* and *noise* parameters calibrated so the relative quality
 //!   ordering of the paper's Table 1 (FastText < BERT < RoBERTa < Llama3 <
 //!   Mistral) is preserved;
-//! * [`directions`] — the allocation-free kernel under both embedders: one
-//!   scan of the value, streamed n-gram hashing, and a bounded per-thread
-//!   table of the pseudo-random directions the hashes select, producing the
-//!   straight-line algorithm's vectors bit for bit;
+//! * [`directions`] — the allocation-free kernel under both embedders: a
+//!   batch of values scanned once with streamed n-gram hashing, each
+//!   distinct pseudo-random direction the hashes select generated once into
+//!   a capped per-thread arena, producing the straight-line algorithm's
+//!   vectors bit for bit;
 //! * [`EmbeddingCache`] — memoises embeddings per distinct cell value, the
 //!   same optimisation the paper's implementation relies on (columns have
 //!   ~150 distinct values, each embedded once);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use lake_text::{normalize_chars, TextScanner};
 
-use crate::directions::{add_scaled, normalize_in_place, with_scratch, EmbedScratch};
+use crate::directions::{embed_batch_of, Batch};
 use crate::embedder::{Embedder, Fnv1a};
 use crate::hashing::HashingNgramEmbedder;
 use crate::knowledge::{difficulty, KnowledgeBase};
@@ -127,6 +127,55 @@ impl SimulatedLmEmbedder {
         }
         true
     }
+
+    /// Feeds the terms of `value` (loaded in `text`) into `batch`: the
+    /// surface form, then — unless the surface sums to zero, which keeps
+    /// empty and null-like values at zero so they never match — the
+    /// semantic channels and the noise.
+    fn terms(&self, value: &str, text: &TextScanner, key: &mut String, batch: &mut Batch<'_>) {
+        self.surface.surface_terms(text, batch);
+        batch.gate();
+        let knowledge = &self.knowledge;
+        let known_concept =
+            |key: &str| knowledge.concept_of_normalized(key).filter(|c| self.knows(c.difficulty));
+
+        // Semantic channel: shared direction per known concept.
+        key.clear();
+        key.extend(text.normalized());
+        if let Some(concept) = known_concept(key) {
+            batch.add(concept.seed, self.params.semantic_weight);
+        }
+
+        // Token-level semantic channel: individual words of a multi-word
+        // value that denote a known concept contribute a (weaker) shared
+        // direction — this is what lets "Bob Smith" land near "Robert Smith"
+        // or "NYC Marathon" near "New York City Marathon".
+        let tokens = text.words();
+        if tokens.len() >= 2 {
+            let token_weight = self.params.semantic_weight * 0.7 / (tokens.len() as f32).sqrt();
+            for token in tokens {
+                key.clear();
+                normalize_chars(token.iter().copied(), |c| key.push(c));
+                if let Some(concept) = known_concept(key) {
+                    batch.add(concept.seed, token_weight);
+                }
+            }
+        }
+
+        // Acronym channel: ties expansions to their short forms.  Gated by the
+        // same coverage mechanism (keyed by the acronym string).
+        if Self::acronym_key(text, key) {
+            let hash = Fnv1a::new().bytes(b"acronym:").bytes(key.as_bytes()).finish();
+            if self.knows(difficulty(hash)) {
+                batch.add(hash, self.params.acronym_weight);
+            }
+        }
+
+        // Deterministic per-value noise, keyed by model and value.
+        if self.params.noise > 0.0 {
+            batch.add(self.noise_prefix.bytes(value.as_bytes()).finish(), self.params.noise);
+        }
+    }
 }
 
 impl Embedder for SimulatedLmEmbedder {
@@ -138,67 +187,10 @@ impl Embedder for SimulatedLmEmbedder {
         self.surface.dim()
     }
 
-    fn embed(&self, value: &str) -> Vector {
-        let dim = self.dim();
-        let mut out = vec![0.0; dim];
-        with_scratch(|scratch| {
-            self.surface.accumulate_surface(value, scratch, &mut out);
-            let EmbedScratch { text, key, table, .. } = scratch;
-            normalize_in_place(&mut out);
-            if out.iter().all(|c| *c == 0.0) {
-                // Empty / null-like values embed to zero so they never match.
-                return;
-            }
-            let knowledge = &self.knowledge;
-            let known_concept = |key: &str| {
-                knowledge.concept_of_normalized(key).filter(|c| self.knows(c.difficulty))
-            };
-
-            // Semantic channel: shared direction per known concept.
-            key.clear();
-            key.extend(text.normalized());
-            if let Some(concept) = known_concept(key) {
-                add_scaled(
-                    &mut out,
-                    table.direction(concept.seed, dim),
-                    self.params.semantic_weight,
-                );
-            }
-
-            // Token-level semantic channel: individual words of a multi-word
-            // value that denote a known concept contribute a (weaker) shared
-            // direction — this is what lets "Bob Smith" land near "Robert Smith"
-            // or "NYC Marathon" near "New York City Marathon".
-            let tokens = text.words();
-            if tokens.len() >= 2 {
-                let token_weight = self.params.semantic_weight * 0.7 / (tokens.len() as f32).sqrt();
-                for token in tokens {
-                    key.clear();
-                    normalize_chars(token.iter().copied(), |c| key.push(c));
-                    if let Some(concept) = known_concept(key) {
-                        add_scaled(&mut out, table.direction(concept.seed, dim), token_weight);
-                    }
-                }
-            }
-
-            // Acronym channel: ties expansions to their short forms.  Gated by the
-            // same coverage mechanism (keyed by the acronym string).
-            if Self::acronym_key(text, key) {
-                let hash = Fnv1a::new().bytes(b"acronym:").bytes(key.as_bytes()).finish();
-                if self.knows(difficulty(hash)) {
-                    add_scaled(&mut out, table.direction(hash, dim), self.params.acronym_weight);
-                }
-            }
-
-            // Deterministic per-value noise, keyed by model and value.
-            if self.params.noise > 0.0 {
-                let seed = self.noise_prefix.bytes(value.as_bytes()).finish();
-                add_scaled(&mut out, table.one_shot(seed, dim), self.params.noise);
-            }
-
-            normalize_in_place(&mut out);
-        });
-        Vector::new(out)
+    fn embed_many(&self, values: &[&str]) -> Vec<Vector> {
+        embed_batch_of(values, self.dim(), |value, text, key, batch| {
+            self.terms(value, text, key, batch)
+        })
     }
 }
 

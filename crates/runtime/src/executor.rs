@@ -90,6 +90,34 @@ where
     C: Fn(&T) -> u64,
     F: Fn(T) -> R + Sync,
 {
+    run_scope_batched(policy, items, cost, &work, |items| items.into_iter().map(&work).collect())
+}
+
+/// As [`run_scope`], except that a batch resolved to one worker is handed to
+/// `inline` whole, in one call on the calling thread — for work whose
+/// batched form is cheaper than its items one at a time (embedding values
+/// that share directions).  `inline` must return what `work` would, one
+/// output per item in input order; the statistics count every item as a
+/// task either way.
+///
+/// # Panics
+///
+/// As [`run_scope`]; also when `inline` returns a different number of
+/// outputs than it was given items.
+pub fn run_scope_batched<T, R, C, F, I>(
+    policy: &ParallelPolicy,
+    items: Vec<T>,
+    cost: C,
+    work: F,
+    inline: I,
+) -> (Vec<R>, RuntimeStats)
+where
+    T: Send,
+    R: Send,
+    C: Fn(&T) -> u64,
+    F: Fn(T) -> R + Sync,
+    I: FnOnce(Vec<T>) -> Vec<R>,
+{
     let n = items.len();
     // Zero-cost hints still need a total order for LPT; clamp to 1 so ties
     // break on input position and the imbalance maths never divides by zero.
@@ -99,7 +127,8 @@ where
 
     if workers <= 1 {
         let started = Instant::now();
-        let outputs: Vec<R> = items.into_iter().map(work).collect();
+        let outputs = inline(items);
+        assert_eq!(outputs.len(), n, "an inline batch returns one output per item");
         let stats = RuntimeStats {
             tasks: n as u64,
             // Inline batches have no deques and no injector: nothing was

@@ -45,7 +45,7 @@ pub mod policy;
 pub mod service;
 pub mod stats;
 
-pub use executor::run_scope;
+pub use executor::{run_scope, run_scope_batched};
 pub use policy::ParallelPolicy;
 pub use service::{pause, spawn_periodic, spawn_service, PeriodicHandle, ServiceHandle};
 pub use stats::RuntimeStats;

@@ -40,7 +40,9 @@ impl ColumnSignature {
         let numeric_fraction =
             if sample.is_empty() { 0.0 } else { numeric as f64 / sample.len() as f64 };
 
-        let vectors: Vec<Vector> = sample.iter().map(|v| embedder.embed(&v.render())).collect();
+        let rendered: Vec<_> = sample.iter().map(|v| v.render()).collect();
+        let rendered: Vec<&str> = rendered.iter().map(AsRef::as_ref).collect();
+        let vectors = embedder.embed_many(&rendered);
         let centroid =
             Vector::mean(vectors.iter()).unwrap_or_else(|| Vector::zeros(embedder.dim()));
 
@@ -96,6 +98,17 @@ mod tests {
 
         let pop = ColumnSignature::build(&t, 1, &e, 100);
         assert!(pop.numeric_fraction > 0.9);
+    }
+
+    #[test]
+    fn the_centroid_is_the_mean_of_the_values_embedded_one_at_a_time() {
+        let t = table();
+        let e = lake_embed::EmbeddingModel::Mistral.build();
+        let sample = t.distinct_values(0).unwrap();
+        let one_at_a_time: Vec<Vector> = sample.iter().map(|v| e.embed(&v.render())).collect();
+        let centroid = ColumnSignature::build(&t, 0, e.as_ref(), 100).centroid;
+        let bits = |v: &Vector| v.components().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&centroid), bits(&Vector::mean(one_at_a_time.iter()).unwrap()));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Allocation and memory bounds of the embedding kernel.
 //!
 //! The kernel's scratch (normalised `char` buffer, lexicon key, direction
-//! table) lives per thread, so a warm embedding should allocate its output
-//! vector and nothing else, and no amount of distinct input may grow the
-//! direction table past its fixed capacity.  A counting global allocator
-//! holds both; counts are per thread, so the harness's own threads and the
-//! sibling test cannot leak into a measurement.
+//! arena) lives per thread and keeps its capacity, so a warm embedding should
+//! allocate its output vector and nothing else, and no batch, however many
+//! distinct seeds it holds, may grow the arena past its row cap.  A counting
+//! global allocator holds both; counts are per thread, so the harness's own
+//! threads and the sibling test cannot leak into a measurement.
 
 #![allow(
     unsafe_code,
@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use datalake_fuzzy_fd::embed::directions::{thread_table_footprint, DIRECTION_TABLE_SLOTS};
+use datalake_fuzzy_fd::embed::directions::{thread_arena_footprint, ARENA_ROWS};
 use datalake_fuzzy_fd::embed::EmbeddingModel;
 
 thread_local! {
@@ -63,25 +63,20 @@ fn a_warm_embedding_allocates_little_more_than_its_output() {
 }
 
 #[test]
-fn the_direction_table_stays_at_its_fixed_capacity() {
+fn the_arena_stays_within_its_row_cap() {
     let embedder = EmbeddingModel::Mistral.build();
-    embedder.embed("first use allocates the table");
-    let footprint = thread_table_footprint();
-    assert_eq!(footprint.0, DIRECTION_TABLE_SLOTS);
-    assert!(footprint.1 <= 512 << 10, "table of {} bytes exceeds its 512 KiB bound", footprint.1);
 
-    // 50 000 distinct pseudo-random values of one to four words: far more
-    // distinct n-grams than the table has slots.
+    // 50 000 distinct pseudo-random values of one to four words, embedded as
+    // one batch: several times more distinct seeds than the arena has rows.
     const VALUES: u64 = 50_000;
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         state >> 33
     };
-    let mut value = String::new();
-    let ((), allocations) = allocations_during(|| {
-        for i in 0..VALUES {
-            value.clear();
+    let values: Vec<String> = (0..VALUES)
+        .map(|i| {
+            let mut value = String::new();
             for word in 0..1 + next() % 4 {
                 if word > 0 {
                     value.push(' ');
@@ -91,11 +86,21 @@ fn the_direction_table_stays_at_its_fixed_capacity() {
                 }
             }
             value.push_str(&i.to_string());
-            std::hint::black_box(embedder.embed(&value));
-        }
-    });
-    assert_eq!(thread_table_footprint(), footprint, "the direction table grew under soak");
-    // One output vector and one counter string per value; scratch buffers
-    // may double a handful of times on the way to the longest value.
-    assert!(allocations <= 2 * VALUES + 64, "{allocations} allocations for {VALUES} values");
+            value
+        })
+        .collect();
+    let values: Vec<&str> = values.iter().map(String::as_str).collect();
+    let (vectors, allocations) = allocations_during(|| embedder.embed_many(&values));
+    assert_eq!(vectors.len(), values.len());
+
+    let (rows, bytes) = thread_arena_footprint();
+    assert!(rows <= ARENA_ROWS, "the arena kept {rows} rows");
+    // Per row at 64 dimensions: 256 bytes of components, an 8-byte seed and
+    // two 8-byte index slots; plus 4 096 twelve-byte steps and eight staging
+    // rows.
+    let bound = ARENA_ROWS * (4 * 64 + 8 + 2 * 8) + 4_096 * 12 + 8 * 64 * 4;
+    assert!(bytes <= bound, "the arena kept {bytes} bytes, over its {bound}-byte bound");
+    // One output vector per value and the output list; the arena grows
+    // a few dozen times on the way to its cap.
+    assert!(allocations <= VALUES + 64, "{allocations} allocations for {VALUES} values");
 }

@@ -1,10 +1,11 @@
 //! Equivalence harness for the embedding kernel.
 //!
 //! The value → vector path (`lake_text::TextScanner` windows, streamed
-//! FNV-1a seeds, the bounded direction table of `lake_embed::directions`) is
-//! an optimisation of a straight-line algorithm and must produce that
-//! algorithm's vectors **bit for bit**: every digest, match decision and
-//! benchmark checksum downstream hangs off these bits.  Three angles:
+//! FNV-1a seeds, the batch kernel and per-thread arena of
+//! `lake_embed::directions`) is an optimisation of a straight-line algorithm
+//! and must produce that algorithm's vectors **bit for bit**: every digest,
+//! match decision and benchmark checksum downstream hangs off these bits.
+//! Three angles:
 //!
 //! * golden FNV digests over `f32::to_bits`, recorded from the commit before
 //!   the kernel existed, for all five model tiers;
@@ -12,11 +13,13 @@
 //!   built on the allocating public tokenisers, over strings that stress the
 //!   normaliser (multi-byte and case-expanding characters, whitespace runs,
 //!   empty and shorter-than-`n` values, 6+-word values);
-//! * table-state independence: the same corpus embedded in three orders
-//!   through a direction table shrunk to two slots (so nearly every lookup
-//!   evicts) yields identical bits.
+//! * batch-composition independence: the same corpus embedded one value at
+//!   a time, as one batch, reversed, interleaved, and through an arena
+//!   capped at two rows (so nearly every value straddles chunks) yields
+//!   identical bits, and a random batch with duplicates and empty values
+//!   equals the reference value by value.
 
-use datalake_fuzzy_fd::embed::directions::with_thread_table_slots;
+use datalake_fuzzy_fd::embed::directions::with_arena_cap;
 use datalake_fuzzy_fd::embed::{EmbeddingModel, KnowledgeBase, Vector, ALL_MODELS};
 use proptest::prelude::*;
 
@@ -279,7 +282,7 @@ proptest! {
 }
 
 #[test]
-fn bits_do_not_depend_on_table_state_or_embedding_order() {
+fn bits_do_not_depend_on_batch_composition() {
     let corpus = golden_corpus();
     let forward: Vec<usize> = (0..corpus.len()).collect();
     let reverse: Vec<usize> = forward.iter().rev().copied().collect();
@@ -287,17 +290,53 @@ fn bits_do_not_depend_on_table_state_or_embedding_order() {
     let interleaved: Vec<usize> = (0..corpus.len())
         .map(|i| if i % 2 == 0 { i / 2 } else { corpus.len() - 1 - i / 2 })
         .collect();
-    for model in [EmbeddingModel::FastText, EmbeddingModel::Mistral] {
+    for model in ALL_MODELS {
         let embedder = model.build();
-        let full_table: Vec<Vec<u32>> = corpus.iter().map(|v| bits(&embedder.embed(v))).collect();
-        for order in [&forward, &reverse, &interleaved] {
+        let one_at_a_time: Vec<Vec<u32>> =
+            corpus.iter().map(|v| bits(&embedder.embed(v))).collect();
+        let in_batch = |order: &[usize]| {
+            let values: Vec<&str> = order.iter().map(|&i| corpus[i].as_str()).collect();
             let mut seen = vec![Vec::new(); corpus.len()];
-            with_thread_table_slots(2, || {
-                for &i in order {
-                    seen[i] = bits(&embedder.embed(&corpus[i]));
+            for (&i, vector) in order.iter().zip(embedder.embed_many(&values)) {
+                seen[i] = bits(&vector);
+            }
+            seen
+        };
+        for order in [&forward, &reverse, &interleaved] {
+            assert_eq!(in_batch(order), one_at_a_time, "{model}: bits moved with batch order");
+        }
+        let chunked = with_arena_cap(2, || in_batch(&forward));
+        assert_eq!(chunked, one_at_a_time, "{model}: bits moved with chunking");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_random_batch_matches_the_reference_value_by_value(
+        fresh in proptest::collection::vec(value_strategy(), 1..24),
+        picks in proptest::collection::vec(0usize..64, 0..48),
+    ) {
+        // Duplicates of earlier values and empty values spread through.
+        let mut batch: Vec<String> = fresh;
+        batch.push(String::new());
+        for pick in picks {
+            batch.push(batch[pick % batch.len()].clone());
+        }
+        let values: Vec<&str> = batch.iter().map(String::as_str).collect();
+        let knowledge = KnowledgeBase::builtin();
+        for model in ALL_MODELS {
+            let embedder = model.build();
+            // Whole, and cut into chunks of at most three rows.
+            for vectors in [embedder.embed_many(&values), with_arena_cap(3, || embedder.embed_many(&values))] {
+                prop_assert_eq!(vectors.len(), values.len());
+                for (value, vector) in values.iter().zip(&vectors) {
+                    let expected: Vec<u32> =
+                        reference::embed(model, &knowledge, value).iter().map(|c| c.to_bits()).collect();
+                    prop_assert_eq!(bits(vector), expected, "{} on {:?}", model, value);
                 }
-            });
-            assert_eq!(seen, full_table, "{model}: bits moved with table state");
+            }
         }
     }
 }

@@ -212,3 +212,30 @@ fn batched_appends_match_single_appends() {
     assert_eq!(last.table, reference.table);
     assert_eq!(last.value_groups, batched.value_groups);
 }
+
+/// The embedding cache counts one lookup per value the matcher embeds, so
+/// batching the embeddings must leave every hit and miss where it was: on
+/// Auto-Join set 1, opened on two tables and appended the third, at one
+/// worker (no warm-up: the matcher's own lookups) and at two (a parallel
+/// warm-up first, then the matcher hits it).
+#[test]
+fn autojoin_session_embed_counters_are_pinned() {
+    let config = AutoJoinConfig { num_sets: 3, ..AutoJoinConfig::default() };
+    let set = generate_autojoin_benchmark(config).remove(1);
+    let tables = set.tables();
+    assert_eq!(tables.len(), 3);
+    // (threads, begin (hits, misses), append (hits, misses)).
+    let pinned = [(1, (0, 265), (15, 94)), (2, (265, 265), (146, 94))];
+    for (threads, begin, append) in pinned {
+        let fd_config = FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() };
+        let mut session = IntegrationSession::begin(fd_config, &tables[..2]).expect("open");
+        let opened = &session.current().incremental;
+        assert_eq!((opened.embed_hits, opened.embed_misses), begin, "begin at {threads} threads");
+        let appended = &session.add_table(&tables[2]).expect("append").incremental;
+        assert_eq!(
+            (appended.embed_hits, appended.embed_misses),
+            append,
+            "append at {threads} threads"
+        );
+    }
+}
