@@ -6,8 +6,8 @@
 //! tail of small ones, with per-component closure cost growing quadratically
 //! in component size — so costs span orders of magnitude.  This generator
 //! synthesises exactly the shape that is pathological for static round-robin
-//! component assignment (the strategy `lake-runtime`'s work-stealing
-//! executor replaced): a giant component at index 0, medium components
+//! component assignment (the strategy `lake-runtime`'s executor
+//! replaced): a giant component at index 0, medium components
 //! placed every [`SkewedComponentsConfig::stride`] positions (so with
 //! `stride` round-robin workers they all land in the *same* bucket as the
 //! giant), and small components everywhere else.
@@ -36,7 +36,7 @@ pub struct SkewedComponentsConfig {
     /// Medium components are placed at component indices that are multiples
     /// of this stride: benchmarking round-robin with `stride` workers then
     /// stacks every medium into the giant's bucket — the worst case the
-    /// work-stealing executor exists to dissolve.
+    /// shared executor exists to dissolve.
     pub stride: usize,
 }
 

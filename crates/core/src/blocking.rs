@@ -212,7 +212,7 @@ pub struct BlockingStats {
     pub max_block_size: usize,
     /// How the block solves were scheduled on the shared executor
     /// ([`lake_runtime::run_scope`]), accumulated over every fold: tasks,
-    /// steals, per-worker busy time.  Empty when every fold solved inline.
+    /// per-worker busy time.  Empty when every fold solved inline.
     pub runtime: lake_runtime::RuntimeStats,
     /// What the quantized scoring kernel did under the planned tiers:
     /// int8-scored / bound-skipped / f32-re-scored pairs and swept cache

@@ -47,7 +47,7 @@ pub struct FuzzyFdReport {
 impl FuzzyFdReport {
     /// All shared-executor activity of the run — embedding warm-up, block
     /// solving and FD component closures — merged into one set of counters
-    /// (tasks, steals, injected, busy time).  The per-worker busy vector
+    /// (tasks, busy time).  The per-worker busy vector
     /// adds positionally across the three independent stage pools, so the
     /// merged [`RuntimeStats::imbalance`] is indicative only (and reports
     /// `1.0` outright once any merged stage ran sequentially — see

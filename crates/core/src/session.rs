@@ -477,7 +477,7 @@ pub(crate) fn integration_step<T: Borrow<Table>>(
     let fd_start = Instant::now();
     let schema = IntegrationSchema::from_aligned_sets(rewritten_tables, alignment.groups());
     // The FD stage shares the matcher's thread semantics: component closures
-    // run on the same work-stealing executor as the block solves, and the
+    // run on the same executor as the block solves, and the
     // result is identical across worker counts.
     let threads = config.matching_threads;
     let (table, fd_stats) = match &mut retained.fd_cache {

@@ -400,9 +400,9 @@ impl<'a> ValueMatcher<'a> {
     /// `row` indexes `candidate_groups` and `col` indexes the fuzzy values,
     /// together with the scheduling statistics of the solve.  Blocks share
     /// no row and no column, so they are solved independently — on the
-    /// shared work-stealing executor ([`lake_runtime::run_scope`]) when the
+    /// shared executor ([`lake_runtime::run_scope`]) when the
     /// [`ParallelPolicy`] derived from `matching_threads` says the batch is
-    /// worth it, seeded largest-cost-first by solver cells so one giant
+    /// worth it, claimed largest-cost-first by solver cells so one giant
     /// block cannot serialise a bucket the way static round-robin
     /// assignment used to.
     ///

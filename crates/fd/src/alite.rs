@@ -7,11 +7,12 @@
 //!
 //! There is one driver; every public entry point is a call into it.
 //! Join-connected components are independent, so the components that need
-//! closing are scheduled on the workspace's shared work-stealing executor
+//! closing are scheduled on the workspace's shared executor
 //! ([`lake_runtime::run_scope`], Paganelli et al. 2019 parallelise FD along
-//! the same lines): seeded largest-first by a quadratic cost hint, with
-//! stealing correcting any skew the hint missed, and run inline on the
-//! calling thread when one worker is asked for.  Closures come back in
+//! the same lines): claimed largest-first by a quadratic cost hint from one
+//! shared cursor, so a component the hint under-costed holds up only its
+//! own worker, and run inline on the calling thread when one worker is
+//! asked for.  Closures come back in
 //! component order and are concatenated and sorted, so the result is
 //! byte-identical across worker counts.
 //!
@@ -44,7 +45,7 @@ const MIN_AUTO_CLOSURE_COST: u64 = 4_096;
 
 /// Cost hint for one component: closure work (join attempts + subsumption)
 /// grows quadratically with the component's tuple count, and a quadratic
-/// hint also ranks the giants first for LPT seeding.
+/// hint also ranks the giants first in the executor's claim order.
 fn component_cost(component: &[IntegratedTuple]) -> u64 {
     let len = component.len() as u64;
     len.saturating_mul(len)

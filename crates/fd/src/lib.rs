@@ -21,7 +21,7 @@
 //!   computes the exact FD inside one component;
 //! * [`alite`] — the one end-to-end FD operator ([`full_disjunction`] and
 //!   its threaded and delta-aware spellings): component closures run on the
-//!   shared work-stealing executor (`lake-runtime`), inline when one worker
+//!   shared scoped executor (`lake-runtime`), inline when one worker
 //!   is asked for;
 //! * [`incremental`] — the operator's optional live partition, the
 //!   [`ComponentCache`]: handed to [`incremental_full_disjunction_with`], it

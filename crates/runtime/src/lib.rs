@@ -6,20 +6,19 @@
 //! cells vary ~10,000× across blocks on lake-scale folds), so static
 //! round-robin bucketing lets one unlucky bucket serialise a whole solve.
 //! This crate replaces the per-site ad-hoc pools with one deterministic
-//! work-stealing scoped executor:
+//! scoped executor:
 //!
 //! * [`run_scope`] — runs a batch of independent tasks over scoped worker
-//!   threads.  Tasks are seeded **largest-cost-first** (LPT) onto per-worker
-//!   deques using a caller-supplied cost hint, with the long tail parked on a
-//!   shared injector; idle workers drain the injector and then steal from the
-//!   busiest end of other workers' deques — stealing is the correction, not
-//!   the plan.  Outputs are returned in **input order**, so every determinism
-//!   guarantee downstream holds by construction, independent of scheduling.
+//!   threads.  Tasks are sorted **largest-cost-first** by a caller-supplied
+//!   cost hint and workers claim them in that order from one shared cursor,
+//!   so a task whose hint was wrong holds up only its own worker.  Outputs
+//!   are returned in **input order**, so every determinism guarantee
+//!   downstream holds by construction, independent of scheduling.
 //! * [`ParallelPolicy`] — the one place the workspace's thread-count
 //!   semantics are defined: an explicit count ≥ 2 is a command, `1` is
 //!   sequential, and `0` auto-gates on the batch's total cost.
-//! * [`RuntimeStats`] — scheduling diagnostics (tasks, steals, per-worker
-//!   busy nanos, imbalance ratio) threaded through `FdStats`,
+//! * [`RuntimeStats`] — scheduling diagnostics (tasks, per-worker busy
+//!   nanos, imbalance ratio) threaded through `FdStats`,
 //!   `BlockingStats` and `FuzzyFdReport` so benchmarks can see scheduling
 //!   quality.
 //! * [`spawn_service`] / [`ServiceHandle`] — named long-lived threads for

@@ -128,8 +128,8 @@ where
 /// Puts the calling thread to sleep for `duration`.
 ///
 /// Exists so polling loops outside `crates/runtime` (which may not name the
-/// std thread module — see `tests/no_raw_threads.rs`) can still back off
-/// between retries.
+/// std thread module — see the raw-threads rule in `docs/LINTS.md`) can
+/// still back off between retries.
 pub fn pause(duration: Duration) {
     thread::sleep(duration);
 }

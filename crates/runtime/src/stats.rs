@@ -9,9 +9,6 @@
 /// let mut total = RuntimeStats::default();
 /// total.merge(&RuntimeStats {
 ///     tasks: 8,
-///     seeded: 8,
-///     injected: 0,
-///     steals: 2,
 ///     per_worker_busy_nanos: vec![300, 100],
 ///     ..RuntimeStats::default()
 /// });
@@ -23,13 +20,9 @@
 pub struct RuntimeStats {
     /// Tasks executed (sequential batches count too).
     pub tasks: u64,
-    /// Tasks LPT-placed onto per-worker deques ahead of execution.
-    pub seeded: u64,
-    /// Tasks drained from the shared injector (the unseeded tail).
-    pub injected: u64,
-    /// Tasks a worker took from another worker's deque — how often the
-    /// cost-hint plan needed correcting.  `0` on sequential batches and on
-    /// batches whose hints matched reality.
+    /// Always `0`: workers claim tasks from one shared cursor, so nothing is
+    /// ever stolen.  Kept only because the benchmark still reports it as
+    /// `runtime.steals`; [`merge`](Self::merge) does not touch it.
     pub steals: u64,
     /// Nanoseconds each worker spent inside task closures (scheduling
     /// overhead excluded).  One entry per worker.  The merge rule is
@@ -86,9 +79,6 @@ impl RuntimeStats {
     /// stopped describing a real schedule.
     pub fn merge(&mut self, other: &RuntimeStats) {
         self.tasks = self.tasks.saturating_add(other.tasks);
-        self.seeded = self.seeded.saturating_add(other.seeded);
-        self.injected = self.injected.saturating_add(other.injected);
-        self.steals = self.steals.saturating_add(other.steals);
         self.sequential_batches = self.sequential_batches.saturating_add(other.sequential_batches);
         if self.per_worker_busy_nanos.len() < other.per_worker_busy_nanos.len() {
             self.per_worker_busy_nanos.resize(other.per_worker_busy_nanos.len(), 0);
@@ -128,24 +118,15 @@ mod tests {
     fn merge_extends_and_adds_element_wise() {
         let mut total = RuntimeStats {
             tasks: 2,
-            seeded: 2,
-            injected: 0,
-            steals: 1,
             per_worker_busy_nanos: vec![10, 20],
             ..RuntimeStats::default()
         };
         total.merge(&RuntimeStats {
             tasks: 3,
-            seeded: 1,
-            injected: 2,
-            steals: 0,
             per_worker_busy_nanos: vec![5, 5, 5],
             ..RuntimeStats::default()
         });
         assert_eq!(total.tasks, 5);
-        assert_eq!(total.seeded, 3);
-        assert_eq!(total.injected, 2);
-        assert_eq!(total.steals, 1);
         assert_eq!(total.per_worker_busy_nanos, vec![15, 25, 5]);
         assert_eq!(total.workers(), 3);
     }

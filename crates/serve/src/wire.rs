@@ -394,7 +394,7 @@ pub fn error_body(message: &str) -> String {
 /// Renders the `GET /stats` body from per-shard statuses.
 ///
 /// Unlike `/query`, this body includes scheduler aggregates
-/// ([`RuntimeStats`](lake_runtime::RuntimeStats) busy-nanos and steals from
+/// ([`RuntimeStats`](lake_runtime::RuntimeStats) tasks and busy-nanos from
 /// the latest integration per shard), which are timing-dependent — it is
 /// an observability surface, not a data surface.
 pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
@@ -493,7 +493,6 @@ fn write_runtime(w: &mut JsonWriter, runtime: &lake_runtime::RuntimeStats) {
     w.key("runtime");
     w.open('{');
     w.field("tasks", runtime.tasks);
-    w.field("steals", runtime.steals);
     w.field("busy_nanos", runtime.busy_nanos());
     w.field("sequential_batches", runtime.sequential_batches);
     w.close('}');
@@ -846,8 +845,7 @@ mod tests {
         durable.recovery.wal_records = 15;
         durable.recovery.torn_bytes = 16;
 
-        let zero_runtime =
-            r#""runtime":{"tasks":0,"steals":0,"busy_nanos":0,"sequential_batches":0},"#;
+        let zero_runtime = r#""runtime":{"tasks":0,"busy_nanos":0,"sequential_batches":0},"#;
         let zero_phases =
             r#""planner_phases":{"hash_nanos":0,"probe_nanos":0,"pairs_nanos":0,"dedup_nanos":0,"#
                 .to_string()

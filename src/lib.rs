@@ -16,8 +16,8 @@
 //! * [`em`] — downstream entity matching;
 //! * [`benchdata`] — benchmark generators;
 //! * [`metrics`] — evaluation metrics and reports;
-//! * [`runtime`] — the shared work-stealing scoped executor every parallel
-//!   site routes through;
+//! * [`runtime`] — the shared scoped executor every parallel site routes
+//!   through;
 //! * [`serve`] — the sharded concurrent integration server (hand-rolled
 //!   HTTP/1.1 over `std::net`; see `docs/PROTOCOL.md`);
 //! * [`store`] — the durable lake store (one write-ahead log per store,
