@@ -50,9 +50,14 @@
 //! Both planned tiers split oversized connected components before solving
 //! (see [`BlockingPolicy::max_component_cells`]): candidate edges re-join
 //! components strongest-first, and an edge that would merge two clusters
-//! past the cell cap is severed and recorded as a [`CutEdge`] so post-solve
-//! thresholding (and the equivalence harness) can re-verify that nothing
-//! below θ was lost.
+//! past the cell cap is severed and recorded on [`BlockPlan::cut_edges`] so
+//! post-solve thresholding (and the equivalence harness) can re-verify that
+//! nothing below θ was lost.
+//!
+//! Between emission and splitting an edge is one 12-byte [`CandidateEdge`]
+//! (`u32` coordinates and the measured distance): the planner's memory is
+//! dominated by its edge list, so the edge is kept that small and the lists
+//! it passes through are reused in place (bound on [`plan_blocks`]).
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -255,19 +260,30 @@ impl BlockingStats {
     }
 }
 
-/// A candidate edge severed while splitting an oversized component.  Every
-/// cut is recorded so post-solve thresholding (and the equivalence harness)
-/// can re-verify it: a cut at `distance >= θ` could never have produced a
+/// One candidate edge of a fold's bipartite graph: a (row, col) pair and
+/// the exact cosine distance the planner measured for it — 12 bytes, the one
+/// form an edge takes from the kernel's emission to component splitting.
+///
+/// Severed edges keep this form on [`BlockPlan::cut_edges`]: every cut is
+/// recorded so post-solve thresholding (and the equivalence harness) can
+/// re-verify it — a cut at `distance >= θ` could never have produced a
 /// match, so severing it is provably harmless; a cut below θ can only make
 /// the matching *miss* a pair, never fabricate one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CutEdge {
-    /// Row-side (group) index of the severed candidate pair.
-    pub row: usize,
-    /// Column-side (value) index of the severed candidate pair.
-    pub col: usize,
+pub struct CandidateEdge {
+    /// Row-side (group) index of the candidate pair.
+    pub row: u32,
+    /// Column-side (value) index of the candidate pair.
+    pub col: u32,
     /// The pair's exact cosine distance, as measured by the planner.
     pub distance: f32,
+}
+
+impl CandidateEdge {
+    /// The `(row, col)` pair, the key of the canonical edge order.
+    fn pair(&self) -> (u32, u32) {
+        (self.row, self.col)
+    }
 }
 
 /// The result of planning one bipartite matching step.
@@ -276,9 +292,9 @@ pub struct BlockPlan {
     /// Independent sub-problems; every row and every column appears in at
     /// most one block.  Rows/columns in no block have no candidate partner.
     pub blocks: Vec<Block>,
-    /// Candidate edges severed by oversized-component splitting (empty when
-    /// nothing was split).
-    pub cut_edges: Vec<CutEdge>,
+    /// Candidate edges severed by oversized-component splitting, in
+    /// ascending `(row, col)` order (empty when nothing was split).
+    pub cut_edges: Vec<CandidateEdge>,
     /// What the plan pruned.
     pub stats: BlockingStats,
 }
@@ -385,9 +401,9 @@ pub fn hashed_value_block_keys(value: &str) -> Vec<u64> {
 }
 
 /// Canonicalizes a candidate-pair list in place: ascending `(row, col)`
-/// order with duplicates removed — the one place the planner's pair-list
-/// invariant (sorted, unique, row-major) lives.  Pair coordinates must be in
-/// `0..rows` / `0..cols`.
+/// order with duplicates removed — the planner's pair-list invariant
+/// (sorted, unique, row-major), for callers that hold pairs as `usize`
+/// tuples.  Pair coordinates must be in `0..rows` / `0..cols`.
 ///
 /// Runs as a two-pass stable counting (radix) sort in O(pairs + rows + cols)
 /// — the planner's id spaces are dense, so this beats the O(pairs·log pairs)
@@ -494,81 +510,62 @@ fn radix_canonicalize(
 /// and duplicate-free, in O(a + b).  The escalated planner calls this once
 /// per row, so the two candidate channels deduplicate without ever
 /// materializing a fold-wide pair list.
-fn merge_sorted_cols(candidates: &[u32], keyed_run: &[(usize, usize)], out: &mut Vec<usize>) {
+fn merge_sorted_cols(candidates: &[u32], keyed_run: &[(u32, u32)], out: &mut Vec<usize>) {
     debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "probe candidates not canonical");
     debug_assert!(keyed_run.windows(2).all(|w| w[0].1 < w[1].1), "keyed run not canonical");
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < candidates.len() && j < keyed_run.len() {
-        let a = candidates[i] as usize;
+        let a = candidates[i];
         let b = keyed_run[j].1;
         match a.cmp(&b) {
             std::cmp::Ordering::Less => {
-                out.push(a);
+                out.push(a as usize);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b);
+                out.push(b as usize);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push(a);
+                out.push(a as usize);
                 i += 1;
                 j += 1;
             }
         }
     }
     out.extend(candidates[i..].iter().map(|&c| c as usize));
-    out.extend(keyed_run[j..].iter().map(|&(_, c)| c));
+    out.extend(keyed_run[j..].iter().map(|&(_, c)| c as usize));
 }
 
-/// Merges two already-canonical (strictly ascending, duplicate-free) pair
-/// lists, carrying costs alongside: `pairs`/`costs` (already
-/// canonical) absorb the canonical `tail_pairs`/`tail_costs`.  Cross-list
-/// duplicates keep the first list's copy — callers guarantee duplicates carry
-/// the same measured cost.
-fn merge_canonical_with_costs(
-    pairs: &mut Vec<(usize, usize)>,
-    costs: &mut Vec<f32>,
-    tail_pairs: Vec<(usize, usize)>,
-    tail_costs: Vec<f32>,
-) {
-    debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "base merge input is not canonical");
-    debug_assert!(tail_pairs.windows(2).all(|w| w[0] < w[1]), "tail merge input is not canonical");
-    debug_assert_eq!(pairs.len(), costs.len());
-    debug_assert_eq!(tail_pairs.len(), tail_costs.len());
-    if tail_pairs.is_empty() {
-        return;
-    }
-    let mut out_pairs = Vec::with_capacity(pairs.len() + tail_pairs.len());
-    let mut out_costs = Vec::with_capacity(pairs.len() + tail_pairs.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < pairs.len() && j < tail_pairs.len() {
-        match pairs[i].cmp(&tail_pairs[j]) {
-            std::cmp::Ordering::Less => {
-                out_pairs.push(pairs[i]);
-                out_costs.push(costs[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out_pairs.push(tail_pairs[j]);
-                out_costs.push(tail_costs[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out_pairs.push(pairs[i]);
-                out_costs.push(costs[i]);
-                i += 1;
-                j += 1;
-            }
+/// Folds the edges the fallback sweeps appended (`edges[start..]`) into the
+/// canonical prefix `edges[..start]`, in place: the tail is sorted, pairs the
+/// prefix already holds are dropped from it (a sweep can revisit a
+/// slack-band pair the probing kept; both copies carry the same measured
+/// distance, so the prefix's survives), and one backward merge interleaves
+/// the rest inside the buffer's own capacity — no second full edge list.
+fn merge_fallback_tail(edges: &mut Vec<CandidateEdge>, start: usize) {
+    debug_assert!(
+        edges[..start].windows(2).all(|w| w[0].pair() < w[1].pair()),
+        "the probed prefix is not canonical"
+    );
+    let mut tail = edges.split_off(start);
+    tail.sort_unstable_by_key(CandidateEdge::pair);
+    tail.dedup_by_key(|edge| edge.pair());
+    tail.retain(|edge| edges.binary_search_by_key(&edge.pair(), CandidateEdge::pair).is_err());
+    edges.extend_from_slice(&tail);
+    // `write` stays `read + remaining tail`, so no prefix edge is
+    // overwritten before it has moved.
+    let (mut read, mut write) = (start, edges.len());
+    for &edge in tail.iter().rev() {
+        while read > 0 && edges[read - 1].pair() > edge.pair() {
+            read -= 1;
+            write -= 1;
+            edges[write] = edges[read];
         }
+        write -= 1;
+        edges[write] = edge;
     }
-    out_pairs.extend_from_slice(&pairs[i..]);
-    out_costs.extend_from_slice(&costs[i..]);
-    out_pairs.extend_from_slice(&tail_pairs[j..]);
-    out_costs.extend_from_slice(&tail_costs[j..]);
-    *pairs = out_pairs;
-    *costs = out_costs;
 }
 
 /// Plans the blocks of one bipartite matching step.
@@ -579,6 +576,32 @@ fn merge_canonical_with_costs(
 /// between the exact distance sweep over the embedding slices and, for folds
 /// at or above [`BlockingPolicy::min_fold_pairs`], the sub-quadratic ANN
 /// tier (the only one that reads `input`'s key slices).
+///
+/// # Memory
+///
+/// Beyond its inputs, one call's peak live heap is at most
+///
+/// ```text
+/// packed + 52 B × E + 128 B × (rows + cols)
+///        + 16 B × K + ⌈rows × cols / 8⌉ B + 8 B × S     (escalated tier only)
+/// ```
+///
+/// where `packed` is the two quantized slabs (and, escalated, the ANN index
+/// over the column slab), `E` the candidate edges the kernel keeps (the
+/// plan's `candidate_pairs + severed_pairs`), `K` the hashed surface keys of
+/// both sides and `S` the plan's `scored_pairs`.  An edge costs 12 B in the
+/// planner's one edge list ([`CandidateEdge`]; up to twice that in `Vec`
+/// growth slack while the escalated tier emits), 8 B + 1 B more while an
+/// oversized component is split, and 24 B once it lands on its [`Block`];
+/// the slabs and the index are freed before the blocks are built.  The
+/// exact tier's worst case is the moment the kernel's pair and cost lists
+/// (20 B per edge, up to 40 B with their growth slack) become the edge
+/// list: 52 B.  The escalated tier's surface-key channel holds 16 B per
+/// (key, node) entry and the dedup bitmap (one bit per pair, at most
+/// 2 MiB) while nominating, then 8 B per nominated pair (each one is
+/// scored, so at most `S`) until the probe loop ends; folds over 2²⁴ pairs
+/// dedup on a keyed set instead of the bitmap.  `tests/planner_alloc.rs`
+/// holds the bound on a lake-scale fold, once per tier.
 ///
 /// ```
 /// use fuzzy_fd_core::{plan_blocks, BlockingPolicy, FoldInputs};
@@ -596,6 +619,10 @@ fn merge_canonical_with_costs(
 /// assert_eq!(plan.blocks.len(), 2); // one independent sub-problem per cluster
 /// assert_eq!(plan.stats.pruned_pairs, 2); // the cross-cluster pairs
 /// ```
+///
+/// # Panics
+/// Panics when either side of a planned fold has more than `u32::MAX`
+/// members (edges carry `u32` coordinates).
 pub fn plan_blocks(input: &FoldInputs<'_>, policy: &BlockingPolicy) -> BlockPlan {
     plan_tier(input, policy.tier(input.rows(), input.cols()), policy.max_component_cells)
 }
@@ -607,6 +634,12 @@ pub(crate) fn plan_tier(
     max_component_cells: usize,
 ) -> BlockPlan {
     let cutoff = input.theta + CANDIDACY_SLACK;
+    if tier != FoldTier::Cartesian {
+        assert!(
+            input.rows() <= u32::MAX as usize && input.cols() <= u32::MAX as usize,
+            "a planned fold side exceeds u32::MAX members"
+        );
+    }
     match tier {
         FoldTier::Cartesian => plan_cartesian(input.rows(), input.cols()),
         FoldTier::Exact => plan_exact(input, cutoff, max_component_cells),
@@ -622,8 +655,8 @@ pub(crate) fn plan_tier(
 /// into the blocks, bit-identical to a dense f32 sweep.  *Candidacy* at the
 /// matching threshold is exact by construction; when a component exceeds
 /// `max_component_cells` the splitter may still sever candidate edges
-/// (each one recorded as a [`CutEdge`]), so end-to-end recall is exact
-/// whenever no component is oversized.
+/// (each one recorded on [`BlockPlan::cut_edges`]), so end-to-end recall is
+/// exact whenever no component is oversized.
 fn plan_exact(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -> BlockPlan {
     let watch = Stopwatch::start();
     let rows = input.row_embeddings.len();
@@ -637,8 +670,17 @@ fn plan_exact(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -
     let mut kernel_stats = KernelStats::default();
     let ((pairs, costs), score_time) =
         Stopwatch::time(|| kernel::sweep_below(&row_slab, &col_slab, cutoff, &mut kernel_stats));
-    let (mut plan, assemble_time) =
-        Stopwatch::time(|| assemble_components(rows, cols, pairs, costs, max_component_cells));
+    drop((row_slab, col_slab));
+    // The kernel's parallel pair and cost lists become the planner's edge
+    // list once, here.
+    let (mut plan, assemble_time) = Stopwatch::time(|| {
+        let edges = pairs
+            .into_iter()
+            .zip(costs)
+            .map(|((r, c), distance)| CandidateEdge { row: r as u32, col: c as u32, distance })
+            .collect();
+        assemble_components(rows, cols, edges, max_component_cells)
+    });
     plan.stats.scored_pairs = rows * cols;
     plan.stats.kernel = kernel_stats;
     plan.stats.phase.hash = hash_time;
@@ -687,7 +729,8 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
     // The surface-key channel is sub-quadratic by construction and catches
     // the shared-token/typo pairs the probabilistic index is most likely to
     // drop, so its candidates ride along for free.
-    let (keyed_pairs, keyed_time) = Stopwatch::time(|| keyed_pair_set(input, MAX_KEY_BUCKET));
+    let (keyed_pairs, keyed_time) =
+        Stopwatch::time(|| keyed_pair_set(input, MAX_KEY_BUCKET, DEDUP_BITMAP_CAP));
     phase.pairs = keyed_time;
 
     // All re-scoring below goes through the quantized kernel: the int8 tier
@@ -703,8 +746,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
     let mut kernel_stats = KernelStats::default();
     let mut scored = 0usize;
     let theta = input.theta;
-    let mut kept: Vec<(usize, usize)> = Vec::new();
-    let mut costs: Vec<f32> = Vec::new();
+    let mut edges: Vec<CandidateEdge> = Vec::new();
     let mut row_live = vec![false; rows];
     let mut col_live = vec![false; cols];
     {
@@ -718,7 +760,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
             });
             phase.probe += probe_time;
             let keyed_start = keyed_at;
-            while keyed_at < keyed_pairs.len() && keyed_pairs[keyed_at].0 == r {
+            while keyed_at < keyed_pairs.len() && keyed_pairs[keyed_at].0 as usize == r {
                 keyed_at += 1;
             }
             let ((), dedup_time) = Stopwatch::time(|| {
@@ -739,11 +781,10 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
                     merged_cols.iter().copied(),
                     cutoff,
                     &mut kernel_stats,
-                    |c, d| {
-                        kept.push((r, c));
-                        costs.push(d);
-                        live |= d < theta;
-                        col_live[c] |= d < theta;
+                    |c, distance| {
+                        edges.push(CandidateEdge { row: r as u32, col: c as u32, distance });
+                        live |= distance < theta;
+                        col_live[c] |= distance < theta;
                     },
                 );
                 row_live[r] = live;
@@ -751,6 +792,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
             phase.score += score_time;
         }
     }
+    drop((keyed_pairs, index));
 
     // Fallback sweeps: a column value with no *matchable* candidate (below
     // θ; slack-band candidates only steer the solver) is exactly swept
@@ -758,7 +800,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
     // it unmatchable.  This is what keeps the tier faithful for participants
     // the sketch is blind to; it degrades to the exact sweep's own cost only
     // in the pathological fold where nothing is matchable at all.
-    let fallback_start = kept.len();
+    let fallback_start = edges.len();
     let ((), fallback_time) = Stopwatch::time(|| {
         let swept_cols: Vec<bool> = col_live.iter().map(|&live| !live).collect();
         let unswept_cols = cols - swept_cols.iter().filter(|&&swept| swept).count();
@@ -768,12 +810,11 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
             }
             scored += rows;
             for (r, live) in row_live.iter_mut().enumerate() {
-                if let Some(d) =
+                if let Some(distance) =
                     kernel::distance_below(&row_slab, r, &col_slab, c, cutoff, &mut kernel_stats)
                 {
-                    kept.push((r, c));
-                    costs.push(d);
-                    *live |= d < theta;
+                    edges.push(CandidateEdge { row: r as u32, col: c as u32, distance });
+                    *live |= distance < theta;
                 }
             }
         }
@@ -785,7 +826,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
             // row, including this one — only the others need a look.
             for (c, &already_swept) in swept_cols.iter().enumerate() {
                 if !already_swept {
-                    if let Some(d) = kernel::distance_below(
+                    if let Some(distance) = kernel::distance_below(
                         &row_slab,
                         r,
                         &col_slab,
@@ -793,8 +834,7 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
                         cutoff,
                         &mut kernel_stats,
                     ) {
-                        kept.push((r, c));
-                        costs.push(d);
+                        edges.push(CandidateEdge { row: r as u32, col: c as u32, distance });
                     }
                 }
             }
@@ -802,25 +842,19 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
         }
     });
     phase.fallback = fallback_time;
+    drop((row_slab, col_slab));
 
-    // A sweep can revisit a slack-band pair the probing already kept (slack
-    // candidates do not make their participants live); duplicates carry the
-    // same measured distance, so either copy may survive.  The pre-fallback
-    // prefix of `kept` is a filtered subsequence of the canonical pair list
-    // and therefore still canonical — only the fallback suffix needs sorting
-    // before a linear merge folds it in.
-    let ((), sweep_dedup_time) = Stopwatch::time(|| {
-        if kept.len() > fallback_start {
-            let mut tail_pairs = kept.split_off(fallback_start);
-            let mut tail_costs = costs.split_off(fallback_start);
-            canonicalize_pairs_with_costs(&mut tail_pairs, &mut tail_costs, rows, cols);
-            merge_canonical_with_costs(&mut kept, &mut costs, tail_pairs, tail_costs);
-        }
-    });
+    // The probed prefix of `edges` is a filtered subsequence of the canonical
+    // pair order and therefore still canonical — only the fallback suffix
+    // needs sorting before it is merged in.
+    let ((), sweep_dedup_time) =
+        Stopwatch::time(|| merge_fallback_tail(&mut edges, fallback_start));
     phase.dedup += sweep_dedup_time;
+    // Growth slack would otherwise stay allocated through splitting.
+    edges.shrink_to_fit();
 
     let (mut plan, assemble_time) =
-        Stopwatch::time(|| assemble_components(rows, cols, kept, costs, max_component_cells));
+        Stopwatch::time(|| assemble_components(rows, cols, edges, max_component_cells));
     phase.pairs += assemble_time;
     plan.stats.scored_pairs = scored;
     plan.stats.escalated_folds = 1;
@@ -830,22 +864,34 @@ fn plan_escalated(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usiz
     plan
 }
 
+/// Folds of at most this many pairs dedup surface-key nominations on a
+/// bitmap over the whole candidate space (one bit per pair: 2 MiB at the
+/// cap); larger ones fall back to a keyed set.
+const DEDUP_BITMAP_CAP: usize = 1 << 24;
+
 /// The sorted, duplicate-free pairs the surface-key channel nominates: a row
 /// and a column sharing a usable key.  Nominations carry no distance — the
 /// escalated planner re-scores each one.
-fn keyed_pair_set(input: &FoldInputs<'_>, max_key_bucket: usize) -> Vec<(usize, usize)> {
+///
+/// Folds of at most `bitmap_cap` pairs mark nominations on a bitmap over the
+/// candidate space and read the set bits back in order, which already is
+/// the canonical `(row, col)` order; larger folds collect them in a keyed
+/// set and sort once.
+fn keyed_pair_set(
+    input: &FoldInputs<'_>,
+    max_key_bucket: usize,
+    bitmap_cap: usize,
+) -> Vec<(u32, u32)> {
     let rows = input.rows();
     let cols = input.cols();
     let total_pairs = rows * cols;
 
     // Bucket rows and columns by key — sort-based grouping of (key, node)
     // entries instead of a hash map, which keeps the hot path allocation-free
-    // — then emit every cross-side combination of each usable bucket as a
-    // candidate pair.  Buckets bigger than the cap are uninformative
-    // ("the"-style keys) and skipped entirely.  A bitmap over the candidate
-    // space dedups pairs reachable through several shared keys (it costs one
-    // bit per cartesian pair, which is fine for any space worth blocking; a
-    // keyed map takes over for astronomically large folds).
+    // — then nominate every cross-side combination of each usable bucket.
+    // Buckets bigger than the cap are uninformative ("the"-style keys) and
+    // skipped entirely.  Pairs reachable through several shared keys are
+    // nominated once per key and deduplicated below.
     let mut entries: Vec<(u64, u32)> = Vec::with_capacity(
         input.row_keys.iter().map(Vec::len).sum::<usize>()
             + input.col_keys.iter().map(Vec::len).sum::<usize>(),
@@ -859,11 +905,10 @@ fn keyed_pair_set(input: &FoldInputs<'_>, max_key_bucket: usize) -> Vec<(usize, 
     entries.sort_unstable();
     entries.dedup();
 
-    const BITMAP_CAP: usize = 1 << 24; // 2 MiB of bits
+    let use_bitmap = total_pairs <= bitmap_cap;
     let mut bitmap: Vec<u64> =
-        if total_pairs <= BITMAP_CAP { vec![0u64; total_pairs.div_ceil(64)] } else { Vec::new() };
+        if use_bitmap { vec![0u64; total_pairs.div_ceil(64)] } else { Vec::new() };
     let mut seen: KeyMap<()> = KeyMap::default();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
     let mut start = 0;
     while start < entries.len() {
         let key = entries[start].0;
@@ -884,31 +929,38 @@ fn keyed_pair_set(input: &FoldInputs<'_>, max_key_bucket: usize) -> Vec<(usize, 
         }
         for &(_, r) in bucket_rows {
             for &(_, c) in bucket_cols {
-                let (r, c) = (r as usize, c as usize - rows);
-                let flat = r * cols + c;
-                let fresh = if bitmap.is_empty() {
-                    seen.insert(flat as u64, ()).is_none()
+                let flat = r as usize * cols + (c as usize - rows);
+                if use_bitmap {
+                    bitmap[flat / 64] |= 1 << (flat % 64);
                 } else {
-                    let (word, bit) = (flat / 64, flat % 64);
-                    let fresh = bitmap[word] & (1 << bit) == 0;
-                    bitmap[word] |= 1 << bit;
-                    fresh
-                };
-                if fresh {
-                    pairs.push((r, c));
+                    seen.insert(flat as u64, ());
                 }
             }
         }
     }
-    // The bitmap/map already deduplicated; canonicalization radix-sorts.
-    canonicalize_pairs(&mut pairs, rows, cols);
+    drop(entries);
+
+    let unflatten = |flat: usize| ((flat / cols) as u32, (flat % cols) as u32);
+    if !use_bitmap {
+        let mut pairs: Vec<(u32, u32)> =
+            seen.into_keys().map(|flat| unflatten(flat as usize)).collect();
+        pairs.sort_unstable();
+        return pairs;
+    }
+    let mut pairs = Vec::with_capacity(bitmap.iter().map(|word| word.count_ones() as usize).sum());
+    for (w, &word) in bitmap.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            pairs.push(unflatten(w * 64 + bits.trailing_zeros() as usize));
+            bits &= bits - 1;
+        }
+    }
     pairs
 }
 
-/// Builds the block plan from a canonical candidate-pair list and its
-/// aligned costs: connected components of the candidate graph are
-/// independent sub-problems (they share no row and no column), and oversized
-/// ones are split first.
+/// Builds the block plan from a canonical candidate-edge list: connected
+/// components of the candidate graph are independent sub-problems (they
+/// share no row and no column), and oversized ones are split first.
 ///
 /// Components whose cost matrix would exceed `max_component_cells` cells are
 /// rebuilt Kruskal-style: edges re-join components in order of increasing
@@ -917,20 +969,19 @@ fn keyed_pair_set(input: &FoldInputs<'_>, max_key_bucket: usize) -> Vec<(usize, 
 /// unmasks a cell that is already being paid for).  Severing keeps the
 /// strongest links and cuts the weakest ones, which on real folds are
 /// overwhelmingly slack-band edges (distance ≥ θ) that post-solve
-/// thresholding would reject anyway; every cut is recorded as a [`CutEdge`]
-/// so that claim is verifiable after the fact.
+/// thresholding would reject anyway; every cut is recorded on
+/// [`BlockPlan::cut_edges`] so that claim is verifiable after the fact.
 fn assemble_components(
     rows: usize,
     cols: usize,
-    pairs: Vec<(usize, usize)>,
-    costs: Vec<f32>,
+    mut edges: Vec<CandidateEdge>,
     max_component_cells: usize,
 ) -> BlockPlan {
     // Cheap pre-pass: splitting is a no-op unless some component is actually
     // oversized.
     let mut parent: Vec<usize> = (0..rows + cols).collect();
-    for &(r, c) in &pairs {
-        union(&mut parent, r, rows + c);
+    for edge in &edges {
+        union(&mut parent, edge.row as usize, rows + edge.col as usize);
     }
     let mut row_count = vec![0usize; rows + cols];
     let mut col_count = vec![0usize; rows + cols];
@@ -948,40 +999,35 @@ fn assemble_components(
         })
         .count();
     if oversized == 0 {
-        return assemble_from_parent(rows, cols, pairs, costs, parent);
+        return assemble_from_parent(rows, cols, edges.iter().copied(), parent);
     }
 
     // Kruskal rebuild: strongest (smallest-distance) edges first, capped
     // cluster sizes.  Ties break on the pair itself for determinism — the
-    // pair list arrives canonical (strictly ascending), so the index is the
+    // edge list arrives canonical (strictly ascending), so the index is the
     // pair order and the whole sort key packs into one u64 (total-order cost
     // bits high, index low), sorted without a comparator closure.
     debug_assert!(
-        pairs.windows(2).all(|w| w[0] < w[1]),
-        "assemble_components needs a canonical pair list"
+        edges.windows(2).all(|w| w[0].pair() < w[1].pair()),
+        "assemble_components needs a canonical edge list"
     );
-    let order: Vec<usize> = if pairs.len() <= u32::MAX as usize {
-        let mut packed: Vec<u64> = costs
-            .iter()
-            .enumerate()
-            .map(|(idx, &cost)| ((total_order_bits(cost) as u64) << 32) | idx as u64)
-            .collect();
-        packed.sort_unstable();
-        packed.into_iter().map(|key| (key & u32::MAX as u64) as usize).collect()
-    } else {
-        let mut order: Vec<usize> = (0..pairs.len()).collect();
-        order.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]).then_with(|| pairs[a].cmp(&pairs[b])));
-        order
-    };
+    assert!(edges.len() <= u32::MAX as usize, "more candidate edges than a u32 can index");
+    let mut order: Vec<u64> = edges
+        .iter()
+        .enumerate()
+        .map(|(idx, edge)| ((total_order_bits(edge.distance) as u64) << 32) | idx as u64)
+        .collect();
+    order.sort_unstable();
     let mut parent: Vec<usize> = (0..rows + cols).collect();
     let mut row_count = vec![0usize; rows + cols];
     let mut col_count = vec![0usize; rows + cols];
     row_count[..rows].fill(1);
     col_count[rows..].fill(1);
-    let mut kept = vec![false; pairs.len()];
-    for idx in order {
-        let (r, c) = pairs[idx];
-        let (ra, rb) = (find(&mut parent, r), find(&mut parent, rows + c));
+    let mut kept = vec![false; edges.len()];
+    for key in order {
+        let idx = (key & u32::MAX as u64) as usize;
+        let (r, c) = (edges[idx].row as usize, rows + edges[idx].col as usize);
+        let (ra, rb) = (find(&mut parent, r), find(&mut parent, c));
         if ra == rb {
             kept[idx] = true;
             continue;
@@ -989,61 +1035,45 @@ fn assemble_components(
         let merged_rows = row_count[ra] + row_count[rb];
         let merged_cols = col_count[ra] + col_count[rb];
         if merged_rows * merged_cols <= max_component_cells {
-            union(&mut parent, r, rows + c);
+            union(&mut parent, r, c);
             let root = find(&mut parent, r);
             row_count[root] = merged_rows;
             col_count[root] = merged_cols;
             kept[idx] = true;
         }
     }
-    // Severed edges read back out of the kept bitmap in index order — the
-    // pair list is canonical, so they come out already sorted by (row, col)
-    // and the old post-hoc sort disappears.
-    let cut_edges: Vec<CutEdge> = kept
-        .iter()
-        .enumerate()
-        .filter(|&(_, &keep)| !keep)
-        .map(|(idx, _)| CutEdge { row: pairs[idx].0, col: pairs[idx].1, distance: costs[idx] })
-        .collect();
 
-    // Compact the kept edges in place (the lists are ours to reuse), then
-    // hand the Kruskal union-find over directly: it unioned exactly the kept
+    // Hand the Kruskal union-find over directly: it unioned exactly the kept
     // edges, so it already is the component structure of the kept pairs, and
     // roots are the minimum node of each component by construction, so block
     // order is unaffected.
-    let mut pairs = pairs;
-    let mut costs = costs;
-    let mut write = 0usize;
-    for idx in 0..pairs.len() {
-        if kept[idx] {
-            pairs[write] = pairs[idx];
-            costs[write] = costs[idx];
-            write += 1;
-        }
-    }
-    pairs.truncate(write);
-    costs.truncate(write);
-    let mut plan = assemble_from_parent(rows, cols, pairs, costs, parent);
+    let kept_edges = edges.iter().zip(&kept).filter(|&(_, &keep)| keep).map(|(&edge, _)| edge);
+    let mut plan = assemble_from_parent(rows, cols, kept_edges, parent);
+    // The kept edges now live on their blocks; the buffer keeps only the
+    // severed ones, still in canonical (row, col) order.
+    let mut flags = kept.iter();
+    edges.retain(|_| flags.next().is_some_and(|&keep| !keep));
+    edges.shrink_to_fit();
     plan.stats.split_components = oversized;
-    plan.stats.severed_pairs = cut_edges.len();
-    plan.cut_edges = cut_edges;
+    plan.stats.severed_pairs = edges.len();
+    plan.cut_edges = edges;
     plan
 }
 
 /// Gathers the components of `parent` — a union-find over rows (nodes
-/// `0..rows`) and columns (`rows..rows + cols`) that unioned exactly `pairs`
-/// — into blocks and scatters each pair, with its cost, onto its block.
+/// `0..rows`) and columns (`rows..rows + cols`) that unioned exactly `edges`
+/// — into blocks and scatters each edge onto its block.  `edges` is walked
+/// twice: once to size every block's candidate list exactly, once to fill it.
 fn assemble_from_parent(
     rows: usize,
     cols: usize,
-    pairs: Vec<(usize, usize)>,
-    costs: Vec<f32>,
+    edges: impl Iterator<Item = CandidateEdge> + Clone,
     mut parent: Vec<usize>,
 ) -> BlockPlan {
     // Gather components in node order for determinism; nodes in no candidate
     // pair form one-sided components and are dropped below.  Roots index a
-    // plain vector (sentinel = unseen) — the pair scatter below does one
-    // lookup per pair, which a hash map would turn into the hottest line of
+    // plain vector (sentinel = unseen) — the edge scatter below does one
+    // lookup per edge, which a hash map would turn into the hottest line of
     // plan assembly.
     const UNSEEN: usize = usize::MAX;
     let mut component_of_root: Vec<usize> = vec![UNSEEN; rows + cols];
@@ -1061,13 +1091,18 @@ fn assemble_from_parent(
             blocks[idx].cols.push(node - rows);
         }
     }
-    for ((r, c), cost) in pairs.into_iter().zip(costs) {
-        let root = find(&mut parent, r);
-        let block = &mut blocks[component_of_root[root]];
-        block.candidates.get_or_insert_with(Vec::new).push((r, c, cost));
+    let mut block_edges = vec![0usize; blocks.len()];
+    for edge in edges.clone() {
+        block_edges[component_of_root[find(&mut parent, edge.row as usize)]] += 1;
+    }
+    for edge in edges {
+        let idx = component_of_root[find(&mut parent, edge.row as usize)];
+        let candidates =
+            blocks[idx].candidates.get_or_insert_with(|| Vec::with_capacity(block_edges[idx]));
+        candidates.push((edge.row as usize, edge.col as usize, edge.distance));
     }
     // Blocks missing one side generate no pairs; drop them.  Every block
-    // that stays was unioned by at least one pair, so it is enumerated.
+    // that stays was unioned by at least one edge, so it is enumerated.
     blocks.retain(|b| !b.rows.is_empty() && !b.cols.is_empty());
 
     let candidate_pairs: usize = blocks.iter().map(Block::pair_count).sum();
@@ -1202,7 +1237,7 @@ mod tests {
     fn disjoint_surfaces_nominate_disjoint_pairs() {
         let rows = keys(&["Berlin", "Toronto"]);
         let cols = keys(&["Berlinn", "Torontoo"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET, DEDUP_BITMAP_CAP);
         assert_eq!(pairs, vec![(0, 0), (1, 1)]);
     }
 
@@ -1210,7 +1245,7 @@ mod tests {
     fn unmatched_values_appear_in_no_pair() {
         let rows = keys(&["Berlin"]);
         let cols = keys(&["Berlinn", "Zanzibar"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
+        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET, DEDUP_BITMAP_CAP);
         assert_eq!(pairs, vec![(0, 0)]);
     }
 
@@ -1221,21 +1256,81 @@ mod tests {
         let rows = keys(&["city alpha", "city beta"]);
         let cols = keys(&["city gamma", "city delta"]);
         let input = key_inputs(&rows, &cols);
-        assert!(keyed_pair_set(&input, 3).is_empty());
+        assert!(keyed_pair_set(&input, 3, DEDUP_BITMAP_CAP).is_empty());
         // With a generous cap the shared token nominates every combination.
-        assert_eq!(keyed_pair_set(&input, MAX_KEY_BUCKET).len(), 4);
+        assert_eq!(keyed_pair_set(&input, MAX_KEY_BUCKET, DEDUP_BITMAP_CAP).len(), 4);
+    }
+
+    #[test]
+    fn bitmap_and_keyed_set_dedup_nominate_the_same_canonical_list() {
+        // Seeded values over a six-syllable alphabet share many trigrams, so
+        // most pairs are nominated through several keys at once.
+        let syllables = ["ber", "lin", "ton", "ro", "mak", "ia"];
+        let mut state = 0x5eed_u64;
+        let mut value = || {
+            let mut out = String::new();
+            for _ in 0..3 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                out.push_str(syllables[(state >> 33) as usize % syllables.len()]);
+            }
+            out
+        };
+        let row_values: Vec<String> = (0..40).map(|_| value()).collect();
+        let col_values: Vec<String> = (0..30).map(|_| value()).collect();
+        let rows: Vec<Vec<u64>> = row_values.iter().map(|v| hashed_value_block_keys(v)).collect();
+        let cols: Vec<Vec<u64>> = col_values.iter().map(|v| hashed_value_block_keys(v)).collect();
+        let input = key_inputs(&rows, &cols);
+
+        // Reference: every cross-side pair of every usable bucket, with the
+        // number of keys that nominate it.
+        let mut buckets: std::collections::BTreeMap<u64, (BTreeSet<u32>, BTreeSet<u32>)> =
+            std::collections::BTreeMap::new();
+        for (r, keys) in rows.iter().enumerate() {
+            for &k in keys {
+                buckets.entry(k).or_default().0.insert(r as u32);
+            }
+        }
+        for (c, keys) in cols.iter().enumerate() {
+            for &k in keys {
+                buckets.entry(k).or_default().1.insert(c as u32);
+            }
+        }
+        for cap in [6, MAX_KEY_BUCKET] {
+            let mut nominations: std::collections::BTreeMap<(u32, u32), usize> =
+                std::collections::BTreeMap::new();
+            for (bucket_rows, bucket_cols) in buckets.values() {
+                if bucket_rows.len() + bucket_cols.len() > cap {
+                    continue;
+                }
+                for &r in bucket_rows {
+                    for &c in bucket_cols {
+                        *nominations.entry((r, c)).or_default() += 1;
+                    }
+                }
+            }
+            assert!(nominations.values().any(|&keys| keys >= 3), "no pair shares several keys");
+            let expected: Vec<(u32, u32)> = nominations.into_keys().collect();
+
+            let bitmap = keyed_pair_set(&input, cap, DEDUP_BITMAP_CAP);
+            let keyed_set = keyed_pair_set(&input, cap, 0);
+            assert_eq!(bitmap, expected, "bitmap path, bucket cap {cap}");
+            assert_eq!(keyed_set, expected, "keyed-set path, bucket cap {cap}");
+        }
     }
 
     #[test]
     fn acronym_keys_bridge_initialisms() {
         let rows = keys(&["United Nations"]);
         let cols = keys(&["UN"]);
-        assert_eq!(keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET), vec![(0, 0)]);
+        assert_eq!(
+            keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET, DEDUP_BITMAP_CAP),
+            vec![(0, 0)]
+        );
     }
 
     #[test]
     fn empty_inputs_plan_no_blocks() {
-        assert!(keyed_pair_set(&key_inputs(&[], &[]), MAX_KEY_BUCKET).is_empty());
+        assert!(keyed_pair_set(&key_inputs(&[], &[]), MAX_KEY_BUCKET, DEDUP_BITMAP_CAP).is_empty());
         let rows = keys(&["Berlin"]);
         let plan = plan_blocks(&key_inputs(&rows, &[]), &BlockingPolicy::exhaustive());
         assert!(plan.blocks.is_empty());
@@ -1246,9 +1341,11 @@ mod tests {
     fn blocks_partition_rows_and_cols() {
         let rows = keys(&["alpha one", "beta two", "gamma three", "alpha four"]);
         let cols = keys(&["alpha", "beta", "delta", "gamma"]);
-        let pairs = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET);
-        let costs = vec![0.0; pairs.len()];
-        let plan = assemble_components(rows.len(), cols.len(), pairs, costs, usize::MAX);
+        let edges = keyed_pair_set(&key_inputs(&rows, &cols), MAX_KEY_BUCKET, DEDUP_BITMAP_CAP)
+            .into_iter()
+            .map(|(row, col)| CandidateEdge { row, col, distance: 0.0 })
+            .collect();
+        let plan = assemble_components(rows.len(), cols.len(), edges, usize::MAX);
         let mut seen_rows = BTreeSet::new();
         let mut seen_cols = BTreeSet::new();
         for block in &plan.blocks {

@@ -97,15 +97,15 @@ impl Default for BlockingPolicy {
         BlockingPolicy {
             min_blocked_pairs: 4_096,
             // 1M pairs ≈ a 1000 × 1000 fold.  It was the wall-clock
-            // break-even of the ANN tier against the f32 sweep; since the
-            // sweep went int8 (PRs 8–9) it no longer is.  Re-measured
-            // 2026-10-02 with the `diag_escalation` example (table in
-            // docs/PERF.md, "Escalation threshold"): the exact sweep is
-            // faster *and* recall-exact at 1M, 4M and 17M pairs (22.7 vs
-            // 47.1 ms, 74.3 vs 83.9 ms, 268.9 vs 315.0 ms), so above this
-            // value the tier currently buys fewer scored pairs, not wall
-            // clock.  Moving it or retiring the tier changes
-            // `escalation_fold`'s output, so that is ROADMAP item 6's
+            // break-even of the ANN tier against the f32 sweep.  Re-measured
+            // 2026-10-18 with the `diag_escalation` example on the AVX2
+            // integer dot (table in docs/PERF.md, "Escalation threshold"):
+            // exact sweep vs tier 44.8 vs 47.7 ms at 1M pairs, 128.7 vs
+            // 92.5 ms at 4M and 515.4 vs 361.0 ms at 17M, so the break-even
+            // sits near this value again; the sweep stays recall-exact while
+            // the tier recovers fewer gold pairs (3 044 vs 3 122 of 3 565 at
+            // 17M).  Moving it or retiring the tier changes
+            // `escalation_fold`'s output, so that is ROADMAP item 5(e)'s
             // decision, not a constant to nudge here.
             min_fold_pairs: 1_000_000,
             // 256 × 256 per component: far above every benchmark fold (the

@@ -482,7 +482,7 @@ fn splitter_cuts_are_recorded_and_exact() {
     for block in &split.blocks {
         recovered.extend(block.candidates.as_ref().expect("planned blocks enumerate pairs"));
     }
-    recovered.extend(split.cut_edges.iter().map(|e| (e.row, e.col, e.distance)));
+    recovered.extend(split.cut_edges.iter().map(|e| (e.row as usize, e.col as usize, e.distance)));
     recovered.sort_by_key(|e| (e.0, e.1));
     let mut expected: Vec<(usize, usize, f32)> = Vec::new();
     for block in &unsplit.blocks {

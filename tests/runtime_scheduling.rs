@@ -1,5 +1,4 @@
-//! Scheduler invariance harness for the shared work-stealing executor
-//! (`lake-runtime`).
+//! Scheduler invariance harness for the shared executor (`lake-runtime`).
 //!
 //! The executor's contract is **invariance**: outputs are identical to the
 //! sequential path for any worker count, even on the skewed (power-law)
