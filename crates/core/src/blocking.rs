@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lake_embed::kernel::{self, KernelStats};
-use lake_embed::{AnnIndex, AnnParams, AnnScratch, QuantizedSlab, Vector};
+use lake_embed::{total_order_bits, AnnIndex, AnnParams, AnnScratch, QuantizedSlab, Vector};
 use lake_metrics::{PhaseTimings, Stopwatch};
 use lake_text::{string_block_keys, BlockKeyOptions};
 
@@ -400,111 +400,6 @@ pub fn hashed_value_block_keys(value: &str) -> Vec<u64> {
     keys
 }
 
-/// Canonicalizes a candidate-pair list in place: ascending `(row, col)`
-/// order with duplicates removed — the planner's pair-list invariant
-/// (sorted, unique, row-major), for callers that hold pairs as `usize`
-/// tuples.  Pair coordinates must be in `0..rows` / `0..cols`.
-///
-/// Runs as a two-pass stable counting (radix) sort in O(pairs + rows + cols)
-/// — the planner's id spaces are dense, so this beats the O(pairs·log pairs)
-/// comparison sort the call sites used to carry — and falls back to the
-/// comparison sort when the id space dwarfs the pair list.  The output never
-/// exceeds the input length (pinned by the planner regression test).
-pub fn canonicalize_pairs(pairs: &mut Vec<(usize, usize)>, rows: usize, cols: usize) {
-    radix_canonicalize(pairs, None, rows, cols);
-}
-
-/// As [`canonicalize_pairs`], keeping `costs` aligned with `pairs`.  Every
-/// duplicate of a pair must carry the same cost (the planner measures each
-/// pair's distance exactly, so re-encounters agree bit for bit); the first
-/// occurrence survives.
-///
-/// # Panics
-/// Panics (in debug builds) when `costs` is not aligned with `pairs`.
-pub fn canonicalize_pairs_with_costs(
-    pairs: &mut Vec<(usize, usize)>,
-    costs: &mut Vec<f32>,
-    rows: usize,
-    cols: usize,
-) {
-    debug_assert_eq!(pairs.len(), costs.len(), "costs must align with pairs");
-    radix_canonicalize(pairs, Some(costs), rows, cols);
-}
-
-fn radix_canonicalize(
-    pairs: &mut Vec<(usize, usize)>,
-    costs: Option<&mut Vec<f32>>,
-    rows: usize,
-    cols: usize,
-) {
-    let n = pairs.len();
-    if n <= 1 {
-        return;
-    }
-    if rows.saturating_add(cols) > (4 * n).saturating_add(1024) {
-        // The counting arrays would dwarf the pair list; compare instead.
-        match costs {
-            Some(costs) => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_unstable_by_key(|&i| pairs[i]);
-                order.dedup_by_key(|i| pairs[*i]);
-                let (kept_pairs, kept_costs): (Vec<_>, Vec<_>) =
-                    order.into_iter().map(|i| (pairs[i], costs[i])).unzip();
-                *pairs = kept_pairs;
-                *costs = kept_costs;
-            }
-            None => {
-                pairs.sort_unstable();
-                pairs.dedup();
-            }
-        }
-        return;
-    }
-    // LSD radix over the two coordinates: a stable counting pass by column,
-    // then one by row, yields ascending (row, col) order.
-    let mut by_col = vec![0usize; cols + 1];
-    for &(_, c) in pairs.iter() {
-        by_col[c + 1] += 1;
-    }
-    for i in 1..by_col.len() {
-        by_col[i] += by_col[i - 1];
-    }
-    let mut order_by_col = vec![0usize; n];
-    for (i, &(_, c)) in pairs.iter().enumerate() {
-        order_by_col[by_col[c]] = i;
-        by_col[c] += 1;
-    }
-    let mut by_row = vec![0usize; rows + 1];
-    for &(r, _) in pairs.iter() {
-        by_row[r + 1] += 1;
-    }
-    for i in 1..by_row.len() {
-        by_row[i] += by_row[i - 1];
-    }
-    let mut order = vec![0usize; n];
-    for &i in &order_by_col {
-        let r = pairs[i].0;
-        order[by_row[r]] = i;
-        by_row[r] += 1;
-    }
-    // Gather in final order, dropping adjacent duplicates as they stream by.
-    let mut out_pairs = Vec::with_capacity(n);
-    let mut out_costs = costs.as_ref().map(|c| Vec::with_capacity(c.len()));
-    for &i in &order {
-        if out_pairs.last() == Some(&pairs[i]) {
-            continue;
-        }
-        out_pairs.push(pairs[i]);
-        if let (Some(out), Some(costs)) = (&mut out_costs, &costs) {
-            out.push(costs[i]);
-        }
-    }
-    *pairs = out_pairs;
-    if let (Some(costs), Some(out)) = (costs, out_costs) {
-        *costs = out;
-    }
-}
-
 /// Merges one row's sorted duplicate-free probe candidates with its
 /// (canonical, hence sorted) surface-key run into `out` — the union, sorted
 /// and duplicate-free, in O(a + b).  The escalated planner calls this once
@@ -582,7 +477,7 @@ fn merge_fallback_tail(edges: &mut Vec<CandidateEdge>, start: usize) {
 /// Beyond its inputs, one call's peak live heap is at most
 ///
 /// ```text
-/// packed + 52 B × E + 128 B × (rows + cols)
+/// max(packed + 24 B × E, 37 B × E) + 128 B × (rows + cols)
 ///        + 16 B × K + ⌈rows × cols / 8⌉ B + 8 B × S     (escalated tier only)
 /// ```
 ///
@@ -590,17 +485,17 @@ fn merge_fallback_tail(edges: &mut Vec<CandidateEdge>, start: usize) {
 /// over the column slab), `E` the candidate edges the kernel keeps (the
 /// plan's `candidate_pairs + severed_pairs`), `K` the hashed surface keys of
 /// both sides and `S` the plan's `scored_pairs`.  An edge costs 12 B in the
-/// planner's one edge list ([`CandidateEdge`]; up to twice that in `Vec`
-/// growth slack while the escalated tier emits), 8 B + 1 B more while an
-/// oversized component is split, and 24 B once it lands on its [`Block`];
-/// the slabs and the index are freed before the blocks are built.  The
-/// exact tier's worst case is the moment the kernel's pair and cost lists
-/// (20 B per edge, up to 40 B with their growth slack) become the edge
-/// list: 52 B.  The escalated tier's surface-key channel holds 16 B per
-/// (key, node) entry and the dedup bitmap (one bit per pair, at most
-/// 2 MiB) while nominating, then 8 B per nominated pair (each one is
-/// scored, so at most `S`) until the probe loop ends; folds over 2²⁴ pairs
-/// dedup on a keyed set instead of the bitmap.  `tests/planner_alloc.rs`
+/// planner's one edge list ([`CandidateEdge`]), which both tiers' kernels
+/// push to directly: up to twice that in `Vec` growth slack while the slabs
+/// are alive (`packed + 24 B`).  The slabs and the index are freed before
+/// the fallback-tail merge (at most 24 B of list and 12 B of tail per edge),
+/// an oversized component's split (8 B + 1 B more) and the blocks (1 B of
+/// kept flag and 24 B on its [`Block`] beside the list's 12 B: 37 B).  The
+/// escalated tier's surface-key channel holds 16 B per (key, node) entry and
+/// the dedup bitmap (one bit per pair, at most 2 MiB) while nominating, then
+/// 8 B per nominated pair (each one is scored, so at most `S`) until the
+/// probe loop ends; folds over 2²⁴ pairs dedup on a keyed set instead of the
+/// bitmap.  `tests/planner_alloc.rs`
 /// holds the bound on a lake-scale fold, once per tier.
 ///
 /// ```
@@ -649,7 +544,7 @@ pub(crate) fn plan_tier(
 
 /// The exact sub-threshold planner: the fold's embeddings are packed into
 /// [`QuantizedSlab`]s and one cache-blocked kernel sweep
-/// ([`kernel::sweep_below`]) classifies every (row, col) pair — int8
+/// ([`kernel::sweep_distances_below`]) classifies every (row, col) pair — int8
 /// estimates prove most pairs above `cutoff`, the near-threshold band is
 /// re-scored in exact f32, and surviving pairs carry their exact distance
 /// into the blocks, bit-identical to a dense f32 sweep.  *Candidacy* at the
@@ -668,19 +563,24 @@ fn plan_exact(input: &FoldInputs<'_>, cutoff: f32, max_component_cells: usize) -
         )
     });
     let mut kernel_stats = KernelStats::default();
-    let ((pairs, costs), score_time) =
-        Stopwatch::time(|| kernel::sweep_below(&row_slab, &col_slab, cutoff, &mut kernel_stats));
-    drop((row_slab, col_slab));
-    // The kernel's parallel pair and cost lists become the planner's edge
-    // list once, here.
-    let (mut plan, assemble_time) = Stopwatch::time(|| {
-        let edges = pairs
-            .into_iter()
-            .zip(costs)
-            .map(|((r, c), distance)| CandidateEdge { row: r as u32, col: c as u32, distance })
-            .collect();
-        assemble_components(rows, cols, edges, max_component_cells)
+    // The kernel hands its kept pairs straight to the planner's edge list.
+    let mut edges: Vec<CandidateEdge> = Vec::new();
+    let ((), score_time) = Stopwatch::time(|| {
+        kernel::sweep_distances_below(
+            &row_slab,
+            &col_slab,
+            cutoff,
+            &mut kernel_stats,
+            |r, c, d| {
+                edges.push(CandidateEdge { row: r as u32, col: c as u32, distance: d });
+            },
+        );
     });
+    drop((row_slab, col_slab));
+    // Growth slack would otherwise stay allocated through splitting.
+    edges.shrink_to_fit();
+    let (mut plan, assemble_time) =
+        Stopwatch::time(|| assemble_components(rows, cols, edges, max_component_cells));
     plan.stats.scored_pairs = rows * cols;
     plan.stats.kernel = kernel_stats;
     plan.stats.phase.hash = hash_time;
@@ -1156,18 +1056,6 @@ pub fn plan_cartesian(rows: usize, cols: usize) -> BlockPlan {
     BlockPlan { blocks, cut_edges: Vec::new(), stats }
 }
 
-/// Monotone map from [`f32::total_cmp`] order onto unsigned integer order:
-/// negative floats flip every bit, non-negatives flip the sign bit.  Lets a
-/// cost ride in the high half of a packed `u64` sort key.
-fn total_order_bits(cost: f32) -> u32 {
-    let bits = cost.to_bits();
-    if bits & 0x8000_0000 != 0 {
-        !bits
-    } else {
-        bits ^ 0x8000_0000
-    }
-}
-
 fn find(parent: &mut [usize], node: usize) -> usize {
     let mut root = node;
     while parent[root] != root {
@@ -1508,45 +1396,6 @@ mod tests {
         assert_eq!(plan.blocks.len(), 1);
         assert_eq!(plan.stats.candidate_pairs, 1);
         assert_eq!(plan.stats.max_block_size, 2);
-    }
-
-    #[test]
-    fn canonicalize_pairs_matches_comparison_sort() {
-        // A small dense id space exercises the radix path; the oversized one
-        // exercises the comparison fallback.  Both must agree with the
-        // reference sort+dedup on every input, duplicates included.
-        type Case = (Vec<(usize, usize)>, usize, usize);
-        let cases: Vec<Case> = vec![
-            (vec![], 4, 4),
-            (vec![(3, 2)], 4, 4),
-            (vec![(1, 1), (0, 3), (1, 1), (0, 0), (3, 2), (0, 3), (2, 1)], 4, 4),
-            (vec![(0, 0), (0, 0), (0, 0)], 1, 1),
-            (vec![(7, 900_000), (2, 1), (7, 900_000), (0, 999_999)], 1_000_000, 1_000_000),
-        ];
-        for (pairs, rows, cols) in cases {
-            let mut expected = pairs.clone();
-            expected.sort_unstable();
-            expected.dedup();
-            let mut canonical = pairs.clone();
-            canonicalize_pairs(&mut canonical, rows, cols);
-            assert_eq!(canonical, expected, "input {pairs:?}");
-            assert!(canonical.len() <= pairs.len());
-        }
-    }
-
-    #[test]
-    fn canonicalize_pairs_with_costs_keeps_costs_aligned() {
-        // Duplicates carry equal costs (the planner's contract), so any
-        // surviving copy must keep its pair's cost.
-        let pairs = vec![(2usize, 0usize), (0, 1), (2, 0), (1, 1), (0, 1), (0, 0)];
-        let costs = vec![0.5f32, 0.25, 0.5, 0.75, 0.25, 0.125];
-        for (rows, cols) in [(3usize, 2usize), (100_000, 100_000)] {
-            let mut p = pairs.clone();
-            let mut c = costs.clone();
-            canonicalize_pairs_with_costs(&mut p, &mut c, rows, cols);
-            assert_eq!(p, vec![(0, 0), (0, 1), (1, 1), (2, 0)]);
-            assert_eq!(c, vec![0.125, 0.25, 0.75, 0.5]);
-        }
     }
 
     #[test]

@@ -98,10 +98,10 @@ impl Default for BlockingPolicy {
             min_blocked_pairs: 4_096,
             // 1M pairs ≈ a 1000 × 1000 fold.  It was the wall-clock
             // break-even of the ANN tier against the f32 sweep.  Re-measured
-            // 2026-10-18 with the `diag_escalation` example on the AVX2
+            // 2026-10-19 with the `diag_escalation` example on the AVX2
             // integer dot (table in docs/PERF.md, "Escalation threshold"):
-            // exact sweep vs tier 44.8 vs 47.7 ms at 1M pairs, 128.7 vs
-            // 92.5 ms at 4M and 515.4 vs 361.0 ms at 17M, so the break-even
+            // exact sweep vs tier 26.3 vs 27.5 ms at 1M pairs, 93.9 vs
+            // 64.8 ms at 4M and 361.5 vs 182.3 ms at 17M, so the break-even
             // sits near this value again; the sweep stays recall-exact while
             // the tier recovers fewer gold pairs (3 044 vs 3 122 of 3 565 at
             // 17M).  Moving it or retiring the tier changes

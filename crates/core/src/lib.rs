@@ -49,8 +49,8 @@ pub mod session;
 pub mod value_match;
 
 pub use blocking::{
-    canonicalize_pairs, canonicalize_pairs_with_costs, hashed_value_block_keys, plan_blocks,
-    plan_cartesian, Block, BlockPlan, BlockingStats, CandidateEdge, FoldInputs,
+    hashed_value_block_keys, plan_blocks, plan_cartesian, Block, BlockPlan, BlockingStats,
+    CandidateEdge, FoldInputs,
 };
 pub use config::{AssignmentStrategy, BlockingPolicy, FuzzyFdConfig, IncrementalPolicy};
 pub use lake_embed::KernelStats;

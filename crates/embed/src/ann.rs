@@ -72,10 +72,12 @@ impl BucketStore {
 pub struct AnnScratch {
     probe: ProbeScratch,
     keys: Vec<u64>,
-    /// Per-id distinct-band hit counters, sized to the index and zeroed
-    /// between queries by walking `touched` (never by refilling).
-    counts: Vec<u32>,
-    /// The ids whose counter moved this query — the only ones to reset.
+    /// Per-id distinct-band hit counters, sized to the index and all zero
+    /// between queries: the dense filter refills them, the sparse one resets
+    /// the `touched` ids only.  A byte each: an id sits in one bucket per
+    /// band and a 64-bit signature has at most 64 bands.
+    counts: Vec<u8>,
+    /// The ids whose counter moved in a sparse query.
     touched: Vec<u32>,
 }
 
@@ -281,44 +283,64 @@ impl AnnIndex {
         // scratch array filters against the AND floor without sorting the
         // full probe multiset.  The bucket sizes are known up front, so the
         // query picks its filtering strategy before counting: a query that
-        // touches a large fraction of the index counts branch-free and
-        // sweeps the counters sequentially (ids come out ascending for
-        // free); a sparse query tracks the touched ids and sorts only the
-        // survivors.  Both emit the identical sorted candidate list.
+        // touches a large fraction of the index sweeps every counter (ids
+        // come out ascending for free); a sparse query tracks the touched
+        // ids and sorts only the survivors.  Both emit the identical sorted
+        // candidate list.
         scratch.counts.resize(self.indexed, 0);
-        let min_hits = self.params.min_band_hits as u32;
         let occurrences: usize = scratch.keys.iter().map(|&key| self.buckets.get(key).len()).sum();
         if occurrences * 2 >= self.indexed {
-            for &key in &scratch.keys {
-                for &id in self.buckets.get(key) {
-                    scratch.counts[id as usize] += 1;
-                }
-            }
-            for (id, count) in scratch.counts.iter_mut().enumerate() {
-                if *count >= min_hits {
-                    out.push(id as u32);
-                }
-                *count = 0;
-            }
+            self.dense_candidates(scratch, out);
         } else {
-            scratch.touched.clear();
-            for &key in &scratch.keys {
-                for &id in self.buckets.get(key) {
-                    let count = &mut scratch.counts[id as usize];
-                    if *count == 0 {
-                        scratch.touched.push(id);
-                    }
-                    *count += 1;
-                }
-            }
-            for &id in &scratch.touched {
-                if scratch.counts[id as usize] >= min_hits {
-                    out.push(id);
-                }
-                scratch.counts[id as usize] = 0;
-            }
-            out.sort_unstable();
+            self.sparse_candidates(scratch, out);
         }
+    }
+
+    /// The dense filter: count every probed id, then sweep all counters
+    /// branch-free.  Every id is written to `out` and the cursor advances
+    /// only past those at or above the AND floor, so the sweep carries no
+    /// data-dependent branch; one `fill` re-zeroes the counters.
+    fn dense_candidates(&self, scratch: &mut AnnScratch, out: &mut Vec<u32>) {
+        let counts = scratch.counts.as_mut_slice();
+        for &key in &scratch.keys {
+            for &id in self.buckets.get(key) {
+                counts[id as usize] += 1;
+            }
+        }
+        let min_hits = self.params.min_band_hits as u8;
+        out.resize(self.indexed, 0);
+        let slots = out.as_mut_slice();
+        let mut kept = 0usize;
+        for (id, &count) in counts.iter().enumerate() {
+            slots[kept] = id as u32;
+            kept += usize::from(count >= min_hits);
+        }
+        out.truncate(kept);
+        counts.fill(0);
+    }
+
+    /// The sparse filter: count while recording each first-touched id, keep
+    /// the touched ids at or above the AND floor, sort them, and re-zero
+    /// only the touched counters.
+    fn sparse_candidates(&self, scratch: &mut AnnScratch, out: &mut Vec<u32>) {
+        let min_hits = self.params.min_band_hits as u8;
+        scratch.touched.clear();
+        for &key in &scratch.keys {
+            for &id in self.buckets.get(key) {
+                let count = &mut scratch.counts[id as usize];
+                if *count == 0 {
+                    scratch.touched.push(id);
+                }
+                *count += 1;
+            }
+        }
+        for &id in &scratch.touched {
+            if scratch.counts[id as usize] >= min_hits {
+                out.push(id);
+            }
+            scratch.counts[id as usize] = 0;
+        }
+        out.sort_unstable();
     }
 }
 
@@ -381,6 +403,52 @@ mod tests {
             }
         }
         assert!(checked > 0, "probing must surface at least the typo pairs");
+    }
+
+    #[test]
+    fn dense_and_sparse_filters_return_the_same_list() {
+        // Run each query's probe once, then both filters over the same
+        // counters: same sorted list, counters all zero after each, and the
+        // list `candidates_with` picks.  The index is wide enough that some
+        // queries take each path, at both AND floors.
+        let mut state = 0x616e_6e5f_7061_7468u64;
+        let mut word = || {
+            state = crate::embedder::splitmix64(state);
+            let len = 3 + (state % 8) as usize;
+            (0..len).map(|i| (b'a' + (state >> (8 + 5 * i) & 0xf) as u8) as char).collect()
+        };
+        let values: Vec<String> = (0..400).map(|_| word()).collect();
+        let strs: Vec<&str> = values.iter().map(String::as_str).collect();
+        let indexed = embeddings(&strs);
+        let probes: Vec<String> = (0..30).map(|_| word()).chain(values[..10].to_vec()).collect();
+        let queries = embeddings(&probes.iter().map(String::as_str).collect::<Vec<_>>());
+        let mut paths = [0usize; 2];
+        for min_band_hits in [1, 2] {
+            let index = build(AnnParams { min_band_hits, ..AnnParams::default() }, &indexed);
+            let hasher = index.hasher.as_ref().expect("a non-empty index hashes");
+            for query in &queries {
+                let mut scratch = AnnScratch::default();
+                hasher.probe_packed_keys_into(
+                    query.components(),
+                    index.params.band_bits,
+                    index.params.probes,
+                    &mut scratch.probe,
+                    &mut scratch.keys,
+                );
+                scratch.counts.resize(index.indexed, 0);
+                let occurrences: usize =
+                    scratch.keys.iter().map(|&key| index.buckets.get(key).len()).sum();
+                paths[usize::from(occurrences * 2 >= index.indexed)] += 1;
+                let (mut dense, mut sparse) = (Vec::new(), Vec::new());
+                index.dense_candidates(&mut scratch, &mut dense);
+                assert!(scratch.counts.iter().all(|&count| count == 0));
+                index.sparse_candidates(&mut scratch, &mut sparse);
+                assert!(scratch.counts.iter().all(|&count| count == 0));
+                assert_eq!(dense, sparse, "min_band_hits {min_band_hits}");
+                assert_eq!(dense, candidates_of(&index, query));
+            }
+        }
+        assert!(paths.iter().all(|&taken| taken > 0), "each path must be taken: {paths:?}");
     }
 
     #[test]

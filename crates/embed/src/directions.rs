@@ -93,7 +93,8 @@ fn raw_directions_into<const N: usize>(seeds: [u64; N], out: &mut [f32]) {
     }
 }
 
-/// [`seeded_direction_into`] as an owned [`Vector`].
+/// [`seeded_direction_into`] as an owned [`Vector`]: the tests' reference.
+#[cfg(test)]
 pub(crate) fn seeded_direction(seed: u64, dim: usize) -> Vector {
     let mut components = vec![0.0; dim];
     seeded_direction_into(seed, &mut components);

@@ -19,9 +19,9 @@
 
 use lake_text::TextScanner;
 
-use crate::directions::{embed_batch_of, seeded_direction, Batch};
+use crate::directions::{embed_batch_of, seeded_direction_into, Batch};
 use crate::embedder::{Embedder, Fnv1a};
-use crate::vector::{QuantizedSlab, Vector};
+use crate::vector::{total_order_bits, QuantizedSlab, Vector};
 
 /// Packs one SimHash band collision key into a `u64`: band id in the high
 /// bits, band signature (bucket) in the low `band_bits` bits — a band's
@@ -108,6 +108,15 @@ const WORD_SALT: u64 = 0xDEAD_BEEF_1234_5678;
 // Salt separating SimHash hyperplane seeds from every other direction seed.
 const SIMHASH_SALT: u64 = 0x51A4_7E05_6B1C_93D7;
 
+/// Hyperplanes [`SimHasher`] projects onto per pass over a vector: eight
+/// independent sums, so the adds of one pass do not wait on each other.
+const LANES: usize = 8;
+
+/// The seed of SimHash hyperplane `bit`.
+fn hyperplane_seed(bit: usize) -> u64 {
+    SIMHASH_SALT ^ (bit as u64).wrapping_mul(0x9E37_79B9_97F4_A7C1)
+}
+
 /// Locality-sensitive signature generator over embedding vectors
 /// (SimHash / random-hyperplane LSH, Charikar 2002).
 ///
@@ -124,7 +133,13 @@ const SIMHASH_SALT: u64 = 0x51A4_7E05_6B1C_93D7;
 /// stable across runs.
 #[derive(Debug, Clone)]
 pub struct SimHasher {
-    directions: Vec<Vector>,
+    bits: usize,
+    dim: usize,
+    /// The hyperplanes, [`LANES`] to a group and interleaved within it:
+    /// component `k` of hyperplane `LANES · g + l` is
+    /// `planes[g · dim + k][l]`.  Lanes past `bits` in the last group are
+    /// zero, and their sums are dropped.
+    planes: Vec<[f32; LANES]>,
 }
 
 impl SimHasher {
@@ -136,43 +151,29 @@ impl SimHasher {
     pub fn new(bits: usize, dim: usize) -> Self {
         assert!(bits > 0 && bits <= 64, "signature width must be in 1..=64");
         assert!(dim > 0, "vector dimension must be positive");
-        let directions = (0..bits)
-            .map(|bit| {
-                let seed = SIMHASH_SALT ^ (bit as u64).wrapping_mul(0x9E37_79B9_97F4_A7C1);
-                seeded_direction(seed, dim)
-            })
-            .collect();
-        SimHasher { directions }
+        let mut planes = vec![[0.0f32; LANES]; bits.div_ceil(LANES) * dim];
+        let mut direction = vec![0.0f32; dim];
+        for bit in 0..bits {
+            seeded_direction_into(hyperplane_seed(bit), &mut direction);
+            let group = &mut planes[bit / LANES * dim..(bit / LANES + 1) * dim];
+            for (lanes, &component) in group.iter_mut().zip(&direction) {
+                lanes[bit % LANES] = component;
+            }
+        }
+        SimHasher { bits, dim, planes }
     }
 
     /// Signature width in bits.
     pub fn bits(&self) -> usize {
-        self.directions.len()
-    }
-
-    /// The SimHash signature of a raw component slice (bit *i* is the sign
-    /// of the projection onto hyperplane *i*).  The accumulation order is
-    /// that of [`Vector::dot`], so a [`QuantizedSlab`] row hashes
-    /// bit-identically to its source vector.
-    ///
-    /// # Panics
-    /// Panics when the slice length differs from the hasher's dimension.
-    fn signature_of(&self, components: &[f32]) -> u64 {
-        let mut signature = 0u64;
-        for (bit, direction) in self.directions.iter().enumerate() {
-            if dot_slice(components, direction.components()) >= 0.0 {
-                signature |= 1 << bit;
-            }
-        }
-        signature
+        self.bits
     }
 
     /// One SimHash signature per slab row (bit *i* is the sign of the
     /// projection onto hyperplane *i*), appended to `out` (which is cleared
     /// first).  The slab keeps all rows contiguous in a single resident
-    /// allocation, so the batch is one matrix sweep with zero per-vector
-    /// allocations; every signature is bit-identical to hashing the row's
-    /// source vector.
+    /// allocation, so the batch is one matrix sweep with one projection
+    /// buffer for all rows; every signature is bit-identical to hashing the
+    /// row's source vector.
     ///
     /// # Panics
     /// Panics when the slab is non-empty and its dimension differs from the
@@ -180,28 +181,43 @@ impl SimHasher {
     pub fn slab_signatures_into(&self, slab: &QuantizedSlab, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(slab.len());
+        let mut projections = Vec::with_capacity(self.planes.len() / self.dim * LANES);
         for i in 0..slab.len() {
-            out.push(self.signature_of(slab.row(i)));
+            self.projections_into(slab.row(i), &mut projections);
+            out.push(sign_bits(&projections));
         }
     }
 
-    /// The raw hyperplane projections behind
-    /// [`signature_of`](Self::signature_of), into a caller-provided buffer
-    /// (cleared first) that probing loops reuse: bit *i* of the signature is
-    /// set iff `out[i] >= 0`.  The magnitude `|out[i]|` is the *margin* of
-    /// bit *i* — how far the vector sits from hyperplane *i*.  Low-margin
-    /// bits are the ones a near-duplicate is most likely to flip, which is
-    /// what query-directed multi-probing
+    /// The raw hyperplane projections of a component slice, into a
+    /// caller-provided buffer (cleared first) that probing loops reuse: bit
+    /// *i* of the signature is set iff `out[i] >= 0`.  The magnitude
+    /// `|out[i]|` is the *margin* of bit *i* — how far the vector sits from
+    /// hyperplane *i*.  Low-margin bits are the ones a near-duplicate is
+    /// most likely to flip, which is what query-directed multi-probing
     /// ([`probe_packed_keys_into`](Self::probe_packed_keys_into)) exploits.
+    ///
+    /// One pass over the components feeds [`LANES`] hyperplanes at once.
+    /// Each lane sums its own products in component order, starting from
+    /// the `-0.0` that `f32`'s `Sum` starts from, so `out[i]` is
+    /// [`Vector::dot`] of the vector and hyperplane *i*, bit for bit: a
+    /// [`QuantizedSlab`] row projects (and hashes) exactly like its source
+    /// vector.
     ///
     /// # Panics
     /// Panics when the slice length differs from the hasher's dimension.
     fn projections_into(&self, components: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(components.len(), self.dim, "vector dimensions differ");
         out.clear();
-        out.reserve(self.directions.len());
-        for direction in &self.directions {
-            out.push(dot_slice(components, direction.components()));
+        for group in self.planes.chunks_exact(self.dim) {
+            let mut sums = [-0.0f32; LANES];
+            for (&x, planes) in components.iter().zip(group) {
+                for lane in 0..LANES {
+                    sums[lane] += x * planes[lane];
+                }
+            }
+            out.extend_from_slice(&sums);
         }
+        out.truncate(self.bits);
     }
 
     /// Query-directed multi-probe banded LSH keys (Lv et al., *Multi-Probe
@@ -257,12 +273,7 @@ impl SimHasher {
         out.clear();
         self.projections_into(components, &mut scratch.projections);
         let mask = if band_bits == 64 { u64::MAX } else { (1u64 << band_bits) - 1 };
-        let mut signature = 0u64;
-        for (bit, &projection) in scratch.projections.iter().enumerate() {
-            if projection >= 0.0 {
-                signature |= 1 << bit;
-            }
-        }
+        let signature = sign_bits(&scratch.projections);
         for band in 0..self.bits() / band_bits {
             let base = (signature >> (band * band_bits)) & mask;
             out.push(packed_band_key(band, band_bits, base));
@@ -270,7 +281,7 @@ impl SimHasher {
             perturbation_sequence_into(
                 margins,
                 probes - 1,
-                &mut scratch.order,
+                &mut scratch.ranked,
                 &mut scratch.heap,
                 &mut scratch.flips,
             );
@@ -281,13 +292,15 @@ impl SimHasher {
     }
 }
 
-// Sequential dot product over raw slices, in exactly the accumulation order
-// of `Vector::dot`, so slab rows and their source vectors project (and
-// therefore hash) bit-identically.
-#[inline]
-fn dot_slice(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "vector dimensions differ");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The signature of a projection list: bit *i* set iff `projections[i] >= 0`.
+fn sign_bits(projections: &[f32]) -> u64 {
+    let mut signature = 0u64;
+    for (bit, &projection) in projections.iter().enumerate() {
+        if projection >= 0.0 {
+            signature |= 1 << bit;
+        }
+    }
+    signature
 }
 
 /// Reusable buffers for
@@ -296,20 +309,34 @@ fn dot_slice(a: &[f32], b: &[f32]) -> f32 {
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     projections: Vec<f32>,
-    order: Vec<usize>,
+    ranked: Vec<(u32, u64, f32)>,
     heap: Vec<Perturbation>,
     flips: Vec<u64>,
 }
 
-/// One candidate perturbation during best-first enumeration: `xor` is the
-/// flip mask over the band's bits (in margin-sorted index space mapped back
-/// to real bit positions), `score` the total flipped margin, `last` the
-/// largest margin-sorted index in the set (the expansion frontier).
+/// One candidate perturbation during best-first enumeration: `score` is the
+/// total flipped margin, `last` the largest margin-sorted index in the set
+/// (the expansion frontier), and `rank` its place in the enumeration order,
+/// which carries the flip mask over the band's bits in its low 64 bits.
 #[derive(Debug)]
 struct Perturbation {
+    rank: u128,
     score: f32,
     last: usize,
-    xor: u64,
+}
+
+impl Perturbation {
+    fn new(score: f32, last: usize, xor: u64) -> Self {
+        // `score` in `f32::total_cmp` order, ties broken by the flip mask,
+        // as one integer: a single compare per heap entry, no branch chain.
+        let rank = (u128::from(total_order_bits(score)) << 64) | u128::from(xor);
+        Perturbation { rank, score, last }
+    }
+
+    /// The flip mask.
+    fn xor(&self) -> u64 {
+        self.rank as u64
+    }
 }
 
 /// The first `count` non-empty bit-flip subsets of a band (at most all
@@ -318,13 +345,17 @@ struct Perturbation {
 /// probe-sequence generator: starting from the single lowest-margin flip,
 /// each popped subset spawns an *expand* step (add the next-ranked bit) and a
 /// *shift* step (replace its frontier bit with the next-ranked one), which
-/// enumerates subsets in exactly nondecreasing score order.  `order`/`heap`
+/// enumerates subsets in exactly nondecreasing score order.  `ranked`/`heap`
 /// come from the caller and the flip masks land in `out` (cleared first), so
 /// a probing loop performs zero allocations per band after warm-up.
+///
+/// Both orders compare integers: margins and scores by their
+/// [`total_order_bits`], which orders exactly as [`f32::total_cmp`] does for
+/// every `f32`, NaN included.
 fn perturbation_sequence_into(
     margins: &[f32],
     count: usize,
-    order: &mut Vec<usize>,
+    ranked: &mut Vec<(u32, u64, f32)>,
     heap: &mut Vec<Perturbation>,
     out: &mut Vec<u64>,
 ) {
@@ -334,46 +365,50 @@ fn perturbation_sequence_into(
     if count == 0 || bits == 0 {
         return;
     }
-    // Rank the band's bits by |margin|, cheapest flip first.
-    order.clear();
-    order.extend(0..bits);
-    order.sort_by(|&a, &b| margins[a].abs().total_cmp(&margins[b].abs()).then_with(|| a.cmp(&b)));
-    let cost = |rank: usize| margins[order[rank]].abs();
+    // Rank the band's bits by |margin|, cheapest flip first, ties to the
+    // lower bit: `(order key, flip mask, margin)` per rank.
+    ranked.clear();
+    ranked.extend(
+        margins
+            .iter()
+            .enumerate()
+            .map(|(bit, m)| (total_order_bits(m.abs()), 1u64 << bit, m.abs())),
+    );
+    ranked.sort_unstable_by_key(|&(key, mask, _)| (key, mask));
+    let cost = |rank: usize| ranked[rank].2;
+    let mask = |rank: usize| ranked[rank].1;
 
     heap.clear();
-    heap.push(Perturbation { score: cost(0), last: 0, xor: 1u64 << order[0] });
-    let pop_min = |heap: &mut Vec<Perturbation>| -> Perturbation {
-        let mut best = 0;
-        for (i, p) in heap.iter().enumerate().skip(1) {
-            if p.score.total_cmp(&heap[best].score).then_with(|| p.xor.cmp(&heap[best].xor))
-                == std::cmp::Ordering::Less
-            {
-                best = i;
-            }
-        }
-        heap.swap_remove(best)
-    };
-
+    heap.push(Perturbation::new(cost(0), 0, mask(0)));
     out.reserve(count);
     while out.len() < count {
         if heap.is_empty() {
             break;
         }
-        let next = pop_min(heap);
-        out.push(next.xor);
-        if next.last + 1 < bits {
+        let mut best = 0;
+        let mut best_rank = heap[0].rank;
+        for (i, p) in heap.iter().enumerate().skip(1) {
+            if p.rank < best_rank {
+                best = i;
+                best_rank = p.rank;
+            }
+        }
+        let next = heap.swap_remove(best);
+        out.push(next.xor());
+        let frontier = next.last + 1;
+        if frontier < bits {
             // Expand: add the next-ranked bit to the set.
-            heap.push(Perturbation {
-                score: next.score + cost(next.last + 1),
-                last: next.last + 1,
-                xor: next.xor | (1u64 << order[next.last + 1]),
-            });
+            heap.push(Perturbation::new(
+                next.score + cost(frontier),
+                frontier,
+                next.xor() | mask(frontier),
+            ));
             // Shift: replace the frontier bit with the next-ranked one.
-            heap.push(Perturbation {
-                score: next.score - cost(next.last) + cost(next.last + 1),
-                last: next.last + 1,
-                xor: (next.xor & !(1u64 << order[next.last])) | (1u64 << order[next.last + 1]),
-            });
+            heap.push(Perturbation::new(
+                next.score - cost(next.last) + cost(frontier),
+                frontier,
+                (next.xor() & !mask(next.last)) | mask(frontier),
+            ));
         }
     }
 }
@@ -401,7 +436,32 @@ impl Embedder for HashingNgramEmbedder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directions::seeded_direction;
     use crate::vector::DISTANCE_EPSILON;
+    use proptest::prelude::*;
+
+    /// The reference projection: a sequential dot product over raw slices,
+    /// in exactly the accumulation order of [`Vector::dot`].
+    fn dot_slice(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "vector dimensions differ");
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// The reference projections of `components` onto a `bits`-bit
+    /// hasher's hyperplanes, one `dot_slice` per hyperplane.
+    fn reference_projections(bits: usize, components: &[f32]) -> Vec<f32> {
+        (0..bits)
+            .map(|bit| {
+                let plane = seeded_direction(hyperplane_seed(bit), components.len());
+                dot_slice(components, plane.components())
+            })
+            .collect()
+    }
+
+    /// The reference signature: the sign bits of the reference projections.
+    fn signature_of(hasher: &SimHasher, components: &[f32]) -> u64 {
+        sign_bits(&reference_projections(hasher.bits(), components))
+    }
 
     #[test]
     fn deterministic() {
@@ -467,7 +527,7 @@ mod tests {
     fn simhash_is_deterministic_and_locality_sensitive() {
         let e = HashingNgramEmbedder::new();
         let hasher = SimHasher::new(64, e.dim());
-        let signature = |value: &str| hasher.signature_of(e.embed(value).components());
+        let signature = |value: &str| signature_of(&hasher, e.embed(value).components());
         assert_eq!(signature("Berlin"), signature("Berlin"));
         // Close pairs agree on more bits than far pairs.  Individual pairs
         // can be unlucky with the fixed hyperplane draw, so compare totals
@@ -554,7 +614,158 @@ mod tests {
         hasher.slab_signatures_into(&slab, &mut batch);
         assert_eq!(batch.len(), vectors.len());
         for (vector, &signature) in vectors.iter().zip(&batch) {
-            assert_eq!(signature, hasher.signature_of(vector.components()));
+            assert_eq!(signature, signature_of(&hasher, vector.components()));
+        }
+    }
+
+    #[test]
+    fn eight_lane_projections_equal_one_dot_per_hyperplane() {
+        // Widths below, at and past one eight-lane group and up to the full
+        // 64 bits; real embeddings of the default dimension and of one that
+        // is not a multiple of eight, and all-signed-zero inputs.
+        let e = HashingNgramEmbedder::new();
+        let mut inputs: Vec<Vec<f32>> = ["Berlin", "Barcelonna", "83%", "New Delhi", ""]
+            .iter()
+            .map(|value| e.embed(value).components().to_vec())
+            .collect();
+        inputs.push(vec![-0.0; e.dim()]);
+        let odd = HashingNgramEmbedder::with_config(13, 2, 3, 1.0);
+        inputs.push(odd.embed("Toronto").components().to_vec());
+        inputs.push(vec![-0.0; 13]);
+        // Signed zeros against hyperplane 0's signs: every product with it
+        // is −0.0, so only a lane that starts from −0.0 sums to −0.0.
+        for dim in [e.dim(), 13] {
+            let plane = seeded_direction(hyperplane_seed(0), dim);
+            inputs.push(
+                plane.components().iter().map(|&d| if d > 0.0 { -0.0 } else { 0.0 }).collect(),
+            );
+        }
+        let mut out = Vec::new();
+        for bits in [1, 7, 8, 9, 63, 64] {
+            for components in &inputs {
+                let hasher = SimHasher::new(bits, components.len());
+                hasher.projections_into(components, &mut out);
+                let expected = reference_projections(bits, components);
+                let as_bits =
+                    |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(as_bits(&out), as_bits(&expected), "{bits} bits, {components:?}");
+            }
+        }
+    }
+
+    /// The probe order as it was specified first: a linear scan comparing
+    /// `f32::total_cmp` of the scores, then the flip masks.
+    fn reference_perturbations(margins: &[f32], count: usize) -> Vec<u64> {
+        let bits = margins.len();
+        let count = count.min((1usize << bits.min(20)) - 1);
+        let mut out = Vec::new();
+        if count == 0 || bits == 0 {
+            return out;
+        }
+        let mut order: Vec<usize> = (0..bits).collect();
+        order.sort_by(|&a, &b| {
+            margins[a].abs().total_cmp(&margins[b].abs()).then_with(|| a.cmp(&b))
+        });
+        let cost = |rank: usize| margins[order[rank]].abs();
+        let mut heap: Vec<(f32, usize, u64)> = vec![(cost(0), 0, 1u64 << order[0])];
+        while out.len() < count && !heap.is_empty() {
+            let mut best = 0;
+            for (i, p) in heap.iter().enumerate().skip(1) {
+                if p.0.total_cmp(&heap[best].0).then_with(|| p.2.cmp(&heap[best].2))
+                    == std::cmp::Ordering::Less
+                {
+                    best = i;
+                }
+            }
+            let (score, last, xor) = heap.swap_remove(best);
+            out.push(xor);
+            if last + 1 < bits {
+                heap.push((score + cost(last + 1), last + 1, xor | (1u64 << order[last + 1])));
+                heap.push((
+                    score - cost(last) + cost(last + 1),
+                    last + 1,
+                    (xor & !(1u64 << order[last])) | (1u64 << order[last + 1]),
+                ));
+            }
+        }
+        out
+    }
+
+    /// Finite margins that stress the integer order: ties, both zeros,
+    /// subnormals, the largest float (whose sums overflow to infinity), and
+    /// arbitrary finite bit patterns.
+    fn finite_margin() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            3 => prop::sample::select(vec![
+                0.0f32,
+                -0.0,
+                0.25,
+                -0.25,
+                0.5,
+                1.0,
+                f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                -f32::from_bits(1),
+                f32::from_bits(0x007f_ffff),
+                f32::MAX,
+            ]),
+            2 => any::<u32>().prop_map(f32::from_bits).prop_filter("finite", |m| m.is_finite()),
+            1 => -2.0f32..2.0,
+        ]
+    }
+
+    /// A band's margins: finite ones, with one kind of non-finite value
+    /// mixed in per case — NaNs of one payload (either sign) or infinities
+    /// (either sign).  The kinds never meet in one case: NaN scores then
+    /// only meet NaNs of the same bits, whereas the sign and payload of a
+    /// NaN that arithmetic makes from two different NaNs is the compiler's
+    /// choice, and no probe order can be held to one across two compiled
+    /// copies of the score arithmetic.
+    fn band_margins() -> impl Strategy<Value = Vec<f32>> {
+        (prop::collection::vec((finite_margin(), 0u32..8), 1..=64), 0u32..3, any::<u32>()).prop_map(
+            |(draws, kind, payload)| {
+                let nan = f32::from_bits(0x7fc0_0000 | (payload & 0x003f_ffff));
+                draws
+                    .into_iter()
+                    .map(|(finite, pick)| match (kind, pick) {
+                        (1, 0) => nan,
+                        (1, 1) => -nan,
+                        (2, 0) => f32::INFINITY,
+                        (2, 1) => f32::NEG_INFINITY,
+                        _ => finite,
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn integer_keyed_probe_order_equals_the_total_cmp_scan(
+            margins in band_margins(),
+            count in 0usize..48,
+        ) {
+            let (mut ranked, mut heap, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            perturbation_sequence_into(&margins, count, &mut ranked, &mut heap, &mut out);
+            prop_assert_eq!(out, reference_perturbations(&margins, count), "{:?}", margins);
+        }
+
+        #[test]
+        fn perturbation_ranks_order_like_total_cmp_then_flip_mask(
+            a in any::<u32>(),
+            b in prop_oneof![any::<u32>(), (0u32..4).prop_map(|low| low ^ 0x7fc0_0000)],
+            a_xor in 0u64..4,
+            b_xor in 0u64..4,
+        ) {
+            // Every pair of f32 bit patterns, NaNs of every sign and payload
+            // included: the integer rank orders exactly as the comparison
+            // it replaced.
+            let (sa, sb) = (f32::from_bits(a), f32::from_bits(b));
+            let expected = sa.total_cmp(&sb).then(a_xor.cmp(&b_xor));
+            let ranked = Perturbation::new(sa, 0, a_xor).rank.cmp(&Perturbation::new(sb, 0, b_xor).rank);
+            prop_assert_eq!(ranked, expected);
         }
     }
 

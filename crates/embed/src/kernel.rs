@@ -264,7 +264,7 @@ mod simd {
         // of 16, `SLAB_LANE`): every dot is reached only after an entry
         // assert that the two slabs share one dimension or that one side
         // has zero norm (which is answered without a dot) — `assert_eq!` in
-        // `sweep_below`, `assert!` in `distance_below` and in
+        // `sweep_with`, `assert!` in `distance_below` and in
         // `row_distances_below`.
         unsafe { dot_avx2_inner(a, b) }
     }
@@ -296,12 +296,51 @@ mod simd {
 #[inline]
 fn exact_distance(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
     let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+    distance_from_dot(dot, na, nb)
+}
+
+/// The cosine distance of a pair from its f32 dot product and norms, with
+/// the arithmetic of [`Vector::cosine_distance_given_norms`].
+#[inline]
+fn distance_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     1.0 - (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Classifies one pair: `Some(d)` iff the dense f32 distance `d` is strictly
-/// below the cutoff (with `d` bit-identical to the dense sweep), `None`
-/// otherwise.  `exact` is only invoked for the near-threshold band.
+/// Candidates re-scored together by [`exact_dots`].
+const RESCORE_LANES: usize = 8;
+
+/// The f32 dot products of row `a` with [`RESCORE_LANES`] column rows in one
+/// pass over the components.  Each lane sums its own products in component
+/// order from the `-0.0` that `f32`'s `Sum` starts from, so lane `l` equals
+/// the dot of [`exact_distance`] with `bs[l]` bit for bit; the eight sums
+/// are independent, so their adds do not wait on each other.
+#[inline]
+fn exact_dots(a: &[f32], bs: [&[f32]; RESCORE_LANES]) -> [f32; RESCORE_LANES] {
+    let n = a.len();
+    let bs = bs.map(|b| &b[..n]);
+    let mut sums = [-0.0f32; RESCORE_LANES];
+    for k in 0..n {
+        let x = a[k];
+        for lane in 0..RESCORE_LANES {
+            sums[lane] += x * bs[lane][k];
+        }
+    }
+    sums
+}
+
+/// What the int8 tier makes of one pair.
+enum Triage {
+    /// Answered without an f32 dot product: the zero-norm constant `1.0`
+    /// (`Some` iff it is below the cutoff) or a proven skip (`None`).
+    Settled(Option<f32>),
+    /// In the near-threshold band: only the exact f32 re-score decides.
+    Rescore,
+}
+
+/// Triages one pair on the int8 tier and counts it in `stats`: zero-norm
+/// pairs are settled with the dense path's constant, pairs the error bound
+/// proves at or above the cutoff are skipped, and the rest need the exact
+/// f32 re-score.
 ///
 /// `inv` is the caller-hoisted `scale_a · scale_b / (‖a‖ · ‖b‖)` in f64,
 /// evaluated as `(scale_product / ‖a‖) · (1 / ‖b‖)` so the sweep and the
@@ -312,7 +351,7 @@ fn exact_distance(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
 /// indirect call.
 #[inline]
 #[allow(clippy::too_many_arguments, reason = "hot path: scalars beat a struct of refs")]
-fn classify_pair<D: DotKind>(
+fn triage_pair<D: DotKind>(
     p: &SweepParams,
     qa: &[i8],
     na: f32,
@@ -323,14 +362,13 @@ fn classify_pair<D: DotKind>(
     qsb: i64,
     eb: f64,
     inv: f64,
-    exact: impl FnOnce() -> f32,
     stats: &mut KernelStats,
-) -> Option<f32> {
+) -> Triage {
     if na == 0.0 || nb == 0.0 {
         // The dense path defines zero-norm similarity as 0: distance 1.0,
         // exactly, with no dot product on either tier.
         stats.trivial += 1;
-        return (1.0 < p.cutoff).then_some(1.0);
+        return Triage::Settled((1.0 < p.cutoff).then_some(1.0));
     }
     stats.int8_scored += 1;
     // Asymmetric-quantization expansion of dot(x̂, ŷ): the bracket is an
@@ -345,17 +383,17 @@ fn classify_pair<D: DotKind>(
         // Provably at-or-above the cutoff even after every source of error;
         // the dense sweep would have rejected this pair.
         stats.skipped += 1;
-        return None;
+        return Triage::Settled(None);
     }
     stats.rescored += 1;
-    let d = exact();
-    (d < p.cutoff).then_some(d)
+    Triage::Rescore
 }
 
 /// Sweeps the full `rows × cols` space and returns exactly the pairs whose
 /// dense f32 cosine distance is strictly below `cutoff`, in row-major order
 /// with their exact f32 distances — bit-identical to [`dense_sweep_below`]
-/// over the source vectors, at a fraction of the f32 work.
+/// over the source vectors, at a fraction of the f32 work.  A collecting
+/// wrapper over [`sweep_distances_below`].
 ///
 /// # Panics
 /// Panics when the slabs' dimensions differ (unless one side is
@@ -366,36 +404,59 @@ pub fn sweep_below(
     cutoff: f32,
     stats: &mut KernelStats,
 ) -> (Vec<(usize, usize)>, Vec<f32>) {
-    sweep_below_with(detect_dot(), rows, cols, cutoff, stats)
+    let (mut pairs, mut costs) = (Vec::new(), Vec::new());
+    sweep_distances_below(rows, cols, cutoff, stats, |r, c, d| {
+        pairs.push((r, c));
+        costs.push(d);
+    });
+    (pairs, costs)
 }
 
-/// [`sweep_below`] on a given integer-dot implementation.
-fn sweep_below_with(
+/// The sweep of [`sweep_below`], handing each kept pair to `keep` as
+/// `(r, c, d)` in row-major order instead of collecting them, so a caller
+/// can store the pairs in its own form without an intermediate list.
+///
+/// # Panics
+/// As [`sweep_below`].
+pub fn sweep_distances_below(
+    rows: &QuantizedSlab,
+    cols: &QuantizedSlab,
+    cutoff: f32,
+    stats: &mut KernelStats,
+    mut keep: impl FnMut(usize, usize, f32),
+) {
+    sweep_with(detect_dot(), rows, cols, cutoff, stats, &mut keep);
+}
+
+/// [`sweep_distances_below`] on a given integer-dot implementation.
+fn sweep_with(
     dot: DotImpl,
     rows: &QuantizedSlab,
     cols: &QuantizedSlab,
     cutoff: f32,
     stats: &mut KernelStats,
-) -> (Vec<(usize, usize)>, Vec<f32>) {
+    keep: &mut dyn FnMut(usize, usize, f32),
+) {
     if rows.is_empty() || cols.is_empty() {
-        return (Vec::new(), Vec::new());
+        return;
     }
     if rows.dim() == 0 || cols.dim() == 0 {
         // Every pair has a zero-norm side: constant distance 1.0.
         stats.trivial = stats.trivial.saturating_add(rows.len() * cols.len());
         if 1.0 < cutoff {
-            let pairs: Vec<(usize, usize)> =
-                (0..rows.len()).flat_map(|r| (0..cols.len()).map(move |c| (r, c))).collect();
-            let costs = vec![1.0; pairs.len()];
-            return (pairs, costs);
+            for r in 0..rows.len() {
+                for c in 0..cols.len() {
+                    keep(r, c, 1.0);
+                }
+            }
         }
-        return (Vec::new(), Vec::new());
+        return;
     }
     assert_eq!(rows.dim(), cols.dim(), "slab dimension mismatch");
     match dot {
-        DotImpl::Portable => sweep_tiles::<PortableDot>(rows, cols, cutoff, stats),
+        DotImpl::Portable => sweep_tiles::<PortableDot>(rows, cols, cutoff, stats, keep),
         #[cfg(target_arch = "x86_64")]
-        DotImpl::Avx2 => sweep_tiles::<Avx2Dot>(rows, cols, cutoff, stats),
+        DotImpl::Avx2 => sweep_tiles::<Avx2Dot>(rows, cols, cutoff, stats, keep),
     }
 }
 
@@ -406,14 +467,15 @@ fn sweep_below_with(
 /// the skip/re-score decision using per-column arrays (`1/‖b‖`, `z_a·Σq_b`,
 /// `ρ_b`) divided and multiplied once per sweep rather than once per pair.
 /// Candidates land in per-row stripe buffers: a row's columns arrive tile by
-/// tile in ascending order, so draining the stripe row by row restores exact
-/// row-major emission without a global sort.
+/// tile in ascending order, so draining the stripe row by row into `keep`
+/// restores exact row-major emission without a global sort.
 fn sweep_tiles<D: DotKind>(
     rows: &QuantizedSlab,
     cols: &QuantizedSlab,
     cutoff: f32,
     stats: &mut KernelStats,
-) -> (Vec<(usize, usize)>, Vec<f32>) {
+    keep: &mut dyn FnMut(usize, usize, f32),
+) {
     let p = SweepParams::new(rows, cols, cutoff);
     let padded = rows.padded_dim();
     let admit_trivial = 1.0 < p.cutoff;
@@ -424,8 +486,6 @@ fn sweep_tiles<D: DotKind>(
     let inv_nb: Vec<f64> = col_norms.iter().map(|&nb| 1.0 / nb as f64).collect();
     let za_qsb: Vec<i64> = cols.qsums().iter().map(|&qsb| p.za * qsb).collect();
 
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut costs: Vec<f32> = Vec::new();
     let (mut int8_scored, mut skipped, mut rescored, mut trivial) =
         (0usize, 0usize, 0usize, 0usize);
     let mut dots = [0i64; TILE_COLS];
@@ -498,8 +558,7 @@ fn sweep_tiles<D: DotKind>(
                 break;
             }
             for &(c, d) in buf {
-                pairs.push((r, c));
-                costs.push(d);
+                keep(r, c, d);
             }
         }
     }
@@ -507,7 +566,6 @@ fn sweep_tiles<D: DotKind>(
     stats.skipped = stats.skipped.saturating_add(skipped);
     stats.rescored = stats.rescored.saturating_add(rescored);
     stats.trivial = stats.trivial.saturating_add(trivial);
-    (pairs, costs)
 }
 
 /// Classifies a single `(r, c)` pair: `Some(d)` iff the dense f32 distance
@@ -564,7 +622,7 @@ fn distance_below_with(
         inv: f64,
         stats: &mut KernelStats,
     ) -> Option<f32> {
-        classify_pair::<D>(
+        let triage = triage_pair::<D>(
             p,
             rows.quant_row(r),
             na,
@@ -575,9 +633,15 @@ fn distance_below_with(
             cols.qsum(c),
             cols.rel_error_bound(c),
             inv,
-            || exact_distance(rows.row(r), cols.row(c), na, nb),
             stats,
-        )
+        );
+        match triage {
+            Triage::Settled(kept) => kept,
+            Triage::Rescore => {
+                let d = exact_distance(rows.row(r), cols.row(c), na, nb);
+                (d < p.cutoff).then_some(d)
+            }
+        }
     }
     match dot {
         DotImpl::Portable => classify_at::<PortableDot>(&p, rows, r, na, cols, c, nb, inv, stats),
@@ -648,6 +712,12 @@ fn row_distances_below_with(
         let qa = rows.quant_row(r);
         let qsa = rows.qsum(r);
         let ea = rows.rel_error_bound(r);
+        let a = rows.row(r);
+        // Candidates in the re-score band wait here, with their norms, for
+        // one pass of `exact_dots` over all eight; whatever reaches `keep`
+        // still arrives in candidate order.
+        let mut pending = [(0usize, 0.0f32); RESCORE_LANES];
+        let mut waiting = 0usize;
         for c in candidates {
             let nb = cols.norm(c);
             assert!(
@@ -657,7 +727,7 @@ fn row_distances_below_with(
                 cols.dim()
             );
             let inv = inv_row * (1.0 / nb as f64);
-            let kept = classify_pair::<D>(
+            let triage = triage_pair::<D>(
                 p,
                 qa,
                 na,
@@ -668,13 +738,27 @@ fn row_distances_below_with(
                 cols.qsum(c),
                 cols.rel_error_bound(c),
                 inv,
-                || exact_distance(rows.row(r), cols.row(c), na, nb),
                 stats,
             );
-            if let Some(d) = kept {
-                keep(c, d);
+            match triage {
+                Triage::Settled(None) => {}
+                Triage::Settled(Some(d)) => {
+                    // A zero-norm admission: the waiting candidates precede it.
+                    rescore_pending(p.cutoff, a, na, cols, &pending[..waiting], &mut keep);
+                    waiting = 0;
+                    keep(c, d);
+                }
+                Triage::Rescore => {
+                    pending[waiting] = (c, nb);
+                    waiting += 1;
+                    if waiting == RESCORE_LANES {
+                        rescore_pending(p.cutoff, a, na, cols, &pending, &mut keep);
+                        waiting = 0;
+                    }
+                }
             }
         }
+        rescore_pending(p.cutoff, a, na, cols, &pending[..waiting], &mut keep);
     }
     match dot {
         DotImpl::Portable => {
@@ -682,6 +766,37 @@ fn row_distances_below_with(
         }
         #[cfg(target_arch = "x86_64")]
         DotImpl::Avx2 => run::<Avx2Dot>(&p, rows, r, na, inv_row, cols, candidates, stats, keep),
+    }
+}
+
+/// Re-scores the candidates `row_distances_below` deferred, `(c, ‖c‖)` in
+/// candidate order, exactly against row `a` (norm `na`), and hands each one
+/// strictly below `cutoff` to `keep` in that order.  A full set of
+/// [`RESCORE_LANES`] goes through one [`exact_dots`]; a shorter tail through
+/// [`exact_distance`] one at a time — the same bits either way.
+fn rescore_pending(
+    cutoff: f32,
+    a: &[f32],
+    na: f32,
+    cols: &QuantizedSlab,
+    pending: &[(usize, f32)],
+    keep: &mut impl FnMut(usize, f32),
+) {
+    if let Ok(&lanes) = <&[(usize, f32); RESCORE_LANES]>::try_from(pending) {
+        let dots = exact_dots(a, lanes.map(|(c, _)| cols.row(c)));
+        for ((c, nb), dot) in lanes.into_iter().zip(dots) {
+            let d = distance_from_dot(dot, na, nb);
+            if d < cutoff {
+                keep(c, d);
+            }
+        }
+    } else {
+        for &(c, nb) in pending {
+            let d = exact_distance(a, cols.row(c), na, nb);
+            if d < cutoff {
+                keep(c, d);
+            }
+        }
     }
 }
 
@@ -733,6 +848,22 @@ mod tests {
     }
 
     type SweepResult = (Vec<(usize, usize)>, Vec<f32>);
+
+    /// [`sweep_below`] on a given integer-dot implementation.
+    fn sweep_below_with(
+        dot: DotImpl,
+        rows: &QuantizedSlab,
+        cols: &QuantizedSlab,
+        cutoff: f32,
+        stats: &mut KernelStats,
+    ) -> SweepResult {
+        let (mut pairs, mut costs) = (Vec::new(), Vec::new());
+        sweep_with(dot, rows, cols, cutoff, stats, &mut |r, c, d| {
+            pairs.push((r, c));
+            costs.push(d);
+        });
+        (pairs, costs)
+    }
 
     fn slabs(rows: &[Vector], cols: &[Vector]) -> (QuantizedSlab, QuantizedSlab) {
         let row_refs: Vec<&Vector> = rows.iter().collect();
@@ -962,6 +1093,62 @@ mod tests {
         let cols = test_vectors(11, 20, 8);
         for dot in supported_impls() {
             assert_every_entry_point_is_dense(dot, &rows, &cols, 0.6);
+        }
+    }
+
+    #[test]
+    fn batched_rescores_match_one_distance_below_per_candidate() {
+        // Every candidate count from 0 to 17 crosses zero, one and two full
+        // eight-lane batches with every tail length.  Zero-norm columns sit
+        // among the candidates and a cutoff above 1.0 admits them, so a
+        // batch is flushed early; the candidate order is scrambled and
+        // repeats a column.  Same kept list, same order, same bits, same
+        // counters as one `distance_below` per candidate.
+        let mut rows = test_vectors(3, 20, 11);
+        rows.push(Vector::zeros(20));
+        let mut cols = test_vectors(14, 20, 12);
+        cols.insert(3, Vector::zeros(20));
+        cols.insert(9, Vector::zeros(20));
+        let (row_slab, col_slab) = slabs(&rows, &cols);
+        let order: Vec<usize> = (0..18).map(|i| (i * 7 + 2) % cols.len()).collect();
+        for dot in supported_impls() {
+            for cutoff in [0.6f32, 1.2, 2.0] {
+                for count in 0..=17 {
+                    let candidates = &order[..count];
+                    for r in 0..rows.len() {
+                        let mut expected_stats = KernelStats::default();
+                        let expected: Vec<(usize, u32)> = candidates
+                            .iter()
+                            .filter_map(|&c| {
+                                distance_below_with(
+                                    dot,
+                                    &row_slab,
+                                    r,
+                                    &col_slab,
+                                    c,
+                                    cutoff,
+                                    &mut expected_stats,
+                                )
+                                .map(|d| (c, d.to_bits()))
+                            })
+                            .collect();
+                        let mut stats = KernelStats::default();
+                        let mut kept = Vec::new();
+                        row_distances_below_with(
+                            dot,
+                            &row_slab,
+                            r,
+                            &col_slab,
+                            candidates.iter().copied(),
+                            cutoff,
+                            &mut stats,
+                            |c, d| kept.push((c, d.to_bits())),
+                        );
+                        assert_eq!(kept, expected, "{dot:?} row {r}, {count} at {cutoff}");
+                        assert_eq!(stats, expected_stats, "{dot:?} row {r}, {count} at {cutoff}");
+                    }
+                }
+            }
         }
     }
 

@@ -49,4 +49,7 @@ pub use kernel::KernelStats;
 pub use knowledge::KnowledgeBase;
 pub use models::{EmbeddingModel, ALL_MODELS};
 pub use simlm::SimulatedLmEmbedder;
-pub use vector::{approx_eq, approx_eq_within, QuantizedSlab, Vector, DISTANCE_EPSILON, SLAB_LANE};
+pub use vector::{
+    approx_eq, approx_eq_within, total_order_bits, QuantizedSlab, Vector, DISTANCE_EPSILON,
+    SLAB_LANE,
+};

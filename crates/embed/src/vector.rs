@@ -15,6 +15,20 @@
 /// re-score band is at least this wide.
 pub const DISTANCE_EPSILON: f32 = 1e-5;
 
+/// Monotone map from [`f32::total_cmp`] order onto unsigned integer order:
+/// negative floats flip every bit, non-negatives flip the sign bit.  Two
+/// floats compare under `total_cmp` exactly as their images compare as
+/// `u32`s, NaNs and signed zeros included, so a float can ride in the high
+/// half of a packed integer sort key.
+pub fn total_order_bits(value: f32) -> u32 {
+    let bits = value.to_bits();
+    if bits & 0x8000_0000 != 0 {
+        !bits
+    } else {
+        bits ^ 0x8000_0000
+    }
+}
+
 /// Whether two distances are equal within [`DISTANCE_EPSILON`].
 ///
 /// This module is the workspace's designated home for float comparison

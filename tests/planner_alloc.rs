@@ -144,7 +144,7 @@ fn measure(fold: &Fold, policy: BlockingPolicy, escalated: bool) -> (BlockPlan, 
     // The bound stated on `plan_blocks`.
     let nodes = rows.len() + cols.len();
     let edges = plan.stats.candidate_pairs + plan.stats.severed_pairs;
-    let mut bound = packed + 52 * edges + 128 * nodes;
+    let mut bound = (packed + 24 * edges).max(37 * edges) + 128 * nodes;
     if escalated {
         let keys: usize = fold.row_keys.iter().chain(&fold.col_keys).map(Vec::len).sum();
         let bitmap = (rows.len() * cols.len()).div_ceil(8);

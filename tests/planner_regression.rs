@@ -1,72 +1,20 @@
 //! Planner fast-path regression harness: deterministic counter invariants
 //! plus a lint-enforced ban on String band keys in the planning hot path.
 //!
-//! PR "escalation-planner fast path" replaced per-vector `Vec<String>` band
-//! keys with packed `u64` keys, the triplicated sort+dedup pair
-//! canonicalization with one radix helper, and the dense per-block cost
-//! matrix with a sparse solve — all bit-identical by construction (see
+//! The escalation planner's fast path replaced per-vector `Vec<String>` band
+//! keys with packed `u64` keys and the dense per-block cost matrix with a
+//! sparse solve — both bit-identical by construction (see
 //! `tests/blocking_equivalence.rs` for the equivalence side).  This file
 //! pins the *structural* properties those changes rely on, so a later edit
 //! that quietly reintroduces allocation churn or breaks an attribution
 //! invariant fails fast with a named assertion instead of a silent
 //! benchmark regression.
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 use datalake_fuzzy_fd::benchdata::{generate_escalation_fold, EscalationFoldConfig};
-use datalake_fuzzy_fd::core::{
-    canonicalize_pairs, canonicalize_pairs_with_costs, match_column_values_with_stats,
-    BlockingPolicy, FuzzyFdConfig,
-};
+use datalake_fuzzy_fd::core::{match_column_values_with_stats, BlockingPolicy, FuzzyFdConfig};
 use datalake_fuzzy_fd::table::Value;
-
-/// Canonicalization never grows a pair list, always sorts it, and keeps the
-/// costs aligned with the surviving pairs — on shapes that take the radix
-/// path and shapes that take the comparison fallback.
-#[test]
-fn pair_canonicalization_shrinks_sorts_and_keeps_costs_aligned() {
-    type Case = (Vec<(usize, usize)>, usize, usize);
-    let cases: Vec<Case> = vec![
-        (vec![], 0, 0),
-        (vec![(3, 1), (0, 2), (3, 1), (0, 2), (1, 0)], 4, 3),
-        // Sparse ids against a huge key space force the comparison fallback.
-        (vec![(900_000, 3), (2, 700_000), (2, 700_000), (900_000, 3)], 1_000_000, 1_000_000),
-    ];
-    for (input, rows, cols) in cases {
-        let mut pairs = input.clone();
-        canonicalize_pairs(&mut pairs, rows, cols);
-        assert!(pairs.len() <= input.len(), "dedup output must not exceed input");
-        assert!(pairs.windows(2).all(|w| w[0] < w[1]), "output must be strictly ascending");
-        let unique: BTreeSet<(usize, usize)> = input.iter().copied().collect();
-        assert_eq!(pairs, unique.into_iter().collect::<Vec<_>>());
-
-        // The cost-carrying variant must keep each surviving pair's cost.
-        let mut with_costs = input.clone();
-        let mut costs: Vec<f32> = (0..input.len()).map(|i| i as f32).collect();
-        let expected: Vec<(usize, usize)> = pairs.clone();
-        canonicalize_pairs_with_costs(&mut with_costs, &mut costs, rows, cols);
-        assert_eq!(with_costs, expected);
-        assert_eq!(costs.len(), with_costs.len());
-        for (pair, &cost) in with_costs.iter().zip(&costs) {
-            // Duplicates carry equal planner costs in production; here costs
-            // differ per occurrence, so "some occurrence's cost" is the
-            // contract worth pinning.
-            let occurrence = input.iter().position(|p| p == pair).expect("pair came from input");
-            let occurrences: Vec<f32> = input
-                .iter()
-                .enumerate()
-                .filter(|&(_, p)| p == pair)
-                .map(|(i, _)| i as f32)
-                .collect();
-            assert!(
-                occurrences.contains(&cost),
-                "cost {cost} of {pair:?} is not one of its occurrences {occurrences:?} \
-                 (first occurrence at {occurrence})"
-            );
-        }
-    }
-}
 
 /// A forced-escalation fold must attribute its planning wall clock: the total
 /// is non-zero and the named phases never sum past it (phases are disjoint
