@@ -215,10 +215,6 @@ pub struct BlockingStats {
     pub severed_pairs: usize,
     /// Participants (groups + values) of the largest block seen.
     pub max_block_size: usize,
-    /// How the block solves were scheduled on the shared executor
-    /// ([`lake_runtime::run_scope`]), accumulated over every fold: tasks,
-    /// per-worker busy time.  Empty when every fold solved inline.
-    pub runtime: lake_runtime::RuntimeStats,
     /// What the quantized scoring kernel did under the planned tiers:
     /// int8-scored / bound-skipped / f32-re-scored pairs and swept cache
     /// tiles, accumulated over every fold.  Empty for folds that never
@@ -243,7 +239,6 @@ impl BlockingStats {
         self.split_components = self.split_components.saturating_add(other.split_components);
         self.severed_pairs = self.severed_pairs.saturating_add(other.severed_pairs);
         self.max_block_size = self.max_block_size.max(other.max_block_size);
-        self.runtime.merge(&other.runtime);
         self.kernel.merge(&other.kernel);
         self.phase.merge(&other.phase);
     }

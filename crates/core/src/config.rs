@@ -1,6 +1,6 @@
 //! Configuration of the Fuzzy Full Disjunction pipeline.
 //!
-//! [`FuzzyFdConfig`] has seven settable values, and that is all of them:
+//! [`FuzzyFdConfig`] has six settable values, and that is all of them:
 //!
 //! * `theta` — the paper's matching threshold θ;
 //! * `model` — the embedding model (Table 1);
@@ -8,14 +8,14 @@
 //!   assignment solver to the greedy one;
 //! * `blocking.min_blocked_pairs`, `blocking.min_fold_pairs` and
 //!   `blocking.max_component_cells` — the three size thresholds of
-//!   [`BlockingPolicy`], the tier map of `fuzzy_fd_core::blocking`;
-//! * `matching_threads` — worker threads of the parallel stages.
+//!   [`BlockingPolicy`], the tier map of `fuzzy_fd_core::blocking`.
 //!
 //! Everything else the matcher reads — the candidacy slack, the surface-key
 //! bucket cap, the fuzzy-length floor and the shape of the escalated tier's
 //! ANN index — is a constant beside the code that reads it, because those
 //! values were calibrated *together* against the equivalence harness and no
-//! caller ever needed a second setting.  See `ARCHITECTURE.md` for the tier
+//! caller ever needed a second setting.  The operator has no thread count
+//! either: it runs on its caller's thread.  See `ARCHITECTURE.md` for the tier
 //! map and the equivalence guarantee each tier keeps.
 
 use lake_embed::EmbeddingModel;
@@ -227,13 +227,6 @@ pub struct FuzzyFdConfig {
     /// The size thresholds that pick how each bipartite matching step's
     /// candidate space is planned.
     pub blocking: BlockingPolicy,
-    /// Worker threads for the operator's parallel stages (block solving,
-    /// embedding warm-up, FD component closures), interpreted by
-    /// [`lake_runtime::ParallelPolicy`]: `1` = sequential; an explicit
-    /// count ≥ 2 is a command whenever a stage has at least two tasks;
-    /// `0` = auto — use the machine's available parallelism, but only when
-    /// the stage carries enough work for the thread overhead to pay off.
-    pub matching_threads: usize,
 }
 
 impl Default for FuzzyFdConfig {
@@ -243,15 +236,14 @@ impl Default for FuzzyFdConfig {
             model: EmbeddingModel::Mistral,
             assignment_strategy: AssignmentStrategy::default(),
             blocking: BlockingPolicy::default(),
-            matching_threads: 1,
         }
     }
 }
 
 impl FuzzyFdConfig {
-    /// Checks the matching threshold — the one value of the configuration
-    /// that can be wrong: every other field is an enum or a size threshold
-    /// whose whole range is meaningful.
+    /// Checks the matching threshold — the one of the six settable values
+    /// that can be wrong: the other five are two enums and three size
+    /// thresholds whose whole range is meaningful.
     ///
     /// `PartialEq` is derived over the `f32` field, so a `NaN` threshold
     /// would silently disable every equality check on the config and poison
@@ -312,20 +304,19 @@ mod tests {
         assert_eq!(config.model, EmbeddingModel::Mistral);
     }
 
-    /// `FuzzyFdConfig` has 7 settable leaf values.  The destructuring below
+    /// `FuzzyFdConfig` has 6 settable leaf values.  The destructuring below
     /// names every one of them with no `..`, so adding a field anywhere in
     /// the config is a compile error here: a new knob means editing this
     /// test and the "Least code" tally in ROADMAP.md, where a reviewer sees
     /// it.
     #[test]
-    fn the_config_has_seven_settable_values() {
+    fn the_config_has_six_settable_values() {
         let FuzzyFdConfig {
             theta: _,
             model: _,
             assignment_strategy: _,
             blocking:
                 BlockingPolicy { min_blocked_pairs: _, min_fold_pairs: _, max_component_cells: _ },
-            matching_threads: _,
         } = FuzzyFdConfig::default();
     }
 
@@ -348,7 +339,6 @@ mod tests {
         let config = FuzzyFdConfig::default();
         assert_ne!(config.blocking, BlockingPolicy::exhaustive(), "default must prune");
         assert!(config.blocking.min_blocked_pairs > 0, "small problems must stay exhaustive");
-        assert_eq!(config.matching_threads, 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use blocking::{
 pub use config::{AssignmentStrategy, BlockingPolicy, FuzzyFdConfig, IncrementalPolicy};
 pub use lake_embed::KernelStats;
 pub use lake_metrics::PhaseTimings;
-pub use lake_runtime::{ParallelPolicy, RuntimeStats};
+pub use lake_runtime::ParallelPolicy;
 pub use pipeline::{
     regular_full_disjunction, FuzzyFdReport, FuzzyFullDisjunction, IntegrationOutcome,
 };

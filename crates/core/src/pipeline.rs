@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use lake_embed::EmbeddingCache;
 use lake_fd::{full_disjunction, IntegratedTable, IntegrationSchema};
-use lake_runtime::RuntimeStats;
 use lake_schema_match::{align_by_headers, align_columns, Alignment, AlignmentOptions};
 use lake_table::{ColumnRef, Table, TableResult};
 
@@ -29,12 +28,8 @@ pub struct FuzzyFdReport {
     /// Number of cells rewritten to a representative value.
     pub rewritten_cells: usize,
     /// How the value-matching candidate space was blocked and pruned,
-    /// accumulated over every aligned set and fold step (its `runtime`
-    /// field covers the block solves).
+    /// accumulated over every aligned set and fold step.
     pub blocking: BlockingStats,
-    /// How the embedding-cache warm-up batches were scheduled (empty under
-    /// `matching_threads == 1`, where no warm-up runs).
-    pub embed_runtime: RuntimeStats,
     /// Wall-clock time spent matching and rewriting values.
     pub matching_time: Duration,
     /// Wall-clock time spent computing the Full Disjunction.
@@ -42,24 +37,6 @@ pub struct FuzzyFdReport {
     /// Statistics of the FD computation itself (its `runtime` field covers
     /// the component closures).
     pub fd_stats: lake_fd::FdStats,
-}
-
-impl FuzzyFdReport {
-    /// All shared-executor activity of the run — embedding warm-up, block
-    /// solving and FD component closures — merged into one set of counters
-    /// (tasks, busy time).  The per-worker busy vector
-    /// adds positionally across the three independent stage pools, so the
-    /// merged [`RuntimeStats::imbalance`] is indicative only (and reports
-    /// `1.0` outright once any merged stage ran sequentially — see
-    /// [`RuntimeStats::sequential_batches`]); inspect `embed_runtime`,
-    /// `blocking.runtime` and `fd_stats.runtime` for a per-stage imbalance
-    /// that reflects one actual schedule.
-    pub fn runtime(&self) -> RuntimeStats {
-        let mut total = self.embed_runtime.clone();
-        total.merge(&self.blocking.runtime);
-        total.merge(&self.fd_stats.runtime);
-        total
-    }
 }
 
 /// The result of an integration: the integrated table, the per-aligned-set

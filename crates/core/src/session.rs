@@ -18,7 +18,7 @@
 //!   and occurrence counts survive, and an appended column folds *into*
 //!   them ([`ValueMatcher::extend`]) instead of re-running the whole fold
 //!   chain: only folds touching the appended tables' columns are
-//!   re-planned and re-solved on the shared `lake-runtime` executor;
+//!   re-planned and re-solved;
 //! * the **rewritten tables** — a table is rewritten again only when it is
 //!   new or a substitution map of one of its columns changed;
 //! * the **live FD partition** ([`lake_fd::ComponentCache`]) — the
@@ -79,7 +79,6 @@ use std::time::Instant;
 
 use lake_embed::EmbeddingCache;
 use lake_fd::{ComponentCache, IntegrationSchema};
-use lake_runtime::{ParallelPolicy, RuntimeStats};
 use lake_schema_match::{align_by_headers, Alignment};
 use lake_table::{ColumnRef, Table, TableResult, Value};
 
@@ -374,7 +373,6 @@ pub(crate) fn integration_step<T: Borrow<Table>>(
         ..IncrementalStats::default()
     };
     let mut blocking = BlockingStats::default();
-    let mut embed_runtime = RuntimeStats::default();
     let mut next_sets: HashMap<(String, usize), SetState> = HashMap::new();
     let mut all_groups: Vec<(Vec<ColumnRef>, Vec<ValueGroup>)> = Vec::new();
     // Tables whose retained rewritten copy a changed substitution map
@@ -439,7 +437,6 @@ pub(crate) fn integration_step<T: Borrow<Table>>(
         let groups = if to_fold.is_empty() {
             entry.state.groups()
         } else {
-            embed_runtime.merge(&warm_embedding_cache(config, embedder, &to_fold));
             blocking.merge(&matcher.extend(&mut entry.state, &to_fold));
             entry.columns = columns.clone();
             // The fold may have moved a map under an old column (a
@@ -476,15 +473,10 @@ pub(crate) fn integration_step<T: Borrow<Table>>(
     )]
     let fd_start = Instant::now();
     let schema = IntegrationSchema::from_aligned_sets(rewritten_tables, alignment.groups());
-    // The FD stage shares the matcher's thread semantics: component closures
-    // run on the same executor as the block solves, and the
-    // result is identical across worker counts.
-    let threads = config.matching_threads;
+    // Like the matcher, the FD closes its components on this thread.
     let (table, fd_stats) = match &mut retained.fd_cache {
-        Some(cache) => {
-            lake_fd::incremental_full_disjunction_with(&schema, rewritten_tables, threads, cache)
-        }
-        None => lake_fd::parallel_full_disjunction_with(&schema, rewritten_tables, threads),
+        Some(cache) => lake_fd::incremental_full_disjunction_with(&schema, rewritten_tables, cache),
+        None => lake_fd::parallel_full_disjunction_with(&schema, rewritten_tables, 1),
     };
     retained.last_schema = Some(schema);
     let fd_time = fd_start.elapsed();
@@ -503,51 +495,11 @@ pub(crate) fn integration_step<T: Borrow<Table>>(
             .count(),
         rewritten_cells,
         blocking,
-        embed_runtime,
         matching_time,
         fd_time,
         fd_stats,
     };
     Ok(IncrementalOutcome { table, value_groups: all_groups, report, incremental })
-}
-
-/// Warms the embedding cache for one aligned set's columns on the shared
-/// executor, so the fold loop's embed calls all hit.
-///
-/// Every distinct present value string is eventually embedded by the
-/// matcher (as a singleton, fuzzy candidate or representative), so
-/// warming embeds nothing extra — it only moves the work ahead of the
-/// sequential fold loop, where it can spread across workers.  Under
-/// `matching_threads == 1` there is nothing to spread and the warm-up is
-/// skipped entirely; in auto mode it gates on the total rendered length.
-/// Already-cached values make the warm-up a cheap no-op.
-fn warm_embedding_cache(
-    config: &FuzzyFdConfig,
-    embedder: &EmbeddingCache<Box<dyn lake_embed::Embedder>>,
-    column_values: &[Vec<Value>],
-) -> RuntimeStats {
-    /// Auto-gate floor for the warm-up batch, in rendered characters
-    /// (the cost hint of one embedding task).
-    const MIN_AUTO_EMBED_CHARS: u64 = 16_384;
-    if config.matching_threads == 1 {
-        return RuntimeStats::default();
-    }
-    let policy =
-        ParallelPolicy { threads: config.matching_threads, min_auto_cost: MIN_AUTO_EMBED_CHARS };
-    let mut seen = std::collections::HashSet::new();
-    let mut rendered: Vec<String> = Vec::new();
-    for column in column_values {
-        for value in column {
-            if value.is_present() {
-                let text = value.render().into_owned();
-                if seen.insert(text.clone()) {
-                    rendered.push(text);
-                }
-            }
-        }
-    }
-    let values: Vec<&str> = rendered.iter().map(String::as_str).collect();
-    embedder.embed_batch_with_stats(&values, &policy).1
 }
 
 /// Extracts the (cloned) value columns of an aligned set, in fold order.
@@ -624,7 +576,6 @@ mod tests {
             assert_eq!(a.matched_groups, b.matched_groups);
             assert_eq!(a.rewritten_cells, b.rewritten_cells);
             let untimed = |stats: &BlockingStats| BlockingStats {
-                runtime: Default::default(),
                 phase: Default::default(),
                 ..stats.clone()
             };
@@ -673,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn appended_values_hit_the_warm_embedding_cache() {
+    fn appended_values_hit_the_embedding_cache() {
         let tables = figure1_tables();
         let mut session =
             IntegrationSession::begin(FuzzyFdConfig::default(), &tables[..2]).unwrap();

@@ -20,7 +20,6 @@ use lake_assign::{
 };
 use lake_embed::{Embedder, Vector};
 use lake_metrics::Stopwatch;
-use lake_runtime::{ParallelPolicy, RuntimeStats};
 use lake_table::Value;
 
 use crate::blocking::{
@@ -307,11 +306,10 @@ impl<'a> ValueMatcher<'a> {
         if !candidate_groups.is_empty() && !fuzzy_values.is_empty() {
             let value_embeddings = self.embed_all(&fuzzy_values);
             let plan = self.plan_fold(&candidate_groups, groups, &fuzzy_values, &value_embeddings);
-            let ((accepted, scheduling), solve_time) = Stopwatch::time(|| {
+            let (accepted, solve_time) = Stopwatch::time(|| {
                 self.solve_blocks(&plan.blocks, &candidate_groups, groups, &value_embeddings)
             });
             stats = plan.stats;
-            stats.runtime.merge(&scheduling);
             // The assignment solve happens outside the planner, so its wall
             // clock is appended to both the phase and the fold total here.
             stats.phase.assign += solve_time;
@@ -396,15 +394,10 @@ impl<'a> ValueMatcher<'a> {
         plan
     }
 
-    /// Solves every block and returns the accepted `(row, col)` pairs, where
-    /// `row` indexes `candidate_groups` and `col` indexes the fuzzy values,
-    /// together with the scheduling statistics of the solve.  Blocks share
-    /// no row and no column, so they are solved independently — on the
-    /// shared executor ([`lake_runtime::run_scope`]) when the
-    /// [`ParallelPolicy`] derived from `matching_threads` says the batch is
-    /// worth it, claimed largest-cost-first by solver cells so one giant
-    /// block cannot serialise a bucket the way static round-robin
-    /// assignment used to.
+    /// Solves every block, one after the other on the calling thread, and
+    /// returns the accepted `(row, col)` pairs, where `row` indexes
+    /// `candidate_groups` and `col` indexes the fuzzy values.  Blocks share
+    /// no row and no column, so each is solved on its own.
     ///
     /// Combinations that are not candidate pairs of their block (the planner
     /// measured them at or above the cutoff, or never nominated them) are
@@ -417,7 +410,7 @@ impl<'a> ValueMatcher<'a> {
         candidate_groups: &[usize],
         groups: &[WorkingGroup],
         value_embeddings: &[Vector],
-    ) -> (Vec<(usize, usize)>, RuntimeStats) {
+    ) -> Vec<(usize, usize)> {
         // Norms are reused across every matrix entry a vector appears in.
         let group_norms: Vec<f32> =
             candidate_groups.iter().map(|&g| groups[g].embedding.norm()).collect();
@@ -481,33 +474,11 @@ impl<'a> ValueMatcher<'a> {
             accepted.pairs.iter().map(|&(r, c)| (block.rows[r], block.cols[c])).collect()
         };
 
-        // The thread-count semantics ("explicit ≥ 2 is a command, 0
-        // auto-gates on solver cells") live in `lake_runtime::ParallelPolicy`
-        // and are shared with `lake_fd::parallel`; the cost hint is the
-        // block's dense cell count, the same unit the auto floor is
-        // calibrated in.
-        let policy = self.parallel_policy();
-        let (solved, runtime) = lake_runtime::run_scope(
-            &policy,
-            blocks.iter().collect::<Vec<&Block>>(),
-            |block| (block.rows.len() * block.cols.len()) as u64,
-            solve_one,
-        );
-        let mut accepted: Vec<(usize, usize)> = solved.into_iter().flatten().collect();
+        let mut accepted: Vec<(usize, usize)> = blocks.iter().flat_map(solve_one).collect();
         // Blocks are disjoint, so ordering only affects the order in which
-        // members are appended — sort for run-to-run and thread-count
-        // determinism.
+        // members are appended — sort into the canonical `(row, col)` order.
         accepted.sort_unstable();
-        (accepted, runtime)
-    }
-
-    /// The executor policy of this matcher: `matching_threads` with the
-    /// default cells-based auto floor.
-    fn parallel_policy(&self) -> ParallelPolicy {
-        ParallelPolicy {
-            threads: self.config.matching_threads,
-            min_auto_cost: ParallelPolicy::DEFAULT_MIN_AUTO_COST,
-        }
+        accepted
     }
 
     /// Whether the configured strategy solves a block of the given shape
@@ -1039,26 +1010,6 @@ mod tests {
         // Fewer exact f32 dot products than classified pairs is the whole
         // point of the int8 tier.
         assert!(stats.kernel.rescored <= stats.kernel.int8_scored, "{stats:?}");
-    }
-
-    #[test]
-    fn parallel_block_solving_matches_sequential() {
-        let columns = vec![
-            values(&["Berlin", "Toronto", "Barcelona", "Quito", "Lima", "Dallas"]),
-            values(&["Berlinn", "Torontoo", "Barcelonna", "Quitoo", "Limaa", "Dalas"]),
-        ];
-        let embedder = EmbeddingModel::FastText.build();
-        let sequential = match_column_values(
-            &columns,
-            embedder.as_ref(),
-            FuzzyFdConfig::default().force_blocking(),
-        );
-        for threads in [0, 2, 4] {
-            let config = FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() }
-                .force_blocking();
-            let parallel = match_column_values(&columns, embedder.as_ref(), config);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
     }
 
     #[test]

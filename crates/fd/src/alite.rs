@@ -80,9 +80,9 @@ pub fn parallel_full_disjunction_with(
     run(schema, tables, threads, None)
 }
 
-/// As [`parallel_full_disjunction_with`], but keeping in `cache` the
-/// components the last run left untouched and closing only those a changed
-/// or new row reaches.
+/// As [`parallel_full_disjunction_with`] at one worker, but keeping in
+/// `cache` the components the last run left untouched and closing only
+/// those a changed or new row reaches.
 ///
 /// The result is byte-identical for any cache state;
 /// [`FdStats::reused_components`] reports how many components were kept as
@@ -91,10 +91,9 @@ pub fn parallel_full_disjunction_with(
 pub fn incremental_full_disjunction_with(
     schema: &IntegrationSchema,
     tables: &[Table],
-    threads: usize,
     cache: &mut ComponentCache,
 ) -> (IntegratedTable, FdStats) {
-    run(schema, tables, threads, Some(cache))
+    run(schema, tables, 1, Some(cache))
 }
 
 /// The one FD driver: pad the rows to close — the whole outer union, or what

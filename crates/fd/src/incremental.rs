@@ -77,9 +77,9 @@ struct Component {
 /// ];
 /// let schema = IntegrationSchema::from_matching_headers(&tables);
 /// let mut cache = ComponentCache::default();
-/// let (first, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+/// let (first, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
 /// assert_eq!(stats.reused_components, 0, "a cold cache reuses nothing");
-/// let (second, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+/// let (second, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
 /// assert_eq!(first, second);
 /// assert_eq!(stats.reused_components, stats.components, "a warm re-run reuses everything");
 /// ```
@@ -343,12 +343,12 @@ mod tests {
         let batch = full_disjunction(&schema, &tables);
         let mut cache = ComponentCache::default();
 
-        let (cold, cold_stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (cold, cold_stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(cold, batch);
         assert_eq!(cold_stats.reused_components, 0);
         assert_eq!(cache.len(), cold_stats.components);
 
-        let (warm, warm_stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (warm, warm_stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(warm, batch);
         assert_eq!(warm_stats.reused_components, warm_stats.components);
         assert_eq!(warm_stats.runtime.tasks, 0, "nothing reaches the executor on a full reuse");
@@ -359,7 +359,7 @@ mod tests {
         let mut tables = lake(30);
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let mut cache = ComponentCache::default();
-        let (_, first) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (_, first) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
 
         // A third table joining three existing keys: exactly those three
         // components change (the new table brings no new columns, so the
@@ -374,8 +374,7 @@ mod tests {
         let schema2 = IntegrationSchema::from_matching_headers(&tables);
         assert_eq!(schema2.num_columns(), schema.num_columns());
 
-        let (incremental, stats) =
-            incremental_full_disjunction_with(&schema2, &tables, 1, &mut cache);
+        let (incremental, stats) = incremental_full_disjunction_with(&schema2, &tables, &mut cache);
         assert_eq!(incremental, full_disjunction(&schema2, &tables));
         assert_eq!(stats.components, first.components);
         assert_eq!(
@@ -389,13 +388,13 @@ mod tests {
     fn equivalent_across_thread_counts_and_cache_states() {
         let tables = lake(40);
         let schema = IntegrationSchema::from_matching_headers(&tables);
-        let (batch, _) = parallel_full_disjunction_with(&schema, &tables, 2);
+        let mut cache = ComponentCache::default();
+        let (cold, _) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
+        let (warm, _) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
+        // The cached path runs inline; the batch path it must equal is
+        // checked at every worker count.
         for threads in [0usize, 1, 2, 4] {
-            let mut cache = ComponentCache::default();
-            let (cold, _) =
-                incremental_full_disjunction_with(&schema, &tables, threads, &mut cache);
-            let (warm, _) =
-                incremental_full_disjunction_with(&schema, &tables, threads, &mut cache);
+            let (batch, _) = parallel_full_disjunction_with(&schema, &tables, threads);
             assert_eq!(cold, batch, "threads = {threads}");
             assert_eq!(warm, batch, "threads = {threads}");
         }
@@ -406,9 +405,9 @@ mod tests {
         let tables = lake(10);
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let mut cache = ComponentCache::with_capacity(0);
-        let (first, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (first, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(stats.reused_components, 0);
-        let (second, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (second, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(stats.reused_components, 0, "capacity 0 must never reuse");
         assert!(cache.is_empty());
         assert_eq!(first, second);
@@ -423,11 +422,11 @@ mod tests {
         let schema1 = IntegrationSchema::from_matching_headers(std::slice::from_ref(&t1));
         let mut cache = ComponentCache::default();
         let (only_t1, _) =
-            incremental_full_disjunction_with(&schema1, std::slice::from_ref(&t1), 1, &mut cache);
+            incremental_full_disjunction_with(&schema1, std::slice::from_ref(&t1), &mut cache);
         assert_eq!(only_t1.tuples()[0].provenance().len(), 1);
 
         let schema2 = IntegrationSchema::from_matching_headers(std::slice::from_ref(&t2));
-        let (only_t2, stats) = incremental_full_disjunction_with(&schema2, &[t2], 1, &mut cache);
+        let (only_t2, stats) = incremental_full_disjunction_with(&schema2, &[t2], &mut cache);
         assert_eq!(stats.reused_components, 0, "provenance differs, so no reuse");
         assert!(only_t2.tuples()[0].provenance().iter().all(|id| id.table == "T2"));
         drop(only_t1);
@@ -439,7 +438,7 @@ mod tests {
         let mut cache = ComponentCache::with_capacity(4);
         let over = lake(5);
         let over_schema = IntegrationSchema::from_matching_headers(&over);
-        let (result, stats) = incremental_full_disjunction_with(&over_schema, &over, 1, &mut cache);
+        let (result, stats) = incremental_full_disjunction_with(&over_schema, &over, &mut cache);
         assert_eq!(result, full_disjunction(&over_schema, &over));
         assert_eq!((stats.components, cache.len()), (5, 0));
 
@@ -447,9 +446,9 @@ mod tests {
         // across runs.
         let tables = lake(4); // 4 key components
         let schema = IntegrationSchema::from_matching_headers(&tables);
-        let _ = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let _ = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(cache.len(), 4);
-        let (_, stats) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (_, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
         assert_eq!(stats.reused_components, 4);
 
         // A different lake of the same size replaces the retained one
@@ -462,9 +461,9 @@ mod tests {
             .build()
             .unwrap()];
         let other_schema = IntegrationSchema::from_matching_headers(&other);
-        let _ = incremental_full_disjunction_with(&other_schema, &other, 1, &mut cache);
+        let _ = incremental_full_disjunction_with(&other_schema, &other, &mut cache);
         assert!(cache.len() <= 4);
-        let (_, stats) = incremental_full_disjunction_with(&other_schema, &other, 1, &mut cache);
+        let (_, stats) = incremental_full_disjunction_with(&other_schema, &other, &mut cache);
         assert!(stats.reused_components > 0, "{stats:?}");
     }
 
@@ -476,15 +475,14 @@ mod tests {
         let mut tables = lake(20);
         let schema = IntegrationSchema::from_matching_headers(&tables);
         let mut cache = ComponentCache::default();
-        let (_, first) = incremental_full_disjunction_with(&schema, &tables, 1, &mut cache);
+        let (_, first) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
 
         let c = TableBuilder::new("C", ["id", "z"]).row(["k1", "z1"]).build().unwrap();
         tables.push(c);
         let wider = IntegrationSchema::from_matching_headers(&tables);
         assert!(wider.num_columns() > schema.num_columns());
 
-        let (incremental, stats) =
-            incremental_full_disjunction_with(&wider, &tables, 1, &mut cache);
+        let (incremental, stats) = incremental_full_disjunction_with(&wider, &tables, &mut cache);
         assert_eq!(incremental, full_disjunction(&wider, &tables));
         assert_eq!(
             stats.reused_components,

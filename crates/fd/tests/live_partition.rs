@@ -70,7 +70,7 @@ proptest! {
         let mut lake: Vec<Spec> = (0..1 + rng.below(2)).map(|_| Spec::random(&mut rng)).collect();
         // The row nulled out by the last "null" step, to be restored.
         let mut nulled: Option<(usize, usize, Vec<Option<usize>>)> = None;
-        let mut caches = [(1, ComponentCache::default()), (3, ComponentCache::default())];
+        let mut cache = ComponentCache::default();
 
         for step in 0..8 {
             match rng.below(6) {
@@ -108,16 +108,13 @@ proptest! {
                 lake.iter().enumerate().map(|(i, spec)| spec.table(i)).collect();
             let schema = IntegrationSchema::from_matching_headers(&tables);
             let scratch = full_disjunction(&schema, &tables);
-            for (threads, cache) in &mut caches {
-                let (live, stats) =
-                    incremental_full_disjunction_with(&schema, &tables, *threads, cache);
-                prop_assert_eq!(&live, &scratch, "step {}, {} threads", step, threads);
-                prop_assert_eq!(
-                    stats.reused_components + stats.runtime.tasks as usize,
-                    stats.components
-                );
-                prop_assert_eq!(cache.len(), stats.components);
-            }
+            let (live, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
+            prop_assert_eq!(&live, &scratch, "step {}", step);
+            prop_assert_eq!(
+                stats.reused_components + stats.runtime.tasks as usize,
+                stats.components
+            );
+            prop_assert_eq!(cache.len(), stats.components);
         }
     }
 }

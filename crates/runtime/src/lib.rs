@@ -1,12 +1,13 @@
 //! # lake-runtime
 //!
-//! The workspace's shared parallel executor.  The pipeline parallelises along
-//! independent units — join-connected FD components, disjoint matching
-//! blocks, embedding batches — whose costs are wildly skewed (cost-matrix
-//! cells vary ~10,000× across blocks on lake-scale folds), so static
-//! round-robin bucketing lets one unlucky bucket serialise a whole solve.
-//! This crate replaces the per-site ad-hoc pools with one deterministic
-//! scoped executor:
+//! The workspace's shared parallel executor.  Its callers hand it
+//! independent units — join-connected FD components
+//! (`lake_fd::parallel_full_disjunction_with`), embedding batches
+//! (`EmbeddingCache::embed_batch`) — whose costs are wildly skewed, so
+//! static round-robin bucketing would let one unlucky bucket serialise a
+//! whole batch.  The Fuzzy FD operator itself runs on its caller's thread
+//! and asks for one worker.  This crate is one deterministic scoped
+//! executor:
 //!
 //! * [`run_scope`] — runs a batch of independent tasks over scoped worker
 //!   threads.  Tasks are sorted **largest-cost-first** by a caller-supplied
@@ -18,9 +19,8 @@
 //!   semantics are defined: an explicit count ≥ 2 is a command, `1` is
 //!   sequential, and `0` auto-gates on the batch's total cost.
 //! * [`RuntimeStats`] — scheduling diagnostics (tasks, per-worker busy
-//!   nanos, imbalance ratio) threaded through `FdStats`,
-//!   `BlockingStats` and `FuzzyFdReport` so benchmarks can see scheduling
-//!   quality.
+//!   nanos, imbalance ratio) carried by `FdStats` so benchmarks can see
+//!   scheduling quality.
 //! * [`spawn_service`] / [`ServiceHandle`] — named long-lived threads for
 //!   server-style components (request readers, shard writers) that outlive the
 //!   call that started them; the only sanctioned way to obtain such a

@@ -1,9 +1,7 @@
 //! When a batch of tasks is worth parallelising, and with how many workers.
 //!
 //! Before this crate existed, every parallel site hand-rolled the same
-//! decision slightly differently (`matching_threads` auto-gating in
-//! `fuzzy-fd-core`, the `threads <= 1` fallback in `lake-fd`).
-//! [`ParallelPolicy`] defines the semantics once: **an explicit thread count
+//! decision slightly differently.  [`ParallelPolicy`] defines the semantics once: **an explicit thread count
 //! ≥ 2 is a command, `1` is sequential, and `0` is auto** — use the
 //! machine's available parallelism, but only when the batch carries enough
 //! total cost for the scoped-thread overhead to pay off.

@@ -393,10 +393,11 @@ pub fn error_body(message: &str) -> String {
 
 /// Renders the `GET /stats` body from per-shard statuses.
 ///
-/// Unlike `/query`, this body includes scheduler aggregates
+/// Unlike `/query`, this body includes the FD closure's scheduler counters
 /// ([`RuntimeStats`](lake_runtime::RuntimeStats) tasks and busy-nanos from
-/// the latest integration per shard), which are timing-dependent — it is
-/// an observability surface, not a data surface.
+/// the latest integration per shard: one task per join component that step
+/// closed), which are timing-dependent — it is an observability surface,
+/// not a data surface.
 pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
     let mut total_queued = 0u64;
     let mut total_accepted = 0u64;
@@ -427,8 +428,8 @@ pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
         total_failed += status.failed;
         total_tables += status.snapshot.tables.len() as u64;
         total_tuples += status.snapshot.outcome.table.len() as u64;
-        let last_runtime = status.snapshot.outcome.report.runtime();
-        runtime.merge(&last_runtime);
+        let last_runtime = &status.snapshot.outcome.report.fd_stats.runtime;
+        runtime.merge(last_runtime);
         let last_phases = &status.snapshot.outcome.report.blocking.phase;
         phases.merge(last_phases);
         if let Some(store) = &status.durability {
@@ -460,7 +461,7 @@ pub fn stats_body(policy: &ServePolicy, statuses: &[ShardStatus]) -> String {
         w.field("rebuilt_sets", inc.rebuilt_sets as u64);
         w.field("reused_sets", inc.reused_sets as u64);
         w.close('}');
-        write_runtime(&mut w, &last_runtime);
+        write_runtime(&mut w, last_runtime);
         write_phases(&mut w, last_phases);
         write_caches(&mut w, &status.snapshot);
         if let Some(store) = &status.durability {
@@ -813,6 +814,26 @@ mod tests {
             assert_eq!(body, golden);
             assert!(serde_json::from_str(&body).is_ok(), "unparseable: {body}");
         }
+    }
+
+    /// `/stats` reports the FD closure's scheduling and nothing else: after
+    /// a one-table step that also solved matching blocks, `runtime.tasks`
+    /// is the number of join components that step closed.
+    #[test]
+    fn stats_runtime_counts_the_components_a_step_closed() {
+        let snapshot = snapshot_of(&protocol_lake());
+        let report = &snapshot.outcome.report;
+        assert!(report.blocking.blocks > 0, "{:?}", report.blocking);
+        let closed = (report.fd_stats.components - report.fd_stats.reused_components) as u64;
+        assert!(closed > 0, "{:?}", report.fd_stats);
+        let status = crate::Shard::new(0, 64, snapshot).status();
+        let body = serde_json::from_str(&stats_body(&ServePolicy::default(), &[status])).unwrap();
+        let tasks = |scope: &serde_json::Value| {
+            scope.get("runtime").and_then(|runtime| runtime.get("tasks")).and_then(|t| t.as_u64())
+        };
+        let shard = &body.get("shards").and_then(|shards| shards.as_array()).unwrap()[0];
+        assert_eq!(tasks(shard), Some(closed));
+        assert_eq!(tasks(body.get("totals").unwrap()), Some(closed));
     }
 
     /// `/stats` over one in-memory and one durable shard, both over empty

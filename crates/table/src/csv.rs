@@ -5,6 +5,7 @@
 //! and newlines inside quoted fields, CRLF tolerance.  The first record is
 //! always treated as the header row.
 
+use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
@@ -54,24 +55,40 @@ pub fn read_csv_file(path: impl AsRef<Path>) -> TableResult<Table> {
 /// Serialises a table to CSV text (header row first, `⊥`/null as empty field).
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
-    let names: Vec<String> =
-        table.schema().columns().iter().map(|c| escape_field(&c.name)).collect();
-    out.push_str(&names.join(","));
-    out.push('\n');
+    push_record(&mut out, table.schema().columns().iter().map(|c| c.name.as_str()));
     for row in table.rows() {
-        let fields: Vec<String> = row.iter().map(|v| escape_field(&v.render())).collect();
-        let line = fields.join(",");
-        if line.is_empty() {
-            // A single null cell would otherwise serialise to a blank line,
-            // which readers (including ours) treat as "no record"; an empty
-            // quoted field keeps the row observable.
-            out.push_str("\"\"");
-        } else {
-            out.push_str(&line);
-        }
-        out.push('\n');
+        push_record(&mut out, row.iter().map(field));
     }
     out
+}
+
+/// A cell as its CSV field: [`Value::render`], except that an integral
+/// float `render` writes without a fraction (from 1e15 up) gets one, so it
+/// reads back as the float it is and not as an integer.
+fn field(value: &Value) -> Cow<'_, str> {
+    let text = value.render();
+    match value {
+        Value::Float(_) if !text.contains('.') => Cow::Owned(format!("{text}.0")),
+        _ => text,
+    }
+}
+
+/// Appends one record and its line break.  A record of one empty field
+/// would otherwise be a blank line, which readers (including ours) treat as
+/// "no record"; an empty quoted field keeps it — a lone null cell or a lone
+/// empty header — observable.
+fn push_record<S: AsRef<str>>(out: &mut String, fields: impl Iterator<Item = S>) {
+    let start = out.len();
+    for (i, field) in fields.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&escape_field(field.as_ref()));
+    }
+    if out.len() == start {
+        out.push_str("\"\"");
+    }
+    out.push('\n');
 }
 
 /// Writes a table to a CSV file.

@@ -56,12 +56,6 @@ fn columns_strategy() -> impl Strategy<Value = Vec<Vec<String>>> {
     prop::collection::vec(column, 2..=3)
 }
 
-/// Forces keyed blocking (the default exact semantic channel) regardless of
-/// problem size.
-fn keyed_config(theta: f32, threads: usize) -> FuzzyFdConfig {
-    FuzzyFdConfig { theta, matching_threads: threads, ..FuzzyFdConfig::default() }.force_blocking()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -100,7 +94,8 @@ proptest! {
         columns in columns_strategy(),
         theta in 0.0f32..0.95,
     ) {
-        let config = keyed_config(theta, 1);
+        // Keyed blocking regardless of problem size.
+        let config = FuzzyFdConfig::with_theta(theta).force_blocking();
         let cutoff = theta + CANDIDACY_SLACK;
         let embedder = config.model.build();
         let groups = run(&columns, config);
@@ -123,24 +118,11 @@ proptest! {
             }
         }
     }
-
-    /// Block solving is deterministic in the worker-thread count.
-    #[test]
-    fn blocked_matching_is_thread_count_invariant(
-        columns in columns_strategy(),
-        theta in 0.0f32..0.95,
-    ) {
-        let sequential = run(&columns, keyed_config(theta, 1));
-        for threads in [0usize, 3] {
-            let parallel = run(&columns, keyed_config(theta, threads));
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
-        }
-    }
 }
 
 /// Acceptance: on the Auto-Join 150-value integration set, keyed blocking
 /// prunes a substantial share of the candidate space without changing a
-/// single group, sequentially and across worker threads.
+/// single group.
 #[test]
 fn autojoin_150_set_blocked_equals_exhaustive() {
     use datalake_fuzzy_fd::benchdata::{generate_autojoin_benchmark, AutoJoinConfig};
@@ -194,20 +176,11 @@ fn autojoin_150_set_blocked_equals_exhaustive() {
         match_column_values_with_stats(&columns, embedder.as_ref(), FuzzyFdConfig::default());
     assert_eq!(default_mode, exhaustive);
     assert!(default_stats.pruned_pairs > 0);
-
-    // And the parallel path must agree with the sequential one.
-    let parallel = match_column_values(
-        &columns,
-        embedder.as_ref(),
-        FuzzyFdConfig { matching_threads: 4, ..FuzzyFdConfig::default() }.force_blocking(),
-    );
-    assert_eq!(parallel, exhaustive);
 }
 
 /// Acceptance: a fold over well-separated value clusters (no shared surface,
 /// distant embeddings) splits into many independent blocks that solve to the
-/// same groups as the exhaustive path, sequentially and across worker
-/// threads.
+/// same groups as the exhaustive path.
 #[test]
 fn separable_clusters_split_into_parallel_blocks() {
     // Distinctive base words sharing no character trigrams, so both the
@@ -254,18 +227,6 @@ fn separable_clusters_split_into_parallel_blocks() {
     // Every base must still absorb its typo variant.
     for group in &blocked {
         assert_eq!(group.len(), 2, "cluster failed to pair: {group:#?}");
-    }
-
-    // With several blocks and an explicit thread count the scoped-thread
-    // solver engages; it must agree with the sequential result.
-    for threads in [2, 4, 32] {
-        let parallel = match_column_values(
-            &value_columns,
-            embedder.as_ref(),
-            FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() }
-                .force_blocking(),
-        );
-        assert_eq!(parallel, exhaustive, "threads = {threads}");
     }
 }
 

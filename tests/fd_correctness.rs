@@ -73,8 +73,7 @@ proptest! {
 
     /// The scalable algorithm computes exactly the Full Disjunction defined
     /// by the brute-force specification — and a closure memo never changes
-    /// that: cold, warm and storing nothing (capacity 0), inline and on
-    /// three workers.
+    /// that: cold, warm and storing nothing (capacity 0).
     #[test]
     fn alite_fd_matches_specification(tables in tables_strategy()) {
         let total: usize = tables.iter().map(|t| t.num_rows()).sum();
@@ -84,25 +83,18 @@ proptest! {
         let spec = value_multiset(&specification_full_disjunction(&schema, &tables));
         prop_assert_eq!(&value_multiset(&fast), &spec);
 
-        for threads in [1, 3] {
-            let mut cache = ComponentCache::default();
-            let mut storing_nothing = ComponentCache::with_capacity(0);
-            for run in ["cold", "warm"] {
-                let (memoised, stats) =
-                    incremental_full_disjunction_with(&schema, &tables, threads, &mut cache);
-                prop_assert_eq!(&value_multiset(&memoised), &spec, "{} cache", run);
-                let reusable = if run == "warm" { stats.components } else { 0 };
-                prop_assert_eq!(stats.reused_components, reusable, "{} cache", run);
+        let mut cache = ComponentCache::default();
+        let mut storing_nothing = ComponentCache::with_capacity(0);
+        for run in ["cold", "warm"] {
+            let (memoised, stats) = incremental_full_disjunction_with(&schema, &tables, &mut cache);
+            prop_assert_eq!(&value_multiset(&memoised), &spec, "{} cache", run);
+            let reusable = if run == "warm" { stats.components } else { 0 };
+            prop_assert_eq!(stats.reused_components, reusable, "{} cache", run);
 
-                let (unmemoised, stats) = incremental_full_disjunction_with(
-                    &schema,
-                    &tables,
-                    threads,
-                    &mut storing_nothing,
-                );
-                prop_assert_eq!(&value_multiset(&unmemoised), &spec);
-                prop_assert_eq!(stats.reused_components, 0);
-            }
+            let (unmemoised, stats) =
+                incremental_full_disjunction_with(&schema, &tables, &mut storing_nothing);
+            prop_assert_eq!(&value_multiset(&unmemoised), &spec);
+            prop_assert_eq!(stats.reused_components, 0);
         }
     }
 

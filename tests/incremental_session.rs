@@ -78,9 +78,7 @@ fn append_workload_stays_equivalent_at_every_step() {
         appended_tables: 2,
         ..AppendWorkloadConfig::default()
     });
-    // Two workers: the appended columns' warm-up batches run on the shared
-    // executor, where already-cached values surface as cache hits.
-    let fd_config = FuzzyFdConfig { matching_threads: 2, ..FuzzyFdConfig::default() };
+    let fd_config = FuzzyFdConfig::default();
 
     let mut session = IntegrationSession::begin(fd_config, &workload.initial).expect("open");
     let mut integrated: Vec<Table> = workload.initial.clone();
@@ -111,7 +109,6 @@ fn append_workload_stays_equivalent_at_every_step() {
             table.name(),
             outcome.report.fd_stats
         );
-        assert!(outcome.incremental.embed_hits > 0);
     }
     assert!(fast_path_steps > 0, "no append took the strictly-fewer-folds fast path");
 
@@ -121,10 +118,9 @@ fn append_workload_stays_equivalent_at_every_step() {
     assert!(fd_hits > 0);
 }
 
-/// Reuse must not depend on the worker-thread count, and every
-/// `IncrementalPolicy` switch must land on the same bytes.
+/// Every `IncrementalPolicy` switch must land on the same bytes.
 #[test]
-fn sessions_are_policy_and_thread_count_invariant() {
+fn sessions_are_policy_invariant() {
     let workload = generate_append_workload(AppendWorkloadConfig {
         entities: 40,
         initial_tables: 2,
@@ -133,16 +129,16 @@ fn sessions_are_policy_and_thread_count_invariant() {
     });
     let reference = batch(FuzzyFdConfig::default(), &workload.all_tables());
 
-    for threads in [1usize, 0, 3] {
-        for policy in [IncrementalPolicy::default(), IncrementalPolicy::full_recompute()] {
-            let config = FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() };
-            let mut session =
-                IntegrationSession::begin_with_policy(config, policy, &workload.initial)
-                    .expect("open");
-            let outcome = session.add_table(&workload.appends[0]).expect("append");
-            assert_eq!(outcome.table, reference.table, "threads = {threads}, policy = {policy:?}");
-            assert_eq!(outcome.value_groups, reference.value_groups);
-        }
+    for policy in [IncrementalPolicy::default(), IncrementalPolicy::full_recompute()] {
+        let mut session = IntegrationSession::begin_with_policy(
+            FuzzyFdConfig::default(),
+            policy,
+            &workload.initial,
+        )
+        .expect("open");
+        let outcome = session.add_table(&workload.appends[0]).expect("append");
+        assert_eq!(outcome.table, reference.table, "policy = {policy:?}");
+        assert_eq!(outcome.value_groups, reference.value_groups);
     }
 }
 
@@ -215,27 +211,17 @@ fn batched_appends_match_single_appends() {
 
 /// The embedding cache counts one lookup per value the matcher embeds, so
 /// batching the embeddings must leave every hit and miss where it was: on
-/// Auto-Join set 1, opened on two tables and appended the third, at one
-/// worker (no warm-up: the matcher's own lookups) and at two (a parallel
-/// warm-up first, then the matcher hits it).
+/// Auto-Join set 1, opened on two tables and appended the third.
 #[test]
 fn autojoin_session_embed_counters_are_pinned() {
     let config = AutoJoinConfig { num_sets: 3, ..AutoJoinConfig::default() };
     let set = generate_autojoin_benchmark(config).remove(1);
     let tables = set.tables();
     assert_eq!(tables.len(), 3);
-    // (threads, begin (hits, misses), append (hits, misses)).
-    let pinned = [(1, (0, 265), (15, 94)), (2, (265, 265), (146, 94))];
-    for (threads, begin, append) in pinned {
-        let fd_config = FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() };
-        let mut session = IntegrationSession::begin(fd_config, &tables[..2]).expect("open");
-        let opened = &session.current().incremental;
-        assert_eq!((opened.embed_hits, opened.embed_misses), begin, "begin at {threads} threads");
-        let appended = &session.add_table(&tables[2]).expect("append").incremental;
-        assert_eq!(
-            (appended.embed_hits, appended.embed_misses),
-            append,
-            "append at {threads} threads"
-        );
-    }
+    let mut session =
+        IntegrationSession::begin(FuzzyFdConfig::default(), &tables[..2]).expect("open");
+    let opened = &session.current().incremental;
+    assert_eq!((opened.embed_hits, opened.embed_misses), (0, 265), "begin");
+    let appended = &session.add_table(&tables[2]).expect("append").incremental;
+    assert_eq!((appended.embed_hits, appended.embed_misses), (15, 94), "append");
 }

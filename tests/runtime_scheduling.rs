@@ -1,18 +1,15 @@
 //! Scheduler invariance harness for the shared executor (`lake-runtime`).
 //!
-//! The executor's contract is **invariance**: outputs are identical to the
+//! The executor's workers claim tasks largest-cost-first from one shared
+//! cursor, and its contract is **invariance**: outputs are identical to the
 //! sequential path for any worker count, even on the skewed (power-law)
 //! workloads where scheduling actually matters.  Checked by proptests at
-//! the executor, FD-component and matching-block layers; two plain tests
-//! hold that its stats reach the FD report and that a task's panic reaches
-//! the caller.
+//! the executor and FD-component layers; two plain tests hold that its
+//! stats reach the FD report and that a task's panic reaches the caller.
 
 use datalake_fuzzy_fd::benchdata::{generate_skewed_components, SkewedComponentsConfig};
-use datalake_fuzzy_fd::core::{match_column_values, FuzzyFdConfig};
-use datalake_fuzzy_fd::embed::EmbeddingModel;
 use datalake_fuzzy_fd::fd::{full_disjunction, parallel_full_disjunction_with, IntegrationSchema};
 use datalake_fuzzy_fd::runtime::{run_scope, ParallelPolicy};
-use datalake_fuzzy_fd::table::Value;
 use proptest::prelude::*;
 
 /// Deterministic stand-in for real work: chunky enough that schedules
@@ -76,60 +73,6 @@ proptest! {
             if threads >= 2 {
                 prop_assert_eq!(stats.runtime.tasks as usize, stats.components);
             }
-        }
-    }
-}
-
-/// Distinctive pseudo-words sharing no character trigrams, so clusters
-/// block apart cleanly (same construction as `blocking_equivalence.rs`).
-const BASES: [&str; 12] = [
-    "qavlumper",
-    "zorbekkin",
-    "wyxtrovan",
-    "fenglodar",
-    "mubrizzok",
-    "tislenkor",
-    "hardwexil",
-    "covantrup",
-    "jesprilon",
-    "nuxbalter",
-    "ryzomenta",
-    "gwalfiddo",
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Blocked value matching over clusters of power-law sizes: the block
-    /// cost matrices span ~1000× (1×1 up to 1×16 and wider), and the solved
-    /// groups must be identical to the sequential path for every worker
-    /// count.
-    #[test]
-    fn skewed_block_solving_is_thread_count_invariant(
-        variant_counts in prop::collection::vec((0u32..5).prop_map(|e| 1usize << e), 3..10),
-    ) {
-        // Cluster i: one canonical value plus `variant_counts[i]` variants
-        // sharing its leading token, so each cluster is one independent
-        // block of 1 × count cells (plus whatever the variants contribute).
-        let mut canonical: Vec<Value> = Vec::new();
-        let mut noisy: Vec<Value> = Vec::new();
-        for (i, &count) in variant_counts.iter().enumerate() {
-            let base = BASES[i % BASES.len()];
-            canonical.push(Value::text(base));
-            for variant in 0..count {
-                noisy.push(Value::text(format!("{base} v{variant}")));
-            }
-        }
-        let columns = vec![canonical, noisy];
-        let embedder = EmbeddingModel::Mistral.build();
-        let config = |threads: usize| {
-            FuzzyFdConfig { matching_threads: threads, ..FuzzyFdConfig::default() }
-                .force_blocking()
-        };
-        let sequential = match_column_values(&columns, embedder.as_ref(), config(1));
-        for threads in [0usize, 2, 3, 8] {
-            let parallel = match_column_values(&columns, embedder.as_ref(), config(threads));
-            prop_assert_eq!(&parallel, &sequential, "threads = {}", threads);
         }
     }
 }
