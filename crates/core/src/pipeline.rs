@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use lake_embed::EmbeddingCache;
 use lake_fd::{full_disjunction, IntegratedTable, IntegrationSchema};
-use lake_schema_match::{align_by_headers, align_columns, Alignment, AlignmentOptions};
+use lake_schema_match::{align_by_headers, Alignment};
 use lake_table::{ColumnRef, Table, TableResult};
 
 use crate::blocking::BlockingStats;
@@ -96,15 +96,6 @@ impl FuzzyFullDisjunction {
     /// are consistent by construction).
     pub fn integrate_by_headers(&self, tables: &[Table]) -> TableResult<IntegrationOutcome> {
         let alignment = align_by_headers(tables);
-        self.integrate(tables, &alignment)
-    }
-
-    /// Integrates tables, discovering the column alignment automatically with
-    /// holistic schema matching over the configured embedding model (the
-    /// fully automatic ALITE-style pipeline).
-    pub fn integrate_auto(&self, tables: &[Table]) -> TableResult<IntegrationOutcome> {
-        let embedder = self.config.model.build();
-        let alignment = align_columns(tables, embedder.as_ref(), AlignmentOptions::default());
         self.integrate(tables, &alignment)
     }
 
@@ -252,35 +243,6 @@ pub(crate) mod tests {
         assert_eq!(outcome.table.len(), 2);
         assert_eq!(outcome.report.aligned_sets, 0);
         assert_eq!(outcome.report.value_groups, 0);
-    }
-
-    #[test]
-    fn automatic_alignment_pipeline_runs_end_to_end() {
-        // Same data, but headers give no hint — alignment must come from the
-        // value embeddings.
-        let tables = vec![
-            TableBuilder::new("T1", ["col_a", "col_b"])
-                .row(["Berlin", "Germany"])
-                .row(["Toronto", "Canada"])
-                .row(["Boston", "United States"])
-                .row(["Barcelona", "Spain"])
-                .build()
-                .unwrap(),
-            TableBuilder::new("T2", ["f1", "f2"])
-                .row(["Germany", "Berlin"])
-                .row(["Canada", "Toronto"])
-                .row(["Spain", "Barcelona"])
-                .row(["United States", "Boston"])
-                .build()
-                .unwrap(),
-        ];
-        let outcome = FuzzyFullDisjunction::default().integrate_auto(&tables).unwrap();
-        // The two tables describe the same four entities: a good automatic
-        // alignment integrates them into four complete tuples.
-        assert_eq!(outcome.table.len(), 4, "{:#?}", outcome.table.tuples());
-        for t in outcome.table.tuples() {
-            assert_eq!(t.provenance().len(), 2);
-        }
     }
 
     #[test]

@@ -159,25 +159,6 @@ impl Vector {
     ) -> f32 {
         1.0 - self.cosine_similarity_given_norms(self_norm, other, other_norm)
     }
-
-    /// The element-wise mean of a non-empty set of vectors; `None` when the
-    /// iterator is empty.  Used to build column-level signatures for schema
-    /// matching.
-    pub fn mean<'a>(vectors: impl IntoIterator<Item = &'a Vector>) -> Option<Vector> {
-        let mut iter = vectors.into_iter();
-        let first = iter.next()?;
-        let mut acc = first.clone();
-        let mut count = 1usize;
-        for v in iter {
-            acc.add_scaled(v, 1.0);
-            count += 1;
-        }
-        let scale = 1.0 / count as f32;
-        for c in &mut acc.components {
-            *c *= scale;
-        }
-        Some(acc)
-    }
 }
 
 /// A structure-of-arrays slab of embedding vectors: contiguous `f32` lanes
@@ -493,15 +474,6 @@ mod tests {
         a.add_scaled(&Vector::new(vec![1.0, 2.0]), 0.5);
         a.add_scaled(&Vector::new(vec![1.0, 0.0]), 1.0);
         assert_eq!(a.components(), &[1.5, 1.0]);
-    }
-
-    #[test]
-    fn mean_of_vectors() {
-        let a = Vector::new(vec![1.0, 0.0]);
-        let b = Vector::new(vec![3.0, 2.0]);
-        let m = Vector::mean([&a, &b]).unwrap();
-        assert_eq!(m.components(), &[2.0, 1.0]);
-        assert!(Vector::mean(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -1,24 +1,14 @@
 //! # lake-schema-match
 //!
-//! Column alignment (holistic schema matching) for integration sets.
+//! Column alignment for integration sets.
 //!
-//! Before values can be matched and tuples integrated, the system has to
-//! decide which columns of the input tables line up (ALITE's first step).
-//! Data lake tables cannot be aligned by headers alone — headers are missing
-//! or unreliable — so columns are represented by *signatures* built from the
-//! embeddings of their values and clustered holistically under the constraint
-//! that a cluster never contains two columns of the same table.
-//!
-//! The output type, [`Alignment`], is exactly what the Fuzzy Full Disjunction
-//! pipeline (`fuzzy-fd-core`) consumes; a header-equality baseline
-//! ([`align_by_headers`]) is provided for benchmark data whose headers are
-//! trustworthy by construction.
-
-pub mod cluster;
-pub mod signature;
-
-pub use cluster::{align_columns, AlignmentOptions};
-pub use signature::ColumnSignature;
+//! The Fuzzy Full Disjunction operator (`fuzzy-fd-core`) does not discover
+//! which columns of its input tables line up: it takes the caller's
+//! [`Alignment`].  The one aligner shipped is [`align_by_headers`], header
+//! equality, which is what the paper's benchmarks (Auto-Join sets, IMDB
+//! tables joined on their headers) need.  Holistic schema matching over
+//! value embeddings, ALITE's separate first step, returns only together with
+//! a workload that measures its alignment quality.
 
 use std::borrow::Borrow;
 

@@ -5,10 +5,6 @@
 //! and newlines inside quoted fields, CRLF tolerance.  The first record is
 //! always treated as the header row.
 
-use std::borrow::Cow;
-use std::fs;
-use std::path::Path;
-
 use crate::error::{TableError, TableResult};
 use crate::schema::Schema;
 use crate::table::{Row, Table};
@@ -44,33 +40,14 @@ pub fn parse_csv(name: impl Into<String>, text: &str) -> TableResult<Table> {
     Ok(table)
 }
 
-/// Reads a CSV file from disk; the table is named after the file stem.
-pub fn read_csv_file(path: impl AsRef<Path>) -> TableResult<Table> {
-    let path = path.as_ref();
-    let text = fs::read_to_string(path)?;
-    let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("table").to_string();
-    parse_csv(name, &text)
-}
-
 /// Serialises a table to CSV text (header row first, `⊥`/null as empty field).
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
     push_record(&mut out, table.schema().columns().iter().map(|c| c.name.as_str()));
     for row in table.rows() {
-        push_record(&mut out, row.iter().map(field));
+        push_record(&mut out, row.iter().map(Value::render));
     }
     out
-}
-
-/// A cell as its CSV field: [`Value::render`], except that an integral
-/// float `render` writes without a fraction (from 1e15 up) gets one, so it
-/// reads back as the float it is and not as an integer.
-fn field(value: &Value) -> Cow<'_, str> {
-    let text = value.render();
-    match value {
-        Value::Float(_) if !text.contains('.') => Cow::Owned(format!("{text}.0")),
-        _ => text,
-    }
 }
 
 /// Appends one record and its line break.  A record of one empty field
@@ -89,12 +66,6 @@ fn push_record<S: AsRef<str>>(out: &mut String, fields: impl Iterator<Item = S>)
         out.push_str("\"\"");
     }
     out.push('\n');
-}
-
-/// Writes a table to a CSV file.
-pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> TableResult<()> {
-    fs::write(path, to_csv(table))?;
-    Ok(())
 }
 
 fn escape_field(field: &str) -> String {
@@ -262,18 +233,5 @@ mod tests {
         assert_eq!(back.cell(0, 0), Some(&Value::text("Doe, Jane")));
         assert_eq!(back.cell(0, 1), Some(&Value::text("said \"hi\"")));
         assert_eq!(back.cell(1, 1), Some(&Value::Null));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let t = TableBuilder::new("disk", ["x", "y"]).row(["1", "a"]).build().unwrap();
-        let dir = std::env::temp_dir().join("lake_table_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("disk.csv");
-        write_csv_file(&t, &path).unwrap();
-        let back = read_csv_file(&path).unwrap();
-        assert_eq!(back.name(), "disk");
-        assert_eq!(back.cell(0, 0), Some(&Value::Int(1)));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -149,12 +149,6 @@ impl Schema {
             .ok_or(TableError::ColumnIndexOutOfBounds { index: idx, len: self.columns.len() })
     }
 
-    /// Metadata of the column named `name`.
-    pub fn column_by_name(&self, name: &str) -> TableResult<&ColumnMeta> {
-        let idx = self.index_of(name).ok_or_else(|| TableError::UnknownColumn(name.into()))?;
-        self.column(idx)
-    }
-
     /// Updates the inferred data type of the column at `idx`.
     pub fn set_data_type(&mut self, idx: usize, data_type: DataType) -> TableResult<()> {
         let len = self.columns.len();
@@ -202,8 +196,6 @@ mod tests {
         assert_eq!(schema.len(), 3);
         assert_eq!(schema.index_of("Country"), Some(1));
         assert_eq!(schema.index_of("Missing"), None);
-        assert_eq!(schema.column_by_name("City").unwrap().name, "City");
-        assert!(schema.column_by_name("Nope").is_err());
     }
 
     #[test]

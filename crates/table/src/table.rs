@@ -3,7 +3,6 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::error::{TableError, TableResult};
-use crate::provenance::TupleId;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
 
@@ -104,11 +103,6 @@ impl Table {
         self.rows.get(row).and_then(|r| r.get(column))
     }
 
-    /// Provenance id of the tuple at `row`.
-    pub fn tuple_id(&self, row: usize) -> TupleId {
-        TupleId::new(self.name.clone(), row)
-    }
-
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> TableResult<usize> {
         self.schema.index_of(name).ok_or_else(|| TableError::UnknownColumn(name.into()))
@@ -142,34 +136,6 @@ impl Table {
             }
         }
         Ok(out)
-    }
-
-    /// Occurrence counts of non-null values in the column at `column`.
-    pub fn value_counts(&self, column: usize) -> TableResult<HashMap<Value, usize>> {
-        if column >= self.schema.len() {
-            return Err(TableError::ColumnIndexOutOfBounds {
-                index: column,
-                len: self.schema.len(),
-            });
-        }
-        let mut counts = HashMap::new();
-        for row in &self.rows {
-            let v = &row[column];
-            if v.is_present() {
-                *counts.entry(v.clone()).or_insert(0) += 1;
-            }
-        }
-        Ok(counts)
-    }
-
-    /// Fraction of null cells in the column at `column` (0.0 for empty tables).
-    pub fn null_fraction(&self, column: usize) -> TableResult<f64> {
-        let values = self.column_values(column)?;
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        let nulls = values.iter().filter(|v| v.is_null()).count();
-        Ok(nulls as f64 / values.len() as f64)
     }
 
     /// Re-infers all column data types from the current rows and stores them
@@ -224,11 +190,6 @@ impl Table {
         }
         Ok(replaced)
     }
-
-    /// Iterates `(TupleId, &Row)` pairs.
-    pub fn iter_with_ids(&self) -> impl Iterator<Item = (TupleId, &Row)> + '_ {
-        self.rows.iter().enumerate().map(move |(i, r)| (TupleId::new(self.name.clone(), i), r))
-    }
 }
 
 #[cfg(test)]
@@ -280,21 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn value_counts_and_null_fraction() {
-        let t = TableBuilder::new("T", ["c"])
-            .row(["a"])
-            .row([""])
-            .row(["a"])
-            .row(["b"])
-            .build()
-            .unwrap();
-        let counts = t.value_counts(0).unwrap();
-        assert_eq!(counts[&Value::text("a")], 2);
-        assert_eq!(counts[&Value::text("b")], 1);
-        assert!((t.null_fraction(0).unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn projection_preserves_rows() {
         let t = sample();
         let p = t.project(&[1]).unwrap();
@@ -317,16 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn tuple_ids_follow_row_order() {
-        let t = sample();
-        assert_eq!(t.tuple_id(2), TupleId::new("T1", 2));
-        let ids: Vec<TupleId> = t.iter_with_ids().map(|(id, _)| id).collect();
-        assert_eq!(ids.len(), 4);
-        assert_eq!(ids[0].row, 0);
-        assert_eq!(ids[3].row, 3);
-    }
-
-    #[test]
     fn type_inference_updates_schema() {
         let mut t =
             TableBuilder::new("T", ["n", "s"]).row(["1", "x"]).row(["2", "y"]).build().unwrap();
@@ -340,6 +276,5 @@ mod tests {
         let t = sample();
         assert!(t.column_values(5).is_err());
         assert!(t.distinct_values(5).is_err());
-        assert!(t.value_counts(5).is_err());
     }
 }

@@ -140,13 +140,15 @@ impl Value {
     }
 }
 
-/// Formats a float without the noise of `Display` for integral values
-/// (`3.0` rather than `3`, but no scientific notation for common magnitudes).
+/// Formats a float so that [`Value::parse`] reads it back as the same float:
+/// `Display` (shortest round-trip digits, never scientific notation), plus a
+/// `.0` on an integral value (`3.0` rather than `3`, which would read back as
+/// an integer).
 fn format_float(f: f64) -> String {
-    if f.fract() == 0.0 && f.abs() < 1e15 {
-        format!("{:.1}", f)
+    if f.fract() == 0.0 {
+        format!("{f}.0")
     } else {
-        format!("{}", f)
+        format!("{f}")
     }
 }
 

@@ -1,5 +1,6 @@
-//! Property-based tests for the table substrate: CSV round-trips, projection
-//! invariants and substitution behaviour on arbitrary generated tables.
+//! Property-based tests for the table substrate: CSV round-trips, `render` /
+//! `parse` inversion, projection invariants and substitution behaviour on
+//! arbitrary generated tables.
 
 use lake_table::{csv, Schema, Table, Value};
 use proptest::prelude::*;
@@ -262,4 +263,42 @@ fn integral_floats_from_1e15_up_read_back_as_floats() {
     let floats = [7_996_420_023_888_329.0, -1e15, 1e15 - 1.0, 9.3e18, 1.706_449_278_085_386_8e68];
     let cells = floats.into_iter().map(Value::Float).collect();
     assert_round_trip(&column_table("f", cells), "integral floats");
+}
+
+/// A value of every non-text kind: null, booleans, the whole `i64` range,
+/// finite floats drawn from every bit pattern, small integral floats,
+/// integral floats from 1e15 up to 1e300, and both zeros.
+fn non_text_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        1 => any::<bool>().prop_map(Value::Bool),
+        2 => any::<i64>().prop_map(Value::Int),
+        2 => any::<u64>()
+            .prop_map(f64::from_bits)
+            .prop_filter("finite", |f| f.is_finite())
+            .prop_map(Value::Float),
+        1 => any::<i32>().prop_map(|i| Value::Float(f64::from(i))),
+        2 => (15i32..=300, 1.0f64..10.0, any::<bool>()).prop_map(|(exp, mantissa, negative)| {
+            let f = (mantissa * 10f64.powi(exp)).trunc();
+            Value::Float(if negative { -f } else { f })
+        }),
+        1 => prop_oneof![Just(0.0), Just(-0.0)].prop_map(Value::Float),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// `render` is the inverse of `parse` on every non-text value, down to a
+    /// float's bits (the sign of zero included).  Text that looks numeric is
+    /// ambiguous in CSV by nature and is not covered.
+    #[test]
+    fn parse_inverts_render_for_non_text_values(value in non_text_value()) {
+        let rendered = value.render();
+        let back = Value::parse(&rendered);
+        prop_assert_eq!(&back, &value, "rendered as {}", rendered);
+        if let (Value::Float(read), Value::Float(written)) = (&back, &value) {
+            prop_assert_eq!(read.to_bits(), written.to_bits(), "rendered as {}", rendered);
+        }
+    }
 }

@@ -1,53 +1,16 @@
-//! Abbreviation and acronym heuristics.
+//! Acronyms.
 //!
 //! Abbreviations (country codes, `Dept.` for `Department`, `NYC` for
 //! `New York City`) are one of the inconsistency classes that defeat
-//! equi-join Full Disjunction.  These helpers are used by the simulated LM
-//! embedders (which "know" that acronym pairs are semantically close) and by
-//! the benchmark generator (which plants such pairs with gold labels).
+//! equi-join Full Disjunction.  [`acronym`] gives the blocking keys an
+//! initials key (so `NYC` and `New York City` share a block) and lets the
+//! benchmark generator plant acronym pairs with gold labels.
 
-use crate::normalize::normalize_aggressive;
 use crate::tokenize::words;
 
 /// The acronym of a multi-word string: first letter of every word, upper-cased.
 pub fn acronym(s: &str) -> String {
     words(s).iter().filter_map(|w| w.chars().next()).collect::<String>().to_uppercase()
-}
-
-/// Whether `short` is the acronym of `long` (case-insensitive) and `long` has
-/// at least two words (single-word "acronyms" are too ambiguous to assert).
-pub fn expands_acronym(short: &str, long: &str) -> bool {
-    let long_words = words(long);
-    if long_words.len() < 2 {
-        return false;
-    }
-    let short_norm = normalize_aggressive(short).replace(' ', "");
-    if short_norm.len() != long_words.len() {
-        return false;
-    }
-    !short_norm.is_empty() && short_norm.to_uppercase() == acronym(long)
-}
-
-/// Whether `short` abbreviates `long` by truncation of each word, e.g.
-/// `"Dept"` for `"Department"`, `"Intl Conf"` for `"International Conference"`.
-/// Requires every word of `short` to be a non-trivial prefix (>= 2 chars) of
-/// the corresponding word of `long`, with at least one word actually shortened.
-pub fn is_prefix_abbreviation(short: &str, long: &str) -> bool {
-    let short_words = words(short);
-    let long_words = words(long);
-    if short_words.is_empty() || short_words.len() != long_words.len() {
-        return false;
-    }
-    let mut any_shorter = false;
-    for (s, l) in short_words.iter().zip(long_words.iter()) {
-        if s.len() < 2 || !l.starts_with(s.as_str()) {
-            return false;
-        }
-        if s.len() < l.len() {
-            any_shorter = true;
-        }
-    }
-    any_shorter
 }
 
 #[cfg(test)]
@@ -60,28 +23,5 @@ mod tests {
         assert_eq!(acronym("united states"), "US");
         assert_eq!(acronym("Berlin"), "B");
         assert_eq!(acronym(""), "");
-    }
-
-    #[test]
-    fn expands_acronym_detection() {
-        assert!(expands_acronym("NYC", "New York City"));
-        assert!(expands_acronym("nyc", "new york city"));
-        assert!(expands_acronym("U.S.", "United States"));
-        assert!(!expands_acronym("NY", "New York City")); // length mismatch
-        assert!(!expands_acronym("B", "Berlin")); // single word
-        assert!(!expands_acronym("", "New York"));
-    }
-
-    #[test]
-    fn prefix_abbreviation_detection() {
-        assert!(is_prefix_abbreviation("Depart", "Department"));
-        assert!(is_prefix_abbreviation("Inter Conf", "International Conference"));
-        assert!(is_prefix_abbreviation("Gov Gen", "Governor General"));
-        assert!(!is_prefix_abbreviation("Department", "Department")); // nothing shortened
-        assert!(!is_prefix_abbreviation("X", "Xylophone")); // too short
-        assert!(!is_prefix_abbreviation("Dept Of", "Department")); // word count mismatch
-                                                                   // "Dept" is a contraction (DeParTment), not a per-word prefix.
-        assert!(!is_prefix_abbreviation("Dept", "Department"));
-        assert!(!is_prefix_abbreviation("Dopt", "Department")); // not a prefix
     }
 }

@@ -4,9 +4,7 @@
 //! identical.  [`levenshtein`] returns the raw edit distance; use
 //! [`levenshtein_similarity`] for the normalised form.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::tokenize::{char_ngrams, words};
+use crate::tokenize::words;
 
 /// Levenshtein edit distance (insertions, deletions, substitutions), computed
 /// over Unicode scalar values with the classic two-row dynamic program.
@@ -98,57 +96,6 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     base + prefix as f64 * 0.1 * (1.0 - base)
 }
 
-/// Jaccard similarity of the character n-gram sets (default trigram behaviour
-/// is obtained by passing `n = 3`).
-pub fn jaccard(a: &str, b: &str, n: usize) -> f64 {
-    let sa: HashSet<String> = char_ngrams(a, n).into_iter().collect();
-    let sb: HashSet<String> = char_ngrams(b, n).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = (sa.len() + sb.len()) as f64 - inter;
-    inter / union
-}
-
-/// Sørensen–Dice coefficient over character bigrams.
-pub fn dice_coefficient(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = char_ngrams(a, 2).into_iter().collect();
-    let sb: HashSet<String> = char_ngrams(b, 2).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    2.0 * inter / (sa.len() + sb.len()) as f64
-}
-
-/// Cosine similarity of word-token count vectors.
-pub fn cosine_token_similarity(a: &str, b: &str) -> f64 {
-    let ca = token_counts(a);
-    let cb = token_counts(b);
-    if ca.is_empty() && cb.is_empty() {
-        return 1.0;
-    }
-    if ca.is_empty() || cb.is_empty() {
-        return 0.0;
-    }
-    let mut dot = 0.0;
-    for (tok, na) in &ca {
-        if let Some(nb) = cb.get(tok) {
-            dot += (*na as f64) * (*nb as f64);
-        }
-    }
-    let norm_a: f64 = ca.values().map(|n| (*n as f64).powi(2)).sum::<f64>().sqrt();
-    let norm_b: f64 = cb.values().map(|n| (*n as f64).powi(2)).sum::<f64>().sqrt();
-    dot / (norm_a * norm_b)
-}
-
 /// Monge–Elkan similarity: average, over the words of `a`, of the best
 /// Jaro–Winkler similarity to any word of `b`.  Tolerant of word reordering
 /// and missing tokens, which makes it a good attribute scorer for entity
@@ -170,14 +117,6 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
         total += best;
     }
     total / wa.len() as f64
-}
-
-fn token_counts(s: &str) -> HashMap<String, usize> {
-    let mut counts = HashMap::new();
-    for w in words(s) {
-        *counts.entry(w).or_insert(0) += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -212,25 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_and_dice() {
-        assert!((jaccard("night", "nacht", 2) - 1.0 / 7.0).abs() < 1e-9);
-        assert_eq!(jaccard("", "", 3), 1.0);
-        assert_eq!(jaccard("abc", "", 3), 0.0);
-        assert!(dice_coefficient("night", "nacht") > 0.0);
-        assert_eq!(dice_coefficient("same", "same"), 1.0);
-    }
-
-    #[test]
-    fn cosine_tokens() {
-        assert!(
-            (cosine_token_similarity("new york city", "city of new york") - 0.866).abs() < 0.01
-        );
-        assert_eq!(cosine_token_similarity("", ""), 1.0);
-        assert_eq!(cosine_token_similarity("a", ""), 0.0);
-        assert!(cosine_token_similarity("alpha beta", "gamma delta") < 1e-12);
-    }
-
-    #[test]
     fn monge_elkan_handles_reordering() {
         let s = monge_elkan("Jane Doe", "Doe, Jane");
         assert!(s > 0.95, "got {s}");
@@ -248,7 +168,7 @@ mod tests {
             ("same", "same"),
         ];
         for (a, b) in pairs {
-            for f in [levenshtein_similarity, jaro, jaro_winkler, dice_coefficient] {
+            for f in [levenshtein_similarity, jaro, jaro_winkler] {
                 let ab = f(a, b);
                 let ba = f(b, a);
                 assert!((0.0..=1.0 + 1e-12).contains(&ab), "{a} {b} out of range: {ab}");
@@ -257,8 +177,6 @@ mod tests {
             // Monge–Elkan is directional by definition; check only the range.
             let me = monge_elkan(a, b);
             assert!((0.0..=1.0 + 1e-12).contains(&me));
-            let j_ab = jaccard(a, b, 3);
-            assert!((j_ab - jaccard(b, a, 3)).abs() < 1e-9);
         }
     }
 
@@ -267,7 +185,6 @@ mod tests {
         for s in ["Berlin", "a", "New Delhi", "83%"] {
             assert!((levenshtein_similarity(s, s) - 1.0).abs() < 1e-12);
             assert!((jaro_winkler(s, s) - 1.0).abs() < 1e-12);
-            assert!((jaccard(s, s, 3) - 1.0).abs() < 1e-12);
             assert!((monge_elkan(s, s) - 1.0).abs() < 1e-12);
         }
     }

@@ -1,11 +1,15 @@
 //! # lake-text
 //!
-//! Text-processing substrate: normalisation, tokenisation, character n-grams
-//! and classical string similarity measures.
+//! Text-processing substrate: normalisation, tokenisation into words and
+//! character n-grams, acronyms, blocking keys, and the classical string
+//! measures (Levenshtein, Jaro, Jaro–Winkler, Monge–Elkan).
 //!
-//! These primitives back three parts of the system:
+//! These primitives back four parts of the system:
 //!
-//! * the hashing n-gram embedder in `lake-embed` (FastText analogue),
+//! * the embedders in `lake-embed`, which read values through one reusable
+//!   [`TextScanner`] (FastText-style n-grams, the simulated LMs' words),
+//! * the value-matching blocking planner of `fuzzy-fd-core`, which keys
+//!   values by [`string_block_keys`],
 //! * blocking and attribute scoring in the downstream entity matcher
 //!   (`lake-em`),
 //! * the fuzzy transformation generators of `lake-benchdata`, which need the
@@ -18,12 +22,9 @@ pub mod normalize;
 pub mod scan;
 pub mod tokenize;
 
-pub use abbrev::{acronym, expands_acronym, is_prefix_abbreviation};
+pub use abbrev::acronym;
 pub use blockkeys::{string_block_keys, BlockKeyOptions, MAX_ACRONYM_LEN};
-pub use distance::{
-    cosine_token_similarity, dice_coefficient, jaccard, jaro, jaro_winkler, levenshtein,
-    levenshtein_similarity, monge_elkan,
-};
+pub use distance::{jaro, jaro_winkler, levenshtein, levenshtein_similarity, monge_elkan};
 pub use normalize::{fold_ascii, normalize, normalize_aggressive, normalize_chars};
 pub use scan::TextScanner;
-pub use tokenize::{char_ngrams, padded_char_ngrams, word_shingles, words};
+pub use tokenize::{char_ngrams, padded_char_ngrams, words};

@@ -1,4 +1,4 @@
-//! Tokenisation: words, word shingles and character n-grams.
+//! Tokenisation: words and character n-grams.
 
 use crate::scan::TextScanner;
 
@@ -15,19 +15,6 @@ fn strings<'a>(slices: impl Iterator<Item = &'a [char]>) -> Vec<String> {
 /// Splits a string into lower-cased word tokens (alphanumeric runs).
 pub fn words(s: &str) -> Vec<String> {
     strings(scan(s).words())
-}
-
-/// Contiguous word shingles of size `n` (returns single words when the text
-/// has fewer than `n` words).
-pub fn word_shingles(s: &str, n: usize) -> Vec<String> {
-    let tokens = words(s);
-    if n == 0 || tokens.is_empty() {
-        return Vec::new();
-    }
-    if tokens.len() < n {
-        return vec![tokens.join(" ")];
-    }
-    tokens.windows(n).map(|w| w.join(" ")).collect()
 }
 
 /// Character n-grams of the normalised string (no padding).  Strings shorter
@@ -53,16 +40,6 @@ mod tests {
         assert_eq!(words("rock-n-roll"), vec!["rock", "n", "roll"]);
         assert_eq!(words("  "), Vec::<String>::new());
         assert_eq!(words("U.S."), vec!["u", "s"]);
-    }
-
-    #[test]
-    fn shingles() {
-        assert_eq!(
-            word_shingles("the quick brown fox", 2),
-            vec!["the quick", "quick brown", "brown fox"]
-        );
-        assert_eq!(word_shingles("fox", 2), vec!["fox"]);
-        assert_eq!(word_shingles("a b", 0), Vec::<String>::new());
     }
 
     #[test]

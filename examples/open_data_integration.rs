@@ -1,13 +1,13 @@
-//! Open-data integration: discover column alignment automatically, match
-//! values fuzzily, and evaluate the matches against gold labels.
+//! Open-data integration: align columns by their headers, match values
+//! fuzzily, and evaluate the matches against gold labels.
 //!
 //! The scenario mirrors the paper's motivation: several open-data portals
-//! publish tables about the same universities, but headers are unreliable and
-//! values use different conventions (abbreviations, acronyms, typos).  The
-//! example generates such an integration set with the Auto-Join-style
-//! generator, runs the full automatic pipeline (schema matching → fuzzy value
-//! matching → Full Disjunction) and reports value-matching precision/recall
-//! against the generator's gold standard.
+//! publish tables about the same universities, and values use different
+//! conventions (abbreviations, acronyms, typos).  The example generates such
+//! an integration set with the Auto-Join-style generator, whose tables carry
+//! the topic as their one header, runs the pipeline (header alignment →
+//! fuzzy value matching → Full Disjunction) and reports value-matching
+//! precision/recall against the generator's gold standard.
 //!
 //! Run with `cargo run --example open_data_integration`.
 
@@ -59,12 +59,12 @@ fn main() {
         );
     }
 
-    // 2. Run the fully automatic integration pipeline (no headers needed).
+    // 2. Run the integration pipeline over the header alignment.
     let tables = set.tables();
     let fuzzy = FuzzyFullDisjunction::new(FuzzyFdConfig::with_model(EmbeddingModel::Mistral));
-    let outcome = fuzzy.integrate_auto(&tables).expect("integration");
+    let outcome = fuzzy.integrate_by_headers(&tables).expect("integration");
     println!(
-        "\n== Integrated table (automatic alignment, fuzzy FD): {} tuples from {} input rows ==",
+        "\n== Integrated table (header alignment, fuzzy FD): {} tuples from {} input rows ==",
         outcome.table.len(),
         tables.iter().map(|t| t.num_rows()).sum::<usize>()
     );

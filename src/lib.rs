@@ -11,7 +11,8 @@
 //! * [`embed`] — cell-value embedders (hashing n-gram + simulated
 //!   pre-trained-LM tiers);
 //! * [`assign`] — linear sum assignment solvers;
-//! * [`schema_match`] — holistic column alignment;
+//! * [`schema_match`] — the column alignment the operator takes from its
+//!   caller, and header-equality alignment;
 //! * [`fd`] — Full Disjunction algorithms;
 //! * [`em`] — downstream entity matching;
 //! * [`benchdata`] — benchmark generators;

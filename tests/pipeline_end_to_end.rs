@@ -1,12 +1,13 @@
-//! Cross-crate integration tests: CSV ingestion → automatic column alignment
-//! → fuzzy value matching → Full Disjunction → downstream entity matching.
+//! Cross-crate integration tests: CSV ingestion → column alignment (by
+//! headers, or stated by the caller) → fuzzy value matching → Full
+//! Disjunction → downstream entity matching.
 
 use datalake_fuzzy_fd::benchdata::{generate_em_benchmark, EmBenchmarkConfig};
 use datalake_fuzzy_fd::core::{regular_full_disjunction, FuzzyFdConfig, FuzzyFullDisjunction};
 use datalake_fuzzy_fd::em::{match_entities, EmOptions};
 use datalake_fuzzy_fd::embed::EmbeddingModel;
-use datalake_fuzzy_fd::schema_match::align_by_headers;
-use datalake_fuzzy_fd::table::{csv, TupleId, Value};
+use datalake_fuzzy_fd::schema_match::{align_by_headers, Alignment};
+use datalake_fuzzy_fd::table::{csv, ColumnRef, TupleId, Value};
 
 #[test]
 fn csv_round_trip_through_the_full_pipeline() {
@@ -51,8 +52,10 @@ fn csv_round_trip_through_the_full_pipeline() {
     assert_eq!(reparsed.num_rows(), 3);
 }
 
+/// Headers carry no meaning and the columns are cross-ordered, so the
+/// caller states the alignment: `c1 ↔ f2` (university), `c2 ↔ f1` (city).
 #[test]
-fn automatic_alignment_handles_meaningless_headers() {
+fn explicit_alignment_handles_meaningless_headers() {
     let portal_a = csv::parse_csv(
         "portal_a",
         "c1,c2\nUniversity of Toronto,Toronto\nNortheastern University,Boston\nETH Zurich,Zurich\n",
@@ -64,8 +67,13 @@ fn automatic_alignment_handles_meaningless_headers() {
     )
     .unwrap();
 
+    let alignment = Alignment::new(vec![
+        vec![ColumnRef::new(0, 0), ColumnRef::new(1, 1)],
+        vec![ColumnRef::new(0, 1), ColumnRef::new(1, 0)],
+    ]);
+
     let fuzzy = FuzzyFullDisjunction::new(FuzzyFdConfig::with_model(EmbeddingModel::Mistral));
-    let outcome = fuzzy.integrate_auto(&[portal_a, portal_b]).expect("auto integration");
+    let outcome = fuzzy.integrate(&[portal_a, portal_b], &alignment).expect("explicit integration");
     assert_eq!(outcome.table.len(), 3, "{:#?}", outcome.table.tuples());
     for tuple in outcome.table.tuples() {
         assert_eq!(tuple.provenance().len(), 2);
